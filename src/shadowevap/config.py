@@ -15,6 +15,7 @@ import yaml
 
 from .errors import IoError, ParseError, ValidationError
 from .geometry import (
+    DEFAULT_EPSILON_CENTER_MM,
     EvaporationStep,
     JunctionSpec,
     MaskStack,
@@ -44,7 +45,6 @@ DEFAULTS: dict[str, dict[str, Any]] = {
         "film_T0_nm": 45.0,
     },
 }
-DEFAULT_EPSILON_CENTER_MM = 0.5
 
 _SITE_KEYS = {"x_mm", "y_mm", "chip_id", "site_id"}
 

@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     GrazingIncidence,
     NonPhysicalWidth,
+    Unreachable,
     ValidationError,
 )
 
@@ -237,6 +238,109 @@ def sidewall_thickness(theta_first_rad: float, t0_nm: float) -> float:
     return t0_nm * c * c
 
 
+#: Affine terms (T', s, p, w, n, q) of one printed-width branch; see
+#: `printed_width`.
+BranchTerms = tuple[float, float, float, float, float, float]
+
+
+def _denominator(value: float, throw: str, mask: str) -> float:
+    """A width-formula denominator, which must be positive: otherwise
+    the (projected) throw does not clear the mask."""
+    if value <= 0.0:
+        raise DenominatorCollapse(f"throw {throw} does not clear the {mask}")
+    return value
+
+
+def bottom_width_terms(
+    offset: float,
+    source_radius: float,
+    throw: float,
+    mask_top: float,
+    mask_bottom: float,
+    theta_rad: float,
+    center_branch: bool,
+) -> BranchTerms:
+    """Branch terms of the printed bottom-electrode width.
+
+    Center branch:   W + (c + W) h / (D cos t - h)
+    General branch:  W + (|x| + c + W/2)(H + h) / (D cos t - H)
+
+    All lengths in one consistent unit: the formulas are homogeneous of
+    degree one in the lengths, so any single unit gives the same result
+    up to rounding.
+    """
+    projected = throw * math.cos(theta_rad)
+    if center_branch:
+        q = _denominator(projected - mask_bottom, "D cos(theta)", "bottom mask layer")
+        return 0.0, 1.0, source_radius, 1.0, mask_bottom, q
+    q = _denominator(projected - mask_top, "D cos(theta)", "top mask layer")
+    return 0.0, 1.0, abs(offset) + source_radius, 0.5, mask_top + mask_bottom, q
+
+
+def top_width_terms(
+    sidewall: float,
+    source_radius: float,
+    throw: float,
+    mask_top: float,
+    mask_bottom: float,
+    theta_rad: float,
+    center_branch: bool,
+) -> BranchTerms:
+    """Branch terms of the printed top-electrode width.
+
+    Center branch:   W - T' - (2 D sin t + 2c + W) h / (D - h)
+    General branch:  W - T' - H (D sin t - c - W/2) / (D cos t - T' - H - h)
+
+    T' is the sidewall film grown during the bottom pass, which narrows
+    the aperture before this (second) evaporation. The offset y enters
+    only through theta and T'.
+    """
+    sin_t = math.sin(theta_rad)
+    if center_branch:
+        q = _denominator(throw - mask_bottom, "D", "bottom mask layer")
+        return sidewall, -1.0, 2.0 * throw * sin_t + 2.0 * source_radius, 1.0, mask_bottom, q
+    denom = throw * math.cos(theta_rad) - sidewall - mask_top - mask_bottom
+    q = _denominator(denom, "D cos(theta)", "film-coated mask")
+    return sidewall, -1.0, throw * sin_t - source_radius, -0.5, mask_top, q
+
+
+def printed_width(drawn: float, terms: BranchTerms) -> float:
+    """Printed width of drawn width W under one branch's terms:
+
+        W' = W - T' + s (p + w W) n / q
+
+    Every branch of both electrodes has this affine form, which is what
+    makes `drawn_width` a closed-form inverse.
+    """
+    t_prime, s, p, w, n, q = terms
+    # This grouping reproduces each branch's formula bit for bit, which
+    # keeps 12-digit artifacts byte-identical; do not re-associate it.
+    width = drawn - t_prime + s * ((p + w * drawn) * n / q)
+    if width <= 0.0:
+        raise NonPhysicalWidth(
+            f"printed width {width} <= 0 "
+            "(aperture closed by sidewall film and shadowing)"
+        )
+    return width
+
+
+def drawn_width(printed: float, terms: BranchTerms) -> float:
+    """Drawn width that prints as `printed` under one branch's terms,
+    the inverse of `printed_width`:
+
+        W = (W' + T' - s p k) / (1 + s w k),  k = n / q
+
+    Raises Unreachable when the printed width does not grow with the
+    drawn width (1 + s w k <= 0), so no drawn width is admissible.
+    """
+    t_prime, s, p, w, n, q = terms
+    k = n / q
+    slope = 1.0 + s * (w * k)
+    if slope <= 0.0:
+        raise Unreachable("printed width does not grow with the drawn width")
+    return (printed + (t_prime - s * (p * k))) / slope
+
+
 def bottom_width_formula(
     drawn: float,
     offset: float,
@@ -247,34 +351,11 @@ def bottom_width_formula(
     theta_rad: float,
     center_branch: bool,
 ) -> float:
-    """Printed bottom-electrode width, all lengths in one consistent unit.
-
-    Center branch:   W + (c + W) h / (D cos t - h)
-    General branch:  W + (|x| + c + W/2)(H + h) / (D cos t - H)
-
-    The formulas are homogeneous of degree one in the lengths, so any
-    single unit gives the same result up to rounding.
-    """
-    cos_t = math.cos(theta_rad)
-    if center_branch:
-        denom = throw * cos_t - mask_bottom
-        if denom <= 0.0:
-            raise DenominatorCollapse(
-                "projected throw D cos(theta) does not clear the bottom mask layer"
-            )
-        width = drawn + (source_radius + drawn) * mask_bottom / denom
-    else:
-        denom = throw * cos_t - mask_top
-        if denom <= 0.0:
-            raise DenominatorCollapse(
-                "projected throw D cos(theta) does not clear the top mask layer"
-            )
-        width = drawn + (abs(offset) + source_radius + 0.5 * drawn) * (
-            mask_top + mask_bottom
-        ) / denom
-    if width <= 0.0:
-        raise NonPhysicalWidth(f"bottom width {width} <= 0")
-    return width
+    """Printed bottom-electrode width; see `bottom_width_terms`."""
+    terms = bottom_width_terms(
+        offset, source_radius, throw, mask_top, mask_bottom, theta_rad, center_branch
+    )
+    return printed_width(drawn, terms)
 
 
 def top_width_formula(
@@ -288,45 +369,12 @@ def top_width_formula(
     theta_rad: float,
     center_branch: bool,
 ) -> float:
-    """Printed top-electrode width, all lengths in one consistent unit.
-
-    Center branch:   W - T' - (2 D sin t + 2c + W) h / (D - h)
-    General branch:  W - T' - H (D sin t - c - W/2) / (D cos t - T' - H - h)
-
-    T' is the sidewall film grown during the bottom pass, which narrows
-    the aperture before this (second) evaporation.
-    """
-    sin_t = math.sin(theta_rad)
-    cos_t = math.cos(theta_rad)
-    if center_branch:
-        denom = throw - mask_bottom
-        if denom <= 0.0:
-            raise DenominatorCollapse("throw D does not clear the bottom mask layer")
-        width = (
-            drawn
-            - sidewall
-            - (2.0 * throw * sin_t + 2.0 * source_radius + drawn)
-            * mask_bottom
-            / denom
-        )
-    else:
-        denom = throw * cos_t - sidewall - mask_top - mask_bottom
-        if denom <= 0.0:
-            raise DenominatorCollapse(
-                "projected throw D cos(theta) does not clear the film-coated mask"
-            )
-        width = (
-            drawn
-            - sidewall
-            - mask_top
-            * (throw * sin_t - source_radius - 0.5 * drawn)
-            / denom
-        )
-    if width <= 0.0:
-        raise NonPhysicalWidth(
-            f"top width {width} <= 0 (aperture closed by sidewall film and shadowing)"
-        )
-    return width
+    """Printed top-electrode width; see `top_width_terms` (which has no
+    offset: it enters only through theta_rad and sidewall)."""
+    terms = top_width_terms(
+        sidewall, source_radius, throw, mask_top, mask_bottom, theta_rad, center_branch
+    )
+    return printed_width(drawn, terms)
 
 
 def bottom_width(

@@ -146,14 +146,13 @@ def propagate_cv_monte_carlo(
     params: QubitParams,
     n_samples: int = 100_000,
     seed: int = 0,
-    distribution: str = "lognormal",
 ) -> PropagationResult:
     """Sample R_N around mean_rn_ohm with the given CV, push every draw
     through the frequency relation and return the CV of the result.
 
-    Lognormal sampling (default) preserves positivity; "normal" is
-    available for comparison. Draws producing a non-positive frequency
-    are dropped and counted; more than 0.1% invalid draws aborts.
+    R_N is drawn from a lognormal distribution, which preserves
+    positivity. Draws producing a non-positive frequency are dropped
+    and counted; more than 0.1% invalid draws aborts.
     Reproducible for a fixed seed; the generator is seeded through a
     SeedSequence so shards spawned from the same seed stay disjoint.
     """
@@ -171,14 +170,9 @@ def propagate_cv_monte_carlo(
         )
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if distribution == "lognormal":
-        sigma2 = math.log1p(cv_rn * cv_rn)
-        mu = math.log(mean_rn_ohm) - 0.5 * sigma2
-        rn = rng.lognormal(mean=mu, sigma=math.sqrt(sigma2), size=n_samples)
-    elif distribution == "normal":
-        rn = rng.normal(mean_rn_ohm, cv_rn * mean_rn_ohm, size=n_samples)
-    else:
-        raise ValidationError(f"unknown distribution {distribution!r}")
+    sigma2 = math.log1p(cv_rn * cv_rn)
+    mu = math.log(mean_rn_ohm) - 0.5 * sigma2
+    rn = rng.lognormal(mean=mu, sigma=math.sqrt(sigma2), size=n_samples)
 
     hf = np.full(n_samples, -1.0)
     positive = rn > 0

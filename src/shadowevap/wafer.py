@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from itertools import repeat
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import geometry
 from .errors import (
@@ -83,7 +84,6 @@ class WaferLayout:
     working_span_mm: float = 70.0
     grid_pitch_mm: float = 5.0
     sites: Optional[tuple[WaferSite, ...]] = None
-    enforce_span_check: bool = False
 
     def __post_init__(self) -> None:
         if not self.wafer_diameter_mm > 0:
@@ -92,19 +92,19 @@ class WaferLayout:
             raise ValidationError("wafer.working_span_mm must be > 0")
         if not self.grid_pitch_mm > 0:
             raise ValidationError("wafer.grid_pitch_mm must be > 0")
-        if self.enforce_span_check:
-            if self.working_span_mm > self.wafer_diameter_mm * math.sqrt(2.0) / 2.0:
-                raise ValidationError(
-                    "working_span_mm too large: square corners leave the wafer"
-                )
+
+    def grid_offsets(self) -> list[float]:
+        """Grid offsets (mm) along either axis, ascending: whole pitches
+        within half the working span, symmetric about and including 0."""
+        half_steps = int(math.floor(self.working_span_mm / 2.0 / self.grid_pitch_mm))
+        return [i * self.grid_pitch_mm for i in range(-half_steps, half_steps + 1)]
 
     def generate_sites(self) -> list[WaferSite]:
         """Sites ordered by (row, column), i.e. y then x ascending."""
         if self.sites is not None:
             ordered = sorted(self.sites, key=lambda s: (s.y_mm, s.x_mm))
         else:
-            half_steps = int(math.floor(self.working_span_mm / 2.0 / self.grid_pitch_mm))
-            offsets = [i * self.grid_pitch_mm for i in range(-half_steps, half_steps + 1)]
+            offsets = self.grid_offsets()
             ordered = [WaferSite(x, y) for y in offsets for x in offsets]
         radius = self.wafer_diameter_mm / 2.0
         for s in ordered:
@@ -148,76 +148,79 @@ class SiteResult:
     bias_top_nm: float
 
 
-def _model_source(source: SourceModel, model: BiasModel) -> SourceModel:
-    if model is BiasModel.POINT_SOURCE:
-        return replace(source, kind=SourceKind.POINT)
-    return source
-
-
-def _site_geometry(
+def _site_model(
     config: ProcessConfig,
-    source: SourceModel,
-    x_mm: float,
-    y_mm: float,
-    junction: Optional[JunctionSpec] = None,
-) -> tuple[float, float, float, float, float]:
-    """(theta_bottom, theta_top, t_prime, w_bottom, w_top) at one site.
+    model: BiasModel = BiasModel.NON_POINT,
+    center_band_mm: Optional[float] = None,
+) -> Callable[[float, float], tuple]:
+    """Per-site evaluation for one sweep: (x_mm, y_mm) -> (theta_bottom,
+    theta_top, t_prime_nm, bottom branch terms, top branch terms).
 
     Angles are evaluated at the site's projection onto each electrode's
     width axis: (x, 0) for the bottom electrode, (0, y) for the top.
+    Offsets within center_band_mm of an axis (default: the config's
+    epsilon_center_mm) take that electrode's center branch. The
+    CONSTANT model evaluates every site as the wafer center.
     """
-    jspec = junction if junction is not None else config.junction
-    theta_b = geometry.local_incidence_angle(
-        WaferSite(x_mm, 0.0), config.bottom_step, source
-    )
-    theta_t = geometry.local_incidence_angle(
-        WaferSite(0.0, y_mm), config.top_step, source
-    )
-    t_prime = geometry.sidewall_thickness(theta_b, config.bottom_step.film_t0_nm)
-    w_b = geometry.bottom_width(
-        jspec, config.mask, theta_b, x_mm, source,
-        epsilon_center_mm=config.epsilon_center_mm,
-    )
-    w_t = geometry.top_width(
-        jspec, config.mask, theta_t, t_prime, y_mm, source,
-        epsilon_center_mm=config.epsilon_center_mm,
-    )
-    return theta_b, theta_t, t_prime, w_b, w_t
+    source = config.source
+    if model is BiasModel.POINT_SOURCE:
+        source = replace(source, kind=SourceKind.POINT)
+    bottom, top = config.bottom_step, config.top_step
+    throw = source.distance_mm * geometry.NM_PER_MM
+    radius = source.effective_radius_mm * geometry.NM_PER_MM
+    mask_top, mask_bottom = config.mask.top_nm, config.mask.bottom_nm
+    band = config.epsilon_center_mm if center_band_mm is None else center_band_mm
+
+    def evaluate(x_mm: float, y_mm: float) -> tuple:
+        theta_b = geometry.local_incidence_angle(WaferSite(x_mm, 0.0), bottom, source)
+        theta_t = geometry.local_incidence_angle(WaferSite(0.0, y_mm), top, source)
+        t_prime = geometry.sidewall_thickness(theta_b, bottom.film_t0_nm)
+        return (
+            theta_b,
+            theta_t,
+            t_prime,
+            geometry.bottom_width_terms(
+                x_mm * geometry.NM_PER_MM, radius, throw, mask_top, mask_bottom,
+                theta_b, abs(x_mm) <= band,
+            ),
+            geometry.top_width_terms(
+                t_prime, radius, throw, mask_top, mask_bottom, theta_t,
+                abs(y_mm) <= band,
+            ),
+        )
+
+    if model is BiasModel.CONSTANT:
+        center = evaluate(0.0, 0.0)
+        return lambda x_mm, y_mm: center
+    return evaluate
 
 
-def center_reference_widths(
-    config: ProcessConfig, model: BiasModel = BiasModel.NON_POINT
-) -> tuple[float, float]:
-    """Printed (w_bottom, w_top) in nm at the wafer center, the zero
-    point of every bias map for that model."""
-    source = _model_source(config.source, model)
-    _, _, _, w_b, w_t = _site_geometry(config, source, 0.0, 0.0)
-    return w_b, w_t
+def _at_site(site: WaferSite, exc: ShadowEvapError) -> ShadowEvapError:
+    """The same error with the offending site's coordinates prepended."""
+    return type(exc)(f"site ({site.x_mm}, {site.y_mm}) mm: {exc}")
 
 
-def simulate_wafer(
-    config: ProcessConfig, model: BiasModel = BiasModel.NON_POINT
+def _sweep(
+    config: ProcessConfig,
+    model: BiasModel,
+    sites: Iterable[WaferSite],
+    drawn: Optional[Iterable[tuple[float, float]]] = None,
 ) -> list[SiteResult]:
-    """Evaluate the forward model at every layout site.
-
-    Results are ordered by (row, column). Geometry errors are re-raised
-    with the offending site coordinates prepended.
-    """
-    source = _model_source(config.source, model)
-    th_b0, th_t0, tp0, w_b0, w_t0 = _site_geometry(config, source, 0.0, 0.0)
+    """Forward model at each site with its drawn (bottom, top) widths in
+    nm (default: the config's junction everywhere), with biases relative
+    to the model's wafer-center widths."""
+    if drawn is None:
+        drawn = repeat((config.junction.drawn_bottom_nm, config.junction.drawn_top_nm))
+    evaluate = _site_model(config, model)
+    w_b0, w_t0 = center_reference_widths(config, model)
     results: list[SiteResult] = []
-    for site in config.layout.generate_sites():
-        if model is BiasModel.CONSTANT:
-            th_b, th_t, tp, w_b, w_t = th_b0, th_t0, tp0, w_b0, w_t0
-        else:
-            try:
-                th_b, th_t, tp, w_b, w_t = _site_geometry(
-                    config, source, site.x_mm, site.y_mm
-                )
-            except ShadowEvapError as exc:
-                raise type(exc)(
-                    f"site ({site.x_mm}, {site.y_mm}) mm: {exc}"
-                ) from exc
+    for site, (drawn_b, drawn_t) in zip(sites, drawn):
+        try:
+            th_b, th_t, tp, terms_b, terms_t = evaluate(site.x_mm, site.y_mm)
+            w_b = geometry.printed_width(drawn_b, terms_b)
+            w_t = geometry.printed_width(drawn_t, terms_t)
+        except ShadowEvapError as exc:
+            raise _at_site(site, exc) from exc
         results.append(
             SiteResult(
                 site=site,
@@ -232,6 +235,29 @@ def simulate_wafer(
             )
         )
     return results
+
+
+def center_reference_widths(
+    config: ProcessConfig, model: BiasModel = BiasModel.NON_POINT
+) -> tuple[float, float]:
+    """Printed (w_bottom, w_top) in nm at the wafer center, the zero
+    point of every bias map for that model."""
+    _, _, _, terms_b, terms_t = _site_model(config, model)(0.0, 0.0)
+    return (
+        geometry.printed_width(config.junction.drawn_bottom_nm, terms_b),
+        geometry.printed_width(config.junction.drawn_top_nm, terms_t),
+    )
+
+
+def simulate_wafer(
+    config: ProcessConfig, model: BiasModel = BiasModel.NON_POINT
+) -> list[SiteResult]:
+    """Evaluate the forward model at every layout site.
+
+    Results are ordered by (row, column). Geometry errors are re-raised
+    with the offending site coordinates prepended.
+    """
+    return _sweep(config, model, config.layout.generate_sites())
 
 
 @dataclass(frozen=True)
@@ -265,31 +291,23 @@ def bias_profile(
             f"electrode {electrode.value} varies along "
             f"{'x' if electrode is Electrode.BOTTOM else 'y'}, not {axis.value}"
         )
-    source = _model_source(config.source, model)
-    _, _, _, w_b0, w_t0 = _site_geometry(config, source, 0.0, 0.0)
-    center = w_b0 if electrode is Electrode.BOTTOM else w_t0
-
-    half_steps = int(
-        math.floor(config.layout.working_span_mm / 2.0 / config.layout.grid_pitch_mm)
+    bottom = electrode is Electrode.BOTTOM
+    offsets = config.layout.grid_offsets()
+    results = _sweep(
+        config,
+        model,
+        [WaferSite(off, 0.0) if bottom else WaferSite(0.0, off) for off in offsets],
     )
-    offsets = [
-        i * config.layout.grid_pitch_mm for i in range(-half_steps, half_steps + 1)
-    ]
-    points = []
-    for off in offsets:
-        if model is BiasModel.CONSTANT:
-            width = center
-        else:
-            x, y = (off, 0.0) if electrode is Electrode.BOTTOM else (0.0, off)
-            _, _, _, w_b, w_t = _site_geometry(config, source, x, y)
-            width = w_b if electrode is Electrode.BOTTOM else w_t
-        points.append((off, width - center))
+    w_b0, w_t0 = center_reference_widths(config, model)
     return BiasProfile(
         electrode=electrode,
         axis=axis,
         model=model,
-        center_width_nm=center,
-        points=tuple(points),
+        center_width_nm=w_b0 if bottom else w_t0,
+        points=tuple(
+            (off, r.bias_bottom_nm if bottom else r.bias_top_nm)
+            for off, r in zip(offsets, results)
+        ),
     )
 
 
@@ -297,76 +315,39 @@ def bias_profile(
 DEFAULT_MAX_DRAWN_NM = 5000.0
 
 
+def _drawn(name: str, target_nm: float, terms: geometry.BranchTerms) -> float:
+    """Drawn width of one electrode that prints as target_nm; raises
+    Unreachable when none lies in (0, DEFAULT_MAX_DRAWN_NM]."""
+    drawn = geometry.drawn_width(target_nm, terms)
+    if not 0.0 < drawn <= DEFAULT_MAX_DRAWN_NM:
+        raise Unreachable(
+            f"required drawn {name} width {drawn:.3f} nm outside "
+            f"(0, {DEFAULT_MAX_DRAWN_NM}] nm"
+        )
+    return drawn
+
+
 def compensate_site(
     config: ProcessConfig,
     site: WaferSite,
     target_w_bottom_nm: float,
     target_w_top_nm: float,
-    *,
-    max_drawn_nm: float = DEFAULT_MAX_DRAWN_NM,
 ) -> tuple[float, float]:
     """Drawn widths that print as the requested widths at this site.
 
     Both width formulas are affine in their drawn dimension (the angle
     and sidewall film do not depend on it), so the inverse is closed
-    form; forward-evaluating the returned pair reproduces the targets
-    to rounding error. Raises Unreachable when the required drawn width
-    is non-positive or exceeds max_drawn_nm.
+    form (`geometry.drawn_width`); forward-evaluating the returned pair
+    reproduces the targets to rounding error. Raises Unreachable when a
+    required drawn width is non-positive or exceeds DEFAULT_MAX_DRAWN_NM.
     """
     if not (target_w_bottom_nm > 0 and target_w_top_nm > 0):
         raise ValidationError("target widths must be > 0")
-    source = config.source
-    theta_b = geometry.local_incidence_angle(
-        WaferSite(site.x_mm, 0.0), config.bottom_step, source
+    _, _, _, terms_b, terms_t = _site_model(config)(site.x_mm, site.y_mm)
+    return (
+        _drawn("bottom", target_w_bottom_nm, terms_b),
+        _drawn("top", target_w_top_nm, terms_t),
     )
-    theta_t = geometry.local_incidence_angle(
-        WaferSite(0.0, site.y_mm), config.top_step, source
-    )
-    t_prime = geometry.sidewall_thickness(theta_b, config.bottom_step.film_t0_nm)
-
-    d = source.distance_mm * geometry.NM_PER_MM
-    c = source.effective_radius_mm * geometry.NM_PER_MM
-    big_h = config.mask.top_nm
-    lil_h = config.mask.bottom_nm
-    eps = config.epsilon_center_mm
-
-    # Bottom electrode: W' = W (1 + a) + b  =>  W = (W' - b) / (1 + a).
-    if abs(site.x_mm) <= eps:
-        k = lil_h / (d * math.cos(theta_b) - lil_h)
-        a_b, b_b = k, c * k
-    else:
-        k = (big_h + lil_h) / (d * math.cos(theta_b) - big_h)
-        a_b = 0.5 * k
-        b_b = (abs(site.x_mm) * geometry.NM_PER_MM + c) * k
-    drawn_b = (target_w_bottom_nm - b_b) / (1.0 + a_b)
-
-    # Top electrode: W' = W (1 - a) - b  =>  W = (W' + b) / (1 - a).
-    if abs(site.y_mm) <= eps:
-        k = lil_h / (d - lil_h)
-        a_t = k
-        b_t = t_prime + (2.0 * d * math.sin(theta_t) + 2.0 * c) * k
-    else:
-        k = big_h / (d * math.cos(theta_t) - t_prime - big_h - lil_h)
-        a_t = -0.5 * k
-        b_t = t_prime + (d * math.sin(theta_t) - c) * k
-    if 1.0 - a_t <= 0.0:
-        raise Unreachable(
-            f"site ({site.x_mm}, {site.y_mm}) mm: top-width relation degenerate"
-        )
-    drawn_t = (target_w_top_nm + b_t) / (1.0 - a_t)
-
-    for name, val in (("bottom", drawn_b), ("top", drawn_t)):
-        if val <= 0.0:
-            raise Unreachable(
-                f"site ({site.x_mm}, {site.y_mm}) mm: required drawn {name} "
-                f"width {val:.3f} nm <= 0"
-            )
-        if val > max_drawn_nm:
-            raise Unreachable(
-                f"site ({site.x_mm}, {site.y_mm}) mm: required drawn {name} "
-                f"width {val:.1f} nm exceeds {max_drawn_nm} nm"
-            )
-    return drawn_b, drawn_t
 
 
 @dataclass(frozen=True)
@@ -425,31 +406,33 @@ def resolve_target_widths(
 def compensate_wafer(
     config: ProcessConfig,
     target: CompensationTarget = CenterWidthsTarget(),
-    *,
-    max_drawn_nm: float = DEFAULT_MAX_DRAWN_NM,
 ) -> CorrectionTable:
     """Per-site drawn-dimension corrections that flatten the area map.
 
-    Unreachable sites are collected into the rejection list instead of
-    aborting the sweep; rows are ordered like `simulate_wafer` output.
+    Each site's width terms are evaluated once and serve both the
+    inverse and the forward check of the predicted area. Unreachable
+    sites are collected into the rejection list instead of aborting the
+    sweep; rows are ordered like `simulate_wafer` output.
     """
     tw_b, tw_t = resolve_target_widths(config, target)
     target_area = tw_b * tw_t / 1.0e6
+    evaluate = _site_model(config)
     rows: list[CorrectionRow] = []
     rejections: list[tuple[WaferSite, str]] = []
     for site in config.layout.generate_sites():
         try:
-            drawn_b, drawn_t = compensate_site(
-                config, site, tw_b, tw_t, max_drawn_nm=max_drawn_nm
-            )
+            _, _, _, terms_b, terms_t = evaluate(site.x_mm, site.y_mm)
+            drawn_b = _drawn("bottom", tw_b, terms_b)
+            drawn_t = _drawn("top", tw_t, terms_t)
         except Unreachable as exc:
-            rejections.append((site, str(exc)))
+            rejections.append((site, str(_at_site(site, exc))))
             continue
-        corrected = JunctionSpec(drawn_bottom_nm=drawn_b, drawn_top_nm=drawn_t)
-        _, _, _, w_b, w_t = _site_geometry(
-            config, config.source, site.x_mm, site.y_mm, junction=corrected
+        except ShadowEvapError as exc:
+            raise _at_site(site, exc) from exc
+        area = geometry.overlap_area(
+            geometry.printed_width(drawn_b, terms_b),
+            geometry.printed_width(drawn_t, terms_t),
         )
-        area = geometry.overlap_area(w_b, w_t)
         rows.append(
             CorrectionRow(
                 site=site,
@@ -474,29 +457,19 @@ def resimulate_with_corrections(
     correction table (the verification half of the compensation loop)."""
     if not corrections:
         raise EmptyInput("no correction rows")
-    w_b0, w_t0 = center_reference_widths(config)
-    results = []
-    for row in sorted(corrections, key=lambda r: (r.site.y_mm, r.site.x_mm)):
-        jspec = JunctionSpec(
-            drawn_bottom_nm=row.drawn_w_bottom_nm, drawn_top_nm=row.drawn_w_top_nm
-        )
-        th_b, th_t, tp, w_b, w_t = _site_geometry(
-            config, config.source, row.site.x_mm, row.site.y_mm, junction=jspec
-        )
-        results.append(
-            SiteResult(
-                site=row.site,
-                theta_bottom_rad=th_b,
-                theta_top_rad=th_t,
-                t_prime_nm=tp,
-                w_bottom_nm=w_b,
-                w_top_nm=w_t,
-                area_um2=geometry.overlap_area(w_b, w_t),
-                bias_bottom_nm=w_b - w_b0,
-                bias_top_nm=w_t - w_t0,
+    rows = sorted(corrections, key=lambda r: (r.site.y_mm, r.site.x_mm))
+    for row in rows:
+        if not (row.drawn_w_bottom_nm > 0 and row.drawn_w_top_nm > 0):
+            raise ValidationError(
+                f"site ({row.site.x_mm}, {row.site.y_mm}) mm: "
+                "drawn widths must be > 0"
             )
-        )
-    return results
+    return _sweep(
+        config,
+        BiasModel.NON_POINT,
+        [r.site for r in rows],
+        [(r.drawn_w_bottom_nm, r.drawn_w_top_nm) for r in rows],
+    )
 
 
 def residual_report(results: Sequence[SiteResult]) -> StatsSummary:
@@ -511,39 +484,13 @@ def branch_discontinuity_nm(config: ProcessConfig) -> tuple[float, float]:
     the epsilon_center boundary, reported for transparency since the
     printed formulas are discontinuous there."""
     eps = config.epsilon_center_mm
-    source = config.source
-    theta_b = geometry.local_incidence_angle(
-        WaferSite(eps, 0.0), config.bottom_step, source
+    _, _, _, center_b, center_t = _site_model(config)(eps, eps)
+    # A negative band puts every offset, eps included, in the general branch.
+    _, _, _, general_b, general_t = _site_model(config, center_band_mm=-1.0)(eps, eps)
+    drawn_b, drawn_t = config.junction.drawn_bottom_nm, config.junction.drawn_top_nm
+    return (
+        geometry.printed_width(drawn_b, general_b)
+        - geometry.printed_width(drawn_b, center_b),
+        geometry.printed_width(drawn_t, general_t)
+        - geometry.printed_width(drawn_t, center_t),
     )
-    theta_t = geometry.local_incidence_angle(
-        WaferSite(0.0, eps), config.top_step, source
-    )
-    t_prime = geometry.sidewall_thickness(theta_b, config.bottom_step.film_t0_nm)
-    d_nm = source.distance_mm * geometry.NM_PER_MM
-    c_nm = source.effective_radius_mm * geometry.NM_PER_MM
-    args_b = dict(
-        drawn=config.junction.drawn_bottom_nm,
-        offset=eps * geometry.NM_PER_MM,
-        source_radius=c_nm,
-        throw=d_nm,
-        mask_top=config.mask.top_nm,
-        mask_bottom=config.mask.bottom_nm,
-        theta_rad=theta_b,
-    )
-    jump_b = geometry.bottom_width_formula(
-        center_branch=False, **args_b
-    ) - geometry.bottom_width_formula(center_branch=True, **args_b)
-    args_t = dict(
-        drawn=config.junction.drawn_top_nm,
-        sidewall=t_prime,
-        offset=eps * geometry.NM_PER_MM,
-        source_radius=c_nm,
-        throw=d_nm,
-        mask_top=config.mask.top_nm,
-        mask_bottom=config.mask.bottom_nm,
-        theta_rad=theta_t,
-    )
-    jump_t = geometry.top_width_formula(
-        center_branch=False, **args_t
-    ) - geometry.top_width_formula(center_branch=True, **args_t)
-    return jump_b, jump_t

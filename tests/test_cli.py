@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -176,6 +177,26 @@ class TestCompensateAndVerify:
         )
         assert code == 2
 
+    def test_denominator_collapse_exits_4(self, tmp_path, capsys):
+        # A 500 nm throw equals the bottom mask layer: the compensation
+        # inverse must report the collapsed denominator, not divide by it.
+        tiny = tmp_path / "tiny.yaml"
+        tiny.write_text("source: {distance_mm: 0.0005, radius_mm: 0.0}\n")
+        code = main(
+            [
+                "compensate",
+                "--config",
+                str(tiny),
+                "--target",
+                "area:0.04",
+                "--out",
+                str(tmp_path / "c.csv"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "computation error" in err and "Traceback" not in err
+
     def test_unreachable_target_exits_4(self, tmp_path, config_path):
         code = main(
             [
@@ -189,6 +210,29 @@ class TestCompensateAndVerify:
             ]
         )
         assert code == 4
+
+
+class TestGoldenArtifacts:
+    """SHA-256 of the default-config artifacts, as pinned for the
+    grid-default benchmark workload: the model's arithmetic must stay
+    byte-identical across refactors."""
+
+    HASHES = {
+        "sites.csv": "56b61ab716be3f940b7904becac23eb1aa42a9a983aa3381a0c757c7986f84ff",
+        "corrections.csv": "e1cc18842ea902a14408230112911fe122f92426c83342640be41872c1b55356",
+        "verify.json": "89bd743143c85b6aeaadebc12afe414289f3000e1fca84fb269b2ab01add09e5",
+    }
+
+    def test_default_artifacts_are_pinned(self, tmp_path):
+        cfg = tmp_path / "process.yaml"
+        cfg.write_text("{}\n")
+        sites, corr, report = (tmp_path / name for name in self.HASHES)
+        assert main(["simulate", "--config", str(cfg), "--out", str(sites)]) == 0
+        assert main(["compensate", "--config", str(cfg), "--out", str(corr)]) == 0
+        assert main(["verify", "--config", str(cfg), "--corrections", str(corr),
+                     "--out", str(report)]) == 0
+        for name, digest in self.HASHES.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestAnalyze:

@@ -10,6 +10,7 @@ from shadowevap.errors import (
     DenominatorCollapse,
     DomainError,
     NonPhysicalWidth,
+    Unreachable,
     ValidationError,
 )
 from shadowevap.geometry import (
@@ -23,12 +24,16 @@ from shadowevap.geometry import (
     WaferSite,
     bottom_width,
     bottom_width_formula,
+    bottom_width_terms,
+    drawn_width,
     local_incidence_angle,
     overlap_area,
     closed_form_complement_angle,
     sidewall_thickness,
+    printed_width,
     top_width,
     top_width_formula,
+    top_width_terms,
 )
 
 SOURCE = SourceModel(distance_mm=650.0, radius_mm=1.0)
@@ -239,6 +244,30 @@ class TestTopWidth:
         shallow = SourceModel(distance_mm=6e-4, radius_mm=0.0, kind=SourceKind.POINT)
         with pytest.raises(DenominatorCollapse):
             top_width(JunctionSpec(200.0, 200.0), MASK, 0.0, 10.0, 5.0, shallow)
+
+
+class TestWidthTerms:
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            bottom_width_terms(0.0, 1e6, 6.5e8, 100.0, 500.0, 0.7, True),
+            bottom_width_terms(3.5e7, 1e6, 6.5e8, 100.0, 500.0, 0.7, False),
+            top_width_terms(14.67, 1e6, 6.5e8, 100.0, 500.0, 0.0, True),
+            top_width_terms(13.3, 1e6, 6.5e8, 100.0, 500.0, 0.054, False),
+        ],
+    )
+    def test_drawn_width_inverts_printed_width(self, terms):
+        for drawn in (50.0, 200.0, 900.0):
+            assert drawn_width(printed_width(drawn, terms), terms) == pytest.approx(
+                drawn, rel=1e-12
+            )
+
+    def test_degenerate_slope_is_unreachable(self):
+        # Throw below twice the bottom layer: the top center branch
+        # narrows faster than the drawn width grows.
+        terms = top_width_terms(0.0, 0.0, 900.0, 100.0, 500.0, 0.0, True)
+        with pytest.raises(Unreachable):
+            drawn_width(150.0, terms)
 
 
 class TestOverlapArea:

@@ -165,12 +165,6 @@ class TestMonteCarloPropagation:
         assert a.cv_f == b.cv_f
         assert a.cv_f != c.cv_f
 
-    def test_normal_distribution_option(self):
-        result = propagate_cv_monte_carlo(
-            8000.0, 0.06, PARAMS, 100_000, seed=2, distribution="normal"
-        )
-        assert 0.48 <= result.cv_ratio <= 0.57
-
     def test_too_many_invalid_draws(self):
         # Beyond ~4.16 Mohm the radical drops below E_C for these params.
         with pytest.raises(NonPositiveFrequency):
@@ -181,8 +175,6 @@ class TestMonteCarloPropagation:
             propagate_cv_monte_carlo(8000.0, 0.5, PARAMS, 10_000)
         with pytest.raises(ValidationError):
             propagate_cv_monte_carlo(8000.0, 0.06, PARAMS, 100)
-        with pytest.raises(ValidationError):
-            propagate_cv_monte_carlo(8000.0, 0.06, PARAMS, 10_000, distribution="cauchy")
 
 
 class TestCriticalCurrentDensity:

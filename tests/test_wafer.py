@@ -14,6 +14,7 @@ from shadowevap.errors import (
     Unreachable,
     ValidationError,
 )
+from shadowevap import geometry
 from shadowevap.config import default_config
 from shadowevap.geometry import (
     JunctionSpec,
@@ -27,6 +28,7 @@ from shadowevap.wafer import (
     ExplicitAreaTarget,
     WaferLayout,
     bias_profile,
+    branch_discontinuity_nm,
     center_reference_widths,
     compensate_site,
     compensate_wafer,
@@ -73,11 +75,6 @@ class TestWaferLayout:
         layout = WaferLayout(sites=(WaferSite(49.0, 49.0),))
         with pytest.raises(ValidationError):
             layout.generate_sites()
-
-    def test_span_check_opt_in(self):
-        WaferLayout(working_span_mm=75.0)  # corners off-wafer, check off
-        with pytest.raises(ValidationError):
-            WaferLayout(working_span_mm=75.0, enforce_span_check=True)
 
 
 class TestSimulateWafer:
@@ -331,6 +328,36 @@ class TestCompensateWafer:
         table = compensate_wafer(config, ExplicitAreaTarget(area_um2=1e-6))
         assert not table.rows
         assert len(table.rejections) == 225
+
+    def test_one_angle_pair_per_site(self, config, monkeypatch):
+        # The inverse and the predicted-area forward share one evaluation.
+        calls = []
+        angle = geometry.local_incidence_angle
+
+        def counted(*args):
+            calls.append(args)
+            return angle(*args)
+
+        monkeypatch.setattr(geometry, "local_incidence_angle", counted)
+        table = compensate_wafer(config, ExplicitAreaTarget(area_um2=0.04))
+        assert len(table.rows) == 225
+        assert len(calls) == 2 * 225
+
+
+class TestResimulate:
+    def test_rejects_non_positive_drawn_widths(self, config):
+        rows = list(compensate_wafer(single_site_config(config)).rows)
+        rows[0] = replace(rows[0], drawn_w_top_nm=0.0)
+        with pytest.raises(ValidationError, match="drawn"):
+            resimulate_with_corrections(config, rows)
+
+
+class TestBranchDiscontinuity:
+    def test_default_jumps(self, config):
+        assert branch_discontinuity_nm(config) == (
+            0.8028495573548753,
+            2.384786281348738,
+        )
 
 
 class TestResidualReport:
