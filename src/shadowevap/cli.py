@@ -8,20 +8,21 @@ subcommand, file paths, grid overrides and the RNG seed. Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import csvio, heatmap, stats, wafer
 from .config import load_config
 from .errors import (
     ComputationError,
     IoError,
-    ShadowEvapError,
     UnknownField,
     ValidationError,
 )
+from .table import column
 
 
 def _load(config_path: str, grid_pitch_mm: Optional[float]) -> wafer.ProcessConfig:
@@ -58,14 +59,9 @@ def _cmd_compare_models(args: argparse.Namespace) -> int:
         m: wafer.bias_profile(config, axis, electrode, m) for m in wafer.BiasModel
     }
     offsets = [p[0] for p in profiles[wafer.BiasModel.CONSTANT].points]
-    rows = []
-    for i, off in enumerate(offsets):
-        rows.append(
-            [csvio.fmt(off)]
-            + [csvio.fmt(profiles[m].points[i][1]) for m in wafer.BiasModel]
-        )
-    csvio.write_rows(
-        args.out, ["offset_mm", "bias_I_nm", "bias_II_nm", "bias_III_nm"], rows
+    biases = [[b for _, b in profiles[m].points] for m in wafer.BiasModel]
+    csvio.write_columns(
+        args.out, ["offset_mm", "bias_I_nm", "bias_II_nm", "bias_III_nm"], [offsets, *biases]
     )
     for m in wafer.BiasModel:
         print(
@@ -112,14 +108,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     corrections = csvio.import_corrections(args.corrections)
     results = wafer.resimulate_with_corrections(config, corrections)
     summary = wafer.residual_report(results)
-    predicted = {
-        (r.site.x_mm, r.site.y_mm): r.predicted_area_um2 for r in corrections
-    }
-    max_dev = max(
-        abs(r.area_um2 - predicted[(r.site.x_mm, r.site.y_mm)])
-        / predicted[(r.site.x_mm, r.site.y_mm)]
-        for r in results
-    )
+    # The resimulation is in row-major site order; align predictions to it.
+    order = wafer.row_major_order(wafer.sites_of(corrections))
+    predicted = column(corrections, "predicted_area_um2")[order]
+    max_dev = np.max(np.abs(column(results, "area_um2") - predicted) / predicted).item()
     report = {
         "n_sites": len(results),
         "area_mean_um2": summary.mean,
@@ -248,27 +240,21 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _heatmap_points(path: str, field: str) -> list[tuple[float, float, float]]:
-    """Pull (x, y, field) triples out of a site map or measurement CSV."""
+def _heatmap_points(path: str, field: str) -> np.ndarray:
+    """(x, y, field) rows, an (n, 3) array, from a site map or a
+    measurement CSV (told apart by the header)."""
     site_fields = [c for c in csvio.SITE_MAP_HEADER if c not in ("x_mm", "y_mm")]
-    try:
-        rows = csvio.import_site_map(path)
-    except ShadowEvapError:
-        rows = None
-    if rows is not None:
+    if csvio.read_header(path) == csvio.SITE_MAP_HEADER:
         if field not in site_fields:
             raise UnknownField(
                 f"unknown field {field!r}; site maps provide {site_fields}"
             )
-
-        def value(row: csvio.SiteMapRow) -> float:
-            if field == "theta_bottom_deg":
-                return math.degrees(row.theta_bottom_rad)
-            if field == "theta_top_deg":
-                return math.degrees(row.theta_top_rad)
-            return getattr(row, field)
-
-        return [(r.x_mm, r.y_mm, value(r)) for r in rows]
+        rows = csvio.import_site_map(path)
+        if field in ("theta_bottom_deg", "theta_top_deg"):
+            values = np.degrees(column(rows, field.replace("_deg", "_rad")))
+        else:
+            values = column(rows, field)
+        return np.column_stack((column(rows, "x_mm"), column(rows, "y_mm"), values))
 
     records, _ = csvio.import_measurements(path)
     if field != "rn_ohm":
@@ -278,9 +264,9 @@ def _heatmap_points(path: str, field: str) -> list[tuple[float, float, float]]:
     by_site: dict[tuple[float, float], list[float]] = {}
     for rec in records:
         by_site.setdefault((rec.x_mm, rec.y_mm), []).append(rec.rn_ohm)
-    return [
-        (x, y, sum(vals) / len(vals)) for (x, y), vals in sorted(by_site.items())
-    ]
+    return np.array(
+        [(x, y, sum(vals) / len(vals)) for (x, y), vals in sorted(by_site.items())]
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

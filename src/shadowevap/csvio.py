@@ -3,21 +3,29 @@
 All tables are plain CSV with units in the column names, decimal points
 (never commas) and 12 significant digits so values survive a round trip
 to 1e-9 relative. Output is bit-stable for identical input.
+
+Numeric tables (site maps, corrections) are written and read a column
+at a time: one `%` pass formats every row, and one `np.loadtxt` pass
+parses a well-formed file. Anything that pass rejects is re-read line
+by line, so a ParseError always names file:line.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import EmptyInput, IoError, ParseError, ValidationError, ZeroValidRows
-from .geometry import WaferSite
 from .stats import MeasurementRecord
-from .wafer import CorrectionRow, CorrectionTable, SiteResult
+from .table import Table, column
+from .wafer import CorrectionRow, CorrectionTable, SiteResult, row_major_order, site_table, sites_of
 
 PathLike = Union[str, Path]
 
@@ -72,27 +80,36 @@ def write_rows(path: PathLike, header: Sequence[str], rows: Sequence[Sequence[st
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def write_columns(path: PathLike, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length numeric columns as CSV rows, every value as
+    `fmt` formats it (`'%.12g' % v` equals `format(v, '.12g')`)."""
+    line = ",".join(["%.12g"] * len(header)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(map(line.__mod__, rows))
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def export_site_map(results: Sequence[SiteResult], path: PathLike) -> None:
     """Write a simulated site map; refuses to create a file for an
     empty result list."""
     if not results:
         raise EmptyInput("no site results to export")
-    rows = [
+    sites = sites_of(results)
+    write_columns(
+        path,
+        SITE_MAP_HEADER,
         [
-            fmt(r.site.x_mm),
-            fmt(r.site.y_mm),
-            fmt(math.degrees(r.theta_bottom_rad)),
-            fmt(math.degrees(r.theta_top_rad)),
-            fmt(r.t_prime_nm),
-            fmt(r.w_bottom_nm),
-            fmt(r.w_top_nm),
-            fmt(r.area_um2),
-            fmt(r.bias_bottom_nm),
-            fmt(r.bias_top_nm),
-        ]
-        for r in results
-    ]
-    write_rows(path, SITE_MAP_HEADER, rows)
+            column(sites, "x_mm"),
+            column(sites, "y_mm"),
+            np.degrees(column(results, "theta_bottom_rad")),
+            np.degrees(column(results, "theta_top_rad")),
+            *(column(results, name) for name in SITE_MAP_HEADER[4:]),
+        ],
+    )
 
 
 @dataclass(frozen=True)
@@ -111,71 +128,114 @@ class SiteMapRow:
     bias_top_nm: float
 
 
-def import_site_map(path: PathLike) -> list[SiteMapRow]:
-    """Read back an exported site map."""
-    rows = _read_csv(path, SITE_MAP_HEADER)
-    out = []
-    for lineno, rec in rows:
-        try:
-            vals = [float(v) for v in rec]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        out.append(
-            SiteMapRow(
-                x_mm=vals[0],
-                y_mm=vals[1],
-                theta_bottom_rad=math.radians(vals[2]),
-                theta_top_rad=math.radians(vals[3]),
-                t_prime_nm=vals[4],
-                w_bottom_nm=vals[5],
-                w_top_nm=vals[6],
-                area_um2=vals[7],
-                bias_bottom_nm=vals[8],
-                bias_top_nm=vals[9],
-            )
-        )
-    if not out:
-        raise ZeroValidRows(f"{path}: no data rows")
-    return out
+def import_site_map(path: PathLike) -> Table:
+    """Read back an exported site map as a Table of SiteMapRow."""
+    x, y, theta_b, theta_t, *rest = _read_numbers(path, SITE_MAP_HEADER)
+    return Table(
+        SiteMapRow,
+        x_mm=x,
+        y_mm=y,
+        theta_bottom_rad=np.radians(theta_b),
+        theta_top_rad=np.radians(theta_t),
+        **dict(zip(SITE_MAP_HEADER[4:], rest)),
+    )
 
 
 def export_corrections(table: CorrectionTable, path: PathLike) -> None:
     if not table.rows:
         raise EmptyInput("no correction rows to export")
-    rows = [
+    sites = sites_of(table.rows)
+    write_columns(
+        path,
+        CORRECTIONS_HEADER,
         [
-            fmt(r.site.x_mm),
-            fmt(r.site.y_mm),
-            fmt(r.drawn_w_bottom_nm),
-            fmt(r.drawn_w_top_nm),
-            fmt(r.predicted_area_um2),
-            fmt(r.residual_area_rel),
-        ]
-        for r in table.rows
-    ]
-    write_rows(path, CORRECTIONS_HEADER, rows)
+            column(sites, "x_mm"),
+            column(sites, "y_mm"),
+            *(column(table.rows, name) for name in CORRECTIONS_HEADER[2:]),
+        ],
+    )
 
 
-def import_corrections(path: PathLike) -> list[CorrectionRow]:
-    rows = _read_csv(path, CORRECTIONS_HEADER)
-    out = []
-    for lineno, rec in rows:
+def import_corrections(path: PathLike) -> Table:
+    """Read a correction table as a Table of CorrectionRow. Two rows for
+    one site are rejected: each site takes one correction."""
+    x, y, *rest = _read_numbers(path, CORRECTIONS_HEADER)
+    sites = site_table(x, y)
+    order = row_major_order(sites)
+    same = (np.diff(x[order]) == 0.0) & (np.diff(y[order]) == 0.0)
+    if same.any():
+        # The sort is stable, so the earliest repeat follows its site's
+        # first row in `order`.
+        k = np.flatnonzero(same)
+        k = k[np.argmin(order[k + 1])]
+        lines = [lineno for lineno, _ in _read_csv(path, CORRECTIONS_HEADER)]
+        raise ParseError(
+            f"{path}:{lines[order[k + 1]]}: duplicate site ({x[order[k]]}, "
+            f"{y[order[k]]}) mm, first given at line {lines[order[k]]}"
+        )
+    return Table(CorrectionRow, site=sites, **dict(zip(CORRECTIONS_HEADER[2:], rest)))
+
+
+def _read_numbers(path: PathLike, header: Sequence[str]) -> np.ndarray:
+    """The data rows of a numeric table as columns, a (len(header), n)
+    float array, after the strict header check. Every value must be
+    finite, and there must be at least one row."""
+    values = _loadtxt(path, header)
+    if values is None:
+        values = _parse_lines(path, header)
+    return np.ascontiguousarray(values.T)
+
+
+def _loadtxt(path: PathLike, header: Sequence[str]) -> Optional[np.ndarray]:
+    """One np.loadtxt pass over a well-formed table, or None for any
+    file it does not fit, which `_parse_lines` then reads (np.loadtxt
+    accepts no token that float() rejects, and parses the same value)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if next(csv.reader([fh.readline()]), None) != list(header):
+                return None
+            first = next((line for line in fh if line.strip("\r\n")), None)
+            if first is None:
+                return None
+            values = np.loadtxt(
+                itertools.chain([first], fh), delimiter=",", comments=None,
+                ndmin=2, dtype=float,
+            )
+    except (OSError, ValueError):
+        return None
+    if values.shape[1] != len(header) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_lines(path: PathLike, header: Sequence[str]) -> np.ndarray:
+    """Parse a numeric table line by line; a ParseError names file:line."""
+    rows = []
+    for lineno, rec in _read_csv(path, header):
+        if len(rec) != len(header):
+            raise ParseError(
+                f"{path}:{lineno}: expected {len(header)} columns, got {len(rec)}"
+            )
         try:
             vals = [float(v) for v in rec]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        out.append(
-            CorrectionRow(
-                site=WaferSite(vals[0], vals[1]),
-                drawn_w_bottom_nm=vals[2],
-                drawn_w_top_nm=vals[3],
-                predicted_area_um2=vals[4],
-                residual_area_rel=vals[5],
-            )
-        )
-    if not out:
+        for name, v in zip(header, vals):
+            if not math.isfinite(v):
+                raise ParseError(f"{path}:{lineno}: {name} must be finite, got {v}")
+        rows.append(vals)
+    if not rows:
         raise ZeroValidRows(f"{path}: no data rows")
-    return out
+    return np.array(rows, dtype=float)
+
+
+def read_header(path: PathLike) -> list[str]:
+    """The header row of a CSV file ([] for an empty file)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return next(csv.reader(fh), [])
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_csv(

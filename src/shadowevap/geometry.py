@@ -10,7 +10,12 @@ mask dimensions.
 
 Everything here is a pure function of its inputs: lengths in
 nanometers, angles in radians (millimeters and degrees only at the
-dataclass boundary), safe to call concurrently.
+dataclass boundary), safe to call concurrently. The scalar functions are
+the oracle for wafer sweeps: `top_terms`, `forward_width`,
+`inverse_width`, `inverse_slope` and `junction_area`, the arithmetic
+of the checked scalar functions, also accept numpy arrays, so a sweep
+runs the same arithmetic elementwise after taking trigonometry once per
+distinct coordinate.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from .errors import (
     DenominatorCollapse,
@@ -295,27 +302,62 @@ def top_width_terms(
     the aperture before this (second) evaporation. The offset y enters
     only through theta and T'.
     """
-    sin_t = math.sin(theta_rad)
+    terms = top_terms(
+        sidewall, source_radius, throw, mask_top, mask_bottom,
+        math.sin(theta_rad), math.cos(theta_rad), center_branch,
+    )
     if center_branch:
-        q = _denominator(throw - mask_bottom, "D", "bottom mask layer")
-        return sidewall, -1.0, 2.0 * throw * sin_t + 2.0 * source_radius, 1.0, mask_bottom, q
-    denom = throw * math.cos(theta_rad) - sidewall - mask_top - mask_bottom
-    q = _denominator(denom, "D cos(theta)", "film-coated mask")
-    return sidewall, -1.0, throw * sin_t - source_radius, -0.5, mask_top, q
+        _denominator(terms[5], "D", "bottom mask layer")
+    else:
+        _denominator(terms[5], "D cos(theta)", "film-coated mask")
+    return terms
 
 
-def printed_width(drawn: float, terms: BranchTerms) -> float:
+def top_terms(sidewall, source_radius, throw, mask_top, mask_bottom, sin_t, cos_t, center):
+    """The arithmetic of `top_width_terms` from the angle's sine and
+    cosine, without its denominator check.
+
+    Any argument may be a numpy array, evaluated elementwise; `center`
+    is then a bool array choosing each element's branch. The sidewall
+    film couples the top electrode to the bottom step's angle at the
+    same site, so a sweep evaluates these terms per site.
+    """
+    return _branch(
+        center,
+        (sidewall, -1.0, 2.0 * throw * sin_t + 2.0 * source_radius, 1.0, mask_bottom,
+         throw - mask_bottom),
+        (sidewall, -1.0, throw * sin_t - source_radius, -0.5, mask_top,
+         throw * cos_t - sidewall - mask_top - mask_bottom),
+    )
+
+
+def _branch(center, center_terms: tuple, general_terms: tuple) -> BranchTerms:
+    """The terms of the branch `center` selects; a bool array selects
+    per element."""
+    if isinstance(center, np.ndarray):
+        return tuple(np.where(center, c, g) for c, g in zip(center_terms, general_terms))
+    return center_terms if center else general_terms
+
+
+def forward_width(drawn, terms: BranchTerms):
     """Printed width of drawn width W under one branch's terms:
 
         W' = W - T' + s (p + w W) n / q
 
-    Every branch of both electrodes has this affine form, which is what
-    makes `drawn_width` a closed-form inverse.
+    without the positivity check of `printed_width`; elementwise over
+    numpy arrays. Every branch of both electrodes has this affine form,
+    which is what makes `drawn_width` a closed-form inverse.
     """
     t_prime, s, p, w, n, q = terms
     # This grouping reproduces each branch's formula bit for bit, which
     # keeps 12-digit artifacts byte-identical; do not re-associate it.
-    width = drawn - t_prime + s * ((p + w * drawn) * n / q)
+    return drawn - t_prime + s * ((p + w * drawn) * n / q)
+
+
+def printed_width(drawn: float, terms: BranchTerms) -> float:
+    """Printed width of drawn width W under one branch's terms (see
+    `forward_width`); raises NonPhysicalWidth unless it is positive."""
+    width = forward_width(drawn, terms)
     if width <= 0.0:
         raise NonPhysicalWidth(
             f"printed width {width} <= 0 "
@@ -324,21 +366,34 @@ def printed_width(drawn: float, terms: BranchTerms) -> float:
     return width
 
 
+def inverse_slope(terms: BranchTerms):
+    """Growth of the printed width per unit drawn width, 1 + s w n / q:
+    the divisor of the inverse. Elementwise over numpy arrays."""
+    _, s, _, w, n, q = terms
+    return 1.0 + s * (w * (n / q))
+
+
+def inverse_width(printed, terms: BranchTerms):
+    """Drawn width that prints as `printed` under one branch's terms,
+
+        W = (W' + T' - s p k) / (1 + s w k),  k = n / q,
+
+    without the slope check of `drawn_width`; elementwise over numpy
+    arrays."""
+    t_prime, s, p, _, n, q = terms
+    return (printed + (t_prime - s * (p * (n / q)))) / inverse_slope(terms)
+
+
 def drawn_width(printed: float, terms: BranchTerms) -> float:
     """Drawn width that prints as `printed` under one branch's terms,
-    the inverse of `printed_width`:
-
-        W = (W' + T' - s p k) / (1 + s w k),  k = n / q
+    the inverse of `printed_width` (see `inverse_width`).
 
     Raises Unreachable when the printed width does not grow with the
     drawn width (1 + s w k <= 0), so no drawn width is admissible.
     """
-    t_prime, s, p, w, n, q = terms
-    k = n / q
-    slope = 1.0 + s * (w * k)
-    if slope <= 0.0:
+    if inverse_slope(terms) <= 0.0:
         raise Unreachable("printed width does not grow with the drawn width")
-    return (printed + (t_prime - s * (p * k))) / slope
+    return inverse_width(printed, terms)
 
 
 def bottom_width_formula(
@@ -433,8 +488,15 @@ def top_width(
     )
 
 
+def junction_area(w_bottom_nm, w_top_nm):
+    """Junction overlap area in um^2 from the two printed widths (nm),
+    without the positivity check of `overlap_area`; elementwise over
+    numpy arrays."""
+    return w_bottom_nm * w_top_nm / 1.0e6
+
+
 def overlap_area(w_bottom_nm: float, w_top_nm: float) -> float:
     """Junction overlap area in um^2 from the two printed widths (nm)."""
     if not (w_bottom_nm > 0 and w_top_nm > 0):
         raise ValueError("widths must be > 0")
-    return w_bottom_nm * w_top_nm / 1.0e6
+    return junction_area(w_bottom_nm, w_top_nm)

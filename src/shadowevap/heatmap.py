@@ -8,57 +8,64 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import EmptyInput, IoError, ValidationError
 
 # Five-stop blue -> teal -> green -> yellow gradient.
-_STOPS = [
-    (0.267, 0.005, 0.329),
-    (0.229, 0.322, 0.546),
-    (0.128, 0.567, 0.551),
-    (0.369, 0.789, 0.383),
-    (0.993, 0.906, 0.144),
-]
-
-
-def _color(t: float) -> str:
-    t = min(1.0, max(0.0, t))
-    scaled = t * (len(_STOPS) - 1)
-    i = min(int(scaled), len(_STOPS) - 2)
-    frac = scaled - i
-    rgb = [
-        _STOPS[i][k] + frac * (_STOPS[i + 1][k] - _STOPS[i][k]) for k in range(3)
+_STOPS = np.array(
+    [
+        (0.267, 0.005, 0.329),
+        (0.229, 0.322, 0.546),
+        (0.128, 0.567, 0.551),
+        (0.369, 0.789, 0.383),
+        (0.993, 0.906, 0.144),
     ]
-    return "#" + "".join(f"{round(255 * v):02x}" for v in rgb)
+)
 
 
-def _cell_size_mm(points: Sequence[tuple[float, float, float]]) -> float:
+def _rgb(t: np.ndarray) -> list[int]:
+    """24-bit colors 0xRRGGBB of scale positions t (clamped to [0, 1],
+    NaN to 0), interpolated linearly between the stops."""
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    scaled = t * (len(_STOPS) - 1)
+    i = np.minimum(scaled.astype(np.intp), len(_STOPS) - 2)
+    frac = (scaled - i)[:, None]
+    rgb = _STOPS[i] + frac * (_STOPS[i + 1] - _STOPS[i])
+    # rint, like round(), takes halves to even.
+    return (np.rint(255 * rgb).astype(np.int64) @ np.array([1 << 16, 1 << 8, 1])).tolist()
+
+
+def _cell_size_mm(x_mm: np.ndarray, y_mm: np.ndarray) -> float:
     """Smallest positive spacing between distinct coordinates, the
     natural cell edge for a regular grid."""
-    coords = sorted({p[0] for p in points} | {p[1] for p in points})
-    gaps = [b - a for a, b in zip(coords, coords[1:]) if b - a > 1e-9]
-    return min(gaps) if gaps else 5.0
+    gaps = np.diff(np.unique(np.concatenate((x_mm, y_mm))))
+    gaps = gaps[gaps > 1e-9]
+    return gaps.min().item() if gaps.size else 5.0
 
 
 def render_heatmap(
-    points: Sequence[tuple[float, float, float]],
+    points: Union[Sequence[tuple[float, float, float]], np.ndarray],
     field_name: str,
     path: Union[str, object],
     wafer_diameter_mm: float = 100.0,
 ) -> None:
-    """Render (x_mm, y_mm, value) triples as a wafer map SVG.
+    """Render (x_mm, y_mm, value) triples, or an (n, 3) array of them,
+    as a wafer map SVG.
 
     Colors are scaled linearly between the field's min and max (a
     constant field renders mid-scale with legend min = max). +y is up.
     """
-    if not points:
+    if len(points) == 0:
         raise EmptyInput("no points to render")
     if not wafer_diameter_mm > 0:
         raise ValidationError("wafer_diameter_mm must be > 0")
 
-    values = [p[2] for p in points]
-    vmin, vmax = min(values), max(values)
+    x_mm, y_mm, values = np.asarray(points, dtype=float).reshape(-1, 3).T
+    vmin, vmax = min(values.tolist()), max(values.tolist())
     span = vmax - vmin
-    cell = _cell_size_mm(points)
+    cell = _cell_size_mm(x_mm, y_mm)
     radius = wafer_diameter_mm / 2.0
 
     # Layout: wafer drawing area plus a legend strip on the right.
@@ -82,26 +89,42 @@ def render_heatmap(
         f'fill="none" stroke="#333333" stroke-width="1.5"/>',
     ]
     half = cell * scale / 2.0
-    for x_mm, y_mm, value in sorted(points, key=lambda p: (p[1], p[0])):
-        t = 0.5 if span == 0.0 else (value - vmin) / span
+    order = np.lexsort((x_mm, y_mm))
+    x_mm, y_mm, values = x_mm[order], y_mm[order], values[order]
+    # Float arithmetic as Python does it: inf and nan, no warnings.
+    with np.errstate(all="ignore"):
+        t = np.full(values.size, 0.5) if span == 0.0 else (values - vmin) / span
         x0 = cx + x_mm * scale - half
         y0 = cy - y_mm * scale - half
-        parts.append(
-            f'<rect x="{px(x0)}" y="{px(y0)}" width="{px(cell * scale)}" '
-            f'height="{px(cell * scale)}" fill="{_color(t)}">'
-            f"<title>({x_mm:g}, {y_mm:g}) mm: {value:.9g}</title></rect>"
+    cell_px = px(cell * scale)
+    rect = (
+        f'<rect x="%.3f" y="%.3f" width="{cell_px}" height="{cell_px}" '
+        'fill="#%06x"><title>(%g, %g) mm: %.9g</title></rect>'
+    )
+    parts.extend(
+        map(
+            rect.__mod__,
+            zip(
+                x0.tolist(),
+                y0.tolist(),
+                _rgb(t),
+                x_mm.tolist(),
+                y_mm.tolist(),
+                values.tolist(),
+            ),
         )
+    )
 
     # Legend: vertical gradient bar with min/max labels.
     lx = pad + wafer_px + 30.0
     ly, lh, lw = pad + 20.0, wafer_px - 40.0, 18.0
     n_seg = 32
-    for i in range(n_seg):
-        t = 1.0 - (i + 0.5) / n_seg
+    legend_t = np.array([1.0 - (i + 0.5) / n_seg for i in range(n_seg)])
+    for i, rgb in enumerate(_rgb(legend_t)):
         seg_y = ly + i * lh / n_seg
         parts.append(
             f'<rect x="{px(lx)}" y="{px(seg_y)}" width="{px(lw)}" '
-            f'height="{px(lh / n_seg + 0.5)}" fill="{_color(t)}"/>'
+            f'height="{px(lh / n_seg + 0.5)}" fill="#{rgb:06x}"/>'
         )
     parts.extend(
         [

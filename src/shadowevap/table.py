@@ -1,0 +1,82 @@
+"""Read-only columnar tables of row records.
+
+A wafer sweep produces one value per site for each of a handful of
+fields. Holding each field as one numpy array, rather than one object
+per site, keeps a sweep's cost in array arithmetic; callers that want
+records still read the table as a sequence of them.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from dataclasses import fields
+from typing import Any, Union
+
+import numpy as np
+
+
+class Table(Sequence):
+    """Columns of equal length, read as a sequence of `row` records.
+
+    `row` is a dataclass; there is one column per field, in field order.
+    A column is a numpy array (floats, or objects such as ids) or a
+    nested Table (a field holding records, such as a result's site). A
+    record is built only when it is asked for. The arrays are made
+    read-only.
+    """
+
+    def __init__(self, row: type, **columns: Union[np.ndarray, Table]) -> None:
+        names = [f.name for f in fields(row)]
+        if list(columns) != names:
+            raise TypeError(f"{row.__name__} columns must be {names}, got {list(columns)}")
+        lengths = {len(c) for c in columns.values()}
+        if len(lengths) != 1:
+            raise ValueError(f"{row.__name__} columns differ in length: {sorted(lengths)}")
+        for c in columns.values():
+            if isinstance(c, np.ndarray):
+                c.flags.writeable = False
+        self.row = row
+        self.columns = columns
+        self._length = lengths.pop()
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._length))]
+        return self.row(
+            *(c.item(index) if isinstance(c, np.ndarray) else c[index]
+              for c in self.columns.values())
+        )
+
+    def __iter__(self):
+        return map(
+            self.row,
+            *(c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()),
+        )
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, Table):
+            return NotImplemented
+        return self.row is other.row and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"<Table of {self._length} {self.row.__name__} rows>"
+
+    def take(self, index) -> Table:
+        """The rows at `index` (an integer or boolean array), in that
+        order, as a new table."""
+        return Table(
+            self.row,
+            **{name: c[index] if isinstance(c, np.ndarray) else c.take(index)
+               for name, c in self.columns.items()},
+        )
+
+
+def column(rows: Sequence, name: str) -> np.ndarray:
+    """Field `name` of every row as an array: a Table's own column,
+    otherwise read row by row as floats."""
+    if isinstance(rows, Table):
+        return rows.columns[name]
+    return np.array([getattr(r, name) for r in rows], dtype=float)

@@ -15,9 +15,14 @@ keeps each electrode's printed width a one-dimensional function of its
 own coordinate; the sidewall film links the top width to the bottom
 step's angle at the same site.
 
-Site evaluations are independent pure functions; results are always
-ordered by (row, column) so any execution strategy yields identical
-output.
+Because of that convention a sweep needs trigonometry only once per
+distinct x and once per distinct y: `_Model.columns` evaluates the
+scalar `geometry` chain at those coordinates and runs the remaining
+arithmetic elementwise over numpy columns, the same operations in the
+same order, so every value equals the per-site scalar evaluation bit
+for bit. Results are `Table`s ordered by (row, column). A site the
+array arithmetic flags is replayed through the scalar chain, which
+raises the error of the first failing site.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from . import geometry
 from .errors import (
@@ -45,6 +51,7 @@ from .geometry import (
     WaferSite,
 )
 from .stats import StatsSummary, coefficient_of_variation
+from .table import Table, column
 
 
 class BiasModel(str, Enum):
@@ -99,20 +106,67 @@ class WaferLayout:
         half_steps = int(math.floor(self.working_span_mm / 2.0 / self.grid_pitch_mm))
         return [i * self.grid_pitch_mm for i in range(-half_steps, half_steps + 1)]
 
-    def generate_sites(self) -> list[WaferSite]:
-        """Sites ordered by (row, column), i.e. y then x ascending."""
+    def generate_sites(self) -> Table:
+        """Sites as a Table of WaferSite rows ordered by (row, column),
+        i.e. y then x ascending: a grid built from `grid_offsets`, or
+        the explicit site list sorted stably."""
         if self.sites is not None:
-            ordered = sorted(self.sites, key=lambda s: (s.y_mm, s.x_mm))
+            sites = _site_table_of(self.sites)
+            sites = sites.take(row_major_order(sites))
         else:
-            offsets = self.grid_offsets()
-            ordered = [WaferSite(x, y) for y in offsets for x in offsets]
-        radius = self.wafer_diameter_mm / 2.0
-        for s in ordered:
-            if s.radius_mm() > radius + 1e-9:
+            offsets = np.array(self.grid_offsets())
+            sites = site_table(np.tile(offsets, offsets.size), np.repeat(offsets, offsets.size))
+        limit = self.wafer_diameter_mm / 2.0 + 1e-9
+        # np.hypot may differ from math.hypot in the last bit, so it only
+        # screens; WaferSite.radius_mm decides.
+        near = np.hypot(column(sites, "x_mm"), column(sites, "y_mm")) > limit * (1.0 - 1e-12)
+        for i in np.flatnonzero(near).tolist():
+            s = sites[i]
+            if s.radius_mm() > limit:
                 raise ValidationError(
                     f"site ({s.x_mm}, {s.y_mm}) mm lies outside the wafer"
                 )
-        return ordered
+        return sites
+
+
+def site_table(x_mm, y_mm, chip_id=None, site_id=None) -> Table:
+    """Sites as a Table of WaferSite rows from their offsets (mm) and,
+    optionally, their ids (default None)."""
+    n = len(x_mm)
+
+    def ids(values) -> np.ndarray:
+        if values is None:
+            return np.full(n, None, dtype=object)
+        return np.fromiter(values, dtype=object, count=n)
+
+    return Table(
+        WaferSite,
+        x_mm=np.asarray(x_mm, dtype=float),
+        y_mm=np.asarray(y_mm, dtype=float),
+        chip_id=ids(chip_id),
+        site_id=ids(site_id),
+    )
+
+
+def _site_table_of(sites: Sequence[WaferSite]) -> Table:
+    return site_table(
+        [s.x_mm for s in sites],
+        [s.y_mm for s in sites],
+        [s.chip_id for s in sites],
+        [s.site_id for s in sites],
+    )
+
+
+def sites_of(rows: Sequence) -> Table:
+    """The `site` field of result or correction rows as a site Table."""
+    if isinstance(rows, Table):
+        return rows.columns["site"]
+    return _site_table_of([r.site for r in rows])
+
+
+def row_major_order(sites: Table) -> np.ndarray:
+    """Stable order of sites by (row, column): y, then x, ascending."""
+    return np.lexsort((column(sites, "x_mm"), column(sites, "y_mm")))
 
 
 @dataclass(frozen=True)
@@ -148,51 +202,114 @@ class SiteResult:
     bias_top_nm: float
 
 
-def _site_model(
-    config: ProcessConfig,
-    model: BiasModel = BiasModel.NON_POINT,
-    center_band_mm: Optional[float] = None,
-) -> Callable[[float, float], tuple]:
-    """Per-site evaluation for one sweep: (x_mm, y_mm) -> (theta_bottom,
-    theta_top, t_prime_nm, bottom branch terms, top branch terms).
+class _Model:
+    """The per-site model of one sweep.
 
     Angles are evaluated at the site's projection onto each electrode's
-    width axis: (x, 0) for the bottom electrode, (0, y) for the top.
-    Offsets within center_band_mm of an axis (default: the config's
-    epsilon_center_mm) take that electrode's center branch. The
-    CONSTANT model evaluates every site as the wafer center.
+    width axis: (x, 0) for the bottom electrode, (0, y) for the top, so
+    the bottom angle, film and terms depend on x alone and the top
+    angle on y alone. Offsets within center_band_mm of an axis (default:
+    the config's epsilon_center_mm) take that electrode's center
+    branch. The CONSTANT model evaluates every site as the wafer center.
     """
-    source = config.source
-    if model is BiasModel.POINT_SOURCE:
-        source = replace(source, kind=SourceKind.POINT)
-    bottom, top = config.bottom_step, config.top_step
-    throw = source.distance_mm * geometry.NM_PER_MM
-    radius = source.effective_radius_mm * geometry.NM_PER_MM
-    mask_top, mask_bottom = config.mask.top_nm, config.mask.bottom_nm
-    band = config.epsilon_center_mm if center_band_mm is None else center_band_mm
 
-    def evaluate(x_mm: float, y_mm: float) -> tuple:
-        theta_b = geometry.local_incidence_angle(WaferSite(x_mm, 0.0), bottom, source)
-        theta_t = geometry.local_incidence_angle(WaferSite(0.0, y_mm), top, source)
-        t_prime = geometry.sidewall_thickness(theta_b, bottom.film_t0_nm)
+    def __init__(
+        self,
+        config: ProcessConfig,
+        model: BiasModel = BiasModel.NON_POINT,
+        center_band_mm: Optional[float] = None,
+    ) -> None:
+        source = config.source
+        if model is BiasModel.POINT_SOURCE:
+            source = replace(source, kind=SourceKind.POINT)
+        self.source = source
+        self.bottom_step, self.top_step = config.bottom_step, config.top_step
+        self.throw = source.distance_mm * geometry.NM_PER_MM
+        self.radius = source.effective_radius_mm * geometry.NM_PER_MM
+        self.mask_top, self.mask_bottom = config.mask.top_nm, config.mask.bottom_nm
+        self.band = config.epsilon_center_mm if center_band_mm is None else center_band_mm
+        self.constant = model is BiasModel.CONSTANT
+
+    def _theta_bottom(self, x_mm: float) -> float:
+        return geometry.local_incidence_angle(WaferSite(x_mm, 0.0), self.bottom_step, self.source)
+
+    def _theta_top(self, y_mm: float) -> float:
+        return geometry.local_incidence_angle(WaferSite(0.0, y_mm), self.top_step, self.source)
+
+    def _terms_bottom(self, x_mm: float, theta_b: float) -> geometry.BranchTerms:
+        return geometry.bottom_width_terms(
+            x_mm * geometry.NM_PER_MM, self.radius, self.throw, self.mask_top,
+            self.mask_bottom, theta_b, abs(x_mm) <= self.band,
+        )
+
+    def site(self, x_mm: float, y_mm: float) -> tuple:
+        """(theta_bottom, theta_top, t_prime_nm, bottom terms, top terms)
+        at one site: the scalar geometry chain, which raises the first
+        error in this order."""
+        if self.constant:
+            x_mm = y_mm = 0.0
+        theta_b = self._theta_bottom(x_mm)
+        theta_t = self._theta_top(y_mm)
+        t_prime = geometry.sidewall_thickness(theta_b, self.bottom_step.film_t0_nm)
         return (
             theta_b,
             theta_t,
             t_prime,
-            geometry.bottom_width_terms(
-                x_mm * geometry.NM_PER_MM, radius, throw, mask_top, mask_bottom,
-                theta_b, abs(x_mm) <= band,
-            ),
+            self._terms_bottom(x_mm, theta_b),
             geometry.top_width_terms(
-                t_prime, radius, throw, mask_top, mask_bottom, theta_t,
-                abs(y_mm) <= band,
+                t_prime, self.radius, self.throw, self.mask_top, self.mask_bottom,
+                theta_t, abs(y_mm) <= self.band,
             ),
         )
 
-    if model is BiasModel.CONSTANT:
-        center = evaluate(0.0, 0.0)
-        return lambda x_mm, y_mm: center
-    return evaluate
+    def _bottom(self, x_mm: float) -> tuple:
+        theta_b = self._theta_bottom(x_mm)
+        t_prime = geometry.sidewall_thickness(theta_b, self.bottom_step.film_t0_nm)
+        return (theta_b, t_prime, *self._terms_bottom(x_mm, theta_b))
+
+    def _top(self, y_mm: float) -> tuple:
+        theta_t = self._theta_top(y_mm)
+        return theta_t, math.sin(theta_t), math.cos(theta_t)
+
+    def columns(self, sites: Table) -> tuple:
+        """`site` at every site as arrays (theta_bottom, theta_top,
+        t_prime_nm, bottom terms, top terms), plus a mask of the sites
+        where `site` raises.
+
+        The scalar chain runs once per distinct x (bottom angle, film,
+        terms) and once per distinct y (top angle and its sine and
+        cosine); `geometry.top_terms` combines them per site.
+        """
+        x, y = column(sites, "x_mm"), column(sites, "y_mm")
+        if self.constant:
+            x = y = np.zeros(len(sites))
+        ux, ix = np.unique(x, return_inverse=True)
+        uy, iy = np.unique(y, return_inverse=True)
+        bottom, bottom_ok = _tabulate(self._bottom, ux, 8)
+        top, top_ok = _tabulate(self._top, uy, 3)
+        bottom, top = bottom[ix], top[iy]
+        t_prime = bottom[:, 1]
+        terms_t = geometry.top_terms(
+            t_prime, self.radius, self.throw, self.mask_top, self.mask_bottom,
+            top[:, 1], top[:, 2], (np.abs(uy) <= self.band)[iy],
+        )
+        failed = ~bottom_ok[ix] | ~top_ok[iy] | (terms_t[5] <= 0.0)
+        return bottom[:, 0], top[:, 0], t_prime, tuple(bottom[:, 2:].T), terms_t, failed
+
+
+def _tabulate(evaluate, values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """evaluate(v) for each value as the rows of a (len, width) array,
+    and a mask of the values it accepted. Rows it raised for stay NaN:
+    their sites are replayed through `_Model.site`, which reports the
+    error of the first one."""
+    table = np.full((values.size, width), np.nan)
+    ok = np.ones(values.size, dtype=bool)
+    for j, value in enumerate(values.tolist()):
+        try:
+            table[j] = evaluate(value)
+        except (ShadowEvapError, ValueError):
+            ok[j] = False
+    return table, ok
 
 
 def _at_site(site: WaferSite, exc: ShadowEvapError) -> ShadowEvapError:
@@ -203,38 +320,44 @@ def _at_site(site: WaferSite, exc: ShadowEvapError) -> ShadowEvapError:
 def _sweep(
     config: ProcessConfig,
     model: BiasModel,
-    sites: Iterable[WaferSite],
-    drawn: Optional[Iterable[tuple[float, float]]] = None,
-) -> list[SiteResult]:
+    sites: Table,
+    drawn_b: Union[float, np.ndarray],
+    drawn_t: Union[float, np.ndarray],
+) -> Table:
     """Forward model at each site with its drawn (bottom, top) widths in
-    nm (default: the config's junction everywhere), with biases relative
+    nm (one value for all sites or one per site), with biases relative
     to the model's wafer-center widths."""
-    if drawn is None:
-        drawn = repeat((config.junction.drawn_bottom_nm, config.junction.drawn_top_nm))
-    evaluate = _site_model(config, model)
     w_b0, w_t0 = center_reference_widths(config, model)
-    results: list[SiteResult] = []
-    for site, (drawn_b, drawn_t) in zip(sites, drawn):
+    evaluate = _Model(config, model)
+    theta_b, theta_t, t_prime, terms_b, terms_t, failed = evaluate.columns(sites)
+    drawn_b = np.broadcast_to(drawn_b, (len(sites),))
+    drawn_t = np.broadcast_to(drawn_t, (len(sites),))
+    with np.errstate(all="ignore"):
+        w_b = geometry.forward_width(drawn_b, terms_b)
+        w_t = geometry.forward_width(drawn_t, terms_t)
+    for i in np.flatnonzero(failed | ~((w_b > 0.0) & (w_t > 0.0))).tolist():
+        site = sites[i]
         try:
-            th_b, th_t, tp, terms_b, terms_t = evaluate(site.x_mm, site.y_mm)
-            w_b = geometry.printed_width(drawn_b, terms_b)
-            w_t = geometry.printed_width(drawn_t, terms_t)
+            _, _, _, site_b, site_t = evaluate.site(site.x_mm, site.y_mm)
+            widths = (
+                geometry.printed_width(drawn_b.item(i), site_b),
+                geometry.printed_width(drawn_t.item(i), site_t),
+            )
         except ShadowEvapError as exc:
             raise _at_site(site, exc) from exc
-        results.append(
-            SiteResult(
-                site=site,
-                theta_bottom_rad=th_b,
-                theta_top_rad=th_t,
-                t_prime_nm=tp,
-                w_bottom_nm=w_b,
-                w_top_nm=w_t,
-                area_um2=geometry.overlap_area(w_b, w_t),
-                bias_bottom_nm=w_b - w_b0,
-                bias_top_nm=w_t - w_t0,
-            )
-        )
-    return results
+        geometry.overlap_area(*widths)
+    return Table(
+        SiteResult,
+        site=sites,
+        theta_bottom_rad=theta_b,
+        theta_top_rad=theta_t,
+        t_prime_nm=t_prime,
+        w_bottom_nm=w_b,
+        w_top_nm=w_t,
+        area_um2=geometry.junction_area(w_b, w_t),
+        bias_bottom_nm=w_b - w_b0,
+        bias_top_nm=w_t - w_t0,
+    )
 
 
 def center_reference_widths(
@@ -242,7 +365,7 @@ def center_reference_widths(
 ) -> tuple[float, float]:
     """Printed (w_bottom, w_top) in nm at the wafer center, the zero
     point of every bias map for that model."""
-    _, _, _, terms_b, terms_t = _site_model(config, model)(0.0, 0.0)
+    _, _, _, terms_b, terms_t = _Model(config, model).site(0.0, 0.0)
     return (
         geometry.printed_width(config.junction.drawn_bottom_nm, terms_b),
         geometry.printed_width(config.junction.drawn_top_nm, terms_t),
@@ -251,13 +374,18 @@ def center_reference_widths(
 
 def simulate_wafer(
     config: ProcessConfig, model: BiasModel = BiasModel.NON_POINT
-) -> list[SiteResult]:
+) -> Table:
     """Evaluate the forward model at every layout site.
 
-    Results are ordered by (row, column). Geometry errors are re-raised
-    with the offending site coordinates prepended.
+    Results are a Table of SiteResult ordered by (row, column).
+    Geometry errors are re-raised with the offending site coordinates
+    prepended.
     """
-    return _sweep(config, model, config.layout.generate_sites())
+    junction = config.junction
+    return _sweep(
+        config, model, config.layout.generate_sites(),
+        junction.drawn_bottom_nm, junction.drawn_top_nm,
+    )
 
 
 @dataclass(frozen=True)
@@ -292,22 +420,23 @@ def bias_profile(
             f"{'x' if electrode is Electrode.BOTTOM else 'y'}, not {axis.value}"
         )
     bottom = electrode is Electrode.BOTTOM
-    offsets = config.layout.grid_offsets()
+    offsets = np.array(config.layout.grid_offsets())
+    zeros = np.zeros(offsets.size)
     results = _sweep(
         config,
         model,
-        [WaferSite(off, 0.0) if bottom else WaferSite(0.0, off) for off in offsets],
+        site_table(offsets, zeros) if bottom else site_table(zeros, offsets),
+        config.junction.drawn_bottom_nm,
+        config.junction.drawn_top_nm,
     )
+    biases = column(results, "bias_bottom_nm" if bottom else "bias_top_nm")
     w_b0, w_t0 = center_reference_widths(config, model)
     return BiasProfile(
         electrode=electrode,
         axis=axis,
         model=model,
         center_width_nm=w_b0 if bottom else w_t0,
-        points=tuple(
-            (off, r.bias_bottom_nm if bottom else r.bias_top_nm)
-            for off, r in zip(offsets, results)
-        ),
+        points=tuple(zip(offsets.tolist(), biases.tolist())),
     )
 
 
@@ -343,11 +472,22 @@ def compensate_site(
     """
     if not (target_w_bottom_nm > 0 and target_w_top_nm > 0):
         raise ValidationError("target widths must be > 0")
-    _, _, _, terms_b, terms_t = _site_model(config)(site.x_mm, site.y_mm)
-    return (
-        _drawn("bottom", target_w_bottom_nm, terms_b),
-        _drawn("top", target_w_top_nm, terms_t),
+    return _invert_site(_Model(config), site, target_w_bottom_nm, target_w_top_nm)[:2]
+
+
+def _invert_site(
+    evaluate: _Model, site: WaferSite, target_b: float, target_t: float
+) -> tuple[float, float, float]:
+    """(drawn bottom, drawn top, predicted area) at one site: the scalar
+    inverse, then the forward check of the predicted area."""
+    _, _, _, terms_b, terms_t = evaluate.site(site.x_mm, site.y_mm)
+    drawn_b = _drawn("bottom", target_b, terms_b)
+    drawn_t = _drawn("top", target_t, terms_t)
+    area = geometry.overlap_area(
+        geometry.printed_width(drawn_b, terms_b),
+        geometry.printed_width(drawn_t, terms_t),
     )
+    return drawn_b, drawn_t, area
 
 
 @dataclass(frozen=True)
@@ -386,7 +526,7 @@ class CorrectionRow:
 class CorrectionTable:
     target_w_bottom_nm: float
     target_w_top_nm: float
-    rows: tuple[CorrectionRow, ...]
+    rows: Sequence[CorrectionRow]
     rejections: tuple[tuple[WaferSite, str], ...]
 
 
@@ -409,74 +549,88 @@ def compensate_wafer(
 ) -> CorrectionTable:
     """Per-site drawn-dimension corrections that flatten the area map.
 
-    Each site's width terms are evaluated once and serve both the
-    inverse and the forward check of the predicted area. Unreachable
-    sites are collected into the rejection list instead of aborting the
-    sweep; rows are ordered like `simulate_wafer` output.
+    The width terms evaluated for the inverse also serve the forward
+    check of the predicted area. Unreachable sites are collected into
+    the rejection list instead of aborting the sweep; rows are a Table
+    of CorrectionRow ordered like `simulate_wafer` output.
     """
     tw_b, tw_t = resolve_target_widths(config, target)
     target_area = tw_b * tw_t / 1.0e6
-    evaluate = _site_model(config)
-    rows: list[CorrectionRow] = []
+    evaluate = _Model(config)
+    sites = config.layout.generate_sites()
+    _, _, _, terms_b, terms_t, failed = evaluate.columns(sites)
+    with np.errstate(all="ignore"):
+        drawn_b = geometry.inverse_width(tw_b, terms_b)
+        drawn_t = geometry.inverse_width(tw_t, terms_t)
+        w_b = geometry.forward_width(drawn_b, terms_b)
+        w_t = geometry.forward_width(drawn_t, terms_t)
+        suspect = (
+            failed
+            | ~_admissible(drawn_b, terms_b)
+            | ~_admissible(drawn_t, terms_t)
+            | ~((w_b > 0.0) & (w_t > 0.0))
+        )
+    rejected = np.zeros(len(sites), dtype=bool)
     rejections: list[tuple[WaferSite, str]] = []
-    for site in config.layout.generate_sites():
+    for i in np.flatnonzero(suspect).tolist():
+        site = sites[i]
         try:
-            _, _, _, terms_b, terms_t = evaluate(site.x_mm, site.y_mm)
-            drawn_b = _drawn("bottom", tw_b, terms_b)
-            drawn_t = _drawn("top", tw_t, terms_t)
+            _invert_site(evaluate, site, tw_b, tw_t)
         except Unreachable as exc:
+            rejected[i] = True
             rejections.append((site, str(_at_site(site, exc))))
-            continue
         except ShadowEvapError as exc:
             raise _at_site(site, exc) from exc
-        area = geometry.overlap_area(
-            geometry.printed_width(drawn_b, terms_b),
-            geometry.printed_width(drawn_t, terms_t),
-        )
-        rows.append(
-            CorrectionRow(
-                site=site,
-                drawn_w_bottom_nm=drawn_b,
-                drawn_w_top_nm=drawn_t,
-                predicted_area_um2=area,
-                residual_area_rel=(area - target_area) / target_area,
-            )
-        )
+    keep = ~rejected
+    area = geometry.junction_area(w_b[keep], w_t[keep])
     return CorrectionTable(
         target_w_bottom_nm=tw_b,
         target_w_top_nm=tw_t,
-        rows=tuple(rows),
+        rows=Table(
+            CorrectionRow,
+            site=sites.take(keep),
+            drawn_w_bottom_nm=drawn_b[keep],
+            drawn_w_top_nm=drawn_t[keep],
+            predicted_area_um2=area,
+            residual_area_rel=(area - target_area) / target_area,
+        ),
         rejections=tuple(rejections),
     )
 
 
+def _admissible(drawn: np.ndarray, terms: geometry.BranchTerms) -> np.ndarray:
+    """Where `_drawn` accepts an inverse: the printed width grows with
+    the drawn one, which lies in (0, DEFAULT_MAX_DRAWN_NM]."""
+    return (geometry.inverse_slope(terms) > 0.0) & (drawn > 0.0) & (drawn <= DEFAULT_MAX_DRAWN_NM)
+
+
 def resimulate_with_corrections(
     config: ProcessConfig, corrections: Sequence[CorrectionRow]
-) -> list[SiteResult]:
+) -> Table:
     """Forward-simulate a wafer whose drawn dimensions follow a
-    correction table (the verification half of the compensation loop)."""
+    correction table (the verification half of the compensation loop).
+    Results are ordered by (row, column), ties in the given order."""
     if not corrections:
         raise EmptyInput("no correction rows")
-    rows = sorted(corrections, key=lambda r: (r.site.y_mm, r.site.x_mm))
-    for row in rows:
-        if not (row.drawn_w_bottom_nm > 0 and row.drawn_w_top_nm > 0):
-            raise ValidationError(
-                f"site ({row.site.x_mm}, {row.site.y_mm}) mm: "
-                "drawn widths must be > 0"
-            )
-    return _sweep(
-        config,
-        BiasModel.NON_POINT,
-        [r.site for r in rows],
-        [(r.drawn_w_bottom_nm, r.drawn_w_top_nm) for r in rows],
-    )
+    sites = sites_of(corrections)
+    order = row_major_order(sites)
+    sites = sites.take(order)
+    drawn_b = column(corrections, "drawn_w_bottom_nm")[order]
+    drawn_t = column(corrections, "drawn_w_top_nm")[order]
+    bad = np.flatnonzero(~((drawn_b > 0) & (drawn_t > 0)))
+    if bad.size:
+        site = sites[bad[0]]
+        raise ValidationError(
+            f"site ({site.x_mm}, {site.y_mm}) mm: drawn widths must be > 0"
+        )
+    return _sweep(config, BiasModel.NON_POINT, sites, drawn_b, drawn_t)
 
 
 def residual_report(results: Sequence[SiteResult]) -> StatsSummary:
     """Area-field statistics of a simulated map (mean, sd, CV)."""
     if not results:
         raise EmptyInput("no site results")
-    return coefficient_of_variation([r.area_um2 for r in results])
+    return coefficient_of_variation(column(results, "area_um2"))
 
 
 def branch_discontinuity_nm(config: ProcessConfig) -> tuple[float, float]:
@@ -484,9 +638,9 @@ def branch_discontinuity_nm(config: ProcessConfig) -> tuple[float, float]:
     the epsilon_center boundary, reported for transparency since the
     printed formulas are discontinuous there."""
     eps = config.epsilon_center_mm
-    _, _, _, center_b, center_t = _site_model(config)(eps, eps)
+    _, _, _, center_b, center_t = _Model(config).site(eps, eps)
     # A negative band puts every offset, eps included, in the general branch.
-    _, _, _, general_b, general_t = _site_model(config, center_band_mm=-1.0)(eps, eps)
+    _, _, _, general_b, general_t = _Model(config, center_band_mm=-1.0).site(eps, eps)
     drawn_b, drawn_t = config.junction.drawn_bottom_nm, config.junction.drawn_top_nm
     return (
         geometry.printed_width(drawn_b, general_b)

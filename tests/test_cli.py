@@ -219,20 +219,90 @@ class TestGoldenArtifacts:
 
     HASHES = {
         "sites.csv": "56b61ab716be3f940b7904becac23eb1aa42a9a983aa3381a0c757c7986f84ff",
+        "models.csv": "c1421a7f1ce2b3ab93c735c2d92b78cb737ec71d2bdf3a56d57edd7a13a92cbe",
         "corrections.csv": "e1cc18842ea902a14408230112911fe122f92426c83342640be41872c1b55356",
         "verify.json": "89bd743143c85b6aeaadebc12afe414289f3000e1fca84fb269b2ab01add09e5",
+        "map.svg": "a5104bdcbf94169e1ad3ea4f93020d460c0b86af4dd52891c24be49acc9119c2",
     }
 
     def test_default_artifacts_are_pinned(self, tmp_path):
         cfg = tmp_path / "process.yaml"
         cfg.write_text("{}\n")
-        sites, corr, report = (tmp_path / name for name in self.HASHES)
+        sites, models, corr, report, svg = (tmp_path / name for name in self.HASHES)
         assert main(["simulate", "--config", str(cfg), "--out", str(sites)]) == 0
+        assert main(["compare-models", "--config", str(cfg), "--electrode", "bottom",
+                     "--axis", "x", "--out", str(models)]) == 0
         assert main(["compensate", "--config", str(cfg), "--out", str(corr)]) == 0
         assert main(["verify", "--config", str(cfg), "--corrections", str(corr),
                      "--out", str(report)]) == 0
+        assert main(["heatmap", "--in", str(sites), "--field", "area_um2",
+                     "--out", str(svg)]) == 0
         for name, digest in self.HASHES.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+class TestMalformedTables:
+    """A bad row in a site map or correction table exits 2 with an error
+    naming file:line, never a traceback."""
+
+    @pytest.fixture
+    def sites(self, tmp_path, config_path):
+        path = tmp_path / "sites.csv"
+        assert main(["simulate", "--config", config_path, "--out", str(path)]) == 0
+        return path
+
+    @pytest.fixture
+    def corrections(self, tmp_path, config_path):
+        path = tmp_path / "corr.csv"
+        assert main(["compensate", "--config", config_path, "--out", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def replace_line(path, lineno, text):
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+
+    def heatmap(self, sites, tmp_path):
+        return main(["heatmap", "--in", str(sites), "--field", "area_um2",
+                     "--out", str(tmp_path / "m.svg")])
+
+    def verify(self, corrections, config_path, tmp_path):
+        return main(["verify", "--config", config_path, "--corrections",
+                     str(corrections), "--out", str(tmp_path / "v.json")])
+
+    @pytest.mark.parametrize("row, got", [("1,2,3", 3), (",".join(["1"] * 11), 11)])
+    def test_site_map_row_of_wrong_length(self, sites, tmp_path, capsys, row, got):
+        self.replace_line(sites, 6, row)
+        assert self.heatmap(sites, tmp_path) == 2
+        assert f"sites.csv:6: expected 10 columns, got {got}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, got", [("1,2,3", 3), (",".join(["1"] * 7), 7)])
+    def test_correction_row_of_wrong_length(
+        self, corrections, config_path, tmp_path, capsys, row, got
+    ):
+        self.replace_line(corrections, 4, row)
+        assert self.verify(corrections, config_path, tmp_path) == 2
+        assert f"corr.csv:4: expected 6 columns, got {got}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_correction(self, corrections, config_path, tmp_path, capsys, value):
+        lines = corrections.read_text().splitlines()
+        fields = lines[9].split(",")
+        fields[2] = value
+        self.replace_line(corrections, 10, ",".join(fields))
+        assert self.verify(corrections, config_path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"corr.csv:10: drawn_w_bottom_nm must be finite, got {float(value)}" in err
+
+    def test_duplicate_site_in_corrections(self, corrections, config_path, tmp_path, capsys):
+        lines = corrections.read_text().splitlines()
+        corrections.write_text("\n".join(lines + [lines[2]]) + "\n")
+        assert self.verify(corrections, config_path, tmp_path) == 2
+        err = capsys.readouterr().err
+        x, y = lines[2].split(",")[:2]
+        assert f"corr.csv:{len(lines) + 1}: duplicate site ({float(x)}, {float(y)}) mm, " \
+            "first given at line 3" in err
 
 
 class TestAnalyze:

@@ -1,0 +1,292 @@
+"""The columnar wafer sweeps against the scalar geometry oracle.
+
+`wafer` evaluates trigonometry once per distinct coordinate and the
+rest of the model elementwise over numpy columns. These properties run
+the per-site `geometry` chain (local_incidence_angle -> sidewall_thickness
+-> *_width_terms -> printed_width / drawn_width -> overlap_area) site by
+site in (row, column) order and require equal results, compared by
+repr, and equal errors: the same type and text, naming the same site.
+"""
+
+import math
+from dataclasses import replace
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from shadowevap import geometry
+from shadowevap.errors import ShadowEvapError, Unreachable, ValidationError
+from shadowevap.geometry import (
+    EvaporationStep,
+    JunctionSpec,
+    MaskStack,
+    ShadowAxis,
+    SourceKind,
+    SourceModel,
+    TiltSign,
+    WaferSite,
+)
+from shadowevap.wafer import (
+    DEFAULT_MAX_DRAWN_NM,
+    BiasModel,
+    CenterWidthsTarget,
+    CorrectionRow,
+    ExplicitAreaTarget,
+    ProcessConfig,
+    SiteResult,
+    WaferLayout,
+    compensate_wafer,
+    resimulate_with_corrections,
+    simulate_wafer,
+)
+
+SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+# --- the scalar oracle ------------------------------------------------------
+
+
+def oracle_site(config, model, x_mm, y_mm):
+    source = config.source
+    if model is BiasModel.POINT_SOURCE:
+        source = replace(source, kind=SourceKind.POINT)
+    if model is BiasModel.CONSTANT:
+        x_mm = y_mm = 0.0
+    throw = source.distance_mm * geometry.NM_PER_MM
+    radius = source.effective_radius_mm * geometry.NM_PER_MM
+    mask, eps = config.mask, config.epsilon_center_mm
+    theta_b = geometry.local_incidence_angle(WaferSite(x_mm, 0.0), config.bottom_step, source)
+    theta_t = geometry.local_incidence_angle(WaferSite(0.0, y_mm), config.top_step, source)
+    t_prime = geometry.sidewall_thickness(theta_b, config.bottom_step.film_t0_nm)
+    terms_b = geometry.bottom_width_terms(
+        x_mm * geometry.NM_PER_MM, radius, throw, mask.top_nm, mask.bottom_nm,
+        theta_b, abs(x_mm) <= eps,
+    )
+    terms_t = geometry.top_width_terms(
+        t_prime, radius, throw, mask.top_nm, mask.bottom_nm, theta_t, abs(y_mm) <= eps
+    )
+    return theta_b, theta_t, t_prime, terms_b, terms_t
+
+
+def at_site(site, exc):
+    return type(exc)(f"site ({site.x_mm}, {site.y_mm}) mm: {exc}")
+
+
+def row_major(items, site=lambda item: item):
+    return sorted(items, key=lambda item: (site(item).y_mm, site(item).x_mm))
+
+
+def oracle_sweep(config, model, rows):
+    """rows: (site, drawn bottom, drawn top) in (row, column) order."""
+    _, _, _, center_b, center_t = oracle_site(config, model, 0.0, 0.0)
+    w_b0 = geometry.printed_width(config.junction.drawn_bottom_nm, center_b)
+    w_t0 = geometry.printed_width(config.junction.drawn_top_nm, center_t)
+    out = []
+    for site, drawn_b, drawn_t in rows:
+        try:
+            th_b, th_t, t_prime, terms_b, terms_t = oracle_site(
+                config, model, site.x_mm, site.y_mm
+            )
+            w_b = geometry.printed_width(drawn_b, terms_b)
+            w_t = geometry.printed_width(drawn_t, terms_t)
+        except ShadowEvapError as exc:
+            raise at_site(site, exc) from exc
+        area = geometry.overlap_area(w_b, w_t)
+        out.append(SiteResult(site, th_b, th_t, t_prime, w_b, w_t, area, w_b - w_b0, w_t - w_t0))
+    return out
+
+
+def oracle_drawn(name, target, terms):
+    drawn = geometry.drawn_width(target, terms)
+    if not 0.0 < drawn <= DEFAULT_MAX_DRAWN_NM:
+        raise Unreachable(
+            f"required drawn {name} width {drawn:.3f} nm outside "
+            f"(0, {DEFAULT_MAX_DRAWN_NM}] nm"
+        )
+    return drawn
+
+
+def oracle_compensate(config, target, sites):
+    if isinstance(target, CenterWidthsTarget):
+        _, _, _, center_b, center_t = oracle_site(config, BiasModel.NON_POINT, 0.0, 0.0)
+        tw_b = geometry.printed_width(config.junction.drawn_bottom_nm, center_b)
+        tw_t = geometry.printed_width(config.junction.drawn_top_nm, center_t)
+    else:
+        area_nm2 = target.area_um2 * 1.0e6
+        tw_b = math.sqrt(area_nm2 * target.aspect)
+        tw_t = math.sqrt(area_nm2 / target.aspect)
+    target_area = tw_b * tw_t / 1.0e6
+    rows, rejections = [], []
+    for site in sites:
+        try:
+            _, _, _, terms_b, terms_t = oracle_site(
+                config, BiasModel.NON_POINT, site.x_mm, site.y_mm
+            )
+            drawn_b = oracle_drawn("bottom", tw_b, terms_b)
+            drawn_t = oracle_drawn("top", tw_t, terms_t)
+            area = geometry.overlap_area(
+                geometry.printed_width(drawn_b, terms_b),
+                geometry.printed_width(drawn_t, terms_t),
+            )
+        except Unreachable as exc:
+            rejections.append((site, str(at_site(site, exc))))
+            continue
+        except ShadowEvapError as exc:
+            raise at_site(site, exc) from exc
+        rows.append(
+            CorrectionRow(site, drawn_b, drawn_t, area, (area - target_area) / target_area)
+        )
+    return tw_b, tw_t, rows, rejections
+
+
+def outcome(fn):
+    """repr of each result row, or the error's type and text."""
+    try:
+        return [repr(r) for r in fn()]
+    except (ShadowEvapError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# --- strategies ---------------------------------------------------------------
+
+
+@st.composite
+def configs(draw):
+    # Throws of a few hundred nm to a few um put the mask denominators,
+    # and with them DenominatorCollapse, within reach; long throws give
+    # valid maps, and thick films or narrow drawn widths NonPhysicalWidth.
+    distance = draw(st.one_of(st.floats(0.0006, 0.004), st.floats(50.0, 2000.0)))
+
+    def step():
+        return EvaporationStep(
+            tilt_deg=draw(st.floats(0.0, 85.0)),
+            shadow_axis=draw(st.sampled_from(ShadowAxis)),
+            tilt_sign=draw(st.sampled_from(TiltSign)),
+            film_t0_nm=draw(st.floats(1.0, 150.0)),
+        )
+
+    return ProcessConfig(
+        layout=WaferLayout(grid_pitch_mm=draw(st.sampled_from([5.0, 7.0, 35.0]))),
+        source=SourceModel(
+            distance_mm=distance,
+            radius_mm=draw(st.floats(0.0, 0.9)) * distance,
+            kind=draw(st.sampled_from(SourceKind)),
+        ),
+        mask=MaskStack(top_nm=draw(st.floats(10.0, 600.0)), bottom_nm=draw(st.floats(10.0, 600.0))),
+        junction=JunctionSpec(
+            drawn_bottom_nm=draw(st.floats(30.0, 600.0)),
+            drawn_top_nm=draw(st.floats(30.0, 600.0)),
+        ),
+        bottom_step=step(),
+        top_step=step(),
+        epsilon_center_mm=draw(st.one_of(st.sampled_from([0.0, 0.5, 2.5]), st.floats(0.0, 10.0))),
+    )
+
+
+@st.composite
+def site_lists(draw, eps):
+    """Scattered sites inside the wafer, with repeats, signed zeros and
+    offsets at the center band's edge and one ulp either side."""
+    edges = [eps, math.nextafter(eps, math.inf), math.nextafter(eps, -math.inf)]
+    special = [0.0, -0.0, 35.0, -35.0] + edges + [-e for e in edges]
+    coordinate = st.one_of(st.floats(-35.0, 35.0), st.sampled_from(special))
+    pool = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    return [WaferSite(x, y, chip_id=f"c{i}") for i, (x, y) in enumerate(picks)]
+
+
+@st.composite
+def scenarios(draw):
+    config = draw(configs())
+    sites = draw(site_lists(config.epsilon_center_mm))
+    return replace(config, layout=replace(config.layout, sites=tuple(sites))), sites
+
+
+# --- properties ---------------------------------------------------------------
+
+
+class TestForwardParity:
+    @SETTINGS
+    @given(scenarios(), st.sampled_from(BiasModel))
+    def test_explicit_sites(self, scenario, model):
+        config, sites = scenario
+        junction = config.junction
+        rows = [(s, junction.drawn_bottom_nm, junction.drawn_top_nm) for s in row_major(sites)]
+        assert outcome(lambda: simulate_wafer(config, model)) == outcome(
+            lambda: oracle_sweep(config, model, rows)
+        )
+
+    @SETTINGS
+    @given(configs(), st.sampled_from(BiasModel))
+    def test_grid(self, config, model):
+        offsets = config.layout.grid_offsets()
+        junction = config.junction
+        rows = [
+            (WaferSite(x, y), junction.drawn_bottom_nm, junction.drawn_top_nm)
+            for y in offsets
+            for x in offsets
+        ]
+        assert outcome(lambda: simulate_wafer(config, model)) == outcome(
+            lambda: oracle_sweep(config, model, rows)
+        )
+
+    @SETTINGS
+    @given(scenarios(), st.data())
+    def test_resimulate(self, scenario, data):
+        config, sites = scenario
+        drawn = st.one_of(st.floats(1.0, 800.0), st.sampled_from([0.0, -1.0]))
+        given_rows = [
+            CorrectionRow(s, data.draw(drawn), data.draw(drawn), 0.04, 0.0) for s in sites
+        ]
+
+        def oracle():
+            rows = row_major(given_rows, site=lambda r: r.site)
+            for r in rows:
+                if not (r.drawn_w_bottom_nm > 0 and r.drawn_w_top_nm > 0):
+                    raise ValidationError(
+                        f"site ({r.site.x_mm}, {r.site.y_mm}) mm: drawn widths must be > 0"
+                    )
+            return oracle_sweep(
+                config,
+                BiasModel.NON_POINT,
+                [(r.site, r.drawn_w_bottom_nm, r.drawn_w_top_nm) for r in rows],
+            )
+
+        assert outcome(lambda: resimulate_with_corrections(config, given_rows)) == outcome(
+            oracle
+        )
+
+
+class TestInverseParity:
+    @SETTINGS
+    @given(
+        scenarios(),
+        st.one_of(
+            st.just(CenterWidthsTarget()),
+            # Extreme areas and aspects make one electrode unreachable
+            # (drawn width <= 0 or above DEFAULT_MAX_DRAWN_NM) on its own.
+            st.builds(
+                ExplicitAreaTarget,
+                area_um2=st.floats(1e-5, 50.0),
+                aspect=st.floats(0.05, 20.0),
+            ),
+        ),
+    )
+    def test_compensate(self, scenario, target):
+        config, sites = scenario
+
+        def columnar():
+            table = compensate_wafer(config, target)
+            return [
+                repr((table.target_w_bottom_nm, table.target_w_top_nm)),
+                *map(repr, table.rows),
+                *map(repr, table.rejections),
+            ]
+
+        def oracle():
+            tw_b, tw_t, rows, rejections = oracle_compensate(config, target, row_major(sites))
+            return [repr((tw_b, tw_t)), *map(repr, rows), *map(repr, rejections)]
+
+        assert outcome(columnar) == outcome(oracle)

@@ -1,19 +1,29 @@
 """CSV/JSON artifact round trips and measurement ingestion."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowevap.config import default_config
 from shadowevap.csvio import (
+    CORRECTIONS_HEADER,
+    SITE_MAP_HEADER,
     export_corrections,
     export_measurements,
     export_site_map,
+    fmt,
     import_corrections,
     import_measurements,
     import_site_map,
+    write_columns,
     write_json_report,
 )
+from shadowevap.table import column
 from shadowevap.errors import EmptyInput, IoError, ParseError, ZeroValidRows
 from shadowevap.stats import MeasurementRecord, coefficient_of_variation
 from shadowevap.wafer import compensate_wafer, simulate_wafer
@@ -102,6 +112,88 @@ class TestCorrectionsCsv:
             assert re.drawn_w_bottom_nm == pytest.approx(
                 orig.drawn_w_bottom_nm, rel=1e-9
             )
+
+
+# Spellings of finite numbers, and tokens np.loadtxt rejects but float()
+# reads, which the per-line path then takes.
+TOKENS = st.one_of(
+    st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(["%r", "%.12g", "%.17e", "%.3f", "%+g", "%E"]),
+    ).map(lambda number_format: number_format[1] % number_format[0]),
+    st.sampled_from(["1_000", "\uff17", " 7 ", "+.5", "5.", "1E3", "-0"]),
+)
+
+
+class TestNumericColumns:
+    """The one-pass writer and the np.loadtxt reader against per-value
+    `fmt` and float()."""
+
+    EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e-300, 1e300,
+                   0.1, 123456789012.5, 2.0**53 + 1, math.inf, -math.inf, math.nan]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), max_size=30))
+    def test_writer_equals_fmt(self, values):
+        values = self.EDGE_VALUES + values
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_columns(path, ["a", "b"], [values, values[::-1]])
+            lines = path.read_text().splitlines()
+        assert lines[0] == "a,b"
+        assert lines[1:] == [f"{fmt(a)},{fmt(b)}" for a, b in zip(values, values[::-1])]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(TOKENS, min_size=10, max_size=10), min_size=1, max_size=20))
+    def test_loader_equals_float(self, rows):
+        rows = [r for r in rows if all(math.isfinite(float(t)) for t in r)]
+        if not rows:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sites.csv"
+            path.write_text(
+                ",".join(SITE_MAP_HEADER) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+            )
+            table = import_site_map(path)
+        for k, name in enumerate(SITE_MAP_HEADER):
+            field = name.replace("_deg", "_rad")
+            want = [float(r[k]) for r in rows]
+            if field != name:
+                want = [math.radians(v) for v in want]
+            assert [repr(v) for v in column(table, field).tolist()] == [repr(v) for v in want]
+
+    def test_bad_token_still_names_its_line(self, tmp_path):
+        path = tmp_path / "sites.csv"
+        path.write_text(
+            ",".join(SITE_MAP_HEADER) + "\n" + ",".join(["1"] * 10) + "\n\n"
+            + ",".join(["1"] * 9 + ["0x"]) + "\n"
+        )
+        with pytest.raises(ParseError, match=r"sites\.csv:4: could not convert"):
+            import_site_map(path)
+
+    def test_non_finite_site_map_value(self, tmp_path):
+        path = tmp_path / "sites.csv"
+        path.write_text(
+            ",".join(SITE_MAP_HEADER) + "\n" + ",".join(["1"] * 10) + "\n"
+            + ",".join(["1"] * 7 + ["nan", "1", "1"]) + "\n"
+        )
+        with pytest.raises(ParseError, match=r"sites\.csv:3: area_um2 must be finite"):
+            import_site_map(path)
+
+    def test_signed_zeros_are_one_site(self, tmp_path):
+        path = tmp_path / "corr.csv"
+        path.write_text(
+            ",".join(CORRECTIONS_HEADER) + "\n"
+            "0,5,200,200,0.04,0\n1,5,200,200,0.04,0\n-0,5,200,200,0.04,0\n"
+        )
+        with pytest.raises(ParseError, match=r"corr\.csv:4: duplicate site .* line 2"):
+            import_corrections(path)
+
+    def test_header_only_table(self, tmp_path):
+        path = tmp_path / "corr.csv"
+        path.write_text(",".join(CORRECTIONS_HEADER) + "\n\n")
+        with pytest.raises(ZeroValidRows):
+            import_corrections(path)
 
 
 class TestMeasurementCsv:

@@ -1,9 +1,14 @@
 """SVG heatmap rendering."""
 
+import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shadowevap import heatmap
 from shadowevap.errors import EmptyInput
 from shadowevap.heatmap import render_heatmap
 
@@ -50,3 +55,70 @@ class TestRenderHeatmap:
     def test_empty_points(self, tmp_path):
         with pytest.raises(EmptyInput):
             render_heatmap([], "area_um2", tmp_path / "map.svg")
+
+
+# The per-cell renderer the vectorised one replaced, kept as the
+# reference: same layout constants, one Python pass per cell.
+STOPS = [
+    (0.267, 0.005, 0.329),
+    (0.229, 0.322, 0.546),
+    (0.128, 0.567, 0.551),
+    (0.369, 0.789, 0.383),
+    (0.993, 0.906, 0.144),
+]
+
+
+def reference_color(t):
+    t = min(1.0, max(0.0, t))
+    scaled = t * (len(STOPS) - 1)
+    i = min(int(scaled), len(STOPS) - 2)
+    frac = scaled - i
+    rgb = [STOPS[i][k] + frac * (STOPS[i + 1][k] - STOPS[i][k]) for k in range(3)]
+    return "#" + "".join(f"{round(255 * v):02x}" for v in rgb)
+
+
+def reference_cells(points):
+    values = [p[2] for p in points]
+    vmin, vmax = min(values), max(values)
+    span = vmax - vmin
+    coords = sorted({p[0] for p in points} | {p[1] for p in points})
+    gaps = [b - a for a, b in zip(coords, coords[1:]) if b - a > 1e-9]
+    cell = min(gaps) if gaps else 5.0
+    scale, cx, cy = 6.0, 20.0 + 300.0, 20.0 + 300.0
+    half = cell * scale / 2.0
+    out = []
+    for x_mm, y_mm, value in sorted(points, key=lambda p: (p[1], p[0])):
+        t = 0.5 if span == 0.0 else (value - vmin) / span
+        out.append(
+            f'<rect x="{cx + x_mm * scale - half:.3f}" y="{cy - y_mm * scale - half:.3f}" '
+            f'width="{cell * scale:.3f}" height="{cell * scale:.3f}" fill="{reference_color(t)}">'
+            f"<title>({x_mm:g}, {y_mm:g}) mm: {value:.9g}</title></rect>"
+        )
+    return out
+
+
+class TestVectorisedRendering:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+    def test_colors_equal_reference(self, ts):
+        ts += [0.0, -0.0, 1.0, 0.125, 0.375, 0.5, 0.625, 0.875, math.nextafter(0.25, 0.0)]
+        got = heatmap._rgb(np.array(ts))
+        assert ["#%06x" % c for c in got] == [reference_color(t) for t in ts]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-35.0, -2.5, -0.0, 0.0, 1e-10, 2.5, 5.0, 35.0]),
+                st.sampled_from([-35.0, -5.0, -0.0, 0.0, 5.0, 7.5, 35.0]),
+                st.floats(-1e6, 1e6) | st.just(7.5),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_cells_equal_reference(self, tmp_path_factory, points):
+        path = tmp_path_factory.mktemp("svg") / "map.svg"
+        render_heatmap(points, "area_um2", path)
+        cells = [line for line in path.read_text().splitlines() if "<title>" in line]
+        assert cells == reference_cells(points)

@@ -329,8 +329,10 @@ class TestCompensateWafer:
         assert not table.rows
         assert len(table.rejections) == 225
 
-    def test_one_angle_pair_per_site(self, config, monkeypatch):
-        # The inverse and the predicted-area forward share one evaluation.
+    def test_one_angle_per_distinct_coordinate(self, config, monkeypatch):
+        # The bottom angle depends on x alone and the top angle on y
+        # alone: 15 + 15 evaluations serve the inverse and the
+        # predicted-area forward at all 15 x 15 sites.
         calls = []
         angle = geometry.local_incidence_angle
 
@@ -341,7 +343,7 @@ class TestCompensateWafer:
         monkeypatch.setattr(geometry, "local_incidence_angle", counted)
         table = compensate_wafer(config, ExplicitAreaTarget(area_um2=0.04))
         assert len(table.rows) == 225
-        assert len(calls) == 2 * 225
+        assert len(calls) == 15 + 15
 
 
 class TestResimulate:
