@@ -4,27 +4,26 @@ A single YAML document describes the whole stack (wafer layout, source,
 mask, junction, both evaporation steps). Every omitted field falls back
 to the documented default and is echoed in a provenance list; unknown
 keys are rejected so typos cannot silently revert to defaults.
+
+`DEFAULTS` is the schema. Its sections build the ProcessConfig fields
+in the same order, and each section's keys are the leading fields of
+that field's dataclass, in order: a key's dataclass field type (float
+or an Enum) says how its value is parsed.
 """
 
 from __future__ import annotations
 
+import sys
+from dataclasses import MISSING, fields
+from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Iterable, Union, get_type_hints
 
 import yaml
 
 from .errors import IoError, ParseError, ValidationError
-from .geometry import (
-    DEFAULT_EPSILON_CENTER_MM,
-    EvaporationStep,
-    JunctionSpec,
-    MaskStack,
-    ShadowAxis,
-    SourceKind,
-    SourceModel,
-    TiltSign,
-    WaferSite,
-)
+from .geometry import DEFAULT_EPSILON_CENTER_MM, WaferSite
 from .wafer import ProcessConfig, WaferLayout
 
 DEFAULTS: dict[str, dict[str, Any]] = {
@@ -46,7 +45,22 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     },
 }
 
-_SITE_KEYS = {"x_mm", "y_mm", "chip_id", "site_id"}
+#: The one top-level key outside the sections, and the one wafer key
+#: without a default.
+_EPSILON = "epsilon_center_mm"
+_SITES = "sites"
+
+#: Keys of a wafer.sites entry: the WaferSite fields. Those without a
+#: default (the coordinates) are required numbers; the ids pass as given.
+_SITE_KEYS = [f.name for f in fields(WaferSite)]
+_SITE_COORDS = {f.name for f in fields(WaferSite) if f.default is MISSING}
+
+
+@cache
+def _types(cls: type) -> list[type]:
+    """The field types of a dataclass, in field order."""
+    hints = get_type_hints(cls)
+    return [hints[f.name] for f in fields(cls)]
 
 
 def _require_mapping(obj: Any, where: str) -> dict:
@@ -57,34 +71,43 @@ def _require_mapping(obj: Any, where: str) -> dict:
     return obj
 
 
-def _number(section: str, key: str, value: Any) -> float:
+def _check_keys(given: dict, known: Iterable[str], what: str) -> None:
+    unknown = set(given) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown {what}: {sorted(unknown, key=str)}")
+
+
+def _parse(where: str, key: str, value: Any, kind: type = float) -> Any:
+    """The value of `where.key` as a member of an Enum `kind` (matched
+    case-insensitively) or else as a finite float."""
+    if issubclass(kind, Enum):
+        try:
+            return kind(str(value).lower())
+        except ValueError:
+            choices = " or ".join(repr(member.value) for member in kind)
+            raise ValidationError(f"{where}.{key} must be {choices}, got {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{section}.{key} must be a number, got {value!r}")
+        raise ValidationError(f"{where}.{key} must be a number, got {value!r}")
+    # Rejects inf and nan, and ints too large for a float.
+    if not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{where}.{key} must be finite, got {value!r}")
     return float(value)
 
 
-def _merge_section(
-    name: str, raw: dict, provenance: list[str], extra_keys: set[str] = frozenset()
-) -> dict[str, Any]:
-    """Apply defaults for one section, recording each applied default."""
+def _section(name: str, cls: type, raw: Any, provenance: list[str]) -> Any:
+    """Build one section's dataclass, recording each applied default."""
     defaults = DEFAULTS[name]
-    given = _require_mapping(raw.get(name), name)
-    unknown = set(given) - set(defaults) - extra_keys
-    if unknown:
-        raise ValidationError(
-            f"unknown key(s) in section {name!r}: {sorted(unknown)}"
-        )
-    merged: dict[str, Any] = {}
-    for key, default in defaults.items():
-        if key in given:
-            merged[key] = given[key]
-        else:
-            merged[key] = default
+    given = _require_mapping(raw, name)
+    known = [*defaults, _SITES] if cls is WaferLayout else defaults
+    _check_keys(given, known, f"key(s) in section {name!r}")
+    values = []
+    for (key, default), kind in zip(defaults.items(), _types(cls)):
+        if key not in given:
             provenance.append(f"{name}.{key} = {default} (default)")
-    for key in extra_keys:
-        if key in given:
-            merged[key] = given[key]
-    return merged
+        values.append(_parse(name, key, given.get(key, default), kind))
+    if _SITES in given:
+        values.append(_parse_sites(given[_SITES]))
+    return cls(*values)
 
 
 def _parse_sites(raw: Any) -> tuple[WaferSite, ...]:
@@ -92,107 +115,40 @@ def _parse_sites(raw: Any) -> tuple[WaferSite, ...]:
         raise ValidationError("wafer.sites must be a non-empty list")
     sites = []
     for i, entry in enumerate(raw):
-        entry = _require_mapping(entry, f"wafer.sites[{i}]")
-        unknown = set(entry) - _SITE_KEYS
-        if unknown:
-            raise ValidationError(
-                f"unknown key(s) in wafer.sites[{i}]: {sorted(unknown)}"
-            )
-        if "x_mm" not in entry or "y_mm" not in entry:
-            raise ValidationError(f"wafer.sites[{i}] needs x_mm and y_mm")
-        sites.append(
-            WaferSite(
-                x_mm=_number(f"wafer.sites[{i}]", "x_mm", entry["x_mm"]),
-                y_mm=_number(f"wafer.sites[{i}]", "y_mm", entry["y_mm"]),
-                chip_id=entry.get("chip_id"),
-                site_id=entry.get("site_id"),
-            )
-        )
+        where = f"wafer.sites[{i}]"
+        entry = _require_mapping(entry, where)
+        _check_keys(entry, _SITE_KEYS, f"key(s) in {where}")
+        if not _SITE_COORDS <= entry.keys():
+            raise ValidationError(f"{where} needs x_mm and y_mm")
+        values = [
+            _parse(where, key, entry[key]) if key in _SITE_COORDS else entry.get(key)
+            for key in _SITE_KEYS
+        ]
+        sites.append(WaferSite(*values))
     return tuple(sites)
-
-
-def _build_step(name: str, sec: dict[str, Any]) -> EvaporationStep:
-    try:
-        axis = ShadowAxis(str(sec["shadow_axis"]).lower())
-    except ValueError:
-        raise ValidationError(
-            f"{name}.shadow_axis must be 'x' or 'y', got {sec['shadow_axis']!r}"
-        ) from None
-    try:
-        sign = TiltSign(str(sec["tilt_sign"]))
-    except ValueError:
-        raise ValidationError(
-            f"{name}.tilt_sign must be '+' or '-', got {sec['tilt_sign']!r}"
-        ) from None
-    return EvaporationStep(
-        tilt_deg=_number(name, "tilt_deg", sec["tilt_deg"]),
-        shadow_axis=axis,
-        tilt_sign=sign,
-        film_t0_nm=_number(name, "film_T0_nm", sec["film_T0_nm"]),
-    )
 
 
 def config_from_dict(raw: dict) -> tuple[ProcessConfig, list[str]]:
     """Build a validated ProcessConfig from a parsed document, returning
-    it with the provenance list of every default that was applied."""
-    raw = _require_mapping(raw, "config")
-    known_top = set(DEFAULTS) | {"epsilon_center_mm"}
-    unknown = set(raw) - known_top
-    if unknown:
-        raise ValidationError(f"unknown top-level key(s): {sorted(unknown)}")
+    it with the provenance list of every default that was applied.
 
+    Sections are built in DEFAULTS order, each key in order and then
+    the section's own invariants, so of several errors the first in
+    section-then-key order is the one reported.
+    """
+    raw = _require_mapping(raw, "config")
+    _check_keys(raw, [*DEFAULTS, _EPSILON], "top-level key(s)")
     provenance: list[str] = []
-    wafer_sec = _merge_section("wafer", raw, provenance, extra_keys={"sites"})
-    source_sec = _merge_section("source", raw, provenance)
-    mask_sec = _merge_section("mask", raw, provenance)
-    junction_sec = _merge_section("junction", raw, provenance)
-    bottom_sec = _merge_section("bottom_step", raw, provenance)
-    top_sec = _merge_section("top_step", raw, provenance)
-    if "epsilon_center_mm" in raw:
-        epsilon = _number("config", "epsilon_center_mm", raw["epsilon_center_mm"])
+    sections = [
+        _section(name, cls, raw.get(name), provenance)
+        for name, cls in zip(DEFAULTS, _types(ProcessConfig))
+    ]
+    if _EPSILON in raw:
+        epsilon = _parse("config", _EPSILON, raw[_EPSILON])
     else:
         epsilon = DEFAULT_EPSILON_CENTER_MM
-        provenance.append(f"epsilon_center_mm = {epsilon} (default)")
-
-    try:
-        kind = SourceKind(str(source_sec["kind"]).lower())
-    except ValueError:
-        raise ValidationError(
-            f"source.kind must be 'point' or 'disk', got {source_sec['kind']!r}"
-        ) from None
-
-    layout = WaferLayout(
-        wafer_diameter_mm=_number("wafer", "diameter_mm", wafer_sec["diameter_mm"]),
-        working_span_mm=_number(
-            "wafer", "working_span_mm", wafer_sec["working_span_mm"]
-        ),
-        grid_pitch_mm=_number("wafer", "grid_pitch_mm", wafer_sec["grid_pitch_mm"]),
-        sites=_parse_sites(wafer_sec["sites"]) if "sites" in wafer_sec else None,
-    )
-    config = ProcessConfig(
-        layout=layout,
-        source=SourceModel(
-            distance_mm=_number("source", "distance_mm", source_sec["distance_mm"]),
-            radius_mm=_number("source", "radius_mm", source_sec["radius_mm"]),
-            kind=kind,
-        ),
-        mask=MaskStack(
-            top_nm=_number("mask", "top_H_nm", mask_sec["top_H_nm"]),
-            bottom_nm=_number("mask", "bottom_h_nm", mask_sec["bottom_h_nm"]),
-        ),
-        junction=JunctionSpec(
-            drawn_bottom_nm=_number(
-                "junction", "drawn_w_bottom_nm", junction_sec["drawn_w_bottom_nm"]
-            ),
-            drawn_top_nm=_number(
-                "junction", "drawn_w_top_nm", junction_sec["drawn_w_top_nm"]
-            ),
-        ),
-        bottom_step=_build_step("bottom_step", bottom_sec),
-        top_step=_build_step("top_step", top_sec),
-        epsilon_center_mm=epsilon,
-    )
-    return config, provenance
+        provenance.append(f"{_EPSILON} = {epsilon} (default)")
+    return ProcessConfig(*sections, epsilon), provenance
 
 
 def load_config(path: Union[str, Path]) -> tuple[ProcessConfig, list[str]]:
@@ -208,6 +164,8 @@ def load_config(path: Union[str, Path]) -> tuple[ProcessConfig, list[str]]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot parse {path}: not UTF-8 text ({exc.reason})") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

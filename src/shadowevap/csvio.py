@@ -229,6 +229,10 @@ def _parse_lines(path: PathLike, header: Sequence[str]) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _not_utf8(path: PathLike, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def read_header(path: PathLike) -> list[str]:
     """The header row of a CSV file ([] for an empty file)."""
     try:
@@ -236,6 +240,8 @@ def read_header(path: PathLike) -> list[str]:
             return next(csv.reader(fh), [])
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
 def _read_csv(
@@ -258,6 +264,8 @@ def _read_csv(
             return [(i, row) for i, row in enumerate(reader, start=2) if row]
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
 def import_measurements(

@@ -238,9 +238,9 @@ def sidewall_thickness(theta_first_rad: float, t0_nm: float) -> float:
     the second pass.
     """
     if not 0.0 <= theta_first_rad < math.pi / 2:
-        raise ValueError("theta must be in [0, 90 deg)")
+        raise ValidationError("theta must be in [0, 90 deg)")
     if not t0_nm > 0:
-        raise ValueError("t0_nm must be > 0")
+        raise ValidationError("t0_nm must be > 0")
     c = math.cos(theta_first_rad)
     return t0_nm * c * c
 
@@ -416,7 +416,6 @@ def bottom_width_formula(
 def top_width_formula(
     drawn: float,
     sidewall: float,
-    offset: float,
     source_radius: float,
     throw: float,
     mask_top: float,
@@ -424,8 +423,8 @@ def top_width_formula(
     theta_rad: float,
     center_branch: bool,
 ) -> float:
-    """Printed top-electrode width; see `top_width_terms` (which has no
-    offset: it enters only through theta_rad and sidewall)."""
+    """Printed top-electrode width; see `top_width_terms` (the offset
+    enters only through theta_rad and sidewall)."""
     terms = top_width_terms(
         sidewall, source_radius, throw, mask_top, mask_bottom, theta_rad, center_branch
     )
@@ -478,7 +477,6 @@ def top_width(
     return top_width_formula(
         drawn=junction.drawn_top_nm,
         sidewall=t_prime_nm,
-        offset=y_mm * NM_PER_MM,
         source_radius=source.effective_radius_mm * NM_PER_MM,
         throw=source.distance_mm * NM_PER_MM,
         mask_top=mask.top_nm,
@@ -498,5 +496,5 @@ def junction_area(w_bottom_nm, w_top_nm):
 def overlap_area(w_bottom_nm: float, w_top_nm: float) -> float:
     """Junction overlap area in um^2 from the two printed widths (nm)."""
     if not (w_bottom_nm > 0 and w_top_nm > 0):
-        raise ValueError("widths must be > 0")
+        raise ValidationError("widths must be > 0")
     return junction_area(w_bottom_nm, w_top_nm)

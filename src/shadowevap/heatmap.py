@@ -10,7 +10,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyInput, IoError, ValidationError
+from .errors import EmptyInput, IoError
+
+#: Diameter (mm) of the drawn wafer outline.
+WAFER_DIAMETER_MM = 100.0
 
 # Five-stop blue -> teal -> green -> yellow gradient.
 _STOPS = np.array(
@@ -49,7 +52,6 @@ def render_heatmap(
     points: Union[Sequence[tuple[float, float, float]], np.ndarray],
     field_name: str,
     path: Union[str, object],
-    wafer_diameter_mm: float = 100.0,
 ) -> None:
     """Render (x_mm, y_mm, value) triples, or an (n, 3) array of them,
     as a wafer map SVG.
@@ -59,19 +61,17 @@ def render_heatmap(
     """
     if len(points) == 0:
         raise EmptyInput("no points to render")
-    if not wafer_diameter_mm > 0:
-        raise ValidationError("wafer_diameter_mm must be > 0")
 
     x_mm, y_mm, values = np.asarray(points, dtype=float).reshape(-1, 3).T
     vmin, vmax = min(values.tolist()), max(values.tolist())
     span = vmax - vmin
     cell = _cell_size_mm(x_mm, y_mm)
-    radius = wafer_diameter_mm / 2.0
+    radius = WAFER_DIAMETER_MM / 2.0
 
     # Layout: wafer drawing area plus a legend strip on the right.
     scale = 6.0  # px per mm
     pad = 20.0
-    wafer_px = wafer_diameter_mm * scale
+    wafer_px = WAFER_DIAMETER_MM * scale
     legend_w = 130.0
     width = pad * 2 + wafer_px + legend_w
     height = pad * 2 + wafer_px

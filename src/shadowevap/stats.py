@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -293,31 +294,25 @@ class MeasurementRecord:
     jc_ua_um2: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("x_mm", "y_mm", "area_class_um2", "rn_ohm", "jc_ua_um2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not self.rn_ohm > 0:
             raise ValidationError("rn_ohm must be > 0")
         if not self.area_class_um2 > 0:
             raise ValidationError("area_class_um2 must be > 0")
 
 
-GROUP_FIELDS = ("wafer", "chip", "area", "run")
-
-
-def _group_key(record: MeasurementRecord, group_by: Sequence[str]) -> str:
-    parts = []
-    for g in group_by:
-        if g == "wafer":
-            parts.append(f"wafer={record.wafer_id}")
-        elif g == "chip":
-            parts.append(f"chip={record.chip_id}")
-        elif g == "area":
-            parts.append(f"area={record.area_class_um2:g}")
-        elif g == "run":
-            parts.append(f"run={record.run_id}")
-        else:
-            raise ValidationError(
-                f"unknown group field {g!r}; expected subset of {GROUP_FIELDS}"
-            )
-    return "|".join(parts) if parts else "all"
+#: The record attribute and the label format of each group field; a
+#: group key joins the labels of the requested fields with "|".
+_GROUP_LABELS = {
+    "wafer": ("wafer_id", "wafer=%s"),
+    "chip": ("chip_id", "chip=%s"),
+    "area": ("area_class_um2", "area=%g"),
+    "run": ("run_id", "run=%s"),
+}
+GROUP_FIELDS = tuple(_GROUP_LABELS)
 
 
 @dataclass(frozen=True)
@@ -366,10 +361,19 @@ def aggregate(
     """
     if not records:
         raise ValidationError("no measurement records")
+    for g in group_by:
+        if g not in _GROUP_LABELS:
+            raise ValidationError(
+                f"unknown group field {g!r}; expected subset of {GROUP_FIELDS}"
+            )
+    attributes = [_GROUP_LABELS[g][0] for g in group_by]
+    group_key = "|".join(_GROUP_LABELS[g][1] for g in group_by) or "all"
+    # One attribute gives a bare value, which `%` takes like a 1-tuple.
+    values = attrgetter(*attributes) if attributes else lambda rec: ()
 
     groups: dict[str, list[float]] = {}
     for rec in records:
-        groups.setdefault(_group_key(rec, group_by), []).append(rec.rn_ohm)
+        groups.setdefault(group_key % values(rec), []).append(rec.rn_ohm)
 
     warnings: list[str] = []
     group_stats: dict[str, StatsSummary] = {}

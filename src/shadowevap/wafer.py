@@ -307,7 +307,7 @@ def _tabulate(evaluate, values: np.ndarray, width: int) -> tuple[np.ndarray, np.
     for j, value in enumerate(values.tolist()):
         try:
             table[j] = evaluate(value)
-        except (ShadowEvapError, ValueError):
+        except ShadowEvapError:
             ok[j] = False
     return table, ok
 

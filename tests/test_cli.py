@@ -6,6 +6,7 @@ import json
 import pytest
 
 from shadowevap.cli import main
+from shadowevap.config import DEFAULTS
 
 DEFAULT_CONFIG = "source:\n  distance_mm: 650\n"
 
@@ -78,6 +79,43 @@ class TestSimulate:
     def test_missing_config_exits_3(self, tmp_path):
         out = tmp_path / "sites.csv"
         assert main(["simulate", "--config", "/nonexistent.yaml", "--out", str(out)]) == 3
+
+
+NUMERIC_KEYS = [
+    (section, key)
+    for section, keys in DEFAULTS.items()
+    for key, default in keys.items()
+    if isinstance(default, float)
+] + [("config", "epsilon_center_mm")]
+
+
+class TestNonFiniteConfig:
+    """A non-finite number anywhere in the config exits 2 naming its key."""
+
+    def simulate(self, tmp_path, text):
+        config = tmp_path / "process.yaml"
+        config.write_text(text)
+        return main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.csv")])
+
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+    @pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+    def test_numeric_key(self, tmp_path, capsys, section, key, value):
+        if section == "config":
+            text = f"{key}: {value}\n"
+        else:
+            text = f"{section}:\n  {key}: {value}\n"
+        assert self.simulate(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert f"error: {section}.{key} must be finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_site_coordinate(self, tmp_path, capsys):
+        text = "wafer:\n  sites:\n    - {x_mm: 0, y_mm: 0}\n    - {x_mm: 5, y_mm: .nan}\n"
+        assert self.simulate(tmp_path, text) == 2
+        err = capsys.readouterr().err
+        assert "error: wafer.sites[1].y_mm must be finite, got nan" in err
+        assert "Traceback" not in err
 
 
 class TestCompareModels:
@@ -305,7 +343,52 @@ class TestMalformedTables:
             "first given at line 3" in err
 
 
+class TestNotUtf8:
+    """A CSV that is not UTF-8 text exits 2 naming the file."""
+
+    @pytest.fixture
+    def binary(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"\xff\xfe\x00bin")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["heatmap", "--in", "{csv}", "--field", "area_um2", "--out", "m.svg"],
+            ["analyze", "--measurements", "{csv}", "--out", "a.json"],
+            ["verify", "--config", "{config}", "--corrections", "{csv}", "--out", "v.json"],
+        ],
+        ids=["heatmap", "analyze", "verify"],
+    )
+    def test_exits_2(self, binary, config_path, tmp_path, capsys, command):
+        argv = [a.format(csv=binary, config=config_path) for a in command]
+        argv[-1] = str(tmp_path / argv[-1])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {binary}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+
 class TestAnalyze:
+    def test_non_finite_rows_are_skipped(self, tmp_path, capsys):
+        meas = tmp_path / "meas.csv"
+        meas.write_text(
+            MEAS_TEXT + "w1,c3,0,5,0.025,r1,inf\n" + "w1,c4,nan,5,0.025,r1,8300.0\n"
+        )
+        out = tmp_path / "stats.json"
+        assert main(["analyze", "--measurements", str(meas), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["n_records"] == 4
+        assert data["n_skipped_rows"] == 2
+        err = capsys.readouterr().err
+        assert "skipped row: line 6: rn_ohm must be finite, got inf" in err
+        assert "skipped row: line 7: x_mm must be finite, got nan" in err
+        code = main(["heatmap", "--in", str(meas), "--field", "rn_ohm",
+                     "--out", str(tmp_path / "m.svg")])
+        assert code == 0
+        assert "cells: 3" in capsys.readouterr().out  # one per (x, y) of MEAS_TEXT
+
     def test_groups_and_repeatability(self, tmp_path):
         meas = tmp_path / "meas.csv"
         meas.write_text(MEAS_TEXT)

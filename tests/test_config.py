@@ -2,7 +2,7 @@
 
 import pytest
 
-from shadowevap.config import default_config, load_config
+from shadowevap.config import config_from_dict, default_config, load_config
 from shadowevap.errors import IoError, ParseError, ValidationError
 from shadowevap.geometry import ShadowAxis, SourceKind, TiltSign
 
@@ -90,6 +90,12 @@ class TestValidation:
         with pytest.raises(ParseError, match="line"):
             load_config(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "process.yaml"
+        path.write_bytes(b"source:\n  kind: \xff\n")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            load_config(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
             load_config(tmp_path / "nope.yaml")
@@ -131,3 +137,94 @@ class TestStepOptions:
         config, _ = load_config(path)
         assert config.source.kind is SourceKind.POINT
         assert config.source.effective_radius_mm == 0.0
+
+
+class TestSchemaMapping:
+    """DEFAULTS keys build their dataclass fields by position, so the
+    mapping from key to field is pinned here."""
+
+    def test_every_key_lands_in_its_field(self, tmp_path):
+        path = write(
+            tmp_path,
+            "wafer: {diameter_mm: 101, working_span_mm: 71, grid_pitch_mm: 6}\n"
+            "source: {distance_mm: 651, radius_mm: 2, kind: point}\n"
+            "mask: {top_H_nm: 102, bottom_h_nm: 502}\n"
+            "junction: {drawn_w_bottom_nm: 203, drawn_w_top_nm: 204}\n"
+            "bottom_step: {tilt_deg: 41, shadow_axis: y, tilt_sign: '-', film_T0_nm: 26}\n"
+            "top_step: {tilt_deg: 3, shadow_axis: x, tilt_sign: '-', film_T0_nm: 46}\n"
+            "epsilon_center_mm: 0.7\n",
+        )
+        config, provenance = load_config(path)
+        assert provenance == []
+        assert (
+            config.layout.wafer_diameter_mm,
+            config.layout.working_span_mm,
+            config.layout.grid_pitch_mm,
+        ) == (101.0, 71.0, 6.0)
+        assert (config.source.distance_mm, config.source.radius_mm) == (651.0, 2.0)
+        assert config.source.kind is SourceKind.POINT
+        assert (config.mask.top_nm, config.mask.bottom_nm) == (102.0, 502.0)
+        assert config.junction.drawn_bottom_nm == 203.0
+        assert config.junction.drawn_top_nm == 204.0
+        assert (config.bottom_step.tilt_deg, config.bottom_step.film_t0_nm) == (41.0, 26.0)
+        assert config.bottom_step.shadow_axis is ShadowAxis.ALONG_Y
+        assert config.bottom_step.tilt_sign is TiltSign.MINUS
+        assert (config.top_step.tilt_deg, config.top_step.film_t0_nm) == (3.0, 46.0)
+        assert config.top_step.shadow_axis is ShadowAxis.ALONG_X
+        assert config.top_step.tilt_sign is TiltSign.MINUS
+        assert config.epsilon_center_mm == 0.7
+
+    def test_provenance_of_the_empty_config(self):
+        _, provenance = config_from_dict({})
+        assert provenance == [
+            "wafer.diameter_mm = 100.0 (default)",
+            "wafer.working_span_mm = 70.0 (default)",
+            "wafer.grid_pitch_mm = 5.0 (default)",
+            "source.distance_mm = 650.0 (default)",
+            "source.radius_mm = 1.0 (default)",
+            "source.kind = disk (default)",
+            "mask.top_H_nm = 100.0 (default)",
+            "mask.bottom_h_nm = 500.0 (default)",
+            "junction.drawn_w_bottom_nm = 200.0 (default)",
+            "junction.drawn_w_top_nm = 200.0 (default)",
+            "bottom_step.tilt_deg = 40.0 (default)",
+            "bottom_step.shadow_axis = x (default)",
+            "bottom_step.tilt_sign = + (default)",
+            "bottom_step.film_T0_nm = 25.0 (default)",
+            "top_step.tilt_deg = 0.0 (default)",
+            "top_step.shadow_axis = y (default)",
+            "top_step.tilt_sign = + (default)",
+            "top_step.film_T0_nm = 45.0 (default)",
+            "epsilon_center_mm = 0.5 (default)",
+        ]
+
+    def test_error_messages(self):
+        cases = [
+            ({"source": {"kind": "laser"}},
+             "source.kind must be 'point' or 'disk', got 'laser'"),
+            ({"top_step": {"shadow_axis": "z"}},
+             "top_step.shadow_axis must be 'x' or 'y', got 'z'"),
+            ({"bottom_step": {"tilt_sign": 1}},
+             "bottom_step.tilt_sign must be '+' or '-', got 1"),
+            ({"mask": {"top_H_nm": True}}, "mask.top_H_nm must be a number, got True"),
+            ({"epsilon_center_mm": "x"}, "config.epsilon_center_mm must be a number, got 'x'"),
+            ({"junction": {"drawn_w_top_nm": 10**400}},
+             f"junction.drawn_w_top_nm must be finite, got {10**400}"),
+            ({"source": {"distanc_mm": 1}}, "unknown key(s) in section 'source': ['distanc_mm']"),
+            ({3: 1, "sorce": {}}, "unknown top-level key(s): [3, 'sorce']"),
+            ({"wafer": {"sites": [{"x_mm": 0, "y_mm": 0, "chip": "a"}]}},
+             "unknown key(s) in wafer.sites[0]: ['chip']"),
+            ({"wafer": {"sites": [{"y_mm": 0}]}}, "wafer.sites[0] needs x_mm and y_mm"),
+        ]
+        for raw, message in cases:
+            with pytest.raises(ValidationError) as info:
+                config_from_dict(raw)
+            assert str(info.value) == message
+
+    def test_first_error_in_section_then_key_order(self):
+        raw = {"source": {"kind": "laser"}, "wafer": {"grid_pitch_mm": "fine"}}
+        with pytest.raises(ValidationError, match=r"^wafer\.grid_pitch_mm"):
+            config_from_dict(raw)
+        raw = {"top_step": {"bogus": 1}, "source": {"radius_mm": "wide"}}
+        with pytest.raises(ValidationError, match=r"^source\.radius_mm"):
+            config_from_dict(raw)

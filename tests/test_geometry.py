@@ -135,10 +135,12 @@ class TestSidewallThickness:
         assert sidewall_thickness(theta, t0) < sidewall_thickness(theta * 0.99, t0)
 
     def test_rejects_out_of_range_angle(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             sidewall_thickness(math.pi / 2, 25.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             sidewall_thickness(-0.1, 25.0)
+        with pytest.raises(ValidationError):
+            sidewall_thickness(math.nan, 25.0)
 
 
 class TestBottomWidth:
@@ -218,7 +220,6 @@ class TestTopWidth:
         got = top_width_formula(
             drawn=200.0,
             sidewall=0.0,
-            offset=0.0,
             source_radius=0.0,
             throw=6.5e8,
             mask_top=0.0,
@@ -290,8 +291,10 @@ class TestOverlapArea:
         assert overlap_area(a, b) == overlap_area(b, a)
 
     def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             overlap_area(0.0, 100.0)
+        with pytest.raises(ValidationError):
+            overlap_area(math.nan, 100.0)
 
 
 class TestPointSourceLimit:
@@ -333,19 +336,15 @@ class TestUnitSafety:
     @given(
         st.floats(min_value=100.0, max_value=1000.0),
         st.floats(min_value=0.0, max_value=20.0),
-        st.floats(min_value=1e6, max_value=3.5e7),
         st.floats(min_value=0.0, max_value=2e6),
         st.floats(min_value=0.0, max_value=0.2),
     )
     @settings(max_examples=100)
-    def test_top_formula_scale_invariant(self, drawn, sidewall, offset, radius, theta):
-        nm = top_width_formula(
-            drawn, sidewall, offset, radius, 6.5e8, 100.0, 500.0, theta, False
-        )
+    def test_top_formula_scale_invariant(self, drawn, sidewall, radius, theta):
+        nm = top_width_formula(drawn, sidewall, radius, 6.5e8, 100.0, 500.0, theta, False)
         s = 1e-6
         mm = top_width_formula(
-            drawn * s, sidewall * s, offset * s, radius * s, 650.0,
-            100.0 * s, 500.0 * s, theta, False,
+            drawn * s, sidewall * s, radius * s, 650.0, 100.0 * s, 500.0 * s, theta, False
         )
         assert mm / s == pytest.approx(nm, rel=1e-9)
 
