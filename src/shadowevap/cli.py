@@ -8,6 +8,7 @@ subcommand, file paths, grid overrides and the RNG seed. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -22,7 +23,7 @@ from .errors import (
     UnknownField,
     ValidationError,
 )
-from .table import column
+from .table import Table, column, group_codes
 
 
 def _load(config_path: str, grid_pitch_mm: Optional[float]) -> wafer.ProcessConfig:
@@ -133,12 +134,19 @@ def _summary_dict(s: stats.StatsSummary) -> dict:
     }
 
 
+def _json_records(rows: Table, *names: str, **columns: np.ndarray) -> csvio.JsonRecords:
+    """One JSON record per row of `rows`, holding the named columns and
+    any further columns given by key."""
+    return csvio.JsonRecords(**{name: column(rows, name) for name in names}, **columns)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     records, diagnostics = csvio.import_measurements(args.measurements)
     for d in diagnostics:
         print(f"skipped row: {d}", file=sys.stderr)
     group_by = tuple(g for g in args.group_by.split(",") if g)
     report_obj = stats.aggregate(records, group_by)
+    repeats = report_obj.repeatability
     report = {
         "n_records": len(records),
         "n_skipped_rows": len(diagnostics),
@@ -146,61 +154,42 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "groups": {k: _summary_dict(v) for k, v in report_obj.group_stats.items()},
         "group_warnings": report_obj.warnings,
         "repeatability": {
-            "n_junctions_with_repeats": len(report_obj.repeatability),
-            "per_junction": [
-                {
-                    "wafer_id": j.wafer_id,
-                    "chip_id": j.chip_id,
-                    "x_mm": j.x_mm,
-                    "y_mm": j.y_mm,
-                    "n_runs": j.n_runs,
-                    "cv_percent": 100.0 * j.cv,
-                }
-                for j in report_obj.repeatability
-            ],
+            "n_junctions_with_repeats": len(repeats),
+            "per_junction": _json_records(
+                repeats, "wafer_id", "chip_id", "x_mm", "y_mm", "n_runs",
+                cv_percent=100.0 * column(repeats, "cv"),
+            ),
         },
     }
     repeat_summary = report_obj.repeat_cv_summary
     if repeat_summary is not None:
         report["repeatability"]["mean_cv_percent"] = 100.0 * repeat_summary.mean
         report["repeatability"]["max_cv_percent"] = 100.0 * max(
-            j.cv for j in report_obj.repeatability
+            column(repeats, "cv").tolist()
         )
     if args.fit_gap:
-        triples = [
-            (r.rn_ohm, r.area_class_um2, r.jc_ua_um2)
-            for r in records
-            if r.jc_ua_um2 is not None
-        ]
-        if len(triples) < 2:
+        jc = np.asarray(column(records, "jc_ua_um2"), dtype=float)  # None is NaN
+        given = ~np.isnan(jc)
+        if np.count_nonzero(given) < 2:
             raise ValidationError(
                 "--fit-gap needs >= 2 rows with the optional jc_ua_um2 column"
             )
-        fit = stats.fit_gap(triples)
+        fit = stats.fit_gap(
+            np.column_stack(
+                (column(records, "rn_ohm"), column(records, "area_class_um2"), jc)
+            )[given]
+        )
+        outliers = fit.records.take(np.abs(column(fit.records, "rel_residual")) > 0.15)
         report["gap_fit"] = {
             "delta_uev": fit.delta_uev,
             "max_abs_rel_residual": fit.max_abs_rel_residual,
-            "records": [
-                {
-                    "rn_ohm": r.rn_ohm,
-                    "area_um2": r.area_um2,
-                    "jc_reported": r.jc_reported,
-                    "jc_fitted": r.jc_fitted,
-                    "implied_delta_uev": r.implied_delta_uev,
-                    "rel_residual": r.rel_residual,
-                }
-                for r in fit.records
-            ],
-            "outliers": [
-                {
-                    "rn_ohm": r.rn_ohm,
-                    "area_um2": r.area_um2,
-                    "implied_delta_uev": r.implied_delta_uev,
-                    "rel_residual": r.rel_residual,
-                }
-                for r in fit.records
-                if abs(r.rel_residual) > 0.15
-            ],
+            "records": _json_records(
+                fit.records, "rn_ohm", "area_um2", "jc_reported", "jc_fitted",
+                "implied_delta_uev", "rel_residual",
+            ),
+            "outliers": _json_records(
+                outliers, "rn_ohm", "area_um2", "implied_delta_uev", "rel_residual"
+            ),
         }
     csvio.write_json_report(report, args.out)
     print(f"groups: {len(report['groups'])}")
@@ -261,12 +250,24 @@ def _heatmap_points(path: str, field: str) -> np.ndarray:
         raise UnknownField(
             f"unknown field {field!r}; measurement files provide ['rn_ohm']"
         )
-    by_site: dict[tuple[float, float], list[float]] = {}
-    for rec in records:
-        by_site.setdefault((rec.x_mm, rec.y_mm), []).append(rec.rn_ohm)
-    return np.array(
-        [(x, y, sum(vals) / len(vals)) for (x, y), vals in sorted(by_site.items())]
-    )
+    x, y = column(records, "x_mm"), column(records, "y_mm")
+    site, first = group_codes([x, y])
+    # Each site's values added in row order: a sequential left-to-right
+    # sum, as Python <= 3.11's `sum` adds floats.
+    mean = np.bincount(site, weights=column(records, "rn_ohm")) / np.bincount(site)
+    return np.column_stack((x[first], y[first], mean))
+
+
+def _finite_float(text: str) -> float:
+    """A numeric flag's value. argparse reports a value that is not a
+    finite number as an error naming the flag, and exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="forward-simulate a wafer site map")
     p.add_argument("--config", required=True)
     p.add_argument("--model", choices=["I", "II", "III"], default="III")
-    p.add_argument("--grid-pitch-mm", type=float, default=None)
+    p.add_argument("--grid-pitch-mm", type=_finite_float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--electrode", choices=["bottom", "top"], required=True)
     p.add_argument("--axis", choices=["x", "y"], required=True)
-    p.add_argument("--grid-pitch-mm", type=float, default=None)
+    p.add_argument("--grid-pitch-mm", type=_finite_float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compare_models)
 
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", required=True)
     p.add_argument("--target", default="center")
-    p.add_argument("--grid-pitch-mm", type=float, default=None)
+    p.add_argument("--grid-pitch-mm", type=_finite_float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compensate)
 
@@ -321,18 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("frequency", help="qubit frequency from R_N")
-    p.add_argument("--rn-ohm", type=float, required=True)
-    p.add_argument("--delta-uev", type=float, required=True)
-    p.add_argument("--ec-mhz", type=float, required=True)
+    p.add_argument("--rn-ohm", type=_finite_float, required=True)
+    p.add_argument("--delta-uev", type=_finite_float, required=True)
+    p.add_argument("--ec-mhz", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_frequency)
 
     p = sub.add_parser(
         "propagate", help="Monte-Carlo R_N spread to frequency spread"
     )
-    p.add_argument("--mean-rn-ohm", type=float, required=True)
-    p.add_argument("--cv-rn", type=float, required=True)
-    p.add_argument("--delta-uev", type=float, required=True)
-    p.add_argument("--ec-mhz", type=float, required=True)
+    p.add_argument("--mean-rn-ohm", type=_finite_float, required=True)
+    p.add_argument("--cv-rn", type=_finite_float, required=True)
+    p.add_argument("--delta-uev", type=_finite_float, required=True)
+    p.add_argument("--ec-mhz", type=_finite_float, required=True)
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_propagate)

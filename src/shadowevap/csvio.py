@@ -7,7 +7,11 @@ to 1e-9 relative. Output is bit-stable for identical input.
 Numeric tables (site maps, corrections) are written and read a column
 at a time: one `%` pass formats every row, and one `np.loadtxt` pass
 parses a well-formed file. Anything that pass rejects is re-read line
-by line, so a ParseError always names file:line.
+by line, so a ParseError always names file:line. Measurement files are
+also read a column at a time, with the same line-by-line fallback; rows
+that fail a record check are replayed one at a time for their `line N:`
+diagnostics. JSON reports write each `JsonRecords` (a list of flat
+records held as columns) with one `%` template per record.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -268,42 +273,114 @@ def _read_csv(
         raise _not_utf8(path, exc) from exc
 
 
-def import_measurements(
-    path: PathLike,
-) -> tuple[list[MeasurementRecord], list[str]]:
-    """Parse a measurement CSV into records plus per-row diagnostics.
+def import_measurements(path: PathLike) -> tuple[Table, list[str]]:
+    """Parse a measurement CSV into a Table of MeasurementRecord plus
+    per-row diagnostics.
 
     Invalid rows are skipped and reported with their line numbers, never
     silently dropped; a file with zero valid rows raises ZeroValidRows.
     """
-    raw = _read_csv(path, MEASUREMENT_HEADER, allow_extra=[MEASUREMENT_JC_COLUMN])
-    records: list[MeasurementRecord] = []
-    diagnostics: list[str] = []
-    for lineno, row in raw:
-        if len(row) not in (7, 8):
-            diagnostics.append(f"line {lineno}: expected 7 or 8 columns, got {len(row)}")
-            continue
-        try:
-            jc: Optional[float] = None
-            if len(row) == 8 and row[7].strip() != "":
-                jc = float(row[7])
-            records.append(
-                MeasurementRecord(
-                    wafer_id=row[0],
-                    chip_id=row[1],
-                    x_mm=float(row[2]),
-                    y_mm=float(row[3]),
-                    area_class_um2=float(row[4]),
-                    run_id=row[5],
-                    rn_ohm=float(row[6]),
-                    jc_ua_um2=jc,
-                )
-            )
-        except (ValueError, ValidationError) as exc:
-            diagnostics.append(f"line {lineno}: {exc}")
-    if not records:
+    parsed = _measurement_columns(path)
+    if parsed is None:
+        records, diagnostics = [], []
+        for lineno, row in _read_csv(
+            path, MEASUREMENT_HEADER, allow_extra=[MEASUREMENT_JC_COLUMN]
+        ):
+            try:
+                records.append(_measurement_record(row))
+            except (ValueError, ValidationError) as exc:
+                diagnostics.append(f"line {lineno}: {exc}")
+        table = Table.from_rows(MeasurementRecord, records)
+    else:
+        table, diagnostics = parsed
+    if not table:
         raise ZeroValidRows(f"{path}: no valid measurement rows")
-    return records, diagnostics
+    return table, diagnostics
+
+
+def _measurement_record(row: list[str]) -> MeasurementRecord:
+    """One measurement row as a record; raises ValueError or
+    ValidationError saying what is wrong with it."""
+    if len(row) not in (7, 8):
+        raise ValidationError(f"expected 7 or 8 columns, got {len(row)}")
+    jc: Optional[float] = None
+    if len(row) == 8 and row[7].strip() != "":
+        jc = float(row[7])
+    return MeasurementRecord(
+        wafer_id=row[0],
+        chip_id=row[1],
+        x_mm=float(row[2]),
+        y_mm=float(row[3]),
+        area_class_um2=float(row[4]),
+        run_id=row[5],
+        rn_ohm=float(row[6]),
+        jc_ua_um2=jc,
+    )
+
+
+def _measurement_columns(path: PathLike) -> Optional[tuple[Table, list[str]]]:
+    """Records and diagnostics of a measurement file read a column at a
+    time, or None for any file this pass does not fit, which the csv
+    reader then reads line by line: quotes, a lone carriage return or
+    NUL, a header of its own, rows of differing or unexpected column
+    counts, a blank jc_ua_um2 or a token np.loadtxt rejects. Rows that
+    fail a MeasurementRecord check are replayed through
+    `_measurement_record`, in line order, for their diagnostics."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read().replace("\r\n", "\n")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    header, *lines = text.split("\n")
+    if header.split(",") not in (
+        MEASUREMENT_HEADER, MEASUREMENT_HEADER + [MEASUREMENT_JC_COLUMN]
+    ):
+        return None
+    # Without quotes each line is one csv row, and a blank one is skipped.
+    nonblank = list(map(bool, lines))
+    rows = list(itertools.compress(lines, nonblank))
+    commas = set(map(str.count, rows, itertools.repeat(",")))
+    if len(commas) != 1 or not commas <= {6, 7}:
+        return None
+    n_numbers = commas.pop() - 2  # x, y, area, rn_ohm [, jc]
+    try:
+        numbers = np.loadtxt(
+            rows, delimiter=",", comments=None, ndmin=2, dtype=float,
+            usecols=(2, 3, 4, 6, 7)[:n_numbers],
+        )
+        labels = np.loadtxt(
+            rows, delimiter=",", comments=None, ndmin=2, dtype=str, usecols=(0, 1, 5)
+        )
+    except ValueError:
+        return None
+    x, y, area, rn = numbers.T[:4]
+    # The checks of MeasurementRecord.__post_init__, as masks.
+    bad = ~(np.isfinite(numbers).all(axis=1) & (rn > 0) & (area > 0))
+    linenos = (np.flatnonzero(nonblank) + 2).tolist()
+    diagnostics = []
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            _measurement_record(rows[i].split(","))
+        except (ValueError, ValidationError) as exc:
+            diagnostics.append(f"line {linenos[i]}: {exc}")
+    ok = ~bad
+    table = Table(
+        MeasurementRecord,
+        wafer_id=labels[ok, 0],
+        chip_id=labels[ok, 1],
+        x_mm=x[ok],
+        y_mm=y[ok],
+        area_class_um2=area[ok],
+        run_id=labels[ok, 2],
+        rn_ohm=rn[ok],
+        jc_ua_um2=(
+            numbers[ok, 4] if n_numbers == 5
+            else np.full(np.count_nonzero(ok), None, dtype=object)
+        ),
+    )
+    return table, diagnostics
 
 
 def export_measurements(records: Sequence[MeasurementRecord], path: PathLike) -> None:
@@ -328,11 +405,86 @@ def export_measurements(records: Sequence[MeasurementRecord], path: PathLike) ->
     write_rows(path, header, rows)
 
 
+class JsonRecords:
+    """A JSON list of flat records held as equal-length columns: record
+    i maps each key to the i-th value of that key's column (a list or
+    numpy array). `write_json_report` writes it as json.dump writes the
+    list of dicts."""
+
+    def __init__(self, **columns: Union[list, np.ndarray]) -> None:
+        self.columns = columns
+
+
 def write_json_report(report: dict, path: PathLike) -> None:
-    """Deterministic JSON: sorted keys, two-space indent, newline EOF."""
+    """Deterministic JSON: sorted keys, two-space indent, newline EOF.
+
+    The bytes are those of json.dump(report, indent=2, sort_keys=True)
+    plus the newline, with each JsonRecords written as its list of
+    dicts. Such columns are written with one `%` template per record;
+    the rest goes through the json encoder.
+    """
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.writelines(_json_chunks(report, 0))
             fh.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+_encode_json = json.JSONEncoder(indent=2, sort_keys=True).encode
+_RECORDS_PER_CHUNK = 4096
+
+
+def _json_chunks(obj, level: int) -> Iterator[str]:
+    """The text json.dumps(obj, indent=2, sort_keys=True) gives `obj`
+    nested `level` containers deep, in pieces."""
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj, JsonRecords):
+        yield from _record_chunks(obj.columns, level)
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "{") + inner + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(obj[key], level + 1)
+        yield "\n" + "  " * level + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, item in enumerate(obj):
+            yield ("," if i else "[") + inner
+            yield from _json_chunks(item, level + 1)
+        yield "\n" + "  " * level + "]"
+    else:
+        # JSON strings hold no raw newline, so this only indents.
+        yield _encode_json(obj).replace("\n", "\n" + "  " * level)
+
+
+def _record_chunks(columns: dict, level: int) -> Iterator[str]:
+    """Records given as columns, written as `_json_chunks` writes their
+    list of dicts: one `%` template per record. Columns of finite floats
+    or of ints are formatted by the template (`%r` is float.__repr__,
+    as json uses); any other column is encoded value by value first."""
+    slots, values = [], []
+    for key in sorted(columns):
+        col = columns[key]
+        col = col.tolist() if isinstance(col, np.ndarray) else col
+        types = set(map(type, col))
+        if types == {float} and np.isfinite(col).all():
+            slot = "%r"
+        elif types == {int}:
+            slot = "%d"
+        elif types == {str}:
+            slot, col = "%s", list(map(encode_basestring_ascii, col))
+        else:
+            slot, col = "%s", ["".join(_json_chunks(v, level + 2)) for v in col]
+        name = encode_basestring_ascii(key).replace("%", "%%")
+        slots.append("  " * (level + 2) + name + ": " + slot)
+        values.append(col)
+    rows = list(zip(*values))
+    if not rows:
+        yield "[]"
+        return
+    inner = "\n" + "  " * (level + 1)
+    record = "{\n" + ",\n".join(slots) + inner + "}"
+    yield "[" + inner + record % rows[0]
+    following = ("," + inner + record).__mod__
+    for start in range(1, len(rows), _RECORDS_PER_CHUNK):
+        yield "".join(map(following, rows[start:start + _RECORDS_PER_CHUNK]))
+    yield "\n" + "  " * level + "]"

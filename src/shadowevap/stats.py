@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     NonPositiveMean,
     ValidationError,
 )
+from .table import Table, column, group_codes
 
 # Exact SI defining constants (2019 redefinition).
 ELEMENTARY_CHARGE_C = 1.602176634e-19
@@ -175,16 +176,22 @@ def propagate_cv_monte_carlo(
     mu = math.log(mean_rn_ohm) - 0.5 * sigma2
     rn = rng.lognormal(mean=mu, sigma=math.sqrt(sigma2), size=n_samples)
 
-    hf = np.full(n_samples, -1.0)
+    # h f is computed in the draws' own buffer; a draw that underflowed
+    # to 0 gets -1 (invalid).
     positive = rn > 0
-    hf[positive] = np.sqrt(_hf_radicand_j2(params) / rn[positive]) - params.ec_j
+    hf = rn
+    np.divide(_hf_radicand_j2(params), rn, out=hf, where=positive)
+    np.sqrt(hf, out=hf, where=positive)
+    np.subtract(hf, params.ec_j, out=hf, where=positive)
+    np.copyto(hf, -1.0, where=~positive)
     valid = hf > 0.0
     n_invalid = int(n_samples - valid.sum())
     if n_invalid > 0.001 * n_samples:
         raise NonPositiveFrequency(
             f"{n_invalid} of {n_samples} draws gave a non-positive frequency"
         )
-    f = hf[valid] / PLANCK_J_S
+    f = hf[valid] if n_invalid else hf
+    f /= PLANCK_J_S
     mean_f = float(f.mean())
     cv_f = float(f.std(ddof=1) / mean_f) if f.size >= 2 else 0.0
     return PropagationResult(
@@ -234,50 +241,59 @@ class GapFitRecord:
 @dataclass(frozen=True)
 class GapFitResult:
     delta_uev: float
-    records: tuple[GapFitRecord, ...]
+    records: Sequence[GapFitRecord]
 
     @property
     def max_abs_rel_residual(self) -> float:
-        return max(abs(r.rel_residual) for r in self.records)
+        return max(map(abs, column(self.records, "rel_residual").tolist()))
 
 
-def fit_gap(records: Iterable[tuple[float, float, float]]) -> GapFitResult:
+def fit_gap(
+    records: Union[Iterable[tuple[float, float, float]], np.ndarray]
+) -> GapFitResult:
     """Least-squares single gap from (R_N ohm, area um^2, J_c uA/um^2)
-    triples.
+    triples, or an (n, 3) array of them.
 
     J_c is linear in Delta (J_c = k Delta with k = pi / (2 R_N A)), so
     the minimizer of sum (k_i Delta - J_i)^2 is closed form:
     Delta = sum(k_i J_i) / sum(k_i^2). Per-record implied gaps and
-    residuals are reported alongside.
+    residuals are reported alongside, as a Table of GapFitRecord.
     """
-    rows = list(records)
+    rows = np.array(
+        records if isinstance(records, np.ndarray) else list(records), dtype=float
+    )
+    if rows.size == 0:
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValidationError("records must be (R_N, area, J_c) triples")
     if len(rows) < 2:
         raise ValidationError("need >= 2 records to fit a gap")
-    ks, js = [], []
-    for rn, area, jc in rows:
-        if not (rn > 0 and area > 0 and jc > 0):
-            raise ValidationError(f"non-positive record ({rn}, {area}, {jc})")
-        ks.append(math.pi / (2.0 * rn * area))
-        js.append(jc)
-    denom = sum(k * k for k in ks)
-    if denom <= 0.0:
-        raise DegenerateFit("no sensitivity to the gap parameter")
-    delta = sum(k * j for k, j in zip(ks, js)) / denom
-    fitted = []
-    for (rn, area, jc), k in zip(rows, ks):
+    rn, area, jc = rows.T
+    bad = ~((rn > 0) & (area > 0) & (jc > 0))
+    if bad.any():
+        rec = rows[np.argmax(bad)].tolist()
+        raise ValidationError(f"non-positive record ({rec[0]}, {rec[1]}, {rec[2]})")
+    # Float arithmetic as Python does it, with no warnings; the sums are
+    # sequential left-to-right sums (cumsum), as Python <= 3.11's `sum`
+    # adds floats.
+    with np.errstate(all="ignore"):
+        k = math.pi / (2.0 * rn * area)
+        denom = np.cumsum(k * k)[-1].item()
+        if denom <= 0.0:
+            raise DegenerateFit("no sensitivity to the gap parameter")
+        delta = np.cumsum(k * jc)[-1].item() / denom
         jc_fit = k * delta
-        fitted.append(
-            GapFitRecord(
-                rn_ohm=rn,
-                area_um2=area,
-                jc_reported=jc,
-                implied_delta_uev=implied_gap_uev(rn, area, jc),
-                jc_fitted=jc_fit,
-                residual=jc_fit - jc,
-                rel_residual=(jc_fit - jc) / jc,
-            )
+        records = Table(
+            GapFitRecord,
+            rn_ohm=rn,
+            area_um2=area,
+            jc_reported=jc,
+            implied_delta_uev=2.0 * rn * jc * area / math.pi,
+            jc_fitted=jc_fit,
+            residual=jc_fit - jc,
+            rel_residual=(jc_fit - jc) / jc,
         )
-    return GapFitResult(delta_uev=delta, records=tuple(fitted))
+    return GapFitResult(delta_uev=delta, records=records)
 
 
 @dataclass(frozen=True)
@@ -330,20 +346,19 @@ class JunctionRepeatability:
 @dataclass
 class AggregateReport:
     group_stats: dict[str, StatsSummary]
-    repeatability: list[JunctionRepeatability]
+    repeatability: Sequence[JunctionRepeatability]
     warnings: list[str] = field(default_factory=list)
 
     @property
     def repeat_cv_summary(self) -> Optional[StatsSummary]:
         """Distribution of the per-junction repeat CVs, if >= 2 exist."""
-        cvs = [j.cv for j in self.repeatability]
-        if len(cvs) < 2:
+        if len(self.repeatability) < 2:
             return None
-        arr = np.asarray(cvs)
+        arr = column(self.repeatability, "cv")
         mean = float(arr.mean())
         sd = float(arr.std(ddof=1))
         return StatsSummary(
-            n=len(cvs), mean=mean, sd_sample=sd, cv=sd / mean if mean > 0 else 0.0
+            n=len(arr), mean=mean, sd_sample=sd, cv=sd / mean if mean > 0 else 0.0
         )
 
 
@@ -357,7 +372,9 @@ def aggregate(
     each group's R_N CV computed; groups too small for a sample sd are
     skipped with a warning. Junctions probed under more than one run_id
     additionally get a per-junction CV across their run means, the
-    repeatability of parallel measurements.
+    repeatability of parallel measurements (a Table of
+    JunctionRepeatability). `records` may be a Table of
+    MeasurementRecord or any sequence of them.
     """
     if not records:
         raise ValidationError("no measurement records")
@@ -366,51 +383,62 @@ def aggregate(
             raise ValidationError(
                 f"unknown group field {g!r}; expected subset of {GROUP_FIELDS}"
             )
-    attributes = [_GROUP_LABELS[g][0] for g in group_by]
-    group_key = "|".join(_GROUP_LABELS[g][1] for g in group_by) or "all"
-    # One attribute gives a bare value, which `%` takes like a 1-tuple.
-    values = attrgetter(*attributes) if attributes else lambda rec: ()
+    if not isinstance(records, Table):
+        records = Table.from_rows(MeasurementRecord, records)
+    columns = records.columns
+    rn = column(records, "rn_ohm")
 
-    groups: dict[str, list[float]] = {}
-    for rec in records:
-        groups.setdefault(group_key % values(rec), []).append(rec.rn_ohm)
+    # A group's key is formatted from its first record; distinct values
+    # that format alike (or join alike) share one key, as before.
+    attributes = [columns[_GROUP_LABELS[g][0]] for g in group_by]
+    group_key = "|".join(_GROUP_LABELS[g][1] for g in group_by) or "all"
+    combo, first = group_codes(attributes or [np.zeros(len(rn))])
+    combo_keys = [
+        group_key % tuple(a[i] for a in attributes) for i in first.tolist()
+    ]
+    keys = sorted(set(combo_keys))
+    index = {key: i for i, key in enumerate(keys)}
+    group = np.array([index[key] for key in combo_keys])[combo]
+    order = np.argsort(group, kind="stable")
+    bounds = np.cumsum(np.bincount(group, minlength=len(keys)))[:-1]
 
     warnings: list[str] = []
     group_stats: dict[str, StatsSummary] = {}
-    for key in sorted(groups):
-        vals = groups[key]
+    for key, vals in zip(keys, np.split(rn[order], bounds)):
         if len(vals) < 2:
             warnings.append(f"group {key!r} skipped: {len(vals)} sample(s)")
             continue
         group_stats[key] = coefficient_of_variation(vals)
 
     # Repeatability: same physical junction probed under several run ids.
-    junctions: dict[tuple[str, str, float, float], dict[str, list[float]]] = {}
-    for rec in records:
-        jkey = (rec.wafer_id, rec.chip_id, rec.x_mm, rec.y_mm)
-        junctions.setdefault(jkey, {}).setdefault(rec.run_id, []).append(rec.rn_ohm)
-
-    repeatability: list[JunctionRepeatability] = []
-    for jkey in sorted(junctions):
-        runs = junctions[jkey]
-        if len(runs) < 2:
-            continue
-        run_means = [sum(v) / len(v) for _, v in sorted(runs.items())]
-        mean = sum(run_means) / len(run_means)
-        sd = math.sqrt(
-            sum((v - mean) ** 2 for v in run_means) / (len(run_means) - 1)
-        )
-        wafer_id, chip_id, x_mm, y_mm = jkey
-        repeatability.append(
-            JunctionRepeatability(
-                wafer_id=wafer_id,
-                chip_id=chip_id,
-                x_mm=x_mm,
-                y_mm=y_mm,
-                n_runs=len(runs),
-                cv=sd / mean,
-            )
-        )
+    junction, first = group_codes(
+        [columns["wafer_id"], columns["chip_id"], columns["x_mm"], columns["y_mm"]]
+    )
+    # One row per (junction, run), junctions in key order, runs sorted.
+    pair, pair_first = group_codes([junction, columns["run_id"]])
+    of_pair = junction[pair_first]
+    n_runs = np.bincount(of_pair)
+    # Weighted bincount adds each group's values in row order from 0.0:
+    # a sequential left-to-right sum, as Python <= 3.11's `sum` adds
+    # floats (np.sum is pairwise).
+    with np.errstate(all="ignore"):
+        run_means = np.bincount(pair, weights=rn) / np.bincount(pair)
+        mean = np.bincount(of_pair, weights=run_means) / n_runs
+        # Python's float power: pow(d, 2) and d * d can round differently.
+        squares = list(map(pow, (run_means - mean[of_pair]).tolist(), repeat(2)))
+        keep = n_runs >= 2
+        sd = np.sqrt(np.bincount(of_pair, weights=squares)[keep] / (n_runs[keep] - 1))
+        cv = sd / mean[keep]
+    at = first[keep]
+    repeatability = Table(
+        JunctionRepeatability,
+        wafer_id=columns["wafer_id"][at],
+        chip_id=columns["chip_id"][at],
+        x_mm=columns["x_mm"][at],
+        y_mm=columns["y_mm"][at],
+        n_runs=n_runs[keep],
+        cv=cv,
+    )
     return AggregateReport(
         group_stats=group_stats, repeatability=repeatability, warnings=warnings
     )

@@ -8,7 +8,7 @@ records still read the table as a sequence of them.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import fields
 from typing import Any, Union
 
@@ -38,6 +38,21 @@ class Table(Sequence):
         self.row = row
         self.columns = columns
         self._length = lengths.pop()
+
+    @classmethod
+    def from_rows(cls, row: type, rows: Iterable) -> Table:
+        """A table of `rows`, records of type `row`: a field holding only
+        floats becomes a float column, any other an object column."""
+        rows = list(rows)
+        columns = {}
+        for f in fields(row):
+            values = [getattr(r, f.name) for r in rows]
+            if all(type(v) is float for v in values):
+                columns[f.name] = np.array(values, dtype=float)
+            else:
+                columns[f.name] = np.empty(len(values), dtype=object)
+                columns[f.name][:] = values
+        return cls(row, **columns)
 
     def __len__(self) -> int:
         return self._length
@@ -80,3 +95,18 @@ def column(rows: Sequence, name: str) -> np.ndarray:
     if isinstance(rows, Table):
         return rows.columns[name]
     return np.array([getattr(r, name) for r in rows], dtype=float)
+
+
+def group_codes(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of equal-length key columns 0, 1, ... in
+    ascending lexicographic order; values equal under == share a number
+    (so do -0.0 and 0.0). Returns each row's number and, per number, the
+    index of its first row."""
+    codes = np.zeros(len(keys[0]), dtype=np.intp)
+    for key in keys:
+        values, inverse = np.unique(key, return_inverse=True)
+        _, first, codes = np.unique(
+            codes * len(values) + inverse, return_index=True, return_inverse=True
+        )
+    return codes, first
+

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from shadowevap.cli import main
@@ -279,6 +281,56 @@ class TestGoldenArtifacts:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+def write_seeded_measurements(path):
+    """A small seeded measurement CSV with J_c: two wafers of a 5 x 5
+    grid at 5 mm pitch, both area classes, three runs. Wafer 2 gives
+    x = 0 as -0 in run 1; two trailing rows fail record checks."""
+    rng = np.random.default_rng(20)
+    lines = ["wafer_id,chip_id,x_mm,y_mm,area_class_um2,run_id,rn_ohm,jc_ua_um2"]
+    for w in (1, 2):
+        for y in range(-10, 11, 5):
+            for x in range(-10, 11, 5):
+                for area in (0.04, 0.09):
+                    rn = 320.0 / area * (1.0 + rng.normal(0.0, 0.03))
+                    jc = math.pi * 180.0 / (2.0 * rn * area) * (1.0 + rng.normal(0.0, 0.01))
+                    for run in (1, 2, 3):
+                        xs = -0.0 if (x == 0 and w == 2 and run == 1) else float(x)
+                        probe = rn * (1.0 + rng.normal(0.0, 0.005))
+                        lines.append(
+                            "W%d,c%d,%.12g,%.12g,%.12g,R%d,%.12g,%.12g"
+                            % (w, (x + 10) // 10, xs, y, area, run, probe, jc)
+                        )
+    lines += ["W1,c1,0,0,0.04,R4,nan,5", "W2,c2,5,5,0.09,R1,-5,5"]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestGoldenMeasurements:
+    """SHA-256 of `analyze` and `heatmap` artifacts on a seeded
+    measurement file, pinned so the measurement path stays
+    byte-identical across refactors."""
+
+    HASHES = {
+        "analysis.json": "a9587fb7f4a5a3b7e38099deb095e9041fe988e548eb599538a52c553a168460",
+        "rn_map.svg": "78cc64585ebf6e6ae3b6f76fbe51372b46f1e0df43002c83d740786ff96e13b8",
+    }
+
+    def test_measurement_artifacts_are_pinned(self, tmp_path, capsys):
+        meas = tmp_path / "meas.csv"
+        write_seeded_measurements(meas)
+        report, svg = (tmp_path / name for name in self.HASHES)
+        assert main(["analyze", "--measurements", str(meas), "--group-by",
+                     "wafer,chip,area,run", "--fit-gap", "--out", str(report)]) == 0
+        assert main(["heatmap", "--in", str(meas), "--field", "rn_ohm", "--out", str(svg)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "groups: 36\ncells: 25\n"
+        assert err == (
+            "skipped row: line 302: rn_ohm must be finite, got nan\n"
+            "skipped row: line 303: rn_ohm must be > 0\n"
+        )
+        for name, digest in self.HASHES.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestMalformedTables:
     """A bad row in a site map or correction table exits 2 with an error
     naming file:line, never a traceback."""
@@ -456,6 +508,43 @@ class TestAnalyze:
         assert code == 2
 
 
+class TestNonFiniteFlags:
+    """Every numeric flag refuses inf and nan: exit 2 naming the flag."""
+
+    COMMANDS = {
+        "--grid-pitch-mm": ["simulate", "--config", "{config}", "--out", "{out}"],
+        "--rn-ohm": ["frequency", "--rn-ohm", "8000", "--delta-uev", "180", "--ec-mhz", "270"],
+        "--delta-uev": ["frequency", "--rn-ohm", "8000", "--delta-uev", "180", "--ec-mhz", "270"],
+        "--ec-mhz": ["propagate", "--mean-rn-ohm", "8000", "--cv-rn", "0.06",
+                     "--delta-uev", "180", "--ec-mhz", "270", "--n", "10000"],
+        "--mean-rn-ohm": ["propagate", "--mean-rn-ohm", "8000", "--cv-rn", "0.06",
+                          "--delta-uev", "180", "--ec-mhz", "270", "--n", "10000"],
+        "--cv-rn": ["propagate", "--mean-rn-ohm", "8000", "--cv-rn", "0.06",
+                    "--delta-uev", "180", "--ec-mhz", "270", "--n", "10000"],
+    }
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag", list(COMMANDS))
+    def test_exits_2_naming_the_flag(self, flag, value, config_path, tmp_path, capsys):
+        argv = [a.format(config=config_path, out=tmp_path / "out.csv")
+                for a in self.COMMANDS[flag]]
+        if flag in argv:
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        argv.append(f"{flag}={value}")  # "-inf" alone would read as an option
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be finite, got {value!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_non_number_message_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["frequency", "--rn-ohm", "abc", "--delta-uev", "180", "--ec-mhz", "270"])
+        assert "argument --rn-ohm: invalid float value: 'abc'" in capsys.readouterr().err
+
+
 class TestScalarCommands:
     def test_frequency(self, capsys):
         code = main(
@@ -489,6 +578,28 @@ class TestScalarCommands:
         assert capsys.readouterr().out == first
         values = dict(line.split(": ") for line in first.strip().splitlines())
         assert 0.50 <= float(values["cv_ratio"]) <= 0.55
+
+    PROPAGATE = ["propagate", "--cv-rn", "0.06", "--delta-uev", "180", "--ec-mhz", "270"]
+
+    def test_propagate_output_is_pinned(self, capsys):
+        argv = self.PROPAGATE + ["--mean-rn-ohm", "8000", "--n", "100000", "--seed", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "cv_f: 0.0313227596903\n"
+            "cv_ratio: 0.522045994838\n"
+            "mean_f_ghz: 5.89585275418\n"
+            "n_invalid: 0\n"
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_propagate_counts_draws_that_underflow(self, capsys):
+        """A subnormal mean R_N: two draws underflow to 0 and are invalid."""
+        argv = ["propagate", "--mean-rn-ohm", "1.2e-323", "--cv-rn", "0.29",
+                "--delta-uev", "180", "--ec-mhz", "270", "--n", "1000000", "--seed", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "cv_f: inf\ncv_ratio: inf\nmean_f_ghz: 1.83048729049e+164\nn_invalid: 2\n"
+        )
 
 
 class TestHeatmap:

@@ -5,14 +5,16 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shadowevap.config import default_config
 from shadowevap.csvio import (
     CORRECTIONS_HEADER,
     SITE_MAP_HEADER,
+    JsonRecords,
     export_corrections,
     export_measurements,
     export_site_map,
@@ -257,3 +259,85 @@ class TestJsonReport:
         write_json_report(report, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text()) == report
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_equals_the_standard_encoder(self, tmp_path, data):
+        """Random nested reports, with lists of same-keyed dicts and of
+        dicts whose key sets differ."""
+        report = data.draw(st.dictionaries(st.text(max_size=4), json_values(), max_size=5))
+        path = tmp_path / "r.json"
+        write_json_report(report, path)
+        expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_columns_equal_their_list_of_dicts(self, tmp_path, data):
+        n = data.draw(st.integers(0, 6))
+        columns = {
+            "f": np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=float),
+            "i": np.array(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)), dtype=int),
+            "s": np.array(data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)), dtype=object),
+            "m": data.draw(st.lists(json_scalars, min_size=n, max_size=n)),
+        }
+        keys = data.draw(st.lists(st.sampled_from(sorted(columns)), min_size=1, unique=True))
+        columns = {k: columns[k] for k in keys}
+        rows = [
+            {k: (c.tolist() if isinstance(c, np.ndarray) else c)[i] for k, c in columns.items()}
+            for i in range(n)
+        ]
+        path = tmp_path / "r.json"
+        write_json_report({"nested": {"records": JsonRecords(**columns)}}, path)
+        expected = json.dumps({"nested": {"records": rows}}, indent=2, sort_keys=True)
+        assert path.read_text(encoding="utf-8") == expected + "\n"
+
+    def test_non_string_keys_go_to_the_encoder(self, tmp_path):
+        report = {"a": {2: [{"x": 1.5}], 1: None}, "b": [{"k": 1}, {"k": 2, "j": 3}]}
+        path = tmp_path / "r.json"
+        write_json_report(report, path)
+        assert path.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN, +-inf and -0.0 included
+    st.text(),  # non-ASCII included
+)
+
+
+@st.composite
+def record_lists(draw, values):
+    """Lists of dicts sharing one key set (each key holding floats, ints,
+    strings or any value), sometimes with one record's key set changed."""
+    kinds = [st.floats(allow_nan=False, allow_infinity=False), st.floats(), st.integers(),
+             st.text(max_size=3), values]
+    keys = draw(st.lists(st.text(max_size=3), max_size=4, unique=True))
+    column_values = {k: draw(st.sampled_from(kinds)) for k in keys}
+    records = [
+        {k: draw(v) for k, v in column_values.items()} for _ in range(draw(st.integers(1, 4)))
+    ]
+    if draw(st.booleans()):
+        victim = draw(st.sampled_from(records))
+        if victim and draw(st.booleans()):
+            del victim[draw(st.sampled_from(sorted(victim)))]
+        else:
+            victim[draw(st.text(max_size=3))] = draw(values)
+    return records
+
+
+def json_values():
+    return st.recursive(
+        json_scalars,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.tuples(children, children),
+            st.dictionaries(st.text(max_size=4), children, max_size=4),
+            record_lists(children),
+        ),
+        max_leaves=25,
+    )

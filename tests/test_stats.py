@@ -1,7 +1,9 @@
 """Statistics kernel, electrical conversions and Monte-Carlo propagation."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +145,19 @@ class TestMonteCarloPropagation:
         assert result.cv_f == 0.0
         assert result.cv_ratio == 0.0
 
+    def test_peak_memory(self):
+        """h f is computed in the draws' buffer: the peak stays under
+        three float arrays of n (it was over four)."""
+        n = 1_000_000
+        propagate_cv_monte_carlo(8000.0, 0.06, PARAMS, 10_000)  # warm up
+        tracemalloc.start()
+        try:
+            propagate_cv_monte_carlo(8000.0, 0.06, PARAMS, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n
+
     def test_ratio_tracks_sensitivity(self):
         result = propagate_cv_monte_carlo(8000.0, 0.06, PARAMS, 100_000, seed=12345)
         assert 0.50 <= result.cv_ratio <= 0.55
@@ -256,6 +271,20 @@ class TestGapFit:
     def test_needs_two_records(self):
         with pytest.raises(ValidationError):
             fit_gap([(2600.0, 0.025, 5.61)])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(2600.0, 0.025), (2500.0, 0.026), (2700.0, 0.024)],
+            [(2600.0, 0.025, 5.61, 1.0)] * 3,
+            np.array([(2600.0, 0.025), (2500.0, 0.026), (2700.0, 0.024)]),
+            np.full((4, 3, 1), 1.0),
+        ],
+        ids=["pairs", "4-tuples", "pair-array", "3-d-array"],
+    )
+    def test_rows_must_be_triples(self, rows):
+        with pytest.raises(ValidationError, match="triples"):
+            fit_gap(rows)
 
 
 def record(wafer="w1", chip="c1", x=0.0, y=0.0, area=0.025, run="r1", rn=10.0):
