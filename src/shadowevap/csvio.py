@@ -4,85 +4,71 @@ All tables are plain CSV with units in the column names, decimal points
 (never commas) and 12 significant digits so values survive a round trip
 to 1e-9 relative. Output is bit-stable for identical input.
 
-Numeric tables (site maps, corrections) are written and read a column
-at a time: one `%` pass formats every row, and one `np.loadtxt` pass
-parses a well-formed file. Anything that pass rejects is re-read line
-by line, so a ParseError always names file:line. Measurement files are
-also read a column at a time, with the same line-by-line fallback; rows
-that fail a record check are replayed one at a time for their `line N:`
-diagnostics. JSON reports write each `JsonRecords` (a list of flat
-records held as columns) with one `%` template per record.
+Numeric tables are written a column at a time, one `%` pass formatting
+every row. Site maps, corrections and measurements are read by one
+reader: the file is read once, a well-formed text is parsed by
+np.loadtxt a column at a time, and the rows that fail a check (or the
+whole text, when np.loadtxt cannot take it) are replayed through one
+csv.reader loop and a per-row parser, so a ParseError names file:line
+and a skipped measurement row is reported as `line N:`. JSON reports
+write each `JsonRecords` (a list of flat records held as columns) with
+one `%` template per record.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import EmptyInput, IoError, ParseError, ValidationError, ZeroValidRows
 from .stats import MeasurementRecord
-from .table import Table, column
-from .wafer import CorrectionRow, CorrectionTable, SiteResult, row_major_order, site_table, sites_of
+from .table import Table, column, group_codes
+from .wafer import CorrectionRow, CorrectionTable, SiteResult, site_table, sites_of
 
 PathLike = Union[str, Path]
 
-SITE_MAP_HEADER = [
-    "x_mm",
-    "y_mm",
-    "theta_bottom_deg",
-    "theta_top_deg",
-    "t_prime_nm",
-    "w_bottom_nm",
-    "w_top_nm",
-    "area_um2",
-    "bias_bottom_nm",
-    "bias_top_nm",
-]
 
-CORRECTIONS_HEADER = [
-    "x_mm",
-    "y_mm",
-    "drawn_w_bottom_nm",
-    "drawn_w_top_nm",
-    "predicted_area_um2",
-    "residual_area_rel",
-]
+@dataclass(frozen=True)
+class SiteMapRow:
+    """One re-imported site-map row (angles back in radians)."""
 
-MEASUREMENT_HEADER = [
-    "wafer_id",
-    "chip_id",
-    "x_mm",
-    "y_mm",
-    "area_class_um2",
-    "run_id",
-    "rn_ohm",
-]
-#: Optional trailing column carrying a reported critical-current density,
-#: needed only for gap fitting.
-MEASUREMENT_JC_COLUMN = "jc_ua_um2"
+    x_mm: float
+    y_mm: float
+    theta_bottom_rad: float
+    theta_top_rad: float
+    t_prime_nm: float
+    w_bottom_nm: float
+    w_top_nm: float
+    area_um2: float
+    bias_bottom_nm: float
+    bias_top_nm: float
+
+
+#: The columns of a site map: the fields of SiteMapRow, angles in degrees.
+SITE_MAP_HEADER = [f.name.replace("_rad", "_deg") for f in fields(SiteMapRow)]
+
+#: The columns of a correction table: the site's offsets, then the
+#: other fields of CorrectionRow.
+CORRECTIONS_HEADER = ["x_mm", "y_mm", *(f.name for f in fields(CorrectionRow)[1:])]
+
+#: The columns of a measurement file: the fields of MeasurementRecord.
+#: The last, a reported critical-current density needed only for gap
+#: fitting, is optional.
+*MEASUREMENT_HEADER, MEASUREMENT_JC_COLUMN = [f.name for f in fields(MeasurementRecord)]
 
 
 def fmt(value: float) -> str:
     """12 significant digits, plain decimal point."""
     return format(value, ".12g")
-
-
-def write_rows(path: PathLike, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_columns(path: PathLike, header: Sequence[str], columns: Sequence) -> None:
@@ -117,25 +103,9 @@ def export_site_map(results: Sequence[SiteResult], path: PathLike) -> None:
     )
 
 
-@dataclass(frozen=True)
-class SiteMapRow:
-    """One re-imported site-map row (angles back in radians)."""
-
-    x_mm: float
-    y_mm: float
-    theta_bottom_rad: float
-    theta_top_rad: float
-    t_prime_nm: float
-    w_bottom_nm: float
-    w_top_nm: float
-    area_um2: float
-    bias_bottom_nm: float
-    bias_top_nm: float
-
-
 def import_site_map(path: PathLike) -> Table:
     """Read back an exported site map as a Table of SiteMapRow."""
-    x, y, theta_b, theta_t, *rest = _read_numbers(path, SITE_MAP_HEADER)
+    (x, y, theta_b, theta_t, *rest), _ = _read_numbers(path, SITE_MAP_HEADER)
     return Table(
         SiteMapRow,
         x_mm=x,
@@ -164,74 +134,37 @@ def export_corrections(table: CorrectionTable, path: PathLike) -> None:
 def import_corrections(path: PathLike) -> Table:
     """Read a correction table as a Table of CorrectionRow. Two rows for
     one site are rejected: each site takes one correction."""
-    x, y, *rest = _read_numbers(path, CORRECTIONS_HEADER)
-    sites = site_table(x, y)
-    order = row_major_order(sites)
-    same = (np.diff(x[order]) == 0.0) & (np.diff(y[order]) == 0.0)
-    if same.any():
-        # The sort is stable, so the earliest repeat follows its site's
-        # first row in `order`.
-        k = np.flatnonzero(same)
-        k = k[np.argmin(order[k + 1])]
-        lines = [lineno for lineno, _ in _read_csv(path, CORRECTIONS_HEADER)]
+    (x, y, *rest), lines = _read_numbers(path, CORRECTIONS_HEADER)
+    code, first = group_codes([x, y])
+    repeats = np.flatnonzero(first[code] != np.arange(len(code)))
+    if len(repeats):
+        i = repeats[0]
+        j = first[code[i]]
         raise ParseError(
-            f"{path}:{lines[order[k + 1]]}: duplicate site ({x[order[k]]}, "
-            f"{y[order[k]]}) mm, first given at line {lines[order[k]]}"
+            f"{path}:{lines[i]}: duplicate site ({x[j]}, {y[j]}) mm, "
+            f"first given at line {lines[j]}"
         )
-    return Table(CorrectionRow, site=sites, **dict(zip(CORRECTIONS_HEADER[2:], rest)))
+    return Table(CorrectionRow, site=site_table(x, y), **dict(zip(CORRECTIONS_HEADER[2:], rest)))
 
 
-def _read_numbers(path: PathLike, header: Sequence[str]) -> np.ndarray:
+def _read_numbers(path: PathLike, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The data rows of a numeric table as columns, a (len(header), n)
-    float array, after the strict header check. Every value must be
-    finite, and there must be at least one row."""
-    values = _loadtxt(path, header)
-    if values is None:
-        values = _parse_lines(path, header)
-    return np.ascontiguousarray(values.T)
+    float array, and their line numbers. Every value must be finite, and
+    there must be at least one row; a ParseError names file:line."""
 
-
-def _loadtxt(path: PathLike, header: Sequence[str]) -> Optional[np.ndarray]:
-    """One np.loadtxt pass over a well-formed table, or None for any
-    file it does not fit, which `_parse_lines` then reads (np.loadtxt
-    accepts no token that float() rejects, and parses the same value)."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            if next(csv.reader([fh.readline()]), None) != list(header):
-                return None
-            first = next((line for line in fh if line.strip("\r\n")), None)
-            if first is None:
-                return None
-            values = np.loadtxt(
-                itertools.chain([first], fh), delimiter=",", comments=None,
-                ndmin=2, dtype=float,
-            )
-    except (OSError, ValueError):
-        return None
-    if values.shape[1] != len(header) or not np.isfinite(values).all():
-        return None
-    return values
-
-
-def _parse_lines(path: PathLike, header: Sequence[str]) -> np.ndarray:
-    """Parse a numeric table line by line; a ParseError names file:line."""
-    rows = []
-    for lineno, rec in _read_csv(path, header):
-        if len(rec) != len(header):
-            raise ParseError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(rec)}"
-            )
-        try:
-            vals = [float(v) for v in rec]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        for name, v in zip(header, vals):
+    def parse_row(row: list[str]) -> tuple[list[float], tuple]:
+        if len(row) != len(header):
+            raise ValueError(f"expected {len(header)} columns, got {len(row)}")
+        values = [float(v) for v in row]
+        for name, v in zip(header, values):
             if not math.isfinite(v):
-                raise ParseError(f"{path}:{lineno}: {name} must be finite, got {v}")
-        rows.append(vals)
-    if not rows:
-        raise ZeroValidRows(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
+                raise ValueError(f"{name} must be finite, got {v}")
+        return values, ()
+
+    numbers, _, lines = _read_table(
+        path, header, parse_row, lambda v: np.isfinite(v).all(axis=1), "no data rows"
+    )
+    return np.ascontiguousarray(numbers.T), lines
 
 
 def _not_utf8(path: PathLike, exc: UnicodeDecodeError) -> ParseError:
@@ -249,28 +182,94 @@ def read_header(path: PathLike) -> list[str]:
         raise _not_utf8(path, exc) from exc
 
 
-def _read_csv(
-    path: PathLike, expected_header: Sequence[str], allow_extra: Sequence[str] = ()
-) -> list[tuple[int, list[str]]]:
-    """Rows with line numbers after a strict header check."""
+def _read_table(
+    path: PathLike,
+    header: list[str],
+    parse_row: Callable[[list[str]], tuple[Sequence, Sequence]],
+    valid: Callable[[np.ndarray], np.ndarray],
+    no_rows: str,
+    diagnostics: Optional[list[str]] = None,
+    label_columns: Sequence[int] = (),
+    allow_extra: Sequence[str] = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(numbers, labels, line numbers) of the valid rows of a CSV table:
+    an (n, k) float array of the columns not in `label_columns`, and an
+    array of those. ZeroValidRows says `no_rows` if there are none.
+
+    If the text has no quote, lone carriage return or NUL, and its
+    non-blank lines have one column count the header allows, np.loadtxt
+    reads it (taking no token that float() rejects, and giving the same
+    value) and the rows `valid` rejects are replayed; otherwise every csv
+    record is. `parse_row` gives a replayed row's (numbers, labels) or raises
+    ValueError, which becomes a `line N: ...` diagnostic or, without a
+    diagnostics list, a ParseError naming file:line.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file") from None
-            base = list(expected_header)
-            if header != base and header != base + list(allow_extra):
+            found = next(csv.reader(fh), None)
+            if found is None:
+                raise ParseError(f"{path}: empty file")
+            if found != header and found != header + list(allow_extra):
                 raise ParseError(
-                    f"{path}: unexpected header {header}; expected {base}"
+                    f"{path}: unexpected header {found}; expected {header}"
                     + (f" optionally followed by {list(allow_extra)}" if allow_extra else "")
                 )
-            return [(i, row) for i, row in enumerate(reader, start=2) if row]
+            body = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
+    # A search for "\r" is quicker than replace() finding nothing to do.
+    text = body.replace("\r\n", "\n") if "\r" in body else body
+    # Without quotes or lone CRs each line is one csv record, and without
+    # NULs a numpy str array keeps every label whole.
+    lines = [] if '"' in text or "\r" in text or "\0" in text else text.split("\n")
+    nonblank = list(map(bool, lines))
+    rows = list(itertools.compress(lines, nonblank))
+    options = dict(delimiter=",", comments=None, ndmin=2)
+    try:
+        if not rows:
+            raise ValueError("no rows")
+        numeric = None
+        if label_columns:
+            # Given usecols, np.loadtxt takes rows of differing lengths.
+            commas, *others = set(map(str.count, rows, itertools.repeat(",")))
+            if others:
+                raise ValueError("rows differ in length")
+            numeric = [i for i in range(commas + 1) if i not in label_columns]
+        numbers = np.loadtxt(rows, dtype=float, usecols=numeric, **options)
+        if numbers.shape[1] + len(label_columns) not in {len(header), len(header) + len(allow_extra)}:
+            raise ValueError("unexpected column count")
+        labels = numbers[:, :0]
+        if label_columns:
+            labels = np.loadtxt(rows, dtype=str, usecols=label_columns, **options)
+    except ValueError:
+        numbers = None
+        replay = enumerate(csv.reader(io.StringIO(body, newline="")), start=2)
+    else:
+        linenos = np.flatnonzero(nonblank) + 2
+        ok = valid(numbers)
+        flagged = np.flatnonzero(~ok).tolist()
+        replay = zip(linenos[flagged].tolist(), csv.reader([rows[i] for i in flagged]))
+    kept = []
+    for lineno, row in replay:
+        if not row:
+            continue
+        try:
+            kept.append((lineno, *parse_row(row)))
+        except ValueError as exc:
+            if diagnostics is None:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            diagnostics.append(f"line {lineno}: {exc}")
+    if numbers is None:
+        linenos, numbers, labels = zip(*kept) if kept else ((), (), ())
+        numbers, labels = np.array(numbers, dtype=float), np.array(labels, dtype=object)
+        linenos = np.array(linenos)
+    elif not ok.all():
+        numbers, labels, linenos = numbers[ok], labels[ok], linenos[ok]
+    if not len(linenos):
+        raise ZeroValidRows(f"{path}: {no_rows}")
+    return numbers, labels, linenos
 
 
 def import_measurements(path: PathLike) -> tuple[Table, list[str]]:
@@ -280,107 +279,45 @@ def import_measurements(path: PathLike) -> tuple[Table, list[str]]:
     Invalid rows are skipped and reported with their line numbers, never
     silently dropped; a file with zero valid rows raises ZeroValidRows.
     """
-    parsed = _measurement_columns(path)
-    if parsed is None:
-        records, diagnostics = [], []
-        for lineno, row in _read_csv(
-            path, MEASUREMENT_HEADER, allow_extra=[MEASUREMENT_JC_COLUMN]
-        ):
-            try:
-                records.append(_measurement_record(row))
-            except (ValueError, ValidationError) as exc:
-                diagnostics.append(f"line {lineno}: {exc}")
-        table = Table.from_rows(MeasurementRecord, records)
-    else:
-        table, diagnostics = parsed
-    if not table:
-        raise ZeroValidRows(f"{path}: no valid measurement rows")
-    return table, diagnostics
-
-
-def _measurement_record(row: list[str]) -> MeasurementRecord:
-    """One measurement row as a record; raises ValueError or
-    ValidationError saying what is wrong with it."""
-    if len(row) not in (7, 8):
-        raise ValidationError(f"expected 7 or 8 columns, got {len(row)}")
-    jc: Optional[float] = None
-    if len(row) == 8 and row[7].strip() != "":
-        jc = float(row[7])
-    return MeasurementRecord(
-        wafer_id=row[0],
-        chip_id=row[1],
-        x_mm=float(row[2]),
-        y_mm=float(row[3]),
-        area_class_um2=float(row[4]),
-        run_id=row[5],
-        rn_ohm=float(row[6]),
-        jc_ua_um2=jc,
+    diagnostics: list[str] = []
+    numbers, labels, _ = _read_table(
+        path,
+        MEASUREMENT_HEADER,
+        _measurement_row,
+        # The checks of MeasurementRecord.__post_init__, as masks.
+        lambda v: np.isfinite(v).all(axis=1) & (v[:, 3] > 0) & (v[:, 2] > 0),
+        "no valid measurement rows",
+        diagnostics,
+        label_columns=(0, 1, 5),
+        allow_extra=[MEASUREMENT_JC_COLUMN],
     )
-
-
-def _measurement_columns(path: PathLike) -> Optional[tuple[Table, list[str]]]:
-    """Records and diagnostics of a measurement file read a column at a
-    time, or None for any file this pass does not fit, which the csv
-    reader then reads line by line: quotes, a lone carriage return or
-    NUL, a header of its own, rows of differing or unexpected column
-    counts, a blank jc_ua_um2 or a token np.loadtxt rejects. Rows that
-    fail a MeasurementRecord check are replayed through
-    `_measurement_record`, in line order, for their diagnostics."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read().replace("\r\n", "\n")
-    except (OSError, UnicodeDecodeError):
-        return None
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    header, *lines = text.split("\n")
-    if header.split(",") not in (
-        MEASUREMENT_HEADER, MEASUREMENT_HEADER + [MEASUREMENT_JC_COLUMN]
-    ):
-        return None
-    # Without quotes each line is one csv row, and a blank one is skipped.
-    nonblank = list(map(bool, lines))
-    rows = list(itertools.compress(lines, nonblank))
-    commas = set(map(str.count, rows, itertools.repeat(",")))
-    if len(commas) != 1 or not commas <= {6, 7}:
-        return None
-    n_numbers = commas.pop() - 2  # x, y, area, rn_ohm [, jc]
-    try:
-        numbers = np.loadtxt(
-            rows, delimiter=",", comments=None, ndmin=2, dtype=float,
-            usecols=(2, 3, 4, 6, 7)[:n_numbers],
-        )
-        labels = np.loadtxt(
-            rows, delimiter=",", comments=None, ndmin=2, dtype=str, usecols=(0, 1, 5)
-        )
-    except ValueError:
-        return None
-    x, y, area, rn = numbers.T[:4]
-    # The checks of MeasurementRecord.__post_init__, as masks.
-    bad = ~(np.isfinite(numbers).all(axis=1) & (rn > 0) & (area > 0))
-    linenos = (np.flatnonzero(nonblank) + 2).tolist()
-    diagnostics = []
-    for i in np.flatnonzero(bad).tolist():
-        try:
-            _measurement_record(rows[i].split(","))
-        except (ValueError, ValidationError) as exc:
-            diagnostics.append(f"line {linenos[i]}: {exc}")
-    ok = ~bad
+    x, y, area, rn, *jc = numbers.T
+    # NaN marks a row without jc_ua_um2, since a given one is finite.
+    jc = jc[0] if jc else np.full(len(rn), math.nan)
+    missing = np.isnan(jc)
     table = Table(
         MeasurementRecord,
-        wafer_id=labels[ok, 0],
-        chip_id=labels[ok, 1],
-        x_mm=x[ok],
-        y_mm=y[ok],
-        area_class_um2=area[ok],
-        run_id=labels[ok, 2],
-        rn_ohm=rn[ok],
-        jc_ua_um2=(
-            numbers[ok, 4] if n_numbers == 5
-            else np.full(np.count_nonzero(ok), None, dtype=object)
-        ),
+        wafer_id=labels[:, 0],
+        chip_id=labels[:, 1],
+        x_mm=x,
+        y_mm=y,
+        area_class_um2=area,
+        run_id=labels[:, 2],
+        rn_ohm=rn,
+        jc_ua_um2=np.where(missing, None, jc) if missing.any() else jc,
     )
     return table, diagnostics
+
+
+def _measurement_row(row: list[str]) -> tuple[tuple, tuple]:
+    """The (numbers, labels) of a measurement row, with jc_ua_um2 NaN if
+    it is not given; raises ValueError saying what is wrong with it."""
+    if len(row) not in (7, 8):
+        raise ValidationError(f"expected 7 or 8 columns, got {len(row)}")
+    jc = float(row[7]) if len(row) == 8 and row[7].strip() != "" else None
+    r = MeasurementRecord(row[0], row[1], *map(float, row[2:5]), row[5], float(row[6]), jc)
+    numbers = (r.x_mm, r.y_mm, r.area_class_um2, r.rn_ohm, math.nan if jc is None else jc)
+    return numbers, (r.wafer_id, r.chip_id, r.run_id)
 
 
 def export_measurements(records: Sequence[MeasurementRecord], path: PathLike) -> None:
@@ -388,21 +325,21 @@ def export_measurements(records: Sequence[MeasurementRecord], path: PathLike) ->
         raise EmptyInput("no measurement records to export")
     with_jc = any(r.jc_ua_um2 is not None for r in records)
     header = MEASUREMENT_HEADER + ([MEASUREMENT_JC_COLUMN] if with_jc else [])
-    rows = []
-    for r in records:
-        row = [
-            r.wafer_id,
-            r.chip_id,
-            fmt(r.x_mm),
-            fmt(r.y_mm),
-            fmt(r.area_class_um2),
-            r.run_id,
-            fmt(r.rn_ohm),
-        ]
-        if with_jc:
-            row.append("" if r.jc_ua_um2 is None else fmt(r.jc_ua_um2))
-        rows.append(row)
-    write_rows(path, header, rows)
+    # Ids are written as they are, numbers as `fmt` writes them, and a
+    # missing jc_ua_um2 as an empty field.
+    rows = [
+        [v if isinstance(v, str) else "" if v is None else fmt(v)
+         for v in (getattr(r, name) for name in header)]
+        for r in records
+    ]
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            # csv quotes an id that holds a comma, quote or newline.
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 class JsonRecords:

@@ -413,24 +413,6 @@ def bottom_width_formula(
     return printed_width(drawn, terms)
 
 
-def top_width_formula(
-    drawn: float,
-    sidewall: float,
-    source_radius: float,
-    throw: float,
-    mask_top: float,
-    mask_bottom: float,
-    theta_rad: float,
-    center_branch: bool,
-) -> float:
-    """Printed top-electrode width; see `top_width_terms` (the offset
-    enters only through theta_rad and sidewall)."""
-    terms = top_width_terms(
-        sidewall, source_radius, throw, mask_top, mask_bottom, theta_rad, center_branch
-    )
-    return printed_width(drawn, terms)
-
-
 def bottom_width(
     junction: JunctionSpec,
     mask: MaskStack,
@@ -474,8 +456,7 @@ def top_width(
     evaporation; t_prime_nm the sidewall film thickness grown during
     the bottom pass at the same site (see `sidewall_thickness`).
     """
-    return top_width_formula(
-        drawn=junction.drawn_top_nm,
+    terms = top_width_terms(
         sidewall=t_prime_nm,
         source_radius=source.effective_radius_mm * NM_PER_MM,
         throw=source.distance_mm * NM_PER_MM,
@@ -484,6 +465,7 @@ def top_width(
         theta_rad=theta_rad,
         center_branch=abs(y_mm) <= epsilon_center_mm,
     )
+    return printed_width(junction.drawn_top_nm, terms)
 
 
 def junction_area(w_bottom_nm, w_top_nm):

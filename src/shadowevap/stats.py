@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    ComputationError,
     DegenerateFit,
     EmptyOrSingleton,
     NonPositiveFrequency,
@@ -59,10 +60,13 @@ def coefficient_of_variation(samples: Sequence[float]) -> StatsSummary:
     arr = np.asarray(samples, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("samples must be finite")
-    mean = float(arr.mean())
+    with np.errstate(over="ignore"):
+        mean = float(arr.mean())
+        sd = float(arr.std(ddof=1))
     if mean <= 0.0:
         raise NonPositiveMean(f"mean {mean} <= 0")
-    sd = float(arr.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise ComputationError("the mean or spread of the samples overflows")
     return StatsSummary(n=n, mean=mean, sd_sample=sd, cv=sd / mean)
 
 
@@ -278,10 +282,18 @@ def fit_gap(
     # adds floats.
     with np.errstate(all="ignore"):
         k = math.pi / (2.0 * rn * area)
+        bad = ~np.isfinite(k)
+        if bad.any():
+            rec = rows[np.argmax(bad)].tolist()
+            raise ValidationError(
+                f"non-finite k = pi/(2 R_N A) for record ({rec[0]}, {rec[1]}, {rec[2]})"
+            )
         denom = np.cumsum(k * k)[-1].item()
         if denom <= 0.0:
             raise DegenerateFit("no sensitivity to the gap parameter")
         delta = np.cumsum(k * jc)[-1].item() / denom
+        if not (math.isfinite(denom) and math.isfinite(delta)):
+            raise ComputationError("the least-squares sums of the gap fit overflow")
         jc_fit = k * delta
         records = Table(
             GapFitRecord,
@@ -329,6 +341,8 @@ _GROUP_LABELS = {
     "run": ("run_id", "run=%s"),
 }
 GROUP_FIELDS = tuple(_GROUP_LABELS)
+#: The record fields that name one physical junction.
+_JUNCTION_KEY = ("wafer_id", "chip_id", "x_mm", "y_mm")
 
 
 @dataclass(frozen=True)
@@ -408,12 +422,13 @@ def aggregate(
         if len(vals) < 2:
             warnings.append(f"group {key!r} skipped: {len(vals)} sample(s)")
             continue
-        group_stats[key] = coefficient_of_variation(vals)
+        try:
+            group_stats[key] = coefficient_of_variation(vals)
+        except ComputationError as exc:
+            raise type(exc)(f"group {key!r}: {exc}") from None
 
     # Repeatability: same physical junction probed under several run ids.
-    junction, first = group_codes(
-        [columns["wafer_id"], columns["chip_id"], columns["x_mm"], columns["y_mm"]]
-    )
+    junction, first = group_codes([columns[name] for name in _JUNCTION_KEY])
     # One row per (junction, run), junctions in key order, runs sorted.
     pair, pair_first = group_codes([junction, columns["run_id"]])
     of_pair = junction[pair_first]
@@ -424,12 +439,23 @@ def aggregate(
     with np.errstate(all="ignore"):
         run_means = np.bincount(pair, weights=rn) / np.bincount(pair)
         mean = np.bincount(of_pair, weights=run_means) / n_runs
-        # Python's float power: pow(d, 2) and d * d can round differently.
-        squares = list(map(pow, (run_means - mean[of_pair]).tolist(), repeat(2)))
+        deviations = (run_means - mean[of_pair]).tolist()
+        try:
+            # Python's float power: pow(d, 2) and d * d can round differently.
+            squares = list(map(pow, deviations, repeat(2)))
+        except OverflowError:  # a square is inf: its junction is named below
+            squares = np.square(deviations)
         keep = n_runs >= 2
         sd = np.sqrt(np.bincount(of_pair, weights=squares)[keep] / (n_runs[keep] - 1))
         cv = sd / mean[keep]
     at = first[keep]
+    overflow = ~(np.isfinite(sd) & np.isfinite(mean[keep]))
+    if overflow.any():
+        i = at[np.argmax(overflow)]
+        junction_key = ", ".join(str(columns[name][i]) for name in _JUNCTION_KEY)
+        raise ComputationError(
+            f"junction ({junction_key}): the mean or spread of its run means overflows"
+        )
     repeatability = Table(
         JunctionRepeatability,
         wafer_id=columns["wafer_id"][at],

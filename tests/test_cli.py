@@ -484,6 +484,50 @@ class TestAnalyze:
         assert data["gap_fit"]["max_abs_rel_residual"] < 0.10
         assert data["gap_fit"]["outliers"] == []
 
+    @pytest.mark.parametrize(
+        "row, code, message",
+        [
+            # 2 R_N A underflows, so k = pi/(2 R_N A) is inf.
+            ("w6,c1,0,0,1e-160,r1,1e-160,5", 2,
+             "error: non-finite k = pi/(2 R_N A) for record (1e-160, 1e-160, 5.0)"),
+            # k is finite, but k^2 overflows the sum of squares.
+            ("w6,c1,0,0,1e-80,r1,1e-75,5", 4,
+             "computation error: the least-squares sums of the gap fit overflow"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_fit_gap_never_writes_a_non_finite_gap(self, tmp_path, capsys, row, code, message):
+        meas = tmp_path / "table.csv"
+        meas.write_text(TABLE_TEXT + row + "\n")
+        out = tmp_path / "stats.json"
+        args = ["analyze", "--measurements", str(meas), "--fit-gap", "--out", str(out)]
+        assert main(args) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "group_by, named",
+        [("wafer", "group 'wafer=w1'"), ("run", "junction (w1, c1, 0.0, 0.0)")],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spread_exits_4(self, tmp_path, capsys, group_by, named):
+        """Squared deviations near 1e309: grouped by wafer, the group's
+        spread overflows; grouped by run, each group is narrow and the
+        first junction's spread across its two runs overflows."""
+        meas = tmp_path / "meas.csv"
+        meas.write_text(
+            "wafer_id,chip_id,x_mm,y_mm,area_class_um2,run_id,rn_ohm\n"
+            "w1,c1,0,0,0.04,r1,1e154\nw1,c1,0,0,0.04,r2,9e154\n"
+            "w1,c2,5,0,0.04,r1,1.1e154\nw1,c2,5,0,0.04,r2,9.1e154\n"
+        )
+        out = tmp_path / "stats.json"
+        args = ["analyze", "--measurements", str(meas), "--group-by", group_by, "--out", str(out)]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert f"computation error: {named}: the mean or spread of" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_fit_gap_without_jc_column_exits_2(self, tmp_path):
         meas = tmp_path / "meas.csv"
         meas.write_text(MEAS_TEXT)

@@ -1,13 +1,15 @@
 """CSV/JSON artifact round trips and measurement ingestion."""
 
+import csv
 import json
 import math
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from shadowevap.config import default_config
@@ -15,6 +17,7 @@ from shadowevap.csvio import (
     CORRECTIONS_HEADER,
     SITE_MAP_HEADER,
     JsonRecords,
+    SiteMapRow,
     export_corrections,
     export_measurements,
     export_site_map,
@@ -196,6 +199,123 @@ class TestNumericColumns:
         path.write_text(",".join(CORRECTIONS_HEADER) + "\n\n")
         with pytest.raises(ZeroValidRows):
             import_corrections(path)
+
+
+def oracle_numbers(path, header):
+    """A numeric table read line by line: a csv.reader loop over the
+    records after a strict header check, each row parsed with float()."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found is None:
+                raise ParseError(f"{path}: empty file")
+            if found != header:
+                raise ParseError(f"{path}: unexpected header {found}; expected {header}")
+            records = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    rows = []
+    for lineno, row in records:
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        for name, v in zip(header, values):
+            if not math.isfinite(v):
+                raise ParseError(f"{path}:{lineno}: {name} must be finite, got {v}")
+        rows.append((lineno, values))
+    if not rows:
+        raise ZeroValidRows(f"{path}: no data rows")
+    return rows
+
+
+def oracle_site_map(path):
+    return [
+        repr(SiteMapRow(x, y, math.radians(tb), math.radians(tt), *rest))
+        for _, (x, y, tb, tt, *rest) in oracle_numbers(path, SITE_MAP_HEADER)
+    ]
+
+
+def oracle_corrections(path):
+    first = {}  # -0.0 and 0.0 are one key
+    rows = oracle_numbers(path, CORRECTIONS_HEADER)
+    for lineno, (x, y, *_) in rows:
+        if (x, y) in first:
+            x0, y0, line0 = first[(x, y)]
+            raise ParseError(
+                f"{path}:{lineno}: duplicate site ({x0}, {y0}) mm, first given at line {line0}"
+            )
+        first[(x, y)] = (x, y, lineno)
+    return [repr(tuple(values)) for _, values in rows]
+
+
+def read_corrections(path):
+    return [repr((r.site.x_mm, r.site.y_mm, *astuple(r)[1:])) for r in import_corrections(path)]
+
+
+# Tokens that break np.loadtxt's pass, or give a value the row check
+# rejects.
+SPOILERS = ["nan", "inf", "-inf", "1e400", "1_0", "\uff17", "0x10", "x", "", " ", '"3"', '"1,5"']
+
+
+@st.composite
+def numeric_texts(draw, header):
+    """Numeric CSV text: rows of finite numbers whose sites repeat, with
+    signed zeros; in a spoilt file some rows have a token replaced, a
+    field missing or a trailing comma, or are blank or whitespace only.
+    The header may carry a BOM. Lines end in LF, CRLF, a lone CR or a
+    mix of them."""
+    spoilt = draw(st.booleans())
+    lines = [draw(st.sampled_from([""] * 7 + ["\ufeff"])) + ",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(st.sampled_from(["0", "-0", "0.0", "5", "-5", "1e1", "2.5"])) for _ in range(2)]
+        row += [draw(TOKENS) for _ in range(len(header) - 2)]
+        kind = draw(st.sampled_from(["row"] * 3 + ["token", "blank", "space", "short", "comma"]))
+        if spoilt and kind == "token":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(SPOILERS))
+        elif spoilt and kind != "row":
+            row = {"blank": [], "space": [" \t"], "short": row[:-1], "comma": row + [""]}[kind]
+        lines.append(",".join(row))
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    if ends == "mixed":
+        return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    return ends.join(lines) + draw(st.sampled_from(["", ends]))
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except (ParseError, ZeroValidRows) as exc:
+        return type(exc), str(exc)
+
+
+class TestOneReader:
+    """Site maps and corrections through the one reader, against the
+    line-by-line oracle: values compared by repr, errors by type and
+    text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(numeric_texts(SITE_MAP_HEADER))
+    # "\r\r\n" ends a record and then a blank one; line 4 is the bad row.
+    @example(",".join(SITE_MAP_HEADER) + "\n" + ",".join(["1"] * 10) + "\r\r\n"
+             + ",".join(["1"] * 9 + ["nan"]) + "\n")
+    def test_site_map_matches_oracle(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sites.csv"
+            path.write_bytes(text.encode())
+            got = outcome(lambda p: [repr(r) for r in import_site_map(p)], path)
+            assert got == outcome(oracle_site_map, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(numeric_texts(CORRECTIONS_HEADER))
+    def test_corrections_match_oracle(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corr.csv"
+            path.write_bytes(text.encode())
+            assert outcome(read_corrections, path) == outcome(oracle_corrections, path)
 
 
 class TestMeasurementCsv:

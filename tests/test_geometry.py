@@ -32,7 +32,6 @@ from shadowevap.geometry import (
     sidewall_thickness,
     printed_width,
     top_width,
-    top_width_formula,
     top_width_terms,
 )
 
@@ -217,15 +216,17 @@ class TestTopWidth:
         assert got == pytest.approx(181.47, abs=5e-3)
 
     def test_no_loss_limit(self):
-        got = top_width_formula(
-            drawn=200.0,
-            sidewall=0.0,
-            source_radius=0.0,
-            throw=6.5e8,
-            mask_top=0.0,
-            mask_bottom=0.0,
-            theta_rad=0.0,
-            center_branch=True,
+        got = printed_width(
+            200.0,
+            top_width_terms(
+                sidewall=0.0,
+                source_radius=0.0,
+                throw=6.5e8,
+                mask_top=0.0,
+                mask_bottom=0.0,
+                theta_rad=0.0,
+                center_branch=True,
+            ),
         )
         assert got == 200.0
 
@@ -341,10 +342,13 @@ class TestUnitSafety:
     )
     @settings(max_examples=100)
     def test_top_formula_scale_invariant(self, drawn, sidewall, radius, theta):
-        nm = top_width_formula(drawn, sidewall, radius, 6.5e8, 100.0, 500.0, theta, False)
+        nm = printed_width(
+            drawn, top_width_terms(sidewall, radius, 6.5e8, 100.0, 500.0, theta, False)
+        )
         s = 1e-6
-        mm = top_width_formula(
-            drawn * s, sidewall * s, radius * s, 650.0, 100.0 * s, 500.0 * s, theta, False
+        mm = printed_width(
+            drawn * s,
+            top_width_terms(sidewall * s, radius * s, 650.0, 100.0 * s, 500.0 * s, theta, False),
         )
         assert mm / s == pytest.approx(nm, rel=1e-9)
 
