@@ -110,7 +110,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = wafer.resimulate_with_corrections(config, corrections)
     summary = wafer.residual_report(results)
     # The resimulation is in row-major site order; align predictions to it.
-    order = wafer.row_major_order(wafer.sites_of(corrections))
+    order = wafer.row_major_order(corrections)
     predicted = column(corrections, "predicted_area_um2")[order]
     max_dev = np.max(np.abs(column(results, "area_um2") - predicted) / predicted).item()
     report = {
@@ -156,7 +156,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "repeatability": {
             "n_junctions_with_repeats": len(repeats),
             "per_junction": _json_records(
-                repeats, "wafer_id", "chip_id", "x_mm", "y_mm", "n_runs",
+                repeats, "wafer_id", "chip_id", "x_mm", "y_mm", "area_class_um2", "n_runs",
                 cv_percent=100.0 * column(repeats, "cv"),
             ),
         },

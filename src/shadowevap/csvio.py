@@ -22,43 +22,27 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import EmptyInput, IoError, ParseError, ValidationError, ZeroValidRows
 from .stats import MeasurementRecord
 from .table import Table, column, group_codes
-from .wafer import CorrectionRow, CorrectionTable, SiteResult, site_table, sites_of
+from .wafer import CorrectionRow, CorrectionTable, SiteResult
 
 PathLike = Union[str, Path]
 
+_SITE_FIELDS = [f.name for f in fields(SiteResult)]
 
-@dataclass(frozen=True)
-class SiteMapRow:
-    """One re-imported site-map row (angles back in radians)."""
+#: The columns of a site map: the fields of SiteResult, angles in degrees.
+SITE_MAP_HEADER = [name.replace("_rad", "_deg") for name in _SITE_FIELDS]
 
-    x_mm: float
-    y_mm: float
-    theta_bottom_rad: float
-    theta_top_rad: float
-    t_prime_nm: float
-    w_bottom_nm: float
-    w_top_nm: float
-    area_um2: float
-    bias_bottom_nm: float
-    bias_top_nm: float
-
-
-#: The columns of a site map: the fields of SiteMapRow, angles in degrees.
-SITE_MAP_HEADER = [f.name.replace("_rad", "_deg") for f in fields(SiteMapRow)]
-
-#: The columns of a correction table: the site's offsets, then the
-#: other fields of CorrectionRow.
-CORRECTIONS_HEADER = ["x_mm", "y_mm", *(f.name for f in fields(CorrectionRow)[1:])]
+#: The columns of a correction table: the fields of CorrectionRow.
+CORRECTIONS_HEADER = [f.name for f in fields(CorrectionRow)]
 
 #: The columns of a measurement file: the fields of MeasurementRecord.
 #: The last, a reported critical-current density needed only for gap
@@ -89,52 +73,40 @@ def export_site_map(results: Sequence[SiteResult], path: PathLike) -> None:
     empty result list."""
     if not results:
         raise EmptyInput("no site results to export")
-    sites = sites_of(results)
     write_columns(
         path,
         SITE_MAP_HEADER,
         [
-            column(sites, "x_mm"),
-            column(sites, "y_mm"),
-            np.degrees(column(results, "theta_bottom_rad")),
-            np.degrees(column(results, "theta_top_rad")),
-            *(column(results, name) for name in SITE_MAP_HEADER[4:]),
+            np.degrees(column(results, name)) if name.endswith("_rad") else column(results, name)
+            for name in _SITE_FIELDS
         ],
     )
 
 
 def import_site_map(path: PathLike) -> Table:
-    """Read back an exported site map as a Table of SiteMapRow."""
-    (x, y, theta_b, theta_t, *rest), _ = _read_numbers(path, SITE_MAP_HEADER)
+    """Read back an exported site map as a Table of SiteResult, angles
+    back in radians."""
+    columns, _ = _read_numbers(path, SITE_MAP_HEADER)
     return Table(
-        SiteMapRow,
-        x_mm=x,
-        y_mm=y,
-        theta_bottom_rad=np.radians(theta_b),
-        theta_top_rad=np.radians(theta_t),
-        **dict(zip(SITE_MAP_HEADER[4:], rest)),
+        SiteResult,
+        **{name: np.radians(c) if name.endswith("_rad") else c
+           for name, c in zip(_SITE_FIELDS, columns)},
     )
 
 
 def export_corrections(table: CorrectionTable, path: PathLike) -> None:
     if not table.rows:
         raise EmptyInput("no correction rows to export")
-    sites = sites_of(table.rows)
     write_columns(
-        path,
-        CORRECTIONS_HEADER,
-        [
-            column(sites, "x_mm"),
-            column(sites, "y_mm"),
-            *(column(table.rows, name) for name in CORRECTIONS_HEADER[2:]),
-        ],
+        path, CORRECTIONS_HEADER, [column(table.rows, name) for name in CORRECTIONS_HEADER]
     )
 
 
 def import_corrections(path: PathLike) -> Table:
     """Read a correction table as a Table of CorrectionRow. Two rows for
     one site are rejected: each site takes one correction."""
-    (x, y, *rest), lines = _read_numbers(path, CORRECTIONS_HEADER)
+    columns, lines = _read_numbers(path, CORRECTIONS_HEADER)
+    x, y = columns[:2]
     code, first = group_codes([x, y])
     repeats = np.flatnonzero(first[code] != np.arange(len(code)))
     if len(repeats):
@@ -144,7 +116,7 @@ def import_corrections(path: PathLike) -> Table:
             f"{path}:{lines[i]}: duplicate site ({x[j]}, {y[j]}) mm, "
             f"first given at line {lines[j]}"
         )
-    return Table(CorrectionRow, site=site_table(x, y), **dict(zip(CORRECTIONS_HEADER[2:], rest)))
+    return Table(CorrectionRow, **dict(zip(CORRECTIONS_HEADER, columns)))
 
 
 def _read_numbers(path: PathLike, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -171,11 +143,28 @@ def _not_utf8(path: PathLike, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
+def _csv_rows(
+    path: PathLike, lines: Iterable[str], linenos: Iterable[int]
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, csv row) of each record of `lines`, numbered by
+    `linenos`; a csv.Error (such as an over-long field) becomes a
+    ParseError naming file:line."""
+    reader = csv.reader(lines)
+    for lineno in linenos:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        yield lineno, row
+
+
 def read_header(path: PathLike) -> list[str]:
     """The header row of a CSV file ([] for an empty file)."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return next(csv.reader(fh), [])
+            return next(_csv_rows(path, fh, [1]), (1, []))[1]
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -206,7 +195,7 @@ def _read_table(
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            found = next(csv.reader(fh), None)
+            _, found = next(_csv_rows(path, fh, [1]), (1, None))
             if found is None:
                 raise ParseError(f"{path}: empty file")
             if found != header and found != header + list(allow_extra):
@@ -245,12 +234,12 @@ def _read_table(
             labels = np.loadtxt(rows, dtype=str, usecols=label_columns, **options)
     except ValueError:
         numbers = None
-        replay = enumerate(csv.reader(io.StringIO(body, newline="")), start=2)
+        replay = _csv_rows(path, io.StringIO(body, newline=""), itertools.count(2))
     else:
         linenos = np.flatnonzero(nonblank) + 2
         ok = valid(numbers)
         flagged = np.flatnonzero(~ok).tolist()
-        replay = zip(linenos[flagged].tolist(), csv.reader([rows[i] for i in flagged]))
+        replay = _csv_rows(path, [rows[i] for i in flagged], linenos[flagged].tolist())
     kept = []
     for lineno, row in replay:
         if not row:

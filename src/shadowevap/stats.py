@@ -196,8 +196,15 @@ def propagate_cv_monte_carlo(
         )
     f = hf[valid] if n_invalid else hf
     f /= PLANCK_J_S
-    mean_f = float(f.mean())
-    cv_f = float(f.std(ddof=1) / mean_f) if f.size >= 2 else 0.0
+    with np.errstate(over="ignore"):
+        mean_f = float(f.mean())
+        sd_f = float(f.std(ddof=1)) if f.size >= 2 else 0.0
+    if not (math.isfinite(mean_f) and math.isfinite(sd_f)):
+        raise ValidationError(
+            f"mean_rn_ohm = {mean_rn_ohm} ohm: the mean or spread of the drawn "
+            "frequencies overflows"
+        )
+    cv_f = sd_f / mean_f
     return PropagationResult(
         cv_rn=cv_rn,
         cv_f=cv_f,
@@ -342,7 +349,7 @@ _GROUP_LABELS = {
 }
 GROUP_FIELDS = tuple(_GROUP_LABELS)
 #: The record fields that name one physical junction.
-_JUNCTION_KEY = ("wafer_id", "chip_id", "x_mm", "y_mm")
+_JUNCTION_KEY = ("wafer_id", "chip_id", "x_mm", "y_mm", "area_class_um2")
 
 
 @dataclass(frozen=True)
@@ -353,6 +360,7 @@ class JunctionRepeatability:
     chip_id: str
     x_mm: float
     y_mm: float
+    area_class_um2: float
     n_runs: int
     cv: float
 
@@ -458,10 +466,7 @@ def aggregate(
         )
     repeatability = Table(
         JunctionRepeatability,
-        wafer_id=columns["wafer_id"][at],
-        chip_id=columns["chip_id"][at],
-        x_mm=columns["x_mm"][at],
-        y_mm=columns["y_mm"][at],
+        **{name: columns[name][at] for name in _JUNCTION_KEY},
         n_runs=n_runs[keep],
         cv=cv,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import fields
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
 
@@ -19,13 +19,12 @@ class Table(Sequence):
     """Columns of equal length, read as a sequence of `row` records.
 
     `row` is a dataclass; there is one column per field, in field order.
-    A column is a numpy array (floats, or objects such as ids) or a
-    nested Table (a field holding records, such as a result's site). A
+    A column is a numpy array of floats, or of objects such as ids. A
     record is built only when it is asked for. The arrays are made
     read-only.
     """
 
-    def __init__(self, row: type, **columns: Union[np.ndarray, Table]) -> None:
+    def __init__(self, row: type, **columns: np.ndarray) -> None:
         names = [f.name for f in fields(row)]
         if list(columns) != names:
             raise TypeError(f"{row.__name__} columns must be {names}, got {list(columns)}")
@@ -33,8 +32,7 @@ class Table(Sequence):
         if len(lengths) != 1:
             raise ValueError(f"{row.__name__} columns differ in length: {sorted(lengths)}")
         for c in columns.values():
-            if isinstance(c, np.ndarray):
-                c.flags.writeable = False
+            c.flags.writeable = False
         self.row = row
         self.columns = columns
         self._length = lengths.pop()
@@ -60,16 +58,10 @@ class Table(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(self._length))]
-        return self.row(
-            *(c.item(index) if isinstance(c, np.ndarray) else c[index]
-              for c in self.columns.values())
-        )
+        return self.row(*(c.item(index) for c in self.columns.values()))
 
     def __iter__(self):
-        return map(
-            self.row,
-            *(c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()),
-        )
+        return map(self.row, *(c.tolist() for c in self.columns.values()))
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, Table):
@@ -82,11 +74,7 @@ class Table(Sequence):
     def take(self, index) -> Table:
         """The rows at `index` (an integer or boolean array), in that
         order, as a new table."""
-        return Table(
-            self.row,
-            **{name: c[index] if isinstance(c, np.ndarray) else c.take(index)
-               for name, c in self.columns.items()},
-        )
+        return Table(self.row, **{name: c[index] for name, c in self.columns.items()})
 
 
 def column(rows: Sequence, name: str) -> np.ndarray:

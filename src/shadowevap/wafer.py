@@ -78,6 +78,12 @@ class Electrode(str, Enum):
     TOP = "top"
 
 
+#: Most sites a grid may have. A sweep and its CSV and SVG stages peak
+#: at about 530 bytes per site (traced at 78,961 sites), so a grid at the
+#: cap needs about 0.5 GB.
+MAX_GRID_SITES = 1_000_000
+
+
 @dataclass(frozen=True)
 class WaferLayout:
     """Grid of measurement/junction sites on the wafer.
@@ -102,8 +108,18 @@ class WaferLayout:
 
     def grid_offsets(self) -> list[float]:
         """Grid offsets (mm) along either axis, ascending: whole pitches
-        within half the working span, symmetric about and including 0."""
-        half_steps = int(math.floor(self.working_span_mm / 2.0 / self.grid_pitch_mm))
+        within half the working span, symmetric about and including 0.
+        A grid of more than MAX_GRID_SITES sites is refused before any
+        offset is made."""
+        steps = self.working_span_mm / 2.0 / self.grid_pitch_mm
+        # Counted in floats: a subnormal pitch makes `steps` inf.
+        side = 2.0 * math.floor(steps) + 1.0 if math.isfinite(steps) else math.inf
+        if side * side > MAX_GRID_SITES:
+            raise ValidationError(
+                f"wafer.grid_pitch_mm = {self.grid_pitch_mm} gives a grid of "
+                f"{side * side:.6g} sites, more than the cap of {MAX_GRID_SITES}"
+            )
+        half_steps = int(math.floor(steps))
         return [i * self.grid_pitch_mm for i in range(-half_steps, half_steps + 1)]
 
     def generate_sites(self) -> Table:
@@ -111,7 +127,9 @@ class WaferLayout:
         i.e. y then x ascending: a grid built from `grid_offsets`, or
         the explicit site list sorted stably."""
         if self.sites is not None:
-            sites = _site_table_of(self.sites)
+            sites = site_table(
+                *zip(*((s.x_mm, s.y_mm, s.chip_id, s.site_id) for s in self.sites))
+            )
             sites = sites.take(row_major_order(sites))
         else:
             offsets = np.array(self.grid_offsets())
@@ -148,25 +166,10 @@ def site_table(x_mm, y_mm, chip_id=None, site_id=None) -> Table:
     )
 
 
-def _site_table_of(sites: Sequence[WaferSite]) -> Table:
-    return site_table(
-        [s.x_mm for s in sites],
-        [s.y_mm for s in sites],
-        [s.chip_id for s in sites],
-        [s.site_id for s in sites],
-    )
-
-
-def sites_of(rows: Sequence) -> Table:
-    """The `site` field of result or correction rows as a site Table."""
-    if isinstance(rows, Table):
-        return rows.columns["site"]
-    return _site_table_of([r.site for r in rows])
-
-
-def row_major_order(sites: Table) -> np.ndarray:
-    """Stable order of sites by (row, column): y, then x, ascending."""
-    return np.lexsort((column(sites, "x_mm"), column(sites, "y_mm")))
+def row_major_order(rows: Sequence) -> np.ndarray:
+    """Stable order of rows with `x_mm, y_mm` fields (sites, results or
+    corrections) by (row, column): y, then x, ascending."""
+    return np.lexsort((column(rows, "x_mm"), column(rows, "y_mm")))
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,8 @@ class SiteResult:
     """Model evaluation at one site. Biases are deviations of the
     printed widths from the same run's wafer-center printed widths."""
 
-    site: WaferSite
+    x_mm: float
+    y_mm: float
     theta_bottom_rad: float
     theta_top_rad: float
     t_prime_nm: float
@@ -348,7 +352,8 @@ def _sweep(
         geometry.overlap_area(*widths)
     return Table(
         SiteResult,
-        site=sites,
+        x_mm=column(sites, "x_mm"),
+        y_mm=column(sites, "y_mm"),
         theta_bottom_rad=theta_b,
         theta_top_rad=theta_t,
         t_prime_nm=t_prime,
@@ -515,7 +520,8 @@ CompensationTarget = Union[CenterWidthsTarget, ExplicitAreaTarget]
 
 @dataclass(frozen=True)
 class CorrectionRow:
-    site: WaferSite
+    x_mm: float
+    y_mm: float
     drawn_w_bottom_nm: float
     drawn_w_top_nm: float
     predicted_area_um2: float
@@ -588,7 +594,8 @@ def compensate_wafer(
         target_w_top_nm=tw_t,
         rows=Table(
             CorrectionRow,
-            site=sites.take(keep),
+            x_mm=column(sites, "x_mm")[keep],
+            y_mm=column(sites, "y_mm")[keep],
             drawn_w_bottom_nm=drawn_b[keep],
             drawn_w_top_nm=drawn_t[keep],
             predicted_area_um2=area,
@@ -612,9 +619,8 @@ def resimulate_with_corrections(
     Results are ordered by (row, column), ties in the given order."""
     if not corrections:
         raise EmptyInput("no correction rows")
-    sites = sites_of(corrections)
-    order = row_major_order(sites)
-    sites = sites.take(order)
+    order = row_major_order(corrections)
+    sites = site_table(column(corrections, "x_mm")[order], column(corrections, "y_mm")[order])
     drawn_b = column(corrections, "drawn_w_bottom_nm")[order]
     drawn_t = column(corrections, "drawn_w_top_nm")[order]
     bad = np.flatnonzero(~((drawn_b > 0) & (drawn_t > 0)))

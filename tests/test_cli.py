@@ -3,12 +3,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from shadowevap.cli import main
 from shadowevap.config import DEFAULTS
+from shadowevap.wafer import MAX_GRID_SITES
 
 DEFAULT_CONFIG = "source:\n  distance_mm: 650\n"
 
@@ -18,6 +20,11 @@ MEAS_TEXT = (
     "w1,c1,0,0,0.025,r2,8120.1\n"
     "w1,c2,5,0,0.025,r1,8410.0\n"
     "w1,c2,5,5,0.025,r1,8350.0\n"
+)
+
+CORRECTIONS_TEXT = (
+    "x_mm,y_mm,drawn_w_bottom_nm,drawn_w_top_nm,predicted_area_um2,residual_area_rel\n"
+    "0,0,200,200,0.04,0\n"
 )
 
 TABLE_TEXT = (
@@ -81,6 +88,37 @@ class TestSimulate:
     def test_missing_config_exits_3(self, tmp_path):
         out = tmp_path / "sites.csv"
         assert main(["simulate", "--config", "/nonexistent.yaml", "--out", str(out)]) == 3
+
+
+class TestGridSiteCap:
+    """A grid pitch that would make more than MAX_GRID_SITES sites exits
+    2 before any offset or site is allocated."""
+
+    @pytest.mark.parametrize(
+        "pitch, count", [("1e-4", "4.90001e+11"), ("5e-324", "inf")]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["compare-models", "--electrode", "bottom", "--axis", "x"]],
+        ids=["simulate", "compare-models"],
+    )
+    def test_exits_2_without_allocating(self, tmp_path, config_path, capsys, command, pitch, count):
+        out = tmp_path / "out.csv"
+        argv = command + ["--config", config_path, "--grid-pitch-mm", pitch, "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        # 700,001 offsets alone would take over 20 MB.
+        assert peak < 1_000_000
+        assert capsys.readouterr().err.endswith(
+            f"error: wafer.grid_pitch_mm = {float(pitch)} gives a grid of {count} sites, "
+            f"more than the cap of {MAX_GRID_SITES}\n"
+        )
+        assert not out.exists()
 
 
 NUMERIC_KEYS = [
@@ -310,7 +348,7 @@ class TestGoldenMeasurements:
     byte-identical across refactors."""
 
     HASHES = {
-        "analysis.json": "a9587fb7f4a5a3b7e38099deb095e9041fe988e548eb599538a52c553a168460",
+        "analysis.json": "fd9fa0a35b4f35ffd51ebaac467cd004718e0678f2336e73c6bcb35173e0b7e8",
         "rn_map.svg": "78cc64585ebf6e6ae3b6f76fbe51372b46f1e0df43002c83d740786ff96e13b8",
     }
 
@@ -422,6 +460,42 @@ class TestNotUtf8:
         assert "Traceback" not in err
 
 
+class TestOverlongField:
+    """A CSV field longer than the csv module's field limit exits 2
+    naming file:line, never a traceback: in the header, in a quoted row
+    (the whole text is replayed) and in an unquoted row that fails a
+    check (that row is replayed)."""
+
+    # A number np.loadtxt reads, far longer than csv's 131,072 characters.
+    LONG = "0" * 140_000 + "1"
+
+    @pytest.mark.parametrize("place", ["header", "quoted", "unquoted"])
+    @pytest.mark.parametrize("command", ["heatmap", "analyze", "verify"])
+    def test_exits_2(self, tmp_path, config_path, capsys, command, place):
+        csv_path = tmp_path / "big.csv"
+        if command == "verify":
+            head, row = CORRECTIONS_TEXT, "{},5,200,200,0.04,nan"
+        else:
+            head, row = MEAS_TEXT, "w1,c1,{},0,0.025,r3,-5"
+        if place == "header":
+            text, line = f'"{self.LONG}"\n', 1
+        else:
+            field = f'"{self.LONG}"' if place == "quoted" else self.LONG
+            text, line = head + row.format(field) + "\n", head.count("\n") + 1
+        csv_path.write_text(text)
+        out = tmp_path / "out"
+        argv = {
+            "heatmap": ["heatmap", "--in", str(csv_path), "--field", "rn_ohm"],
+            "analyze": ["analyze", "--measurements", str(csv_path)],
+            "verify": ["verify", "--config", config_path, "--corrections", str(csv_path)],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {csv_path}:{line}: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestAnalyze:
     def test_non_finite_rows_are_skipped(self, tmp_path, capsys):
         meas = tmp_path / "meas.csv"
@@ -507,7 +581,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "group_by, named",
-        [("wafer", "group 'wafer=w1'"), ("run", "junction (w1, c1, 0.0, 0.0)")],
+        [("wafer", "group 'wafer=w1'"), ("run", "junction (w1, c1, 0.0, 0.0, 0.04)")],
     )
     @pytest.mark.filterwarnings("error")
     def test_overflowing_spread_exits_4(self, tmp_path, capsys, group_by, named):
@@ -635,14 +709,36 @@ class TestScalarCommands:
             "n_invalid: 0\n"
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_propagate_counts_draws_that_underflow(self, capsys):
-        """A subnormal mean R_N: two draws underflow to 0 and are invalid."""
+        """A subnormal mean R_N: two draws underflow to 0 and are invalid.
+        At this gap and charging energy the frequencies (about 1e173 Hz)
+        have a spread that overflows, which exits 2 naming the mean; with
+        both set to 1e-60 it stays finite."""
         argv = ["propagate", "--mean-rn-ohm", "1.2e-323", "--cv-rn", "0.29",
                 "--delta-uev", "180", "--ec-mhz", "270", "--n", "1000000", "--seed", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: mean_rn_ohm = 1e-323 ohm: the mean or spread of the drawn "
+            "frequencies overflows\n",
+        )
+        argv[argv.index("--delta-uev") + 1] = argv[argv.index("--ec-mhz") + 1] = "1e-60"
         assert main(argv) == 0
         assert capsys.readouterr().out == (
-            "cv_f: inf\ncv_ratio: inf\nmean_f_ghz: 1.83048729049e+164\nn_invalid: 2\n"
+            "cv_f: 0.186048872362\ncv_ratio: 0.641547835732\n"
+            "mean_f_ghz: 8.30325896732e+101\nn_invalid: 2\n"
+        )
+
+    def test_propagate_overflowing_spread_exits_2(self, capsys):
+        """A subnormal mean R_N whose frequencies' spread overflows exits 2
+        naming the flag, with no numpy warning (tier-1 makes one an error)."""
+        argv = ["propagate", "--mean-rn-ohm", "1e-320", "--cv-rn", "0.2",
+                "--delta-uev", "180", "--ec-mhz", "270", "--n", "100000", "--seed", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: mean_rn_ohm = 1e-320 ohm: the mean or spread of the drawn "
+            "frequencies overflows\n",
         )
 
 

@@ -74,8 +74,8 @@ def at_site(site, exc):
     return type(exc)(f"site ({site.x_mm}, {site.y_mm}) mm: {exc}")
 
 
-def row_major(items, site=lambda item: item):
-    return sorted(items, key=lambda item: (site(item).y_mm, site(item).x_mm))
+def row_major(items):
+    return sorted(items, key=lambda item: (item.y_mm, item.x_mm))
 
 
 def oracle_sweep(config, model, rows):
@@ -94,7 +94,11 @@ def oracle_sweep(config, model, rows):
         except ShadowEvapError as exc:
             raise at_site(site, exc) from exc
         area = geometry.overlap_area(w_b, w_t)
-        out.append(SiteResult(site, th_b, th_t, t_prime, w_b, w_t, area, w_b - w_b0, w_t - w_t0))
+        out.append(
+            SiteResult(
+                site.x_mm, site.y_mm, th_b, th_t, t_prime, w_b, w_t, area, w_b - w_b0, w_t - w_t0
+            )
+        )
     return out
 
 
@@ -136,7 +140,9 @@ def oracle_compensate(config, target, sites):
         except ShadowEvapError as exc:
             raise at_site(site, exc) from exc
         rows.append(
-            CorrectionRow(site, drawn_b, drawn_t, area, (area - target_area) / target_area)
+            CorrectionRow(
+                site.x_mm, site.y_mm, drawn_b, drawn_t, area, (area - target_area) / target_area
+            )
         )
     return tw_b, tw_t, rows, rejections
 
@@ -238,20 +244,21 @@ class TestForwardParity:
         config, sites = scenario
         drawn = st.one_of(st.floats(1.0, 800.0), st.sampled_from([0.0, -1.0]))
         given_rows = [
-            CorrectionRow(s, data.draw(drawn), data.draw(drawn), 0.04, 0.0) for s in sites
+            CorrectionRow(s.x_mm, s.y_mm, data.draw(drawn), data.draw(drawn), 0.04, 0.0)
+            for s in sites
         ]
 
         def oracle():
-            rows = row_major(given_rows, site=lambda r: r.site)
+            rows = row_major(given_rows)
             for r in rows:
                 if not (r.drawn_w_bottom_nm > 0 and r.drawn_w_top_nm > 0):
                     raise ValidationError(
-                        f"site ({r.site.x_mm}, {r.site.y_mm}) mm: drawn widths must be > 0"
+                        f"site ({r.x_mm}, {r.y_mm}) mm: drawn widths must be > 0"
                     )
             return oracle_sweep(
                 config,
                 BiasModel.NON_POINT,
-                [(r.site, r.drawn_w_bottom_nm, r.drawn_w_top_nm) for r in rows],
+                [(r, r.drawn_w_bottom_nm, r.drawn_w_top_nm) for r in rows],
             )
 
         assert outcome(lambda: resimulate_with_corrections(config, given_rows)) == outcome(

@@ -17,7 +17,6 @@ from shadowevap.csvio import (
     CORRECTIONS_HEADER,
     SITE_MAP_HEADER,
     JsonRecords,
-    SiteMapRow,
     export_corrections,
     export_measurements,
     export_site_map,
@@ -31,7 +30,7 @@ from shadowevap.csvio import (
 from shadowevap.table import column
 from shadowevap.errors import EmptyInput, IoError, ParseError, ZeroValidRows
 from shadowevap.stats import MeasurementRecord, coefficient_of_variation
-from shadowevap.wafer import compensate_wafer, simulate_wafer
+from shadowevap.wafer import SiteResult, compensate_wafer, simulate_wafer
 
 MEAS_TEXT = (
     "wafer_id,chip_id,x_mm,y_mm,area_class_um2,run_id,rn_ohm\n"
@@ -55,7 +54,7 @@ class TestSiteMapCsv:
         back = import_site_map(path)
         assert len(back) == len(results)
         for orig, re in zip(results, back):
-            assert re.x_mm == orig.site.x_mm
+            assert re.x_mm == orig.x_mm
             assert re.w_bottom_nm == pytest.approx(orig.w_bottom_nm, rel=1e-9)
             assert re.area_um2 == pytest.approx(orig.area_um2, rel=1e-9)
             assert re.theta_bottom_rad == pytest.approx(
@@ -113,7 +112,7 @@ class TestCorrectionsCsv:
         back = import_corrections(path)
         assert len(back) == len(table.rows)
         for orig, re in zip(table.rows, back):
-            assert re.site.x_mm == orig.site.x_mm
+            assert re.x_mm == orig.x_mm
             assert re.drawn_w_bottom_nm == pytest.approx(
                 orig.drawn_w_bottom_nm, rel=1e-9
             )
@@ -234,7 +233,7 @@ def oracle_numbers(path, header):
 
 def oracle_site_map(path):
     return [
-        repr(SiteMapRow(x, y, math.radians(tb), math.radians(tt), *rest))
+        repr(SiteResult(x, y, math.radians(tb), math.radians(tt), *rest))
         for _, (x, y, tb, tt, *rest) in oracle_numbers(path, SITE_MAP_HEADER)
     ]
 
@@ -253,7 +252,7 @@ def oracle_corrections(path):
 
 
 def read_corrections(path):
-    return [repr((r.site.x_mm, r.site.y_mm, *astuple(r)[1:])) for r in import_corrections(path)]
+    return [repr(astuple(r)) for r in import_corrections(path)]
 
 
 # Tokens that break np.loadtxt's pass, or give a value the row check

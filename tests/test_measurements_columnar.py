@@ -119,7 +119,7 @@ def oracle_aggregate(records, group_by):
             raise ComputationError(f"group {key!r}: {exc}") from None
     junctions = {}
     for rec in records:
-        jkey = (rec.wafer_id, rec.chip_id, rec.x_mm, rec.y_mm)
+        jkey = (rec.wafer_id, rec.chip_id, rec.x_mm, rec.y_mm, rec.area_class_um2)
         junctions.setdefault(jkey, {}).setdefault(rec.run_id, []).append(rec.rn_ohm)
     repeatability = []
     for jkey in sorted(junctions):

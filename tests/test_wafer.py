@@ -21,6 +21,7 @@ from shadowevap.geometry import (
     WaferSite,
 )
 from shadowevap.wafer import (
+    MAX_GRID_SITES,
     Axis,
     BiasModel,
     CenterWidthsTarget,
@@ -76,6 +77,17 @@ class TestWaferLayout:
         with pytest.raises(ValidationError):
             layout.generate_sites()
 
+    def test_grid_site_cap(self):
+        # 999 x 999 offsets lie within the cap, 1001 x 1001 do not.
+        assert MAX_GRID_SITES == 1_000_000
+        assert len(WaferLayout(working_span_mm=999.0, grid_pitch_mm=1.0).grid_offsets()) == 999
+        with pytest.raises(ValidationError, match=r"grid of 1\.002e\+06 sites, more than"):
+            WaferLayout(working_span_mm=1000.0, grid_pitch_mm=1.0).grid_offsets()
+
+    def test_explicit_sites_ignore_the_grid_cap(self):
+        layout = WaferLayout(grid_pitch_mm=1e-4, sites=(WaferSite(1.0, 2.0),))
+        assert [(s.x_mm, s.y_mm) for s in layout.generate_sites()] == [(1.0, 2.0)]
+
 
 class TestSimulateWafer:
     def test_center_site_has_zero_bias(self, config):
@@ -119,7 +131,7 @@ class TestSimulateWafer:
         # Largest areas sit at the working-area edge along x, where the
         # bottom electrode broadens the most.
         amax = max(results, key=lambda r: r.area_um2)
-        assert abs(amax.site.x_mm) == 35.0
+        assert abs(amax.x_mm) == 35.0
         summary = residual_report(results)
         assert 0.05 <= summary.cv <= 0.10
 
@@ -156,11 +168,11 @@ class TestSimulateWafer:
 
     def test_grid_refinement_pointwise(self, config):
         coarse = {
-            (r.site.x_mm, r.site.y_mm): r.area_um2 for r in simulate_wafer(config)
+            (r.x_mm, r.y_mm): r.area_um2 for r in simulate_wafer(config)
         }
         fine_cfg = replace(config, layout=replace(config.layout, grid_pitch_mm=2.5))
         fine = {
-            (r.site.x_mm, r.site.y_mm): r.area_um2
+            (r.x_mm, r.y_mm): r.area_um2
             for r in simulate_wafer(fine_cfg)
         }
         for key, area in coarse.items():
