@@ -171,6 +171,14 @@ def read_header(path: PathLike) -> list[str]:
         raise _not_utf8(path, exc) from exc
 
 
+#: Largest str array of labels, in bytes per character of the text, that
+#: np.loadtxt may build. Such an array holds every label at the longest
+#: one's width, 4 bytes a character, so one long label among many short
+#: ones would take far more memory than the text: that text goes to the
+#: csv.reader path.
+MAX_LABEL_BYTES_PER_CHAR = 64
+
+
 def _read_table(
     path: PathLike,
     header: list[str],
@@ -185,10 +193,11 @@ def _read_table(
     an (n, k) float array of the columns not in `label_columns`, and an
     array of those. ZeroValidRows says `no_rows` if there are none.
 
-    If the text has no quote, lone carriage return or NUL, and its
-    non-blank lines have one column count the header allows, np.loadtxt
-    reads it (taking no token that float() rejects, and giving the same
-    value) and the rows `valid` rejects are replayed; otherwise every csv
+    If the text has no quote, lone carriage return or NUL, its non-blank
+    lines have one column count the header allows and a str array of its
+    labels fits in MAX_LABEL_BYTES_PER_CHAR bytes a character of it,
+    np.loadtxt reads it (taking no token that float() rejects, and giving
+    the same value) and the rows `valid` rejects are replayed; otherwise every csv
     record is. `parse_row` gives a replayed row's (numbers, labels) or raises
     ValueError, which becomes a `line N: ...` diagnostic or, without a
     diagnostics list, a ParseError naming file:line.
@@ -231,6 +240,9 @@ def _read_table(
             raise ValueError("unexpected column count")
         labels = numbers[:, :0]
         if label_columns:
+            size = len(rows) * max(map(len, rows)) * 4 * len(label_columns)
+            if size > MAX_LABEL_BYTES_PER_CHAR * len(text):
+                raise ValueError("labels too uneven in length for a str array")
             labels = np.loadtxt(rows, dtype=str, usecols=label_columns, **options)
     except ValueError:
         numbers = None

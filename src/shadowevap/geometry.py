@@ -89,6 +89,10 @@ class SourceModel:
             raise ValidationError("source.radius_mm must be >= 0")
         if self.radius_mm >= self.distance_mm:
             raise ValidationError("source.radius_mm must be < distance_mm")
+        if not math.isfinite(self.distance_mm * NM_PER_MM):
+            raise ValidationError(
+                f"source.distance_mm = {self.distance_mm} overflows when converted to nm"
+            )
 
     @property
     def effective_radius_mm(self) -> float:

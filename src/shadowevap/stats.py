@@ -11,6 +11,7 @@ resistance records with a parallel-measurement repeatability report.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Optional, Sequence, Union
@@ -108,7 +109,7 @@ def transmon_frequency(rn_ohm: float, params: QubitParams) -> float:
     This is the plasma-frequency relation sqrt(8 E_J E_C) - E_C with the
     Josephson energy taken from the tunnel resistance, so frequency
     falls as 1/sqrt(R_N). Raises NonPositiveFrequency once the radical
-    drops to E_C.
+    drops to E_C, and ValidationError when the frequency overflows.
     """
     if not rn_ohm > 0:
         raise ValidationError("rn_ohm must be > 0")
@@ -117,7 +118,10 @@ def transmon_frequency(rn_ohm: float, params: QubitParams) -> float:
         raise NonPositiveFrequency(
             f"R_N = {rn_ohm} ohm is too resistive for a positive frequency"
         )
-    return hf / PLANCK_J_S
+    f = hf / PLANCK_J_S
+    if not math.isfinite(f):
+        raise ValidationError(f"R_N = {rn_ohm} ohm: the frequency overflows")
+    return f
 
 
 def resistance_sensitivity(rn_ohm: float, params: QubitParams) -> float:
@@ -158,12 +162,20 @@ def propagate_cv_monte_carlo(
 
     R_N is drawn from a lognormal distribution, which preserves
     positivity. Draws producing a non-positive frequency are dropped
-    and counted; more than 0.1% invalid draws aborts.
+    and counted; more than 0.1% invalid draws aborts. The mean must be
+    a normal float: draws around a subnormal one cannot carry the
+    spread, and around a normal one none underflows to 0 (that needs
+    z < -120; numpy's normal draws stay within about 14).
     Reproducible for a fixed seed; the generator is seeded through a
     SeedSequence so shards spawned from the same seed stay disjoint.
     """
     if not mean_rn_ohm > 0:
         raise ValidationError("mean_rn_ohm must be > 0")
+    if mean_rn_ohm < sys.float_info.min:
+        raise ValidationError(
+            f"mean_rn_ohm = {mean_rn_ohm} ohm is subnormal: the draws cannot "
+            "carry the requested spread"
+        )
     if not 0.0 <= cv_rn < 0.3:
         raise ValidationError(f"cv_rn must be in [0, 0.3), got {cv_rn}")
     if n_samples < 10_000:
@@ -180,14 +192,12 @@ def propagate_cv_monte_carlo(
     mu = math.log(mean_rn_ohm) - 0.5 * sigma2
     rn = rng.lognormal(mean=mu, sigma=math.sqrt(sigma2), size=n_samples)
 
-    # h f is computed in the draws' own buffer; a draw that underflowed
-    # to 0 gets -1 (invalid).
-    positive = rn > 0
+    # h f is computed in the draws' own buffer.
     hf = rn
-    np.divide(_hf_radicand_j2(params), rn, out=hf, where=positive)
-    np.sqrt(hf, out=hf, where=positive)
-    np.subtract(hf, params.ec_j, out=hf, where=positive)
-    np.copyto(hf, -1.0, where=~positive)
+    with np.errstate(over="ignore"):
+        np.divide(_hf_radicand_j2(params), rn, out=hf)
+    np.sqrt(hf, out=hf)
+    np.subtract(hf, params.ec_j, out=hf)
     valid = hf > 0.0
     n_invalid = int(n_samples - valid.sum())
     if n_invalid > 0.001 * n_samples:
@@ -195,8 +205,10 @@ def propagate_cv_monte_carlo(
             f"{n_invalid} of {n_samples} draws gave a non-positive frequency"
         )
     f = hf[valid] if n_invalid else hf
-    f /= PLANCK_J_S
-    with np.errstate(over="ignore"):
+    # An overflow makes inf, and inf - inf in the spread nan: both are
+    # reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f /= PLANCK_J_S
         mean_f = float(f.mean())
         sd_f = float(f.std(ddof=1)) if f.size >= 2 else 0.0
     if not (math.isfinite(mean_f) and math.isfinite(sd_f)):

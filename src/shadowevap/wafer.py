@@ -38,6 +38,7 @@ from . import geometry
 from .errors import (
     AxisMismatch,
     EmptyInput,
+    NonPhysicalWidth,
     ShadowEvapError,
     Unreachable,
     ValidationError,
@@ -127,13 +128,21 @@ class WaferLayout:
         i.e. y then x ascending: a grid built from `grid_offsets`, or
         the explicit site list sorted stably."""
         if self.sites is not None:
-            sites = site_table(
-                *zip(*((s.x_mm, s.y_mm, s.chip_id, s.site_id) for s in self.sites))
-            )
-            sites = sites.take(row_major_order(sites))
+            x, y, *ids = zip(*((s.x_mm, s.y_mm, s.chip_id, s.site_id) for s in self.sites))
+            ids = [np.fromiter(i, dtype=object, count=len(x)) for i in ids]
         else:
-            offsets = np.array(self.grid_offsets())
-            sites = site_table(np.tile(offsets, offsets.size), np.repeat(offsets, offsets.size))
+            offsets = self.grid_offsets()
+            x, y = np.tile(offsets, len(offsets)), np.repeat(offsets, len(offsets))
+            ids = [np.full(x.size, None, dtype=object)] * 2
+        sites = Table(
+            WaferSite,
+            x_mm=np.asarray(x, dtype=float),
+            y_mm=np.asarray(y, dtype=float),
+            chip_id=ids[0],
+            site_id=ids[1],
+        )
+        if self.sites is not None:
+            sites = sites.take(row_major_order(sites))
         limit = self.wafer_diameter_mm / 2.0 + 1e-9
         # np.hypot may differ from math.hypot in the last bit, so it only
         # screens; WaferSite.radius_mm decides.
@@ -145,25 +154,6 @@ class WaferLayout:
                     f"site ({s.x_mm}, {s.y_mm}) mm lies outside the wafer"
                 )
         return sites
-
-
-def site_table(x_mm, y_mm, chip_id=None, site_id=None) -> Table:
-    """Sites as a Table of WaferSite rows from their offsets (mm) and,
-    optionally, their ids (default None)."""
-    n = len(x_mm)
-
-    def ids(values) -> np.ndarray:
-        if values is None:
-            return np.full(n, None, dtype=object)
-        return np.fromiter(values, dtype=object, count=n)
-
-    return Table(
-        WaferSite,
-        x_mm=np.asarray(x_mm, dtype=float),
-        y_mm=np.asarray(y_mm, dtype=float),
-        chip_id=ids(chip_id),
-        site_id=ids(site_id),
-    )
 
 
 def row_major_order(rows: Sequence) -> np.ndarray:
@@ -234,63 +224,48 @@ class _Model:
         self.band = config.epsilon_center_mm if center_band_mm is None else center_band_mm
         self.constant = model is BiasModel.CONSTANT
 
-    def _theta_bottom(self, x_mm: float) -> float:
-        return geometry.local_incidence_angle(WaferSite(x_mm, 0.0), self.bottom_step, self.source)
-
-    def _theta_top(self, y_mm: float) -> float:
-        return geometry.local_incidence_angle(WaferSite(0.0, y_mm), self.top_step, self.source)
-
-    def _terms_bottom(self, x_mm: float, theta_b: float) -> geometry.BranchTerms:
-        return geometry.bottom_width_terms(
+    def bottom(self, x_mm: float) -> tuple:
+        """(theta_bottom, t_prime_nm, *bottom terms) at offset x: the
+        bottom electrode's angle, the sidewall film it grows and its
+        width terms, raising the first error in that order."""
+        theta = geometry.local_incidence_angle(WaferSite(x_mm, 0.0), self.bottom_step, self.source)
+        t_prime = geometry.sidewall_thickness(theta, self.bottom_step.film_t0_nm)
+        return theta, t_prime, *geometry.bottom_width_terms(
             x_mm * geometry.NM_PER_MM, self.radius, self.throw, self.mask_top,
-            self.mask_bottom, theta_b, abs(x_mm) <= self.band,
+            self.mask_bottom, theta, abs(x_mm) <= self.band,
         )
 
-    def site(self, x_mm: float, y_mm: float) -> tuple:
-        """(theta_bottom, theta_top, t_prime_nm, bottom terms, top terms)
-        at one site: the scalar geometry chain, which raises the first
-        error in this order."""
+    def top(self, y_mm: float) -> tuple:
+        """(theta_top, sin, cos) at offset y: the top electrode's angle."""
+        theta = geometry.local_incidence_angle(WaferSite(0.0, y_mm), self.top_step, self.source)
+        return theta, math.sin(theta), math.cos(theta)
+
+    def site(self, x_mm: float, y_mm: float) -> tuple[geometry.BranchTerms, geometry.BranchTerms]:
+        """(bottom terms, top terms) at one site: the scalar chain in
+        deposition order, bottom electrode then top, which raises the
+        first error in that order."""
         if self.constant:
             x_mm = y_mm = 0.0
-        theta_b = self._theta_bottom(x_mm)
-        theta_t = self._theta_top(y_mm)
-        t_prime = geometry.sidewall_thickness(theta_b, self.bottom_step.film_t0_nm)
-        return (
-            theta_b,
-            theta_t,
-            t_prime,
-            self._terms_bottom(x_mm, theta_b),
-            geometry.top_width_terms(
-                t_prime, self.radius, self.throw, self.mask_top, self.mask_bottom,
-                theta_t, abs(y_mm) <= self.band,
-            ),
+        bottom = self.bottom(x_mm)
+        return bottom[2:], geometry.top_width_terms(
+            bottom[1], self.radius, self.throw, self.mask_top, self.mask_bottom,
+            self.top(y_mm)[0], abs(y_mm) <= self.band,
         )
 
-    def _bottom(self, x_mm: float) -> tuple:
-        theta_b = self._theta_bottom(x_mm)
-        t_prime = geometry.sidewall_thickness(theta_b, self.bottom_step.film_t0_nm)
-        return (theta_b, t_prime, *self._terms_bottom(x_mm, theta_b))
+    def columns(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """The chain at sites with offsets x and y as arrays
+        (theta_bottom, theta_top, t_prime_nm, bottom terms, top terms),
+        plus a mask of the sites where `site` raises.
 
-    def _top(self, y_mm: float) -> tuple:
-        theta_t = self._theta_top(y_mm)
-        return theta_t, math.sin(theta_t), math.cos(theta_t)
-
-    def columns(self, sites: Table) -> tuple:
-        """`site` at every site as arrays (theta_bottom, theta_top,
-        t_prime_nm, bottom terms, top terms), plus a mask of the sites
-        where `site` raises.
-
-        The scalar chain runs once per distinct x (bottom angle, film,
-        terms) and once per distinct y (top angle and its sine and
-        cosine); `geometry.top_terms` combines them per site.
+        `bottom` runs once per distinct x and `top` once per distinct y;
+        `geometry.top_terms` combines them per site.
         """
-        x, y = column(sites, "x_mm"), column(sites, "y_mm")
         if self.constant:
-            x = y = np.zeros(len(sites))
+            x = y = np.zeros(x.size)
         ux, ix = np.unique(x, return_inverse=True)
         uy, iy = np.unique(y, return_inverse=True)
-        bottom, bottom_ok = _tabulate(self._bottom, ux, 8)
-        top, top_ok = _tabulate(self._top, uy, 3)
+        bottom, bottom_ok = _tabulate(self.bottom, ux, 8)
+        top, top_ok = _tabulate(self.top, uy, 3)
         bottom, top = bottom[ix], top[iy]
         t_prime = bottom[:, 1]
         terms_t = geometry.top_terms(
@@ -316,50 +291,53 @@ def _tabulate(evaluate, values: np.ndarray, width: int) -> tuple[np.ndarray, np.
     return table, ok
 
 
-def _at_site(site: WaferSite, exc: ShadowEvapError) -> ShadowEvapError:
+def _at_site(x_mm: float, y_mm: float, exc: ShadowEvapError) -> ShadowEvapError:
     """The same error with the offending site's coordinates prepended."""
-    return type(exc)(f"site ({site.x_mm}, {site.y_mm}) mm: {exc}")
+    return type(exc)(f"site ({x_mm}, {y_mm}) mm: {exc}")
 
 
 def _sweep(
     config: ProcessConfig,
     model: BiasModel,
-    sites: Table,
+    x: np.ndarray,
+    y: np.ndarray,
     drawn_b: Union[float, np.ndarray],
     drawn_t: Union[float, np.ndarray],
 ) -> Table:
-    """Forward model at each site with its drawn (bottom, top) widths in
-    nm (one value for all sites or one per site), with biases relative
-    to the model's wafer-center widths."""
+    """Forward model at the sites with offsets x and y (mm) and drawn
+    (bottom, top) widths in nm (one value for all sites or one per
+    site), with biases relative to the model's wafer-center widths."""
     w_b0, w_t0 = center_reference_widths(config, model)
     evaluate = _Model(config, model)
-    theta_b, theta_t, t_prime, terms_b, terms_t, failed = evaluate.columns(sites)
-    drawn_b = np.broadcast_to(drawn_b, (len(sites),))
-    drawn_t = np.broadcast_to(drawn_t, (len(sites),))
+    theta_b, theta_t, t_prime, terms_b, terms_t, failed = evaluate.columns(x, y)
+    drawn_b = np.broadcast_to(drawn_b, x.shape)
+    drawn_t = np.broadcast_to(drawn_t, x.shape)
     with np.errstate(all="ignore"):
         w_b = geometry.forward_width(drawn_b, terms_b)
         w_t = geometry.forward_width(drawn_t, terms_t)
-    for i in np.flatnonzero(failed | ~((w_b > 0.0) & (w_t > 0.0))).tolist():
-        site = sites[i]
+        area = geometry.junction_area(w_b, w_t)
+    for i in np.flatnonzero(failed | ~((w_b > 0.0) & (w_t > 0.0) & np.isfinite(area))).tolist():
+        x_i, y_i = x.item(i), y.item(i)
         try:
-            _, _, _, site_b, site_t = evaluate.site(site.x_mm, site.y_mm)
+            site_b, site_t = evaluate.site(x_i, y_i)
             widths = (
                 geometry.printed_width(drawn_b.item(i), site_b),
                 geometry.printed_width(drawn_t.item(i), site_t),
             )
         except ShadowEvapError as exc:
-            raise _at_site(site, exc) from exc
-        geometry.overlap_area(*widths)
+            raise _at_site(x_i, y_i, exc) from exc
+        if not math.isfinite(geometry.overlap_area(*widths)):
+            raise _at_site(x_i, y_i, NonPhysicalWidth(f"printed widths {widths} nm overflow"))
     return Table(
         SiteResult,
-        x_mm=column(sites, "x_mm"),
-        y_mm=column(sites, "y_mm"),
+        x_mm=x,
+        y_mm=y,
         theta_bottom_rad=theta_b,
         theta_top_rad=theta_t,
         t_prime_nm=t_prime,
         w_bottom_nm=w_b,
         w_top_nm=w_t,
-        area_um2=geometry.junction_area(w_b, w_t),
+        area_um2=area,
         bias_bottom_nm=w_b - w_b0,
         bias_top_nm=w_t - w_t0,
     )
@@ -370,7 +348,7 @@ def center_reference_widths(
 ) -> tuple[float, float]:
     """Printed (w_bottom, w_top) in nm at the wafer center, the zero
     point of every bias map for that model."""
-    _, _, _, terms_b, terms_t = _Model(config, model).site(0.0, 0.0)
+    terms_b, terms_t = _Model(config, model).site(0.0, 0.0)
     return (
         geometry.printed_width(config.junction.drawn_bottom_nm, terms_b),
         geometry.printed_width(config.junction.drawn_top_nm, terms_t),
@@ -386,10 +364,10 @@ def simulate_wafer(
     Geometry errors are re-raised with the offending site coordinates
     prepended.
     """
-    junction = config.junction
+    sites = config.layout.generate_sites()
     return _sweep(
-        config, model, config.layout.generate_sites(),
-        junction.drawn_bottom_nm, junction.drawn_top_nm,
+        config, model, column(sites, "x_mm"), column(sites, "y_mm"),
+        config.junction.drawn_bottom_nm, config.junction.drawn_top_nm,
     )
 
 
@@ -427,13 +405,9 @@ def bias_profile(
     bottom = electrode is Electrode.BOTTOM
     offsets = np.array(config.layout.grid_offsets())
     zeros = np.zeros(offsets.size)
-    results = _sweep(
-        config,
-        model,
-        site_table(offsets, zeros) if bottom else site_table(zeros, offsets),
-        config.junction.drawn_bottom_nm,
-        config.junction.drawn_top_nm,
-    )
+    x, y = (offsets, zeros) if bottom else (zeros, offsets)
+    junction = config.junction
+    results = _sweep(config, model, x, y, junction.drawn_bottom_nm, junction.drawn_top_nm)
     biases = column(results, "bias_bottom_nm" if bottom else "bias_top_nm")
     w_b0, w_t0 = center_reference_widths(config, model)
     return BiasProfile(
@@ -485,7 +459,7 @@ def _invert_site(
 ) -> tuple[float, float, float]:
     """(drawn bottom, drawn top, predicted area) at one site: the scalar
     inverse, then the forward check of the predicted area."""
-    _, _, _, terms_b, terms_t = evaluate.site(site.x_mm, site.y_mm)
+    terms_b, terms_t = evaluate.site(site.x_mm, site.y_mm)
     drawn_b = _drawn("bottom", target_b, terms_b)
     drawn_t = _drawn("top", target_t, terms_t)
     area = geometry.overlap_area(
@@ -564,7 +538,8 @@ def compensate_wafer(
     target_area = tw_b * tw_t / 1.0e6
     evaluate = _Model(config)
     sites = config.layout.generate_sites()
-    _, _, _, terms_b, terms_t, failed = evaluate.columns(sites)
+    x, y = column(sites, "x_mm"), column(sites, "y_mm")
+    _, _, _, terms_b, terms_t, failed = evaluate.columns(x, y)
     with np.errstate(all="ignore"):
         drawn_b = geometry.inverse_width(tw_b, terms_b)
         drawn_t = geometry.inverse_width(tw_t, terms_t)
@@ -584,9 +559,9 @@ def compensate_wafer(
             _invert_site(evaluate, site, tw_b, tw_t)
         except Unreachable as exc:
             rejected[i] = True
-            rejections.append((site, str(_at_site(site, exc))))
+            rejections.append((site, str(_at_site(site.x_mm, site.y_mm, exc))))
         except ShadowEvapError as exc:
-            raise _at_site(site, exc) from exc
+            raise _at_site(site.x_mm, site.y_mm, exc) from exc
     keep = ~rejected
     area = geometry.junction_area(w_b[keep], w_t[keep])
     return CorrectionTable(
@@ -594,8 +569,8 @@ def compensate_wafer(
         target_w_top_nm=tw_t,
         rows=Table(
             CorrectionRow,
-            x_mm=column(sites, "x_mm")[keep],
-            y_mm=column(sites, "y_mm")[keep],
+            x_mm=x[keep],
+            y_mm=y[keep],
             drawn_w_bottom_nm=drawn_b[keep],
             drawn_w_top_nm=drawn_t[keep],
             predicted_area_um2=area,
@@ -620,16 +595,16 @@ def resimulate_with_corrections(
     if not corrections:
         raise EmptyInput("no correction rows")
     order = row_major_order(corrections)
-    sites = site_table(column(corrections, "x_mm")[order], column(corrections, "y_mm")[order])
-    drawn_b = column(corrections, "drawn_w_bottom_nm")[order]
-    drawn_t = column(corrections, "drawn_w_top_nm")[order]
+    x, y, drawn_b, drawn_t = (
+        column(corrections, name)[order]
+        for name in ("x_mm", "y_mm", "drawn_w_bottom_nm", "drawn_w_top_nm")
+    )
     bad = np.flatnonzero(~((drawn_b > 0) & (drawn_t > 0)))
     if bad.size:
-        site = sites[bad[0]]
         raise ValidationError(
-            f"site ({site.x_mm}, {site.y_mm}) mm: drawn widths must be > 0"
+            f"site ({x.item(bad[0])}, {y.item(bad[0])}) mm: drawn widths must be > 0"
         )
-    return _sweep(config, BiasModel.NON_POINT, sites, drawn_b, drawn_t)
+    return _sweep(config, BiasModel.NON_POINT, x, y, drawn_b, drawn_t)
 
 
 def residual_report(results: Sequence[SiteResult]) -> StatsSummary:
@@ -644,9 +619,9 @@ def branch_discontinuity_nm(config: ProcessConfig) -> tuple[float, float]:
     the epsilon_center boundary, reported for transparency since the
     printed formulas are discontinuous there."""
     eps = config.epsilon_center_mm
-    _, _, _, center_b, center_t = _Model(config).site(eps, eps)
+    center_b, center_t = _Model(config).site(eps, eps)
     # A negative band puts every offset, eps included, in the general branch.
-    _, _, _, general_b, general_t = _Model(config, center_band_mm=-1.0).site(eps, eps)
+    general_b, general_t = _Model(config, center_band_mm=-1.0).site(eps, eps)
     drawn_b, drawn_t = config.junction.drawn_bottom_nm, config.junction.drawn_top_nm
     return (
         geometry.printed_width(drawn_b, general_b)

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +160,41 @@ class TestNonFiniteConfig:
         assert "Traceback" not in err
 
 
+class TestConfigExtremes:
+    """Every numeric config key at extreme finite values, through each
+    sweep command: a documented exit code, no traceback, no numpy
+    warning, and no nan or inf in stdout or in any file written."""
+
+    COMMANDS = {
+        "simulate": [],
+        "compensate": [],
+        "compare-models": ["--electrode", "bottom", "--axis", "x"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(
+        "value", ["1.0e+308", "-1.0e+308", "1.0e+200", "1.0e-200", "5.0e-324", "0"]
+    )
+    @pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+    def test_sweep(self, tmp_path, capsys, section, key, value, command):
+        config = tmp_path / "process.yaml"
+        if section == "config":
+            config.write_text(f"{key}: {value}\n")
+        else:
+            config.write_text(f"{section}:\n  {key}: {value}\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = [command, "--config", str(config), *self.COMMANDS[command],
+                "--out", str(out_dir / "result.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        assert [str(w.message) for w in caught] == []
+        texts = [capsys.readouterr().out] + [p.read_text() for p in out_dir.iterdir()]
+        assert [t for t in texts if re.search(r"\b(nan|inf)\b", t, re.IGNORECASE)] == []
+
+
 class TestCompareModels:
     def test_emits_three_model_columns(self, tmp_path, config_path):
         out = tmp_path / "models.csv"
@@ -274,6 +311,23 @@ class TestCompensateAndVerify:
         err = capsys.readouterr().err
         assert code == 4
         assert "computation error" in err and "Traceback" not in err
+
+    def test_bottom_error_precedes_top_error_at_a_site(self, tmp_path, capsys):
+        """At a site where both electrodes fail (the throw clears no mask
+        layer, and the top ray at y = 5 mm grazes), the chain runs in
+        deposition order and reports the bottom electrode's error."""
+        config = tmp_path / "short.yaml"
+        config.write_text(
+            "source: {distance_mm: 1.0e-300, radius_mm: 0.0}\n"
+            "wafer:\n  sites:\n    - {x_mm: 0.0, y_mm: 5.0}\n"
+        )
+        argv = ["compensate", "--config", str(config), "--target", "area:0.04",
+                "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.endswith(
+            "computation error: site (0.0, 5.0) mm: "
+            "throw D cos(theta) does not clear the bottom mask layer\n"
+        )
 
     def test_unreachable_target_exits_4(self, tmp_path, config_path):
         code = main(
@@ -709,35 +763,65 @@ class TestScalarCommands:
             "n_invalid: 0\n"
         )
 
-    def test_propagate_counts_draws_that_underflow(self, capsys):
-        """A subnormal mean R_N: two draws underflow to 0 and are invalid.
-        At this gap and charging energy the frequencies (about 1e173 Hz)
-        have a spread that overflows, which exits 2 naming the mean; with
-        both set to 1e-60 it stays finite."""
-        argv = ["propagate", "--mean-rn-ohm", "1.2e-323", "--cv-rn", "0.29",
-                "--delta-uev", "180", "--ec-mhz", "270", "--n", "1000000", "--seed", "2"]
-        assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "",
-            "error: mean_rn_ohm = 1e-323 ohm: the mean or spread of the drawn "
-            "frequencies overflows\n",
-        )
-        argv[argv.index("--delta-uev") + 1] = argv[argv.index("--ec-mhz") + 1] = "1e-60"
+    def test_propagate_counts_non_positive_draws(self, capsys):
+        """A mean R_N about 3.4 sigma below the resistive limit (about
+        4.16e6 ohm here): 34 of 100,000 draws give a non-positive
+        frequency, are dropped and counted."""
+        argv = self.PROPAGATE + ["--mean-rn-ohm", "3.4e6", "--n", "100000", "--seed", "3"]
         assert main(argv) == 0
         assert capsys.readouterr().out == (
-            "cv_f: 0.186048872362\ncv_ratio: 0.641547835732\n"
-            "mean_f_ghz: 8.30325896732e+101\nn_invalid: 2\n"
+            "cv_f: 0.307268165458\n"
+            "cv_ratio: 5.12113609097\n"
+            "mean_f_ghz: 0.0290983936691\n"
+            "n_invalid: 34\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mean-rn-ohm", "1.2e-323", "--cv-rn", "0.29", "--delta-uev", "1e-60",
+             "--ec-mhz", "1e-60", "--n", "1000000", "--seed", "2"],
+            ["--mean-rn-ohm", "1e-320", "--cv-rn", "0.2", "--delta-uev", "180",
+             "--ec-mhz", "270", "--n", "100000", "--seed", "3"],
+        ],
+    )
+    def test_propagate_subnormal_mean_exits_2(self, argv, capsys):
+        """Lognormal draws around a subnormal mean are coarse multiples of
+        the smallest float, so they cannot have the requested spread."""
+        assert main(["propagate", *argv]) == 2
+        mean = float(argv[1])
+        assert capsys.readouterr() == (
+            "",
+            f"error: mean_rn_ohm = {mean} ohm is subnormal: the draws cannot "
+            "carry the requested spread\n",
         )
 
     def test_propagate_overflowing_spread_exits_2(self, capsys):
-        """A subnormal mean R_N whose frequencies' spread overflows exits 2
+        """A tiny mean R_N whose frequencies' spread overflows exits 2
         naming the flag, with no numpy warning (tier-1 makes one an error)."""
-        argv = ["propagate", "--mean-rn-ohm", "1e-320", "--cv-rn", "0.2",
+        argv = ["propagate", "--mean-rn-ohm", "1e-300", "--cv-rn", "0.2",
                 "--delta-uev", "180", "--ec-mhz", "270", "--n", "100000", "--seed", "3"]
         assert main(argv) == 2
         assert capsys.readouterr() == (
             "",
-            "error: mean_rn_ohm = 1e-320 ohm: the mean or spread of the drawn "
+            "error: mean_rn_ohm = 1e-300 ohm: the mean or spread of the drawn "
+            "frequencies overflows\n",
+        )
+
+    def test_frequency_overflow_exits_2(self, capsys):
+        argv = ["frequency", "--rn-ohm", "8000", "--delta-uev", "1e200", "--ec-mhz", "1e200"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: R_N = 8000.0 ohm: the frequency overflows\n")
+
+    def test_propagate_overflowing_draws_exit_2(self, capsys):
+        """Frequencies that overflow to inf make the spread inf - inf:
+        exit 2 naming the mean, with no numpy warning."""
+        argv = ["propagate", "--mean-rn-ohm", "8000", "--cv-rn", "0.06", "--delta-uev", "1e200",
+                "--ec-mhz", "1e200", "--n", "10000"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: mean_rn_ohm = 8000.0 ohm: the mean or spread of the drawn "
             "frequencies overflows\n",
         )
 

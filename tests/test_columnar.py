@@ -57,13 +57,14 @@ def oracle_site(config, model, x_mm, y_mm):
     throw = source.distance_mm * geometry.NM_PER_MM
     radius = source.effective_radius_mm * geometry.NM_PER_MM
     mask, eps = config.mask, config.epsilon_center_mm
+    # Deposition order: the bottom electrode (angle, film, terms), then the top.
     theta_b = geometry.local_incidence_angle(WaferSite(x_mm, 0.0), config.bottom_step, source)
-    theta_t = geometry.local_incidence_angle(WaferSite(0.0, y_mm), config.top_step, source)
     t_prime = geometry.sidewall_thickness(theta_b, config.bottom_step.film_t0_nm)
     terms_b = geometry.bottom_width_terms(
         x_mm * geometry.NM_PER_MM, radius, throw, mask.top_nm, mask.bottom_nm,
         theta_b, abs(x_mm) <= eps,
     )
+    theta_t = geometry.local_incidence_angle(WaferSite(0.0, y_mm), config.top_step, source)
     terms_t = geometry.top_width_terms(
         t_prime, radius, throw, mask.top_nm, mask.bottom_nm, theta_t, abs(y_mm) <= eps
     )

@@ -14,6 +14,7 @@ errors by type and text.
 import csv
 import math
 import operator
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -270,6 +271,27 @@ class TestImport:
         report = aggregate(csvio.import_measurements(path)[0], ("wafer",))
         assert [(j.x_mm, j.y_mm) for j in report.repeatability] == [(-0.0, 0.0)]
         assert math.copysign(1.0, report.repeatability[0].x_mm) == -1.0
+
+
+    def test_one_long_label_keeps_memory_small(self, tmp_path):
+        """One 50,000-character wafer_id among 2,000 short rows: a numpy
+        str array of the three label columns would take about 1.2 GB, so
+        the text takes the csv.reader path, with the same outcome."""
+        path = tmp_path / "meas.csv"
+        rows = [f"{'w' * 50_000},c1,0,0,0.04,r1,5000"]
+        rows += [f"w{i % 7},c{i % 3},{i % 5},0,0.04,r{i},{5000 + i}" for i in range(2000)]
+        rows[7] = "w1,c1,0,0,0.04,r1,-5"
+        path.write_text("\n".join([",".join(csvio.MEASUREMENT_HEADER), *rows]) + "\n")
+        tracemalloc.start()
+        try:
+            new = csvio.import_measurements(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        old = oracle_import(path)
+        assert reprs(new[0]) == reprs(old[0])
+        assert new[1] == old[1] == ["line 9: rn_ohm must be > 0"]
+        assert peak < 50e6
 
 
 class TestAggregate:
