@@ -13,6 +13,7 @@ or an Enum) says how its value is parsed.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import MISSING, fields
 from enum import Enum
@@ -151,12 +152,57 @@ def config_from_dict(raw: dict) -> tuple[ProcessConfig, list[str]]:
     return ProcessConfig(*sections, epsilon), provenance
 
 
+#: libyaml's composer recurses on the C stack and overflows an 8 MB stack
+#: near 30,000 levels; only texts whose nesting bound is at most this
+#: reach it.
+_LIBYAML_MAX_NESTING = 10_000
+
+#: The characters of a text libyaml may parse. Each text libyaml was
+#: found to read otherwise than the pure loader has a character outside
+#: this set: a tab separator, a byte-order mark past the start, '?'
+#: within a flow scalar, a bare '!' tag, or '|#' opening a block scalar.
+_LIBYAML_TEXT = re.compile(r"[A-Za-z0-9 \n_.,:#'\"{}\[\]+\-~&*<=/()$;^]*")
+
+
+def _nesting_bound(text: str) -> int:
+    """An upper bound on the nesting depth of a YAML text. Each flow
+    level needs its own '[' or '{'; each block level needs a deeper
+    column than its parent, except a sequence at its key's column, so
+    a column holds at most two. YAML also breaks lines at CR, NEL and
+    U+2028/9, so no YAML line is longer than the longest '\\n' line."""
+    longest = max(map(len, text.split("\n")))
+    return text.count("[") + text.count("{") + 2 * longest + 2
+
+
+def _safe_load(text: str) -> Any:
+    """The data `yaml.safe_load(text)` gives, or its error.
+
+    libyaml (`yaml.CSafeLoader`, when PyYAML has it) parses a text made
+    of `_LIBYAML_TEXT` characters whose nesting bound is within
+    `_LIBYAML_MAX_NESTING`. Where it fails, and for every other text,
+    the pure-Python `yaml.SafeLoader` parses, so errors keep its wording
+    and position. Both share the Python resolver and constructor.
+    """
+    fast = getattr(yaml, "CSafeLoader", None)
+    if (
+        fast is not None
+        and _LIBYAML_TEXT.fullmatch(text)
+        and _nesting_bound(text) <= _LIBYAML_MAX_NESTING
+    ):
+        try:
+            return yaml.load(text, Loader=fast)
+        except yaml.YAMLError:
+            pass
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def load_config(path: Union[str, Path]) -> tuple[ProcessConfig, list[str]]:
     """Load and validate a YAML process configuration.
 
     Returns the config together with the provenance list (one entry per
     applied default). Raises ParseError for unreadable YAML (with the
-    document position), ValidationError for invariant violations and
+    document position), a scalar YAML cannot convert or data nested too
+    deeply to handle, ValidationError for invariant violations and
     IoError when the file cannot be read.
     """
     path = Path(path)
@@ -167,12 +213,21 @@ def load_config(path: Union[str, Path]) -> tuple[ProcessConfig, list[str]]:
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot parse {path}: not UTF-8 text ({exc.reason})") from exc
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        pos = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ParseError(f"cannot parse {path}{pos}: {exc}") from exc
-    return config_from_dict(raw if raw is not None else {})
+        try:
+            raw = _safe_load(text)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            pos = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            raise ParseError(f"cannot parse {path}{pos}: {exc}") from exc
+        except (ValueError, KeyError, AttributeError) as exc:
+            # What the constructor raises for a scalar it cannot convert,
+            # such as the timestamp 2001-02-30 or `!!bool maybe`.
+            raise ParseError(f"cannot parse {path}: cannot convert a scalar: {exc}") from exc
+        return config_from_dict(raw if raw is not None else {})
+    except RecursionError:
+        # The pure loader composes, and an error message's repr() quotes,
+        # nested data recursively.
+        raise ParseError(f"cannot parse {path}: nested too deeply") from None
 
 
 def default_config() -> ProcessConfig:

@@ -55,15 +55,26 @@ def fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+def _formatted(values, template: str) -> list[str]:
+    """`template % v` for each value, formatting each distinct value
+    once. Values are told apart by their bits, since np.unique on the
+    floats would merge -0.0 into 0.0."""
+    bits, inverse = np.unique(
+        np.asarray(values, dtype=float).view(np.int64), return_inverse=True
+    )
+    texts = np.array([template % v for v in bits.view(float).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_columns(path: PathLike, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length numeric columns as CSV rows, every value as
     `fmt` formats it (`'%.12g' % v` equals `format(v, '.12g')`)."""
-    line = ",".join(["%.12g"] * len(header)) + "\n"
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    *head, last = columns
+    cells = [_formatted(c, "%.12g") for c in head] + [_formatted(last, "%.12g\n")]
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(map(line.__mod__, rows))
+            fh.writelines(map(",".join, zip(*cells)))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -89,9 +89,12 @@ class SourceModel:
             raise ValidationError("source.radius_mm must be >= 0")
         if self.radius_mm >= self.distance_mm:
             raise ValidationError("source.radius_mm must be < distance_mm")
-        if not math.isfinite(self.distance_mm * NM_PER_MM):
+        # The width formulas multiply lengths up to 2 D sin t + 2c < 4D
+        # by mask heights that a clear throw keeps below D (all in nm).
+        throw = self.distance_mm * NM_PER_MM
+        if not math.isfinite(4.0 * throw * throw):
             raise ValidationError(
-                f"source.distance_mm = {self.distance_mm} overflows when converted to nm"
+                f"source.distance_mm = {self.distance_mm} overflows the width formulas in nm"
             )
 
     @property

@@ -180,6 +180,8 @@ def propagate_cv_monte_carlo(
         raise ValidationError(f"cv_rn must be in [0, 0.3), got {cv_rn}")
     if n_samples < 10_000:
         raise ValidationError("n_samples must be >= 10000")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     if cv_rn == 0.0:
         f = transmon_frequency(mean_rn_ohm, params)

@@ -536,6 +536,9 @@ def compensate_wafer(
     """
     tw_b, tw_t = resolve_target_widths(config, target)
     target_area = tw_b * tw_t / 1.0e6
+    if not target_area > 0.0:
+        # Each residual is relative to the target area.
+        raise NonPhysicalWidth(f"target widths ({tw_b}, {tw_t}) nm give an area of 0")
     evaluate = _Model(config)
     sites = config.layout.generate_sites()
     x, y = column(sites, "x_mm"), column(sites, "y_mm")

@@ -3,13 +3,21 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shadowevap
 from shadowevap.cli import main
 from shadowevap.config import DEFAULTS
 from shadowevap.wafer import MAX_GRID_SITES
@@ -61,6 +69,20 @@ class TestSimulate:
         main(["simulate", "--config", config_path, "--out", str(out1)])
         main(["simulate", "--config", config_path, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_signed_zero_coordinates_survive(self, tmp_path):
+        """-0.0 and 0.0 are distinct values to the CSV writer: each keeps
+        its sign in the site map and the corrections."""
+        config = tmp_path / "process.yaml"
+        config.write_text(
+            "wafer:\n  sites:\n    - {x_mm: -0.0, y_mm: 0.0}\n    - {x_mm: 0.0, y_mm: -0.0}\n"
+        )
+        sites, corrections = tmp_path / "sites.csv", tmp_path / "c.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(sites)]) == 0
+        assert main(["compensate", "--config", str(config), "--out", str(corrections)]) == 0
+        for path in (sites, corrections):
+            rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+            assert rows == [["-0", "0"], ["0", "-0"]]
 
     def test_model_and_pitch_flags(self, tmp_path, config_path):
         out = tmp_path / "sites.csv"
@@ -193,6 +215,149 @@ class TestConfigExtremes:
         assert [str(w.message) for w in caught] == []
         texts = [capsys.readouterr().out] + [p.read_text() for p in out_dir.iterdir()]
         assert [t for t in texts if re.search(r"\b(nan|inf)\b", t, re.IGNORECASE)] == []
+
+
+def nested(depth, one_line, section="wafer", key="sites"):
+    """A config whose `section.key` nests `depth` flow sequences, on one
+    line or with one opener per line."""
+    opener = "[" if one_line else "[\n   "
+    return f"{section}:\n  {key}: " + opener * depth + "]" * depth + "\n"
+
+
+class TestDeepNesting:
+    """Nesting too deep for the parser exits 2, never with a traceback
+    or a crashed interpreter."""
+
+    @pytest.mark.parametrize("one_line", [True, False], ids=["one-line", "one-per-line"])
+    @pytest.mark.parametrize("section, key", [("wafer", "sites"), ("source", "distance_mm")])
+    def test_depth_3000(self, tmp_path, capsys, section, key, one_line):
+        """On one line the pure loader parses, and runs out of recursion.
+        With one opener per line libyaml parses, and config checking
+        rejects the list, or runs out of recursion quoting it."""
+        config = tmp_path / "deep.yaml"
+        config.write_text(nested(3000, one_line, section, key))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.csv")]) == 2
+        message = f"cannot parse {config}: nested too deeply"
+        if key == "sites" and not one_line:
+            message = "wafer.sites[0] must be a mapping, got list"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("one_line", [True, False], ids=["one-line", "one-per-line"])
+    def test_depth_100000_in_a_subprocess(self, tmp_path, one_line):
+        """libyaml's C recursion would overflow the stack (exit 139)."""
+        config = tmp_path / "deep.yaml"
+        config.write_text(nested(100_000, one_line))
+        env = {**os.environ, "PYTHONPATH": str(Path(shadowevap.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "shadowevap.cli", "simulate", "--config", str(config),
+             "--out", str(tmp_path / "s.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 2
+        assert run.stderr == f"error: cannot parse {config}: nested too deeply\n"
+
+
+def test_overflowing_throw_names_the_key(tmp_path, capsys):
+    """2 D sin t overflows for this throw; before, the run reported a
+    closed aperture (printed width -inf) with exit 4."""
+    config = tmp_path / "process.yaml"
+    config.write_text("source: {distance_mm: 1.5e+302}\ntop_step: {tilt_deg: 80}\n")
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: source.distance_mm = 1.5e+302 overflows the width formulas in nm\n"
+    )
+
+
+def test_target_area_underflow_exits_4(tmp_path, capsys):
+    """A subnormal center width makes the target area 0, which every
+    relative residual divides by; before, numpy warned and exit was 0."""
+    config = tmp_path / "process.yaml"
+    config.write_text(
+        "mask: {top_H_nm: 1.0e-308}\njunction: {drawn_w_bottom_nm: 5.0e-324}\n"
+        "source: {radius_mm: 5.0e-324}\n"
+    )
+    assert main(["compensate", "--config", str(config), "--out", str(tmp_path / "c.csv")]) == 4
+    assert capsys.readouterr().err.endswith(
+        "computation error: target widths (1e-323, 185.3292439328912) nm give an area of 0\n"
+    )
+    assert not (tmp_path / "c.csv").exists()
+
+
+#: YAML scalars for the exit-code fuzz: bools, strings, non-finite,
+#: huge, tiny and subnormal numbers.
+FUZZ_SCALARS = ["true", "off", "~", "x", "'650'", ".inf", "-.inf", ".nan", "1.0e+308",
+                "-1.0e+308", "1.0e-308", "5.0e-324", "-5.0e-324", "0.0", "-0.0", "0x10"]
+#: The same values as command-line text.
+FUZZ_FLAG_VALUES = ["true", "x", "", "inf", "-inf", "nan", "1e308", "-1e308", "1e-308",
+                    "5e-324", "-5e-324", "0", "-0", "-1", "0x10"]
+CONFIG_KEYS = [(section, key) for section, keys in DEFAULTS.items() for key in keys] + [
+    ("config", "epsilon_center_mm"), ("site", "x_mm"), ("site", "y_mm")]
+SWEEPS = [["simulate"], ["compensate"], ["compare-models", "--electrode", "bottom", "--axis", "x"]]
+FLAG_COMMANDS = [
+    ["simulate", "--config", "{config}", "--grid-pitch-mm", "5", "--out", "{out}"],
+    ["compare-models", "--config", "{config}", "--electrode", "top", "--axis", "y",
+     "--grid-pitch-mm", "5", "--out", "{out}"],
+    ["compensate", "--config", "{config}", "--grid-pitch-mm", "5", "--target", "area:{area}",
+     "--out", "{out}"],
+    ["frequency", "--rn-ohm", "8000", "--delta-uev", "180", "--ec-mhz", "270"],
+    ["propagate", "--mean-rn-ohm", "8000", "--cv-rn", "0.06", "--delta-uev", "180",
+     "--ec-mhz", "270", "--n", "10000", "--seed", "3"],
+]
+
+
+def run_checked(argv):
+    """Run the CLI in process: the exit code is documented and no numpy
+    warning was raised (tier-1 turns RuntimeWarning into an error, so a
+    numpy warning or any traceback also fails the test)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert [str(w.message) for w in caught] == []
+
+
+class TestExitCodeFuzz:
+    """Scalars substituted into config keys and numeric flags."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), st.sampled_from(FUZZ_SCALARS),
+                           min_size=1, max_size=3),
+           st.sampled_from(SWEEPS))
+    def test_config_scalars(self, values, command):
+        sections = {}
+        for (section, key), value in values.items():
+            sections.setdefault(section, {})[key] = value
+        lines = [f"{key}: {value}" for key, value in sections.pop("config", {}).items()]
+        if "site" in sections:
+            site = {"x_mm": "5.0", "y_mm": "-5.0", **sections.pop("site")}
+            entry = ", ".join(f"{k}: {v}" for k, v in site.items())
+            sections.setdefault("wafer", {})["sites"] = f"[{{{entry}}}]"
+        lines += [f"{section}: {{{', '.join(f'{k}: {v}' for k, v in keys.items())}}}"
+                  for section, keys in sections.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "process.yaml"
+            config.write_text("\n".join(lines) + "\n")
+            run_checked([*command, "--config", str(config), "--out", str(Path(tmp) / "o.csv")])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(FLAG_COMMANDS), st.data())
+    def test_flag_values(self, template, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "process.yaml"
+            config.write_text(DEFAULT_CONFIG)
+            area = data.draw(st.sampled_from(FUZZ_FLAG_VALUES))
+            argv = [a.format(config=config, out=Path(tmp) / "o.csv", area=area)
+                    for a in template]
+            flags = [i for i, a in enumerate(argv) if a.startswith("--") and
+                     argv[i + 1:i + 2] and argv[i + 1][:1].isdigit()]
+            for i in data.draw(st.lists(st.sampled_from(flags), min_size=1, unique=True)):
+                # --flag=value: "-inf" alone would read as an option.
+                argv[i] = f"{argv[i]}={data.draw(st.sampled_from(FUZZ_FLAG_VALUES))}"
+                argv[i + 1] = None
+            run_checked([a for a in argv if a is not None])
 
 
 class TestCompareModels:
@@ -795,6 +960,12 @@ class TestScalarCommands:
             f"error: mean_rn_ohm = {mean} ohm is subnormal: the draws cannot "
             "carry the requested spread\n",
         )
+
+    def test_propagate_negative_seed_exits_2(self, capsys):
+        argv = ["propagate", "--mean-rn-ohm", "8000", "--cv-rn", "0.06", "--delta-uev", "180",
+                "--ec-mhz", "270", "--n", "10000", "--seed=-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
 
     def test_propagate_overflowing_spread_exits_2(self, capsys):
         """A tiny mean R_N whose frequencies' spread overflows exits 2

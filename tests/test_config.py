@@ -1,7 +1,14 @@
 """YAML config loading: defaults, provenance, strict key checking."""
 
-import pytest
+import tempfile
+from pathlib import Path
 
+import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from shadowevap import config as config_module
 from shadowevap.config import config_from_dict, default_config, load_config
 from shadowevap.errors import IoError, ParseError, ValidationError
 from shadowevap.geometry import ShadowAxis, SourceKind, TiltSign
@@ -228,3 +235,192 @@ class TestSchemaMapping:
         raw = {"top_step": {"bogus": 1}, "source": {"radius_mm": "wide"}}
         with pytest.raises(ValidationError, match=r"^source\.radius_mm"):
             config_from_dict(raw)
+
+
+# Scalars whose resolution or scanning is easy to get wrong: YAML 1.1
+# floats, ints, bools and nulls, timestamps (2001-02-30 fails to
+# construct), quoted and escaped strings, tags.
+SCALARS = [
+    "0", "-0.0", "650", "1.5", "+12.5", "1.0e+308", "-1.0e+308", "1.5e+302", "5.0e-324",
+    "1e5", ".inf", "-.inf", ".nan", ".NaN", "1_000", "1_000.5", "0x10", "0o17", "017",
+    "0b101", "190:20:30", "yes", "No", "on", "Off", "true", "~", "null", "", "x", "point",
+    "disk", "'+'", '"-"', "'quoted ''twice'''", r'"esc \x41 \u00e9 \ud800"', "2001-12-14",
+    "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10", "2001-02-30",
+    "!!float 1", "!!str 1", "!!int x", "!!bool maybe", "!!binary aGk=",
+]
+KEYS = [key for keys in config_module.DEFAULTS.values() for key in keys] + ["sites", "bogus"]
+SECTIONS = [*config_module.DEFAULTS, "epsilon_center_mm"]
+# Text spliced in at random: tabs, NUL, C1 controls, NEL, line and
+# byte-order marks, non-ASCII, and YAML indicators, among them those
+# libyaml reads otherwise than the pure loader ('?', '!', '|#').
+NOISE = ["\t", "\x00", "\x85", "\x9f", "\u2028", "\ufeff", "\xb5", " ", "#", ":", "-",
+         "\n", "'", "?", "!", "|#", ">", "%", "@", "\\"]
+
+
+@st.composite
+def yaml_configs(draw):
+    """A config text mixing flow and block style, anchors, aliases,
+    merges and duplicate keys, then optionally mangled by CRLF line
+    ends, a BOM and spliced-in noise characters."""
+    anchors, map_anchors = [], []
+
+    def value():
+        if anchors and draw(st.booleans()):
+            return "*" + draw(st.sampled_from(anchors))
+        text = draw(st.sampled_from(SCALARS))
+        if draw(st.integers(0, 4)) == 0:
+            anchors.append(f"a{len(anchors)}")
+            text = f"&{anchors[-1]} {text}"
+        return text
+
+    def mapping(keys, indent=None):
+        """A mapping's text after its key or dash: a flow mapping on
+        the same line or, given an indent, a block mapping below."""
+        items = [f"{key}: {value()}" for key in draw(st.lists(st.sampled_from(keys), max_size=3))]
+        if map_anchors and draw(st.booleans()):
+            merge = f"<<: *{draw(st.sampled_from(map_anchors))}"
+            items.insert(draw(st.integers(0, len(items))), merge)
+        head = ""
+        if draw(st.booleans()):
+            map_anchors.append(f"m{len(map_anchors)}")
+            head = f" &{map_anchors[-1]}"
+        if indent is not None and items and draw(st.booleans()):
+            return head + "".join(f"\n{indent}{item}" for item in items)
+        return f"{head} {{{', '.join(items)}}}"
+
+    lines = []
+    for section in draw(st.lists(st.sampled_from(SECTIONS), min_size=1, max_size=5)):
+        if section == "epsilon_center_mm":
+            lines.append(f"{section}: {value()}")
+        elif section == "wafer" and draw(st.booleans()):
+            site_keys = ["x_mm", "y_mm", "chip_id", "site_id"]
+            count = draw(st.integers(1, 3))
+            if draw(st.booleans()):
+                sites = " [" + ",".join(mapping(site_keys) for _ in range(count)) + "]"
+            else:
+                sites = "".join("\n    -" + mapping(site_keys, "      ") for _ in range(count))
+            lines.append(f"wafer:\n  sites:{sites}")
+        else:
+            lines.append(f"{section}:" + mapping(KEYS, "  "))
+    text = "\n".join(lines) + "\n"
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(NOISE)) + text[at:]
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text
+
+
+def canonical(data):
+    """Data in a form that compares floats by repr, so nan equals nan
+    and -0.0 differs from 0.0, and keeps mapping order."""
+    if isinstance(data, float):
+        return ("float", repr(data))
+    if isinstance(data, dict):
+        return ("dict", [(canonical(k), canonical(v)) for k, v in data.items()])
+    if isinstance(data, list):
+        return ("list", [canonical(v) for v in data])
+    return (type(data).__name__, repr(data))
+
+
+#: What the YAML constructor raises, besides YAMLError, for a scalar it
+#: cannot convert.
+CONSTRUCTOR_ERRORS = (ValueError, KeyError, AttributeError)
+
+
+def outcome(parse, text):
+    """The canonical data `parse(text)` gives, or its exception."""
+    try:
+        return canonical(parse(text))
+    except (yaml.YAMLError, *CONSTRUCTOR_ERRORS) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def pure(text):
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def check_against_pure_loader(text):
+    """`_safe_load` gives the pure loader's data or error, and
+    `load_config` gives the pure loader's error in its ParseError, or
+    else what `config_from_dict` makes of the pure loader's data."""
+    assert outcome(config_module._safe_load, text) == outcome(pure, text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "process.yaml"
+        path.write_bytes(text.encode("utf-8"))
+        # load_config reads in text mode, which turns CRLF and CR into LF.
+        read = path.read_text(encoding="utf-8")
+        try:
+            data = pure(read)
+        except (yaml.YAMLError, *CONSTRUCTOR_ERRORS) as exc:
+            with pytest.raises(ParseError) as info:
+                load_config(path)
+            assert str(info.value).startswith(f"cannot parse {path}")
+            assert str(info.value).endswith(f": {exc}")
+            return
+        try:
+            expected = config_from_dict(data if data is not None else {})
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as info:
+                load_config(path)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        else:
+            assert load_config(path) == expected
+
+
+class TestLoaders:
+    """libyaml parses only where it gives what the pure loader gives;
+    the pure loader's data and errors are the reference."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(yaml_configs())
+    def test_equals_the_pure_loader(self, text):
+        assert yaml.__with_libyaml__
+        check_against_pure_loader(text)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(yaml_configs())
+    def test_without_libyaml(self, text):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delattr(yaml, "CSafeLoader")
+            check_against_pure_loader(text)
+
+    def test_a_clean_config_takes_libyaml(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "wafer:\n  sites:\n" + "    - {x_mm: 1.5, y_mm: -2.0}\n" * 50)
+        monkeypatch.setattr(yaml, "SafeLoader", None)
+        config, _ = load_config(path)
+        assert len(config.layout.sites) == 50
+
+    @pytest.mark.parametrize("text, where", [
+        ("source:\n  distance_mm:\t650\n", "line 2, column 15"),
+        ("source: {distance_mm: 650,\tradius_mm: 1}\n", "line 1, column 27"),
+        ("source:\n  kind: disk\t# the crucible\n", "line 2, column 13"),
+    ])
+    def test_tabs_keep_the_pure_loader_error(self, tmp_path, text, where):
+        """libyaml accepts these tab separators; the pure loader's
+        rejection, with its position, is the one reported."""
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_config(path)
+        with pytest.raises(yaml.YAMLError) as pure_info:
+            pure(text)
+        assert str(info.value) == f"cannot parse {path} at {where}: {pure_info.value}"
+
+    @pytest.mark.parametrize("scalar, message", [
+        ("2001-02-30", "day is out of range for month"),
+        ("2001-12-14 25:00:00", "hour must be in 0..23"),
+        ("!!bool maybe", "'maybe'"),
+        ("!!float x", "could not convert string to float: 'x'"),
+    ])
+    def test_unconvertible_scalar_is_a_parse_error(self, tmp_path, scalar, message):
+        path = write(tmp_path, f"source:\n  distance_mm: {scalar}\n")
+        with pytest.raises(ParseError) as info:
+            load_config(path)
+        assert str(info.value) == f"cannot parse {path}: cannot convert a scalar: {message}"
+
+    def test_nesting_bound(self):
+        assert config_module._nesting_bound("a: [[1], {b: 2}]\n") == 3 + 2 * 16 + 2
+        # CR, NEL and U+2028 end YAML lines too; only LF splits the text.
+        assert config_module._nesting_bound("a:\r  b:\x85   c") == 2 * 12 + 2
