@@ -14,6 +14,7 @@ or an Enum) says how its value is parsed.
 from __future__ import annotations
 
 import re
+import reprlib
 import sys
 from dataclasses import MISSING, fields
 from enum import Enum
@@ -78,20 +79,41 @@ def _check_keys(given: dict, known: Iterable[str], what: str) -> None:
         raise ValidationError(f"unknown {what}: {sorted(unknown, key=str)}")
 
 
+class _Quote(reprlib.Repr):
+    """The repr of a rejected value, bounded: YAML aliases let a short
+    text name an exponentially large value. Two levels of six items
+    (four of a mapping) at most, each scalar cut to 500 characters."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.maxlevel = 2
+        self.maxstring = self.maxlong = self.maxother = 500
+
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than str() converts
+            return f"an integer of {x.bit_length()} bits"
+
+
+_quote = _Quote().repr
+
+
 def _parse(where: str, key: str, value: Any, kind: type = float) -> Any:
     """The value of `where.key` as a member of an Enum `kind` (matched
     case-insensitively) or else as a finite float."""
     if issubclass(kind, Enum):
-        try:
-            return kind(str(value).lower())
-        except ValueError:
-            choices = " or ".join(repr(member.value) for member in kind)
-            raise ValidationError(f"{where}.{key} must be {choices}, got {value!r}") from None
+        # Only a string can name a member; kind(value) would quote any
+        # other value whole in its error.
+        if isinstance(value, str) and value.lower() in {m.value for m in kind}:
+            return kind(value.lower())
+        choices = " or ".join(repr(member.value) for member in kind)
+        raise ValidationError(f"{where}.{key} must be {choices}, got {_quote(value)}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}.{key} must be a number, got {value!r}")
+        raise ValidationError(f"{where}.{key} must be a number, got {_quote(value)}")
     # Rejects inf and nan, and ints too large for a float.
     if not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"{where}.{key} must be finite, got {value!r}")
+        raise ValidationError(f"{where}.{key} must be finite, got {_quote(value)}")
     return float(value)
 
 
@@ -164,6 +186,29 @@ _LIBYAML_MAX_NESTING = 10_000
 _LIBYAML_TEXT = re.compile(r"[A-Za-z0-9 \n_.,:#'\"{}\[\]+\-~&*<=/()$;^]*")
 
 
+#: Deepest nesting of lists and mappings a config may have, well within
+#: what the pure loader composes (about 330 levels) before it runs out
+#: of recursion, so both loaders give one outcome.
+MAX_NESTING = 100
+
+
+def _nests_deeper(data: Any, depth: int) -> bool:
+    """Whether `data` holds lists, tuples or mappings nested more than
+    `depth` deep. It is walked a level at a time, each container once a
+    level, since aliases share nodes; a value that contains itself is
+    infinitely deep."""
+    containers = (dict, list, tuple)
+    level = {id(data): data} if isinstance(data, containers) else {}
+    for _ in range(depth):
+        level = {
+            id(child): child
+            for node in level.values()
+            for child in (node.values() if isinstance(node, dict) else node)
+            if isinstance(child, containers)
+        }
+    return bool(level)
+
+
 def _nesting_bound(text: str) -> int:
     """An upper bound on the nesting depth of a YAML text. Each flow
     level needs its own '[' or '{'; each block level needs a deeper
@@ -201,8 +246,8 @@ def load_config(path: Union[str, Path]) -> tuple[ProcessConfig, list[str]]:
 
     Returns the config together with the provenance list (one entry per
     applied default). Raises ParseError for unreadable YAML (with the
-    document position), a scalar YAML cannot convert or data nested too
-    deeply to handle, ValidationError for invariant violations and
+    document position), a scalar YAML cannot convert or data nested
+    more than MAX_NESTING deep, ValidationError for invariant violations and
     IoError when the file cannot be read.
     """
     path = Path(path)
@@ -212,22 +257,23 @@ def load_config(path: Union[str, Path]) -> tuple[ProcessConfig, list[str]]:
         raise IoError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot parse {path}: not UTF-8 text ({exc.reason})") from exc
+    too_deep = ParseError(f"cannot parse {path}: nested too deeply")
     try:
-        try:
-            raw = _safe_load(text)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            pos = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-            raise ParseError(f"cannot parse {path}{pos}: {exc}") from exc
-        except (ValueError, KeyError, AttributeError) as exc:
-            # What the constructor raises for a scalar it cannot convert,
-            # such as the timestamp 2001-02-30 or `!!bool maybe`.
-            raise ParseError(f"cannot parse {path}: cannot convert a scalar: {exc}") from exc
-        return config_from_dict(raw if raw is not None else {})
+        raw = _safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        pos = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ParseError(f"cannot parse {path}{pos}: {exc}") from exc
+    except (ValueError, KeyError, AttributeError) as exc:
+        # What the constructor raises for a scalar it cannot convert,
+        # such as the timestamp 2001-02-30 or `!!bool maybe`.
+        raise ParseError(f"cannot parse {path}: cannot convert a scalar: {exc}") from exc
     except RecursionError:
-        # The pure loader composes, and an error message's repr() quotes,
-        # nested data recursively.
-        raise ParseError(f"cannot parse {path}: nested too deeply") from None
+        # The pure loader composes nested data recursively.
+        raise too_deep from None
+    if _nests_deeper(raw, MAX_NESTING):
+        raise too_deep
+    return config_from_dict(raw if raw is not None else {})
 
 
 def default_config() -> ProcessConfig:

@@ -4,13 +4,15 @@ All tables are plain CSV with units in the column names, decimal points
 (never commas) and 12 significant digits so values survive a round trip
 to 1e-9 relative. Output is bit-stable for identical input.
 
-Numeric tables are written a column at a time, one `%` pass formatting
-every row. Site maps, corrections and measurements are read by one
-reader: the file is read once, a well-formed text is parsed by
-np.loadtxt a column at a time, and the rows that fail a check (or the
-whole text, when np.loadtxt cannot take it) are replayed through one
-csv.reader loop and a per-row parser, so a ParseError names file:line
-and a skipped measurement row is reported as `line N:`. JSON reports
+The numeric-table and JSON writers (and the SVG heatmap) format and
+write ROWS_PER_CHUNK rows at a time, a numeric table a column at a
+time with each distinct value of a chunk formatted once. Site maps,
+corrections and measurements are read by one reader: the file is
+read once, a well-formed text is parsed by np.loadtxt a column at a
+time, and the rows that fail a check (or the whole text, when
+np.loadtxt cannot take it) are replayed through one csv.reader loop
+and a per-row parser, so a ParseError names file:line and a skipped
+measurement row is reported as `line N:`. JSON reports
 write each `JsonRecords` (a list of flat records held as columns) with
 one `%` template per record.
 """
@@ -55,26 +57,42 @@ def fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _formatted(values, template: str) -> list[str]:
-    """`template % v` for each value, formatting each distinct value
-    once. Values are told apart by their bits, since np.unique on the
-    floats would merge -0.0 into 0.0."""
-    bits, inverse = np.unique(
-        np.asarray(values, dtype=float).view(np.int64), return_inverse=True
-    )
+#: Rows the CSV, JSON and SVG writers format and write at a time, so a
+#: writer holds the text of one chunk, never that of the whole file.
+ROWS_PER_CHUNK = 4096
+
+
+def _formatted(values: np.ndarray, template: str) -> list[str]:
+    """`template % v` for each float of `values`, formatting each
+    distinct value once. Values are told apart by their bits, since
+    np.unique on the floats would merge -0.0 into 0.0."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array([template % v for v in bits.view(float).tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
 def write_columns(path: PathLike, header: Sequence[str], columns: Sequence) -> None:
     """Write equal-length numeric columns as CSV rows, every value as
-    `fmt` formats it (`'%.12g' % v` equals `format(v, '.12g')`)."""
-    *head, last = columns
-    cells = [_formatted(c, "%.12g") for c in head] + [_formatted(last, "%.12g\n")]
+    `fmt` formats it (`'%.12g' % v` equals `format(v, '.12g')`),
+    ROWS_PER_CHUNK rows at a time."""
+    *head, last = [np.asarray(c, dtype=float) for c in columns]
+
+    def chunks() -> Iterator[str]:
+        yield ",".join(header) + "\n"
+        for start in range(0, len(last), ROWS_PER_CHUNK):
+            rows = slice(start, start + ROWS_PER_CHUNK)
+            cells = [_formatted(c[rows], "%.12g") for c in head]
+            yield "".join(map(",".join, zip(*cells, _formatted(last[rows], "%.12g\n"))))
+
+    write_text(path, chunks(), newline="")
+
+
+def write_text(path: PathLike, pieces: Iterable[str], newline: Optional[str] = None) -> None:
+    """Write the strings of `pieces` to a UTF-8 file as they come; an
+    OSError becomes IoError."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(map(",".join, zip(*cells)))
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -372,16 +390,10 @@ def write_json_report(report: dict, path: PathLike) -> None:
     dicts. Such columns are written with one `%` template per record;
     the rest goes through the json encoder.
     """
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_json_chunks(report, 0))
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, itertools.chain(_json_chunks(report, 0), ["\n"]))
 
 
 _encode_json = json.JSONEncoder(indent=2, sort_keys=True).encode
-_RECORDS_PER_CHUNK = 4096
 
 
 def _json_chunks(obj, level: int) -> Iterator[str]:
@@ -407,33 +419,33 @@ def _json_chunks(obj, level: int) -> Iterator[str]:
 
 def _record_chunks(columns: dict, level: int) -> Iterator[str]:
     """Records given as columns, written as `_json_chunks` writes their
-    list of dicts: one `%` template per record. Columns of finite floats
-    or of ints are formatted by the template (`%r` is float.__repr__,
-    as json uses); any other column is encoded value by value first."""
-    slots, values = [], []
-    for key in sorted(columns):
-        col = columns[key]
-        col = col.tolist() if isinstance(col, np.ndarray) else col
-        types = set(map(type, col))
-        if types == {float} and np.isfinite(col).all():
-            slot = "%r"
-        elif types == {int}:
-            slot = "%d"
-        elif types == {str}:
-            slot, col = "%s", list(map(encode_basestring_ascii, col))
-        else:
-            slot, col = "%s", ["".join(_json_chunks(v, level + 2)) for v in col]
-        name = encode_basestring_ascii(key).replace("%", "%%")
-        slots.append("  " * (level + 2) + name + ": " + slot)
-        values.append(col)
-    rows = list(zip(*values))
-    if not rows:
+    list of dicts, ROWS_PER_CHUNK records at a time: one `%` template per
+    record. In each chunk, columns of finite floats or of ints are
+    formatted by the template (`%r` is float.__repr__, as json uses); any
+    other column is encoded value by value first, which gives the same
+    text."""
+    n = min(map(len, columns.values()), default=0)
+    if not n:
         yield "[]"
         return
     inner = "\n" + "  " * (level + 1)
-    record = "{\n" + ",\n".join(slots) + inner + "}"
-    yield "[" + inner + record % rows[0]
-    following = ("," + inner + record).__mod__
-    for start in range(1, len(rows), _RECORDS_PER_CHUNK):
-        yield "".join(map(following, rows[start:start + _RECORDS_PER_CHUNK]))
+    for start in range(0, n, ROWS_PER_CHUNK):
+        slots, values = [], []
+        for key in sorted(columns):
+            col = columns[key][start:start + ROWS_PER_CHUNK]
+            col = col.tolist() if isinstance(col, np.ndarray) else col
+            types = set(map(type, col))
+            if types == {float} and np.isfinite(col).all():
+                slot = "%r"
+            elif types == {int}:
+                slot = "%d"
+            elif types == {str}:
+                slot, col = "%s", list(map(encode_basestring_ascii, col))
+            else:
+                slot, col = "%s", ["".join(_json_chunks(v, level + 2)) for v in col]
+            name = encode_basestring_ascii(key).replace("%", "%%")
+            slots.append("  " * (level + 2) + name + ": " + slot)
+            values.append(col)
+        record = "{\n" + ",\n".join(slots) + inner + "}"
+        yield ("," if start else "[") + inner + ("," + inner).join(map(record.__mod__, zip(*values)))
     yield "\n" + "  " * level + "]"

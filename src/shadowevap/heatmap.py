@@ -6,11 +6,13 @@ output so identical input produces an identical file.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from itertools import chain
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyInput, IoError
+from .csvio import ROWS_PER_CHUNK, write_text
+from .errors import EmptyInput
 
 #: Diameter (mm) of the drawn wafer outline.
 WAFER_DIAMETER_MM = 100.0
@@ -81,7 +83,7 @@ def render_heatmap(
     def px(v: float) -> str:
         return f"{v:.3f}"
 
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{px(width)}" '
         f'height="{px(height)}" viewBox="0 0 {px(width)} {px(height)}">',
         f'<rect x="0" y="0" width="{px(width)}" height="{px(height)}" fill="#ffffff"/>',
@@ -99,34 +101,28 @@ def render_heatmap(
     cell_px = px(cell * scale)
     rect = (
         f'<rect x="%.3f" y="%.3f" width="{cell_px}" height="{cell_px}" '
-        'fill="#%06x"><title>(%g, %g) mm: %.9g</title></rect>'
+        'fill="#%06x"><title>(%g, %g) mm: %.9g</title></rect>\n'
     )
-    parts.extend(
-        map(
-            rect.__mod__,
-            zip(
-                x0.tolist(),
-                y0.tolist(),
-                _rgb(t),
-                x_mm.tolist(),
-                y_mm.tolist(),
-                values.tolist(),
-            ),
-        )
-    )
+
+    def cells() -> Iterator[str]:
+        for start in range(0, values.size, ROWS_PER_CHUNK):
+            rows = slice(start, start + ROWS_PER_CHUNK)
+            left, top, x, y, v = (c[rows].tolist() for c in (x0, y0, x_mm, y_mm, values))
+            yield "".join(map(rect.__mod__, zip(left, top, _rgb(t[rows]), x, y, v)))
 
     # Legend: vertical gradient bar with min/max labels.
     lx = pad + wafer_px + 30.0
     ly, lh, lw = pad + 20.0, wafer_px - 40.0, 18.0
     n_seg = 32
     legend_t = np.array([1.0 - (i + 0.5) / n_seg for i in range(n_seg)])
+    legend = []
     for i, rgb in enumerate(_rgb(legend_t)):
         seg_y = ly + i * lh / n_seg
-        parts.append(
+        legend.append(
             f'<rect x="{px(lx)}" y="{px(seg_y)}" width="{px(lw)}" '
             f'height="{px(lh / n_seg + 0.5)}" fill="#{rgb:06x}"/>'
         )
-    parts.extend(
+    legend.extend(
         [
             f'<text x="{px(lx + lw + 6)}" y="{px(ly + 5)}" font-size="12" '
             f'font-family="monospace">{vmax:.6g}</text>',
@@ -137,8 +133,5 @@ def render_heatmap(
             "</svg>",
         ]
     )
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    # The cells are formatted and written ROWS_PER_CHUNK at a time.
+    write_text(path, chain(["\n".join(head) + "\n"], cells(), ["\n".join(legend) + "\n"]))

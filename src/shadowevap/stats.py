@@ -150,6 +150,14 @@ class PropagationResult:
         return self.cv_f / self.cv_rn
 
 
+#: Largest n_samples propagate_cv_monte_carlo takes: about 30 s of draws.
+MAX_MC_SAMPLES = 10**9
+
+#: Draws made and reduced at a time, so the memory of a propagation is
+#: a few chunks whatever n_samples is.
+MC_DRAWS_PER_CHUNK = 1 << 20
+
+
 def propagate_cv_monte_carlo(
     mean_rn_ohm: float,
     cv_rn: float,
@@ -180,6 +188,8 @@ def propagate_cv_monte_carlo(
         raise ValidationError(f"cv_rn must be in [0, 0.3), got {cv_rn}")
     if n_samples < 10_000:
         raise ValidationError("n_samples must be >= 10000")
+    if n_samples > MAX_MC_SAMPLES:
+        raise ValidationError(f"n_samples must be <= {MAX_MC_SAMPLES}, got {n_samples}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
@@ -191,28 +201,45 @@ def propagate_cv_monte_carlo(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sigma2 = math.log1p(cv_rn * cv_rn)
-    mu = math.log(mean_rn_ohm) - 0.5 * sigma2
-    rn = rng.lognormal(mean=mu, sigma=math.sqrt(sigma2), size=n_samples)
-
-    # h f is computed in the draws' own buffer.
-    hf = rn
-    with np.errstate(over="ignore"):
-        np.divide(_hf_radicand_j2(params), rn, out=hf)
-    np.sqrt(hf, out=hf)
-    np.subtract(hf, params.ec_j, out=hf)
-    valid = hf > 0.0
-    n_invalid = int(n_samples - valid.sum())
+    mu, sigma = math.log(mean_rn_ohm) - 0.5 * sigma2, math.sqrt(sigma2)
+    radicand = _hf_radicand_j2(params)
+    # (count, mean, sum of squared deviations) of the valid frequencies,
+    # merged chunk by chunk (Chan, Golub & LeVeque 1979). Chunked draws
+    # equal one-shot draws, and one chunk gives np.mean and np.std's
+    # arithmetic exactly.
+    n_valid, mean_f, m2 = 0, 0.0, 0.0
+    for start in range(0, n_samples, MC_DRAWS_PER_CHUNK):
+        # h f is computed in the draws' own buffer.
+        hf = rng.lognormal(mu, sigma, min(MC_DRAWS_PER_CHUNK, n_samples - start))
+        with np.errstate(over="ignore"):
+            np.divide(radicand, hf, out=hf)
+        np.sqrt(hf, out=hf)
+        np.subtract(hf, params.ec_j, out=hf)
+        valid = hf > 0.0
+        f = hf if valid.all() else hf[valid]
+        if not f.size:
+            continue
+        # An overflow makes inf, and inf - inf in the spread nan: both
+        # are reported below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            f /= PLANCK_J_S
+            chunk_mean = float(f.mean())
+            f -= chunk_mean
+            f *= f
+            chunk_m2 = float(f.sum())
+        if n_valid:
+            delta, total = chunk_mean - mean_f, n_valid + f.size
+            mean_f += delta * f.size / total
+            m2 += chunk_m2 + delta * delta * n_valid * f.size / total
+        else:
+            mean_f, m2 = chunk_mean, chunk_m2
+        n_valid += f.size
+    n_invalid = n_samples - n_valid
     if n_invalid > 0.001 * n_samples:
         raise NonPositiveFrequency(
             f"{n_invalid} of {n_samples} draws gave a non-positive frequency"
         )
-    f = hf[valid] if n_invalid else hf
-    # An overflow makes inf, and inf - inf in the spread nan: both are
-    # reported below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        f /= PLANCK_J_S
-        mean_f = float(f.mean())
-        sd_f = float(f.std(ddof=1)) if f.size >= 2 else 0.0
+    sd_f = math.sqrt(m2 / (n_valid - 1)) if n_valid >= 2 else 0.0
     if not (math.isfinite(mean_f) and math.isfinite(sd_f)):
         raise ValidationError(
             f"mean_rn_ohm = {mean_rn_ohm} ohm: the mean or spread of the drawn "

@@ -228,6 +228,28 @@ class TestSchemaMapping:
                 config_from_dict(raw)
             assert str(info.value) == message
 
+    def test_quoted_values_are_bounded(self):
+        """Aliases let a short text name a huge value; the quote shows two
+        levels of six items. An int with more digits than str() converts
+        is named by its size (before, its repr raised ValueError)."""
+        level = [1] * 10
+        for _ in range(6):
+            level = [level] * 10
+        cases = [
+            ({"source": {"distance_mm": level}}, "source.distance_mm must be a number, got ["
+             + ", ".join(["[[...], [...], [...], [...], [...], [...], ...]"] * 6) + ", ...]"),
+            ({"source": {"kind": level}}, "source.kind must be 'point' or 'disk', got "),
+            ({"junction": {"drawn_w_top_nm": 16**4000 - 1}},
+             "junction.drawn_w_top_nm must be finite, got an integer of 16000 bits"),
+            ({"mask": {"top_H_nm": "ab" * 300}},
+             f"mask.top_H_nm must be a number, got '{'ab' * 123}a...{'ab' * 124}'"),
+        ]
+        for raw, message in cases:
+            with pytest.raises(ValidationError) as info:
+                config_from_dict(raw)
+            assert str(info.value).startswith(message)
+            assert len(str(info.value)) < 600
+
     def test_first_error_in_section_then_key_order(self):
         raw = {"source": {"kind": "laser"}, "wafer": {"grid_pitch_mm": "fine"}}
         with pytest.raises(ValidationError, match=r"^wafer\.grid_pitch_mm"):
@@ -424,3 +446,64 @@ class TestLoaders:
         assert config_module._nesting_bound("a: [[1], {b: 2}]\n") == 3 + 2 * 16 + 2
         # CR, NEL and U+2028 end YAML lines too; only LF splits the text.
         assert config_module._nesting_bound("a:\r  b:\x85   c") == 2 * 12 + 2
+
+
+def alias_levels(levels, key="distance_mm"):
+    """A config whose `source.key` is a list of `levels` anchored lists,
+    each ten aliases of the one before: a few hundred bytes of text for
+    a value of 10**levels items."""
+    anchors = ["&a0 [1, 1, 1, 1, 1, 1, 1, 1, 1, 1]"] + [
+        f"&a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, levels)
+    ]
+    return f"source: {{{key}: [" + ", ".join(anchors) + "]}\n"
+
+
+def nested_chip_id(depth, tab):
+    """A site whose chip_id nests `depth` flow sequences, one per line;
+    a tab in a comment sends the text to the pure loader."""
+    return ("wafer:\n  sites:\n  - x_mm: 1.0\n    y_mm: 2.0\n    chip_id:"
+            + "\n      [" * depth + "\n      ]" * depth + "\n"
+            + ("# a\tcomment\n" if tab else ""))
+
+
+class TestBoundedInput:
+    @pytest.mark.parametrize("key", ["distance_mm", "kind"])
+    def test_alias_bomb_error_is_short(self, tmp_path, key):
+        """Seven levels name 10**7 items in 333 bytes; quoting them in
+        full printed 35.8 MB (six levels) before."""
+        path = write(tmp_path, alias_levels(7, key))
+        with pytest.raises(ValidationError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"source.{key} must be ")
+        assert len(str(info.value)) < 1000
+
+    @pytest.mark.parametrize("tab", [False, True], ids=["libyaml", "pure"])
+    def test_nesting_outcome_is_the_loaders_own(self, tmp_path, tab):
+        """500 levels: libyaml composes them and the pure loader runs out
+        of recursion; both give the one error."""
+        path = write(tmp_path, nested_chip_id(500, tab))
+        with pytest.raises(ParseError, match=r": nested too deeply$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("tab", [False, True], ids=["libyaml", "pure"])
+    def test_nesting_up_to_the_bound_is_accepted(self, tmp_path, tab):
+        """The document, wafer, sites and site levels plus the chip_id
+        lists make the depth."""
+        depth = config_module.MAX_NESTING - 4
+        config, _ = load_config(write(tmp_path, nested_chip_id(depth, tab)))
+        chip_id = config.layout.sites[0].chip_id
+        for _ in range(depth - 1):
+            (chip_id,) = chip_id
+        assert chip_id == []
+        with pytest.raises(ParseError, match=r": nested too deeply$"):
+            load_config(write(tmp_path, nested_chip_id(depth + 1, tab)))
+
+    def test_depth_walk(self):
+        nests_deeper = config_module._nests_deeper
+        shared = [[1]]
+        assert not nests_deeper(1.0, 0)
+        assert not nests_deeper({"a": [shared, shared, (shared,)]}, 5)
+        assert nests_deeper({"a": [shared, shared, (shared,)]}, 4)
+        itself = []
+        itself.append(itself)
+        assert nests_deeper(itself, config_module.MAX_NESTING)

@@ -4,7 +4,8 @@ import csv
 import json
 import math
 import tempfile
-from dataclasses import astuple
+import tracemalloc
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from shadowevap.config import default_config
 from shadowevap.csvio import (
     CORRECTIONS_HEADER,
+    ROWS_PER_CHUNK,
     SITE_MAP_HEADER,
     JsonRecords,
     export_corrections,
@@ -198,6 +200,64 @@ class TestNumericColumns:
         path.write_text(",".join(CORRECTIONS_HEADER) + "\n\n")
         with pytest.raises(ZeroValidRows):
             import_corrections(path)
+
+
+class TestChunkedWriter:
+    """Rows are formatted and written ROWS_PER_CHUNK at a time."""
+
+    @pytest.mark.parametrize(
+        "n", [ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1, 3 * ROWS_PER_CHUNK + 5]
+    )
+    def test_equals_one_joined_text(self, tmp_path, n):
+        """Against every row formatted and joined at once, with a -0.0
+        coordinate and values repeated across chunks."""
+        rng = np.random.default_rng(n)
+        columns = [np.arange(n) % 281 * 0.25 - 35.0, rng.normal(size=n), np.arange(n) % 3 * 1e-3]
+        columns[0][[0, -1]] = -0.0
+        path = tmp_path / "t.csv"
+        write_columns(path, ["x_mm", "a", "b"], columns)
+        rows = zip(*(c.tolist() for c in columns))
+        assert path.read_text() == "x_mm,a,b\n" + "".join(",".join(map(fmt, r)) + "\n" for r in rows)
+
+    @pytest.mark.parametrize(
+        "n", [ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1, 3 * ROWS_PER_CHUNK + 5]
+    )
+    def test_json_records_equal_the_encoder(self, tmp_path, n):
+        """A chunk picks its own templates: here the float column holds a
+        NaN only in its last chunk, and the label column a number."""
+        cv = np.random.default_rng(n).normal(size=n)
+        cv[-1] = math.nan
+        labels = [f"w{i % 5}" for i in range(n)]
+        labels[0] = 3
+        records = JsonRecords(cv_percent=cv, n_runs=np.arange(n) % 4, wafer_id=labels)
+        write_json_report({"per_junction": records, "n": n}, tmp_path / "r.json")
+        dicts = [{"cv_percent": c, "n_runs": r, "wafer_id": w}
+                 for c, r, w in zip(cv.tolist(), (np.arange(n) % 4).tolist(), labels)]
+        expected = json.dumps({"per_junction": dicts, "n": n}, indent=2, sort_keys=True)
+        assert (tmp_path / "r.json").read_text() == expected + "\n"
+
+    def test_memory_is_under_the_text(self, tmp_path):
+        """At 78,961 sites each writer holds less than the size of the
+        file it writes (before, the CSV writers held 1.7 times as much
+        and the JSON writer 2.3 times)."""
+        config = default_config()
+        config = replace(config, layout=replace(config.layout, grid_pitch_mm=0.25))
+        results, corrections = simulate_wafer(config), compensate_wafer(config)
+        assert len(results) == 78_961
+        records = JsonRecords(**{name: column(results, name) for name in ("x_mm", "y_mm", "area_um2")})
+        writers = {
+            "sites.csv": lambda path: export_site_map(results, path),
+            "corr.csv": lambda path: export_corrections(corrections, path),
+            "sites.json": lambda path: write_json_report({"sites": records}, path),
+        }
+        for name, write in writers.items():
+            tracemalloc.start()
+            try:
+                write(tmp_path / name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (tmp_path / name).stat().st_size, name
 
 
 def oracle_numbers(path, header):

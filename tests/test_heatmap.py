@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowevap import heatmap
+from shadowevap.csvio import ROWS_PER_CHUNK
 from shadowevap.errors import EmptyInput
 from shadowevap.heatmap import render_heatmap
 
@@ -122,3 +124,65 @@ class TestVectorisedRendering:
         render_heatmap(points, "area_um2", path)
         cells = [line for line in path.read_text().splitlines() if "<title>" in line]
         assert cells == reference_cells(points)
+
+
+def reference_svg(points, field_name):
+    """The whole map as one joined text, as the renderer wrote it before
+    it wrote in chunks."""
+    values = [p[2] for p in points]
+    lx, ly, lh, lw, n_seg = 650.0, 40.0, 560.0, 18.0, 32
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="770.000" height="640.000" '
+        'viewBox="0 0 770.000 640.000">',
+        '<rect x="0" y="0" width="770.000" height="640.000" fill="#ffffff"/>',
+        '<circle cx="320.000" cy="320.000" r="300.000" fill="none" stroke="#333333" '
+        'stroke-width="1.5"/>',
+        *reference_cells(points),
+        *(f'<rect x="{lx:.3f}" y="{ly + i * lh / n_seg:.3f}" width="{lw:.3f}" '
+          f'height="{lh / n_seg + 0.5:.3f}" fill="{reference_color(1.0 - (i + 0.5) / n_seg)}"/>'
+          for i in range(n_seg)),
+        f'<text x="{lx + lw + 6:.3f}" y="{ly + 5:.3f}" font-size="12" '
+        f'font-family="monospace">{max(values):.6g}</text>',
+        f'<text x="{lx + lw + 6:.3f}" y="{ly + lh:.3f}" font-size="12" '
+        f'font-family="monospace">{min(values):.6g}</text>',
+        f'<text x="{lx:.3f}" y="{ly - 8:.3f}" font-size="12" '
+        f'font-family="monospace">{field_name}</text>',
+        "</svg>",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def grid_points(n, seed):
+    """n cells of a 0.25 mm grid, 281 to a row, with -0.0 coordinates."""
+    i = np.arange(n)
+    points = np.column_stack(
+        (i % 281 * 0.25 - 35.0, i // 281 * 0.25 - 35.0, np.random.default_rng(seed).normal(size=n))
+    )
+    points[0, :2] = points[-1, 0] = -0.0
+    return points
+
+
+class TestChunkedRendering:
+    """Cells are formatted and written ROWS_PER_CHUNK at a time."""
+
+    @pytest.mark.parametrize(
+        "n", [ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1, 3 * ROWS_PER_CHUNK + 5]
+    )
+    def test_equals_one_joined_text(self, tmp_path, n):
+        points = grid_points(n, n)
+        render_heatmap(points, "area_um2", tmp_path / "map.svg")
+        expected = reference_svg([tuple(p) for p in points.tolist()], "area_um2")
+        assert (tmp_path / "map.svg").read_text() == expected
+
+    def test_memory_is_under_the_text(self, tmp_path):
+        """At 78,961 cells the renderer holds less than the file's size
+        (before, it held 3.9 times as much)."""
+        points = grid_points(78_961, 1)
+        path = tmp_path / "map.svg"
+        tracemalloc.start()
+        try:
+            render_heatmap(points, "area_um2", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size

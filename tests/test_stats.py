@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONSISTENT_WAFERS, WAFER_TABLE
+from shadowevap import stats
 from shadowevap.errors import (
     EmptyOrSingleton,
     NonPositiveFrequency,
@@ -18,6 +19,8 @@ from shadowevap.errors import (
 from shadowevap.stats import (
     ELEMENTARY_CHARGE_C,
     FLUX_QUANTUM_WB,
+    MAX_MC_SAMPLES,
+    MC_DRAWS_PER_CHUNK,
     PLANCK_J_S,
     MeasurementRecord,
     QubitParams,
@@ -190,6 +193,61 @@ class TestMonteCarloPropagation:
             propagate_cv_monte_carlo(8000.0, 0.5, PARAMS, 10_000)
         with pytest.raises(ValidationError):
             propagate_cv_monte_carlo(8000.0, 0.06, PARAMS, 100)
+        with pytest.raises(ValidationError, match=f"^n_samples must be <= {MAX_MC_SAMPLES}, got"):
+            propagate_cv_monte_carlo(8000.0, 0.06, PARAMS, MAX_MC_SAMPLES + 1)
+
+
+def one_shot_propagation(mean_rn_ohm, cv_rn, params, n_samples, seed):
+    """(mean, sd, n_invalid) of the frequencies of all n draws held in
+    one array: the propagation as it was before the draws were chunked."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    sigma2 = math.log1p(cv_rn * cv_rn)
+    rn = rng.lognormal(math.log(mean_rn_ohm) - 0.5 * sigma2, math.sqrt(sigma2), n_samples)
+    hf = np.sqrt(stats._hf_radicand_j2(params) / rn) - params.ec_j
+    f = hf[hf > 0.0] / PLANCK_J_S
+    return float(f.mean()), float(f.std(ddof=1)), n_samples - f.size
+
+
+class TestChunkedMonteCarlo:
+    """Draws are made and reduced MC_DRAWS_PER_CHUNK at a time and the
+    moments merged; the one-shot propagation is the oracle."""
+
+    @pytest.mark.parametrize("mean_rn_ohm", [8000.0, 3.4e6], ids=["all-valid", "some-invalid"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, MC_DRAWS_PER_CHUNK + 7])
+    def test_equals_one_shot_draws(self, mean_rn_ohm, extra):
+        """At 3.4 Mohm about 0.03% of the draws, in every chunk, give a
+        non-positive frequency."""
+        n = MC_DRAWS_PER_CHUNK + extra
+        mean, sd, n_invalid = one_shot_propagation(mean_rn_ohm, 0.06, PARAMS, n, seed=5)
+        result = propagate_cv_monte_carlo(mean_rn_ohm, 0.06, PARAMS, n, seed=5)
+        assert result.n_invalid == n_invalid
+        assert (n_invalid > 0) == (mean_rn_ohm > 8000.0)
+        if n <= MC_DRAWS_PER_CHUNK:
+            assert (result.mean_f_hz, result.cv_f) == (mean, sd / mean)
+        else:
+            assert result.mean_f_hz == pytest.approx(mean, rel=1e-12, abs=0)
+            assert result.cv_f * result.mean_f_hz == pytest.approx(sd, rel=1e-12, abs=0)
+
+    def test_invalid_draws_in_every_chunk_are_counted(self):
+        """About 0.17% of the draws are invalid, spread over three chunks:
+        the cap is applied to their total, with the one-shot count."""
+        n = 2 * MC_DRAWS_PER_CHUNK + 7
+        _, _, n_invalid = one_shot_propagation(3.5e6, 0.06, PARAMS, n, seed=5)
+        message = f"^{n_invalid} of {n} draws gave a non-positive frequency$"
+        with pytest.raises(NonPositiveFrequency, match=message):
+            propagate_cv_monte_carlo(3.5e6, 0.06, PARAMS, n, seed=5)
+
+    def test_peak_memory_is_a_few_chunks(self):
+        """At n = 4,000,000 the peak stays under four chunk arrays (the
+        one-shot draws held about two arrays of n)."""
+        propagate_cv_monte_carlo(8000.0, 0.06, PARAMS, 10_000)  # warm up
+        tracemalloc.start()
+        try:
+            propagate_cv_monte_carlo(3.4e6, 0.06, PARAMS, 4_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * MC_DRAWS_PER_CHUNK
 
 
 class TestCriticalCurrentDensity:
