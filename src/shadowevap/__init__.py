@@ -66,7 +66,6 @@ from .wafer import (
     WaferLayout,
     bias_profile,
     center_reference_widths,
-    compensate_site,
     compensate_wafer,
     residual_report,
     resimulate_with_corrections,

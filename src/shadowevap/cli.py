@@ -245,7 +245,7 @@ def _heatmap_points(path: str, field: str) -> np.ndarray:
             values = column(rows, field)
         return np.column_stack((column(rows, "x_mm"), column(rows, "y_mm"), values))
 
-    records, _ = csvio.import_measurements(path)
+    records, _ = csvio.import_measurements(path, ids=False)
     if field != "rn_ohm":
         raise UnknownField(
             f"unknown field {field!r}; measurement files provide ['rn_ohm']"

@@ -6,15 +6,24 @@ to 1e-9 relative. Output is bit-stable for identical input.
 
 The numeric-table and JSON writers (and the SVG heatmap) format and
 write ROWS_PER_CHUNK rows at a time, a numeric table a column at a
-time with each distinct value of a chunk formatted once. Site maps,
-corrections and measurements are read by one reader: the file is
-read once, a well-formed text is parsed by np.loadtxt a column at a
-time, and the rows that fail a check (or the whole text, when
+time with each distinct value of a chunk formatted once. All three
+hand their chunks to `write_text` as a `RowChunks`. Given two or more
+chunks, two or more usable CPUs (os.sched_getaffinity) and os.fork,
+it forks a child that formats the back half of the chunks into an
+unlinked file in tempfile.gettempdir() while this process formats the
+front half, then reaps the child and copies its bytes in, or formats
+that half itself if the child failed. The child only formats (no BLAS
+call) and leaves by os._exit, flushing none of the parent's files.
+Otherwise the chunks are formatted here in order: the same bytes.
+
+Site maps, corrections and measurements are read by one reader: the
+file is read once, a well-formed text is parsed by np.loadtxt a column
+at a time, and the rows that fail a check (or the whole text, when
 np.loadtxt cannot take it) are replayed through one csv.reader loop
 and a per-row parser, so a ParseError names file:line and a skipped
-measurement row is reported as `line N:`. JSON reports
-write each `JsonRecords` (a list of flat records held as columns) with
-one `%` template per record.
+measurement row is reported as `line N:`. JSON reports write each
+`JsonRecords` (a list of flat records held as columns) with one `%`
+template per record.
 """
 
 from __future__ import annotations
@@ -24,10 +33,14 @@ import io
 import itertools
 import json
 import math
+import os
+import shutil
+import signal
+import tempfile
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,6 +75,14 @@ def fmt(value: float) -> str:
 ROWS_PER_CHUNK = 4096
 
 
+class RowChunks(NamedTuple):
+    """The text of `rows` rows, ROWS_PER_CHUNK at a time: `chunk(k)` is
+    that of rows k * ROWS_PER_CHUNK up to (k + 1) * ROWS_PER_CHUNK."""
+
+    rows: int
+    chunk: Callable[[int], str]
+
+
 def _formatted(values: np.ndarray, template: str) -> list[str]:
     """`template % v` for each float of `values`, formatting each
     distinct value once. Values are told apart by their bits, since
@@ -77,24 +98,87 @@ def write_columns(path: PathLike, header: Sequence[str], columns: Sequence) -> N
     ROWS_PER_CHUNK rows at a time."""
     *head, last = [np.asarray(c, dtype=float) for c in columns]
 
-    def chunks() -> Iterator[str]:
-        yield ",".join(header) + "\n"
-        for start in range(0, len(last), ROWS_PER_CHUNK):
-            rows = slice(start, start + ROWS_PER_CHUNK)
-            cells = [_formatted(c[rows], "%.12g") for c in head]
-            yield "".join(map(",".join, zip(*cells, _formatted(last[rows], "%.12g\n"))))
+    def chunk(k: int) -> str:
+        rows = slice(k * ROWS_PER_CHUNK, (k + 1) * ROWS_PER_CHUNK)
+        cells = [_formatted(c[rows], "%.12g") for c in head]
+        return "".join(map(",".join, zip(*cells, _formatted(last[rows], "%.12g\n"))))
 
-    write_text(path, chunks(), newline="")
+    write_text(path, [",".join(header) + "\n", RowChunks(len(last), chunk)], newline="")
 
 
-def write_text(path: PathLike, pieces: Iterable[str], newline: Optional[str] = None) -> None:
-    """Write the strings of `pieces` to a UTF-8 file as they come; an
+def write_text(
+    path: PathLike, pieces: Iterable[Union[str, RowChunks]], newline: Optional[str] = None
+) -> None:
+    """Write the strings and RowChunks of `pieces` to a UTF-8 file as
+    they come, the back half of a RowChunks' chunks formatted by a
+    forked child where that is possible (see the module docstring); an
     OSError becomes IoError."""
     try:
         with open(path, "w", newline=newline, encoding="utf-8") as fh:
-            fh.writelines(pieces)
+            for piece in pieces:
+                if isinstance(piece, str):
+                    fh.write(piece)
+                else:
+                    _write_chunks(fh, piece)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_chunks(fh: IO[str], chunks: RowChunks) -> None:
+    """Write every chunk to `fh` in order, the back half formatted by a
+    forked child where one can be made."""
+    count, chunk = -(-chunks.rows // ROWS_PER_CHUNK), chunks.chunk
+    split = count // 2
+    child = _fork_writer(chunk, range(split, count)) if split else None
+    if child is None:
+        fh.writelines(map(chunk, range(count)))
+        return
+    pid, tmp = child
+    with tmp:
+        try:
+            fh.writelines(map(chunk, range(split)))
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+        finally:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if os.waitstatus_to_exitcode(status) == 0:
+            fh.flush()
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh.buffer, 1 << 20)
+        else:
+            fh.writelines(map(chunk, range(split, count)))
+
+
+def _fork_writer(chunk: Callable[[int], str], ks: range) -> Optional[tuple[int, IO[bytes]]]:
+    """(pid, file) of a child process that writes chunk(k) for each k
+    of `ks`, UTF-8 encoded, to that unlinked temporary file and exits 0;
+    None if this process has fewer than two CPUs, or no file or child
+    can be made."""
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(usable) < 2 or not hasattr(os, "fork"):
+        return None
+    try:
+        tmp = tempfile.TemporaryFile()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        tmp.close()
+        return None
+    if pid:
+        return pid, tmp
+    code = 1
+    try:
+        with open(tmp.fileno(), "wb", closefd=False) as out:
+            for k in ks:
+                out.write(chunk(k).encode("utf-8"))
+        code = 0
+    finally:
+        # Neither exit handlers nor the parent's buffers run here.
+        os._exit(code)
 
 
 def export_site_map(results: Sequence[SiteResult], path: PathLike) -> None:
@@ -217,10 +301,13 @@ def _read_table(
     diagnostics: Optional[list[str]] = None,
     label_columns: Sequence[int] = (),
     allow_extra: Sequence[str] = (),
+    read_labels: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(numbers, labels, line numbers) of the valid rows of a CSV table:
     an (n, k) float array of the columns not in `label_columns`, and an
     array of those. ZeroValidRows says `no_rows` if there are none.
+    Without `read_labels`, np.loadtxt parses no label, and labels are
+    given only for replayed rows; the same rows are kept either way.
 
     If the text has no quote, lone carriage return or NUL, its non-blank
     lines have one column count the header allows and a str array of its
@@ -272,7 +359,8 @@ def _read_table(
             size = len(rows) * max(map(len, rows)) * 4 * len(label_columns)
             if size > MAX_LABEL_BYTES_PER_CHAR * len(text):
                 raise ValueError("labels too uneven in length for a str array")
-            labels = np.loadtxt(rows, dtype=str, usecols=label_columns, **options)
+            if read_labels:
+                labels = np.loadtxt(rows, dtype=str, usecols=label_columns, **options)
     except ValueError:
         numbers = None
         replay = _csv_rows(path, io.StringIO(body, newline=""), itertools.count(2))
@@ -302,12 +390,14 @@ def _read_table(
     return numbers, labels, linenos
 
 
-def import_measurements(path: PathLike) -> tuple[Table, list[str]]:
+def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[str]]:
     """Parse a measurement CSV into a Table of MeasurementRecord plus
     per-row diagnostics.
 
     Invalid rows are skipped and reported with their line numbers, never
     silently dropped; a file with zero valid rows raises ZeroValidRows.
+    Without `ids` the wafer, chip and run ids are not parsed (no check
+    reads them) and their columns hold None.
     """
     diagnostics: list[str] = []
     numbers, labels, _ = _read_table(
@@ -320,7 +410,10 @@ def import_measurements(path: PathLike) -> tuple[Table, list[str]]:
         diagnostics,
         label_columns=(0, 1, 5),
         allow_extra=[MEASUREMENT_JC_COLUMN],
+        read_labels=ids,
     )
+    if not ids:
+        labels = np.full((len(numbers), 3), None, dtype=object)
     x, y, area, rn, *jc = numbers.T
     # NaN marks a row without jc_ua_um2, since a given one is finite.
     jc = jc[0] if jc else np.full(len(rn), math.nan)
@@ -379,7 +472,11 @@ class JsonRecords:
     list of dicts."""
 
     def __init__(self, **columns: Union[list, np.ndarray]) -> None:
+        lengths = {len(c) for c in columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"JsonRecords columns differ in length: {sorted(lengths)}")
         self.columns = columns
+        self.rows = lengths.pop() if lengths else 0
 
 
 def write_json_report(report: dict, path: PathLike) -> None:
@@ -396,12 +493,12 @@ def write_json_report(report: dict, path: PathLike) -> None:
 _encode_json = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
-def _json_chunks(obj, level: int) -> Iterator[str]:
+def _json_chunks(obj, level: int) -> Iterator[Union[str, RowChunks]]:
     """The text json.dumps(obj, indent=2, sort_keys=True) gives `obj`
     nested `level` containers deep, in pieces."""
     inner = "\n" + "  " * (level + 1)
     if isinstance(obj, JsonRecords):
-        yield from _record_chunks(obj.columns, level)
+        yield from _record_chunks(obj, level)
     elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         for i, key in enumerate(sorted(obj)):
             yield ("," if i else "{") + inner + encode_basestring_ascii(key) + ": "
@@ -417,22 +514,23 @@ def _json_chunks(obj, level: int) -> Iterator[str]:
         yield _encode_json(obj).replace("\n", "\n" + "  " * level)
 
 
-def _record_chunks(columns: dict, level: int) -> Iterator[str]:
+def _record_chunks(records: JsonRecords, level: int) -> Iterator[Union[str, RowChunks]]:
     """Records given as columns, written as `_json_chunks` writes their
     list of dicts, ROWS_PER_CHUNK records at a time: one `%` template per
     record. In each chunk, columns of finite floats or of ints are
     formatted by the template (`%r` is float.__repr__, as json uses); any
     other column is encoded value by value first, which gives the same
     text."""
-    n = min(map(len, columns.values()), default=0)
-    if not n:
+    if not records.rows:
         yield "[]"
         return
     inner = "\n" + "  " * (level + 1)
-    for start in range(0, n, ROWS_PER_CHUNK):
+
+    def chunk(k: int) -> str:
+        rows = slice(k * ROWS_PER_CHUNK, (k + 1) * ROWS_PER_CHUNK)
         slots, values = [], []
-        for key in sorted(columns):
-            col = columns[key][start:start + ROWS_PER_CHUNK]
+        for key in sorted(records.columns):
+            col = records.columns[key][rows]
             col = col.tolist() if isinstance(col, np.ndarray) else col
             types = set(map(type, col))
             if types == {float} and np.isfinite(col).all():
@@ -447,5 +545,7 @@ def _record_chunks(columns: dict, level: int) -> Iterator[str]:
             slots.append("  " * (level + 2) + name + ": " + slot)
             values.append(col)
         record = "{\n" + ",\n".join(slots) + inner + "}"
-        yield ("," if start else "[") + inner + ("," + inner).join(map(record.__mod__, zip(*values)))
+        return ("," if k else "[") + inner + ("," + inner).join(map(record.__mod__, zip(*values)))
+
+    yield RowChunks(records.rows, chunk)
     yield "\n" + "  " * level + "]"

@@ -6,12 +6,11 @@ output so identical input produces an identical file.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .csvio import ROWS_PER_CHUNK, write_text
+from .csvio import ROWS_PER_CHUNK, RowChunks, write_text
 from .errors import EmptyInput
 
 #: Diameter (mm) of the drawn wafer outline.
@@ -38,8 +37,10 @@ def _rgb(t: np.ndarray) -> list[int]:
     i = np.minimum(scaled.astype(np.intp), len(_STOPS) - 2)
     frac = (scaled - i)[:, None]
     rgb = _STOPS[i] + frac * (_STOPS[i + 1] - _STOPS[i])
-    # rint, like round(), takes halves to even.
-    return (np.rint(255 * rgb).astype(np.int64) @ np.array([1 << 16, 1 << 8, 1])).tolist()
+    # rint, like round(), takes halves to even. Integer arithmetic, no
+    # BLAS call: a forked writer runs this.
+    r, g, b = np.rint(255 * rgb).astype(np.int64).T
+    return (r << 16 | g << 8 | b).tolist()
 
 
 def _cell_size_mm(x_mm: np.ndarray, y_mm: np.ndarray) -> float:
@@ -104,11 +105,10 @@ def render_heatmap(
         'fill="#%06x"><title>(%g, %g) mm: %.9g</title></rect>\n'
     )
 
-    def cells() -> Iterator[str]:
-        for start in range(0, values.size, ROWS_PER_CHUNK):
-            rows = slice(start, start + ROWS_PER_CHUNK)
-            left, top, x, y, v = (c[rows].tolist() for c in (x0, y0, x_mm, y_mm, values))
-            yield "".join(map(rect.__mod__, zip(left, top, _rgb(t[rows]), x, y, v)))
+    def cells(k: int) -> str:
+        rows = slice(k * ROWS_PER_CHUNK, (k + 1) * ROWS_PER_CHUNK)
+        left, top, x, y, v = (c[rows].tolist() for c in (x0, y0, x_mm, y_mm, values))
+        return "".join(map(rect.__mod__, zip(left, top, _rgb(t[rows]), x, y, v)))
 
     # Legend: vertical gradient bar with min/max labels.
     lx = pad + wafer_px + 30.0
@@ -134,4 +134,6 @@ def render_heatmap(
         ]
     )
     # The cells are formatted and written ROWS_PER_CHUNK at a time.
-    write_text(path, chain(["\n".join(head) + "\n"], cells(), ["\n".join(legend) + "\n"]))
+    write_text(
+        path, ["\n".join(head) + "\n", RowChunks(values.size, cells), "\n".join(legend) + "\n"]
+    )

@@ -3,9 +3,9 @@
 `simulate_wafer` evaluates the single-site model over a grid to produce
 dimension, area and bias maps; `bias_profile` reproduces the model
 comparison (constant bias vs point source vs non-point source) along
-one axis; `compensate_site`/`compensate_wafer` invert the width
-formulas analytically into per-site drawn-dimension corrections that
-flatten the printed-area map.
+one axis; `compensate_wafer` inverts the width formulas analytically
+into per-site drawn-dimension corrections that flatten the printed-area
+map.
 
 Convention: each electrode's width varies along its own wafer axis
 (bottom along x, top along y), and the incidence angle entering an
@@ -433,25 +433,6 @@ def _drawn(name: str, target_nm: float, terms: geometry.BranchTerms) -> float:
             f"(0, {DEFAULT_MAX_DRAWN_NM}] nm"
         )
     return drawn
-
-
-def compensate_site(
-    config: ProcessConfig,
-    site: WaferSite,
-    target_w_bottom_nm: float,
-    target_w_top_nm: float,
-) -> tuple[float, float]:
-    """Drawn widths that print as the requested widths at this site.
-
-    Both width formulas are affine in their drawn dimension (the angle
-    and sidewall film do not depend on it), so the inverse is closed
-    form (`geometry.drawn_width`); forward-evaluating the returned pair
-    reproduces the targets to rounding error. Raises Unreachable when a
-    required drawn width is non-positive or exceeds DEFAULT_MAX_DRAWN_NM.
-    """
-    if not (target_w_bottom_nm > 0 and target_w_top_nm > 0):
-        raise ValidationError("target widths must be > 0")
-    return _invert_site(_Model(config), site, target_w_bottom_nm, target_w_top_nm)[:2]
 
 
 def _invert_site(

@@ -431,6 +431,12 @@ class TestMeasurementCsv:
 
 
 class TestJsonReport:
+    def test_columns_of_unequal_length_are_refused(self):
+        """Records are not cut to the shortest column."""
+        with pytest.raises(ValueError, match=r"differ in length: \[2, 3\]"):
+            JsonRecords(a=[1.0, 2.0], b=np.arange(3))
+        assert JsonRecords().rows == 0
+
     def test_deterministic_bytes(self, tmp_path):
         report = {"b": 2.0, "a": [1, 2, 3], "nested": {"z": 0.1, "y": "s"}}
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -258,6 +258,34 @@ class TestImport:
             assert reprs(new[0]) == reprs(old[0])
             assert new[1] == old[1]
 
+    @settings(SETTINGS, max_examples=50)
+    @given(measurement_texts())
+    def test_without_ids_keeps_the_same_rows(self, tmp_path, monkeypatch, text):
+        """No check reads an id, so without them the same rows are kept
+        with the same diagnostics, and np.loadtxt parses no label."""
+        path = tmp_path / "meas.csv"
+        path.write_bytes(text.encode())
+        full, full_error = outcome(csvio.import_measurements, path)
+        dtypes = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            dtypes.append(kwargs["dtype"])
+            return loadtxt(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "loadtxt", counted)
+            numeric, numeric_error = outcome(csvio.import_measurements, path, False)
+        assert str not in dtypes
+        assert numeric_error == full_error
+        if full is not None:
+            assert numeric[1] == full[1]
+            for name, c in numeric[0].columns.items():
+                if name in ("wafer_id", "chip_id", "run_id"):
+                    assert c.tolist() == [None] * len(full[0])
+                else:
+                    assert repr(c.tolist()) == repr(full[0].columns[name].tolist())
+
     def test_signed_zero_sites_keep_the_first_sign(self, tmp_path):
         path = tmp_path / "meas.csv"
         path.write_text(

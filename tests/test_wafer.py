@@ -11,7 +11,6 @@ from shadowevap.errors import (
     AxisMismatch,
     DenominatorCollapse,
     EmptyInput,
-    Unreachable,
     ValidationError,
 )
 from shadowevap import geometry
@@ -31,7 +30,6 @@ from shadowevap.wafer import (
     bias_profile,
     branch_discontinuity_nm,
     center_reference_widths,
-    compensate_site,
     compensate_wafer,
     residual_report,
     resimulate_with_corrections,
@@ -239,38 +237,55 @@ class TestBiasProfile:
             bias_profile(config, Axis.X, Electrode.TOP)
 
 
+def one_site(config, x, y):
+    """The config with its layout cut to the one explicit site (x, y)."""
+    return replace(config, layout=replace(config.layout, sites=(WaferSite(x, y),)))
+
+
+def printed(target_b, target_t):
+    """The target whose printed widths are (target_b, target_t) nm."""
+    return ExplicitAreaTarget(target_b * target_t / 1e6, target_b / target_t)
+
+
 class TestCompensateSite:
+    """`compensate_wafer` on a layout of one explicit site."""
+
     def test_center_fixed_point(self, config):
-        w_b0, w_t0 = center_reference_widths(config)
-        drawn_b, drawn_t = compensate_site(config, WaferSite(0, 0), w_b0, w_t0)
-        assert drawn_b == pytest.approx(200.0, rel=1e-12)
-        assert drawn_t == pytest.approx(200.0, rel=1e-12)
+        row = compensate_wafer(one_site(config, 0, 0)).rows[0]
+        assert row.drawn_w_bottom_nm == pytest.approx(200.0, rel=1e-12)
+        assert row.drawn_w_top_nm == pytest.approx(200.0, rel=1e-12)
 
     def test_edge_site_round_trip(self, config):
         w_b0, w_t0 = center_reference_widths(config)
-        site = WaferSite(35.0, 0.0)
-        drawn_b, drawn_t = compensate_site(config, site, w_b0, w_t0)
-        assert 150.0 <= drawn_b <= 165.0
+        site_config = one_site(config, 35.0, 0.0)
+        row = compensate_wafer(site_config, CenterWidthsTarget()).rows[0]
+        assert 150.0 <= row.drawn_w_bottom_nm <= 165.0
         corrected = replace(
-            config,
-            junction=JunctionSpec(drawn_bottom_nm=drawn_b, drawn_top_nm=drawn_t),
-            layout=replace(config.layout, sites=(site,)),
+            site_config,
+            junction=JunctionSpec(
+                drawn_bottom_nm=row.drawn_w_bottom_nm, drawn_top_nm=row.drawn_w_top_nm
+            ),
         )
         r = simulate_wafer(corrected)[0]
         assert r.w_bottom_nm == pytest.approx(w_b0, rel=1e-9)
         assert r.w_top_nm == pytest.approx(w_t0, rel=1e-9)
 
+    def unreachable(self, config, x, target_b, target_t):
+        table = compensate_wafer(one_site(config, x, 0.0), printed(target_b, target_t))
+        assert len(table.rows) == 0
+        [(site, reason)] = table.rejections
+        assert site == WaferSite(x, 0.0)
+        assert "outside (0, 5000.0] nm" in reason
+
     def test_unreachable_small_target(self, config):
-        with pytest.raises(Unreachable):
-            compensate_site(config, WaferSite(35.0, 0.0), 1.0, 180.0)
+        self.unreachable(config, 35.0, 1.0, 180.0)
 
     def test_unreachable_large_target(self, config):
-        with pytest.raises(Unreachable):
-            compensate_site(config, WaferSite(0.0, 0.0), 200.0, 6000.0)
+        self.unreachable(config, 0.0, 200.0, 6000.0)
 
     def test_rejects_non_positive_targets(self, config):
         with pytest.raises(ValidationError):
-            compensate_site(config, WaferSite(0, 0), -5.0, 100.0)
+            compensate_wafer(one_site(config, 0, 0), printed(-5.0, 100.0))
 
     @given(
         st.floats(min_value=-35.0, max_value=35.0),
@@ -280,16 +295,16 @@ class TestCompensateSite:
     )
     @settings(max_examples=100, deadline=None)
     def test_round_trip_property(self, x, y, target_b, target_t):
-        config = default_config()
-        site = WaferSite(x, y)
-        try:
-            drawn_b, drawn_t = compensate_site(config, site, target_b, target_t)
-        except Unreachable:
+        site_config = one_site(default_config(), x, y)
+        table = compensate_wafer(site_config, printed(target_b, target_t))
+        if table.rejections:
             return
+        row = table.rows[0]
         corrected = replace(
-            config,
-            junction=JunctionSpec(drawn_bottom_nm=drawn_b, drawn_top_nm=drawn_t),
-            layout=replace(config.layout, sites=(site,)),
+            site_config,
+            junction=JunctionSpec(
+                drawn_bottom_nm=row.drawn_w_bottom_nm, drawn_top_nm=row.drawn_w_top_nm
+            ),
         )
         r = simulate_wafer(corrected)[0]
         assert r.w_bottom_nm == pytest.approx(target_b, rel=1e-9)
