@@ -245,11 +245,11 @@ def _heatmap_points(path: str, field: str) -> np.ndarray:
             values = column(rows, field)
         return np.column_stack((column(rows, "x_mm"), column(rows, "y_mm"), values))
 
-    records, _ = csvio.import_measurements(path, ids=False)
     if field != "rn_ohm":
         raise UnknownField(
             f"unknown field {field!r}; measurement files provide ['rn_ohm']"
         )
+    records, _ = csvio.import_measurements(path, ids=False)
     x, y = column(records, "x_mm"), column(records, "y_mm")
     site, first = group_codes([x, y])
     # Each site's values added in row order: a sequential left-to-right

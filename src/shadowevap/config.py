@@ -219,7 +219,83 @@ def _nesting_bound(text: str) -> int:
     return text.count("[") + text.count("{") + 2 * longest + 2
 
 
+#: A wafer.sites row in flow form on a line of its own: `- {x_mm: N,
+#: y_mm: N}`, then optionally `, chip_id: ID` and `, site_id: ID`. Each
+#: N is a YAML int or float that int() or float() builds alike; an ID is
+#: a string unless an implicit resolver for its first character claims it.
+#: `re` compiles it on first use, so a config without rows never does.
+_N = r"(-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]{0,17})?)"
+_ID = r"([A-Za-z_][A-Za-z0-9_]*)"
+_ROW = rf"^( *)- \{{x_mm: {_N}, y_mm: {_N}(?:, chip_id: {_ID})?(?:, site_id: {_ID})?\}}$"
+_RESOLVERS = yaml.resolver.Resolver.yaml_implicit_resolvers
+
+
+def _splice(data: Any, rows: dict[str, list], mark: str) -> bool:
+    """Put each token's rows in its place in `data`, if each token is a
+    whole list element once and no other string holds `mark`. Each
+    container is visited once, by id, since aliases share nodes."""
+    found: dict[str, tuple[list, int]] = {}
+    seen, stack = set(), [data]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str) and mark in node:
+            return False
+        if isinstance(node, (dict, list)) and id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, dict):
+                stack += [*node, *node.values()]
+                continue
+            for i, item in enumerate(node):
+                if isinstance(item, str) and item in rows and item not in found:
+                    found[item] = (node, i)
+                else:
+                    stack.append(item)
+    if len(found) < len(rows):
+        return False
+    for token, (node, i) in reversed(found.items()):  # a list's last first
+        node[i : i + 1] = rows[token]
+    return True
+
+
 def _safe_load(text: str) -> Any:
+    """The data `yaml.safe_load(text)` gives, or its error.
+
+    In a text `_LIBYAML_TEXT` admits (so without escapes, tags or block
+    scalars), each run of consecutive `_ROW` lines at one indent is
+    read by the regex and stands as one line `- <token>` in the text
+    YAML parses, and `_splice` puts the rows back. Where that fails,
+    YAML parses the whole text, so errors keep their wording and
+    position.
+    """
+    if "- {x_mm:" not in text or not _LIBYAML_TEXT.fullmatch(text):
+        return _yaml_load(text)
+    mark = "shadowevap_rows"
+    while mark in text:
+        mark += "_"
+    rows: dict[str, list] = {}
+    pieces, at, run_indent = [], 0, None
+    for match in re.finditer(_ROW, text, re.MULTILINE):
+        indent, x, y, *ids = match.groups()
+        if any(regexp.match(i) for i in ids if i for _, regexp in _RESOLVERS.get(i[0], ())):
+            continue
+        if not rows or match.start() != at + 1 or indent != run_indent:
+            run_indent, token = indent, f"{mark}{len(rows)}"
+            pieces += [text[at : match.start()], f"{indent}- {token}"]
+            rows[token] = []
+        values = (float(x) if "." in x else int(x), float(y) if "." in y else int(y), *ids)
+        rows[token].append({k: v for k, v in zip(_SITE_KEYS, values) if v is not None})
+        at = match.end()
+    if rows:
+        try:
+            data = _yaml_load("".join(pieces) + text[at:])
+            if _splice(data, rows, mark):
+                return data
+        except Exception:  # the whole text gives the error, at its own position
+            pass
+    return _yaml_load(text)
+
+
+def _yaml_load(text: str) -> Any:
     """The data `yaml.safe_load(text)` gives, or its error.
 
     libyaml (`yaml.CSafeLoader`, when PyYAML has it) parses a text made

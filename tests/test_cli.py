@@ -1040,3 +1040,17 @@ class TestHeatmap:
         )
         assert code == 2
         assert "area_um2" in capsys.readouterr().err
+
+    def test_unknown_field_is_refused_before_the_measurements_are_read(self, tmp_path, capsys):
+        """A measurement file that cannot be read (its header lacks
+        columns) with an unknown field: the field error is the one
+        given, since the file is not parsed before the field is known."""
+        meas = tmp_path / "meas.csv"
+        meas.write_text("wafer_id,x_mm\nw1,0\n")
+        argv = ["heatmap", "--in", str(meas), "--out", str(tmp_path / "m.svg")]
+        assert main([*argv, "--field", "rn_ohm"]) == 2
+        assert "unexpected header" in capsys.readouterr().err
+        assert main([*argv, "--field", "bogus"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: unknown field 'bogus'; measurement files provide ['rn_ohm']\n"
+        )

