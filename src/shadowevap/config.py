@@ -174,21 +174,15 @@ def config_from_dict(raw: dict) -> tuple[ProcessConfig, list[str]]:
     return ProcessConfig(*sections, epsilon), provenance
 
 
-#: libyaml's composer recurses on the C stack and overflows an 8 MB stack
-#: near 30,000 levels; only texts whose nesting bound is at most this
-#: reach it.
-_LIBYAML_MAX_NESTING = 10_000
-
-#: The characters of a text libyaml may parse. Each text libyaml was
-#: found to read otherwise than the pure loader has a character outside
-#: this set: a tab separator, a byte-order mark past the start, '?'
-#: within a flow scalar, a bare '!' tag, or '|#' opening a block scalar.
-_LIBYAML_TEXT = re.compile(r"[A-Za-z0-9 \n_.,:#'\"{}\[\]+\-~&*<=/()$;^]*")
+#: The characters of a text the row reader may take. It keeps `\`
+#: escapes (which could spell the placeholder mark), tags and block
+#: scalars away from `_splice`.
+_ROW_TEXT = re.compile(r"[A-Za-z0-9 \n_.,:#'\"{}\[\]+\-~&*<=/()$;^]*")
 
 
 #: Deepest nesting of lists and mappings a config may have, well within
-#: what the pure loader composes (about 330 levels) before it runs out
-#: of recursion, so both loaders give one outcome.
+#: what PyYAML composes (about 330 levels) before it runs out of
+#: recursion.
 MAX_NESTING = 100
 
 
@@ -207,16 +201,6 @@ def _nests_deeper(data: Any, depth: int) -> bool:
             if isinstance(child, containers)
         }
     return bool(level)
-
-
-def _nesting_bound(text: str) -> int:
-    """An upper bound on the nesting depth of a YAML text. Each flow
-    level needs its own '[' or '{'; each block level needs a deeper
-    column than its parent, except a sequence at its key's column, so
-    a column holds at most two. YAML also breaks lines at CR, NEL and
-    U+2028/9, so no YAML line is longer than the longest '\\n' line."""
-    longest = max(map(len, text.split("\n")))
-    return text.count("[") + text.count("{") + 2 * longest + 2
 
 
 #: A wafer.sites row in flow form on a line of its own: `- {x_mm: N,
@@ -260,15 +244,15 @@ def _splice(data: Any, rows: dict[str, list], mark: str) -> bool:
 def _safe_load(text: str) -> Any:
     """The data `yaml.safe_load(text)` gives, or its error.
 
-    In a text `_LIBYAML_TEXT` admits (so without escapes, tags or block
+    In a text `_ROW_TEXT` admits (so without escapes, tags or block
     scalars), each run of consecutive `_ROW` lines at one indent is
     read by the regex and stands as one line `- <token>` in the text
     YAML parses, and `_splice` puts the rows back. Where that fails,
     YAML parses the whole text, so errors keep their wording and
     position.
     """
-    if "- {x_mm:" not in text or not _LIBYAML_TEXT.fullmatch(text):
-        return _yaml_load(text)
+    if "- {x_mm:" not in text or not _ROW_TEXT.fullmatch(text):
+        return yaml.safe_load(text)
     mark = "shadowevap_rows"
     while mark in text:
         mark += "_"
@@ -287,34 +271,12 @@ def _safe_load(text: str) -> Any:
         at = match.end()
     if rows:
         try:
-            data = _yaml_load("".join(pieces) + text[at:])
+            data = yaml.safe_load("".join(pieces) + text[at:])
             if _splice(data, rows, mark):
                 return data
         except Exception:  # the whole text gives the error, at its own position
             pass
-    return _yaml_load(text)
-
-
-def _yaml_load(text: str) -> Any:
-    """The data `yaml.safe_load(text)` gives, or its error.
-
-    libyaml (`yaml.CSafeLoader`, when PyYAML has it) parses a text made
-    of `_LIBYAML_TEXT` characters whose nesting bound is within
-    `_LIBYAML_MAX_NESTING`. Where it fails, and for every other text,
-    the pure-Python `yaml.SafeLoader` parses, so errors keep its wording
-    and position. Both share the Python resolver and constructor.
-    """
-    fast = getattr(yaml, "CSafeLoader", None)
-    if (
-        fast is not None
-        and _LIBYAML_TEXT.fullmatch(text)
-        and _nesting_bound(text) <= _LIBYAML_MAX_NESTING
-    ):
-        try:
-            return yaml.load(text, Loader=fast)
-        except yaml.YAMLError:
-            pass
-    return yaml.load(text, Loader=yaml.SafeLoader)
+    return yaml.safe_load(text)
 
 
 def load_config(path: Union[str, Path]) -> tuple[ProcessConfig, list[str]]:
@@ -345,7 +307,7 @@ def load_config(path: Union[str, Path]) -> tuple[ProcessConfig, list[str]]:
         # such as the timestamp 2001-02-30 or `!!bool maybe`.
         raise ParseError(f"cannot parse {path}: cannot convert a scalar: {exc}") from exc
     except RecursionError:
-        # The pure loader composes nested data recursively.
+        # PyYAML composes nested data recursively.
         raise too_deep from None
     if _nests_deeper(raw, MAX_NESTING):
         raise too_deep

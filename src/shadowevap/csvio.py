@@ -217,7 +217,8 @@ def export_corrections(table: CorrectionTable, path: PathLike) -> None:
 
 def import_corrections(path: PathLike) -> Table:
     """Read a correction table as a Table of CorrectionRow. Two rows for
-    one site are rejected: each site takes one correction."""
+    one site are rejected, since each site takes one correction, and
+    then a predicted area not above 0, which `verify` divides by."""
     columns, lines = _read_numbers(path, CORRECTIONS_HEADER)
     x, y = columns[:2]
     code, first = group_codes([x, y])
@@ -229,6 +230,11 @@ def import_corrections(path: PathLike) -> Table:
             f"{path}:{lines[i]}: duplicate site ({x[j]}, {y[j]}) mm, "
             f"first given at line {lines[j]}"
         )
+    area = columns[CORRECTIONS_HEADER.index("predicted_area_um2")]
+    bad = np.flatnonzero(area <= 0)
+    if len(bad):
+        i = bad[0]
+        raise ParseError(f"{path}:{lines[i]}: predicted_area_um2 must be > 0, got {area[i]}")
     return Table(CorrectionRow, **dict(zip(CORRECTIONS_HEADER, columns)))
 
 

@@ -464,10 +464,11 @@ class ExplicitAreaTarget:
     aspect: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.area_um2 > 0:
-            raise ValidationError("target area must be > 0")
-        if not self.aspect > 0:
-            raise ValidationError("target aspect must be > 0")
+        for name, value in (("area", self.area_um2), ("aspect", self.aspect)):
+            if not math.isfinite(value):
+                raise ValidationError(f"target {name} must be finite, got {value}")
+            if not value > 0:
+                raise ValidationError(f"target {name} must be > 0")
 
 
 CompensationTarget = Union[CenterWidthsTarget, ExplicitAreaTarget]
@@ -498,10 +499,13 @@ def resolve_target_widths(
     if isinstance(target, CenterWidthsTarget):
         return center_reference_widths(config)
     area_nm2 = target.area_um2 * 1.0e6
-    return (
-        math.sqrt(area_nm2 * target.aspect),
-        math.sqrt(area_nm2 / target.aspect),
-    )
+    widths = (math.sqrt(area_nm2 * target.aspect), math.sqrt(area_nm2 / target.aspect))
+    if not all(map(math.isfinite, widths)):
+        raise ValidationError(
+            f"target area:{target.area_um2!r}:{target.aspect!r} gives printed widths "
+            f"{widths} nm, which must be finite"
+        )
+    return widths
 
 
 def compensate_wafer(

@@ -232,9 +232,8 @@ class TestDeepNesting:
     @pytest.mark.parametrize("one_line", [True, False], ids=["one-line", "one-per-line"])
     @pytest.mark.parametrize("section, key", [("wafer", "sites"), ("source", "distance_mm")])
     def test_depth_3000(self, tmp_path, capsys, section, key, one_line):
-        """On one line the pure loader parses, and runs out of recursion.
-        With one opener per line libyaml parses, and the data is deeper
-        than config.MAX_NESTING: one outcome whichever loader parses."""
+        """PyYAML runs out of recursion, whether the openers stand on one
+        line or one per line: the data is deeper than config.MAX_NESTING."""
         config = tmp_path / "deep.yaml"
         config.write_text(nested(3000, one_line, section, key))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.csv")]) == 2
@@ -242,7 +241,8 @@ class TestDeepNesting:
 
     @pytest.mark.parametrize("one_line", [True, False], ids=["one-line", "one-per-line"])
     def test_depth_100000_in_a_subprocess(self, tmp_path, one_line):
-        """libyaml's C recursion would overflow the stack (exit 139)."""
+        """Far deeper than PyYAML's recursion reaches, the run still
+        exits 2 with the nesting error, not a crash."""
         config = tmp_path / "deep.yaml"
         config.write_text(nested(100_000, one_line))
         env = {**os.environ, "PYTHONPATH": str(Path(shadowevap.__file__).parents[1])}
@@ -264,6 +264,34 @@ def test_overflowing_throw_names_the_key(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(
         "error: source.distance_mm = 1.5e+302 overflows the width formulas in nm\n"
     )
+
+
+@pytest.mark.parametrize("target, error", [
+    ("area:inf", "target area must be finite, got inf"),
+    ("area:1e308", "target area:1e+308:1.0 gives printed widths (inf, inf) nm, "
+     "which must be finite"),
+    ("area:0.025:inf", "target aspect must be finite, got inf"),
+    ("area:nan", "target area must be finite, got nan"),
+])
+def test_non_finite_target_exits_2(tmp_path, config_path, capsys, target, error):
+    """Before, the first three exited 4 after rejecting every site or
+    naming an area of 0."""
+    argv = ["compensate", "--config", config_path, "--target", target,
+            "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.endswith(f"error: {error}\n")
+    assert "rejected" not in out.err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_subnormal_target_area_exits_4(tmp_path, config_path, capsys):
+    """area:1e-320 gives finite, tiny target widths that no site reaches."""
+    argv = ["compensate", "--config", config_path, "--target", "area:1e-320",
+            "--out", str(tmp_path / "c.csv")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.endswith(
+        "computation error: all sites unreachable for this target\n")
 
 
 def test_target_area_underflow_exits_4(tmp_path, capsys):
@@ -647,6 +675,20 @@ class TestMalformedTables:
         assert self.verify(corrections, config_path, tmp_path) == 2
         err = capsys.readouterr().err
         assert f"corr.csv:10: drawn_w_bottom_nm must be finite, got {float(value)}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-0.04"])
+    def test_non_positive_predicted_area(
+        self, corrections, config_path, tmp_path, capsys, value
+    ):
+        """`verify` divides by the predicted area; before, 0 gave a numpy
+        warning, a report holding Infinity and exit 0."""
+        fields = corrections.read_text().splitlines()[6].split(",")
+        fields[4] = value
+        self.replace_line(corrections, 7, ",".join(fields))
+        assert self.verify(corrections, config_path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"corr.csv:7: predicted_area_um2 must be > 0, got {float(value)}\n")
+        assert not (tmp_path / "v.json").exists()
 
     def test_duplicate_site_in_corrections(self, corrections, config_path, tmp_path, capsys):
         lines = corrections.read_text().splitlines()

@@ -2,6 +2,7 @@
 
 import math
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -275,7 +276,7 @@ KEYS = [key for keys in config_module.DEFAULTS.values() for key in keys] + ["sit
 SECTIONS = [*config_module.DEFAULTS, "epsilon_center_mm"]
 # Text spliced in at random: tabs, NUL, C1 controls, NEL, line and
 # byte-order marks, non-ASCII, and YAML indicators, among them those
-# libyaml reads otherwise than the pure loader ('?', '!', '|#').
+# that keep a text from the row reader ('?', '!', '|#', '\\').
 NOISE = ["\t", "\x00", "\x85", "\x9f", "\u2028", "\ufeff", "\xb5", " ", "#", ":", "-",
          "\n", "'", "?", "!", "|#", ">", "%", "@", "\\"]
 # wafer.sites rows one to a line, mostly in the form `config._ROW` reads,
@@ -413,22 +414,18 @@ def outcome(parse, text):
         return (type(exc).__name__, str(exc))
 
 
-def pure(text):
-    return yaml.load(text, Loader=yaml.SafeLoader)
-
-
 def check_against_pure_loader(text):
-    """`_safe_load` gives the pure loader's data or error, and
-    `load_config` gives the pure loader's error in its ParseError, or
-    else what `config_from_dict` makes of the pure loader's data."""
-    assert outcome(config_module._safe_load, text) == outcome(pure, text)
+    """`_safe_load` gives `yaml.safe_load`'s data or error, and
+    `load_config` gives its error in a ParseError, or else what
+    `config_from_dict` makes of its data."""
+    assert outcome(config_module._safe_load, text) == outcome(yaml.safe_load, text)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "process.yaml"
         path.write_bytes(text.encode("utf-8"))
         # load_config reads in text mode, which turns CRLF and CR into LF.
         read = path.read_text(encoding="utf-8")
         try:
-            data = pure(read)
+            data = yaml.safe_load(read)
         except (yaml.YAMLError, *CONSTRUCTOR_ERRORS) as exc:
             with pytest.raises(ParseError) as info:
                 load_config(path)
@@ -445,7 +442,7 @@ def check_against_pure_loader(text):
             assert load_config(path) == expected
 
 
-#: Near misses of the row form, each through the loaders both ways.
+#: Near misses of the row form.
 ROW_CASES = {
     "resolved ids, odd numbers": "wafer:\n  sites:\n"
     + "".join(f"  - {{x_mm: 1, y_mm: 2, chip_id: {i}}}\n" for i in ["yes", "No", "on", "null"])
@@ -479,49 +476,80 @@ ROW_CASES = {
 }
 
 
+class Unusable:
+    """Stands for `yaml.CSafeLoader`: records each use in `used` and
+    raises, so a use is seen even where the error is caught."""
+
+    def __init__(self, used):
+        self.used = used
+
+    def __call__(self, *args, **kwargs):
+        self.used.append("called")
+        raise AssertionError("yaml.CSafeLoader was used")
+
+    def __getattr__(self, name):
+        self.used.append(name)
+        raise AssertionError(f"yaml.CSafeLoader.{name} was used")
+
+
+#: The two builds of PyYAML: with libyaml, whose `yaml.CSafeLoader` is
+#: here made Unusable, and pure Python, without that name.
+BUILDS = ["libyaml", "pure"]
+
+
+@contextmanager
+def pyyaml_build(build):
+    """Run the body as on one of BUILDS; no use of libyaml is allowed."""
+    used = []
+    with pytest.MonkeyPatch.context() as patch:
+        if build == "libyaml":
+            patch.setattr(yaml, "CSafeLoader", Unusable(used))
+        else:
+            patch.delattr(yaml, "CSafeLoader")
+        yield
+    assert used == []
+
+
 class TestLoaders:
-    """libyaml parses only where it gives what the pure loader gives;
-    the pure loader's data and errors are the reference."""
+    """The row reader gives what `yaml.safe_load` gives; PyYAML's
+    pure-Python loader is the only YAML parser, and its data and errors
+    are the reference."""
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(yaml_configs())
-    def test_equals_the_pure_loader(self, text):
-        assert yaml.__with_libyaml__
-        check_against_pure_loader(text)
-
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(yaml_configs())
-    def test_without_libyaml(self, text):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.delattr(yaml, "CSafeLoader")
+    @given(yaml_configs(), st.sampled_from(BUILDS))
+    def test_equals_the_pure_loader(self, text, build):
+        with pyyaml_build(build):
             check_against_pure_loader(text)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(yaml_configs(mangle=False), st.booleans())
-    def test_site_rows_equal_the_pure_loader(self, text, libyaml):
+    @given(yaml_configs(mangle=False))
+    def test_site_rows_equal_the_pure_loader(self, text):
         """Texts that keep the row reader in play: no CRLF, no BOM, and
-        a wafer section, with and without libyaml."""
-        with pytest.MonkeyPatch.context() as patch:
-            if not libyaml:
-                patch.delattr(yaml, "CSafeLoader")
-            check_against_pure_loader(text)
-
-    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
-    @pytest.mark.parametrize("text", ROW_CASES.values(), ids=ROW_CASES)
-    def test_site_row_cases(self, text, libyaml, monkeypatch):
-        if not libyaml:
-            monkeypatch.delattr(yaml, "CSafeLoader")
+        a wafer section."""
         check_against_pure_loader(text)
 
-    def test_a_clean_config_takes_libyaml(self, tmp_path, monkeypatch):
-        path = write(tmp_path, "wafer:\n  sites:\n" + "    - x_mm: 1.5\n      y_mm: -2.0\n" * 50)
-        monkeypatch.setattr(yaml, "SafeLoader", None)
-        config, _ = load_config(path)
-        assert len(config.layout.sites) == 50
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("text", ROW_CASES.values(), ids=ROW_CASES)
+    def test_site_row_cases(self, text, build):
+        with pyyaml_build(build):
+            check_against_pure_loader(text)
+
+    def test_no_path_reaches_libyaml(self, tmp_path):
+        """A grid config and configs of flow and block rows load with
+        `yaml.CSafeLoader` Unusable."""
+        texts = {
+            "{}\n": None,
+            "wafer:\n  sites:\n" + "  - {x_mm: 1.5, y_mm: -2.0, chip_id: c0}\n" * 3: 3,
+            "wafer:\n  sites:\n" + "    - x_mm: 1.5\n      y_mm: -2.0\n" * 4: 4,
+        }
+        with pyyaml_build("libyaml"):
+            for text, count in texts.items():
+                sites = load_config(write(tmp_path, text))[0].layout.sites
+                assert (sites and len(sites)) == count
 
     def test_site_rows_bypass_yaml(self, tmp_path, monkeypatch):
         """5,000 rows in the benchmark's form: YAML parses under 1 KB of
-        text. The first 500 give what libyaml makes of them."""
+        text. The first 500 give what PyYAML makes of them."""
         lines = ["wafer:", "  sites:"]
         for i in range(5000):
             x, y = round(45 * math.cos(i) * (i / 5000), 4), round(45 * math.sin(i) * (i / 5000), 4)
@@ -531,9 +559,9 @@ class TestLoaders:
         text = "\n".join(lines) + "\n"
         seen, load = [], yaml.load
 
-        def recording_load(text, **kwargs):
+        def recording_load(text, *args, **kwargs):
             seen.append(len(text))
-            return load(text, **kwargs)
+            return load(text, *args, **kwargs)
 
         monkeypatch.setattr(yaml, "load", recording_load)
         config, _ = load_config(write(tmp_path, text))
@@ -541,7 +569,7 @@ class TestLoaders:
         assert seen and sum(seen) < 1000
         head = "\n".join(lines[:500]) + "\n"
         assert canonical(config_module._safe_load(head)) == canonical(
-            load(head, Loader=yaml.CSafeLoader))
+            load(head, Loader=yaml.SafeLoader))
 
     @pytest.mark.parametrize("text, where", [
         ("source:\n  distance_mm:\t650\n", "line 2, column 15"),
@@ -549,13 +577,13 @@ class TestLoaders:
         ("source:\n  kind: disk\t# the crucible\n", "line 2, column 13"),
     ])
     def test_tabs_keep_the_pure_loader_error(self, tmp_path, text, where):
-        """libyaml accepts these tab separators; the pure loader's
-        rejection, with its position, is the one reported."""
+        """PyYAML's rejection of these tab separators, with its
+        position, is the one reported."""
         path = write(tmp_path, text)
         with pytest.raises(ParseError) as info:
             load_config(path)
         with pytest.raises(yaml.YAMLError) as pure_info:
-            pure(text)
+            yaml.safe_load(text)
         assert str(info.value) == f"cannot parse {path} at {where}: {pure_info.value}"
 
     @pytest.mark.parametrize("scalar, message", [
@@ -570,11 +598,6 @@ class TestLoaders:
             load_config(path)
         assert str(info.value) == f"cannot parse {path}: cannot convert a scalar: {message}"
 
-    def test_nesting_bound(self):
-        assert config_module._nesting_bound("a: [[1], {b: 2}]\n") == 3 + 2 * 16 + 2
-        # CR, NEL and U+2028 end YAML lines too; only LF splits the text.
-        assert config_module._nesting_bound("a:\r  b:\x85   c") == 2 * 12 + 2
-
 
 def alias_levels(levels, key="distance_mm"):
     """A config whose `source.key` is a list of `levels` anchored lists,
@@ -586,12 +609,10 @@ def alias_levels(levels, key="distance_mm"):
     return f"source: {{{key}: [" + ", ".join(anchors) + "]}\n"
 
 
-def nested_chip_id(depth, tab):
-    """A site whose chip_id nests `depth` flow sequences, one per line;
-    a tab in a comment sends the text to the pure loader."""
+def nested_chip_id(depth):
+    """A site whose chip_id nests `depth` flow sequences, one per line."""
     return ("wafer:\n  sites:\n  - x_mm: 1.0\n    y_mm: 2.0\n    chip_id:"
-            + "\n      [" * depth + "\n      ]" * depth + "\n"
-            + ("# a\tcomment\n" if tab else ""))
+            + "\n      [" * depth + "\n      ]" * depth + "\n")
 
 
 class TestBoundedInput:
@@ -605,26 +626,27 @@ class TestBoundedInput:
         assert str(info.value).startswith(f"source.{key} must be ")
         assert len(str(info.value)) < 1000
 
-    @pytest.mark.parametrize("tab", [False, True], ids=["libyaml", "pure"])
-    def test_nesting_outcome_is_the_loaders_own(self, tmp_path, tab):
-        """500 levels: libyaml composes them and the pure loader runs out
-        of recursion; both give the one error."""
-        path = write(tmp_path, nested_chip_id(500, tab))
-        with pytest.raises(ParseError, match=r": nested too deeply$"):
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_nesting_outcome_is_the_loaders_own(self, tmp_path, build):
+        """500 levels: PyYAML runs out of recursion, which gives the
+        one nesting error."""
+        path = write(tmp_path, nested_chip_id(500))
+        with pyyaml_build(build), pytest.raises(ParseError, match=r": nested too deeply$"):
             load_config(path)
 
-    @pytest.mark.parametrize("tab", [False, True], ids=["libyaml", "pure"])
-    def test_nesting_up_to_the_bound_is_accepted(self, tmp_path, tab):
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_nesting_up_to_the_bound_is_accepted(self, tmp_path, build):
         """The document, wafer, sites and site levels plus the chip_id
         lists make the depth."""
         depth = config_module.MAX_NESTING - 4
-        config, _ = load_config(write(tmp_path, nested_chip_id(depth, tab)))
+        with pyyaml_build(build):
+            config, _ = load_config(write(tmp_path, nested_chip_id(depth)))
+            with pytest.raises(ParseError, match=r": nested too deeply$"):
+                load_config(write(tmp_path, nested_chip_id(depth + 1)))
         chip_id = config.layout.sites[0].chip_id
         for _ in range(depth - 1):
             (chip_id,) = chip_id
         assert chip_id == []
-        with pytest.raises(ParseError, match=r": nested too deeply$"):
-            load_config(write(tmp_path, nested_chip_id(depth + 1, tab)))
 
     def test_depth_walk(self):
         nests_deeper = config_module._nests_deeper

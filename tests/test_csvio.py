@@ -308,6 +308,9 @@ def oracle_corrections(path):
                 f"{path}:{lineno}: duplicate site ({x0}, {y0}) mm, first given at line {line0}"
             )
         first[(x, y)] = (x, y, lineno)
+    for lineno, (*_, area, _) in rows:
+        if not area > 0:
+            raise ParseError(f"{path}:{lineno}: predicted_area_um2 must be > 0, got {area}")
     return [repr(tuple(values)) for _, values in rows]
 
 

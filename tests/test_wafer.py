@@ -1,8 +1,9 @@
 """Wafer sweeps, bias profiles and the compensation inverse."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from shadowevap.errors import (
     AxisMismatch,
     DenominatorCollapse,
     EmptyInput,
+    ShadowEvapError,
     ValidationError,
 )
 from shadowevap import geometry
@@ -19,6 +21,7 @@ from shadowevap.geometry import (
     JunctionSpec,
     WaferSite,
 )
+from shadowevap.table import column
 from shadowevap.wafer import (
     MAX_GRID_SITES,
     Axis,
@@ -26,6 +29,7 @@ from shadowevap.wafer import (
     CenterWidthsTarget,
     Electrode,
     ExplicitAreaTarget,
+    SiteResult,
     WaferLayout,
     bias_profile,
     branch_discontinuity_nm,
@@ -35,6 +39,10 @@ from shadowevap.wafer import (
     resimulate_with_corrections,
     simulate_wafer,
 )
+
+
+#: SiteResult's fields: x_mm first.
+SITE_FIELDS = [f.name for f in fields(SiteResult)]
 
 
 def single_site_config(config):
@@ -175,6 +183,70 @@ class TestSimulateWafer:
         }
         for key, area in coarse.items():
             assert fine[key] == area
+
+
+@st.composite
+def stacks(draw):
+    """A default stack with both steps' tilts, tilt signs and films and
+    the grid pitch drawn. The top tilt stays below 10 deg, where most
+    draws leave the top aperture open."""
+    config = default_config()
+    angle = dict(allow_nan=False, exclude_max=True)
+    return replace(
+        config,
+        layout=replace(config.layout, grid_pitch_mm=draw(st.sampled_from([5.0, 7.0, 10.0]))),
+        bottom_step=replace(
+            config.bottom_step,
+            tilt_deg=draw(st.floats(0.0, 85.0, **angle)),
+            film_t0_nm=draw(st.floats(1.0, 100.0)),
+            tilt_sign=draw(st.sampled_from(geometry.TiltSign)),
+        ),
+        top_step=replace(
+            config.top_step,
+            tilt_deg=draw(st.floats(0.0, 10.0, **angle)),
+            film_t0_nm=draw(st.floats(1.0, 100.0)),
+            tilt_sign=draw(st.sampled_from(geometry.TiltSign)),
+        ),
+    )
+
+
+def bits(table, name):
+    return column(table, name).tobytes()
+
+
+class TestPaperInvariants:
+    """Symmetries of the paper's model, bit for bit, over drawn stacks.
+    A stack whose sweep raises (a closed aperture, say) is skipped; most
+    draws must be valid."""
+
+    def test_tilt_sign_mirrors_and_model_i_is_flat(self):
+        counts = {"accepted": 0, "skipped": 0}
+
+        @settings(max_examples=80, deadline=None)
+        @given(stacks())
+        def check(config):
+            plus, minus = geometry.TiltSign
+            flip = plus if config.bottom_step.tilt_sign is minus else minus
+            flipped = replace(config, bottom_step=replace(config.bottom_step, tilt_sign=flip))
+            try:
+                results = simulate_wafer(config)
+                mirrored = simulate_wafer(flipped)
+                flat = simulate_wafer(config, BiasModel.CONSTANT)
+            except ShadowEvapError:
+                counts["skipped"] += 1
+                return
+            counts["accepted"] += 1
+            # Row-major order with x descending in each row is the mirror.
+            x, y = column(results, "x_mm"), column(results, "y_mm")
+            order = np.lexsort((-x, y))
+            assert np.array_equal(-x[order], column(mirrored, "x_mm"))
+            for name in SITE_FIELDS[1:]:
+                assert column(results, name)[order].tobytes() == bits(mirrored, name), name
+            zeros = np.zeros(len(flat)).tobytes()
+            assert bits(flat, "bias_bottom_nm") == bits(flat, "bias_top_nm") == zeros
+
+        check()
+        assert counts["accepted"] >= 50, counts
 
 
 class TestBiasProfile:
