@@ -23,7 +23,7 @@ from .errors import (
     UnknownField,
     ValidationError,
 )
-from .table import Table, column, group_codes
+from .table import Table, column, group_codes, group_mean
 
 
 def _load(config_path: str, grid_pitch_mm: Optional[float]) -> wafer.ProcessConfig:
@@ -252,9 +252,13 @@ def _heatmap_points(path: str, field: str) -> np.ndarray:
     records, _ = csvio.import_measurements(path, ids=False)
     x, y = column(records, "x_mm"), column(records, "y_mm")
     site, first = group_codes([x, y])
-    # Each site's values added in row order: a sequential left-to-right
-    # sum, as Python <= 3.11's `sum` adds floats.
-    mean = np.bincount(site, weights=column(records, "rn_ohm")) / np.bincount(site)
+    mean = group_mean(site, column(records, "rn_ohm"))
+    overflow = ~np.isfinite(mean)
+    if overflow.any():
+        i = first[np.argmax(overflow)]
+        raise ComputationError(
+            f"site ({x.item(i)}, {y.item(i)}) mm: the mean of its rn_ohm values overflows"
+        )
     return np.column_stack((x[first], y[first], mean))
 
 

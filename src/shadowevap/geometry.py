@@ -11,11 +11,12 @@ mask dimensions.
 Everything here is a pure function of its inputs: lengths in
 nanometers, angles in radians (millimeters and degrees only at the
 dataclass boundary), safe to call concurrently. The scalar functions are
-the oracle for wafer sweeps: `top_terms`, `forward_width`,
-`inverse_width`, `inverse_slope` and `junction_area`, the arithmetic
-of the checked scalar functions, also accept numpy arrays, so a sweep
-runs the same arithmetic elementwise after taking trigonometry once per
-distinct coordinate.
+the oracle for wafer sweeps. The arithmetic of the checked scalar
+functions, `bottom_terms`, `top_terms`, `forward_width`,
+`inverse_width`, `inverse_slope` and `junction_area`, also accepts
+numpy arrays, so a sweep runs it elementwise after taking trigonometry
+once per distinct coordinate; the checks `checked_terms`,
+`printed_width` and `overlap_area` take one site.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
     DomainError,
     GrazingIncidence,
     NonPhysicalWidth,
-    Unreachable,
     ValidationError,
 )
 
@@ -257,77 +257,36 @@ def sidewall_thickness(theta_first_rad: float, t0_nm: float) -> float:
 BranchTerms = tuple[float, float, float, float, float, float]
 
 
-def _denominator(value: float, throw: str, mask: str) -> float:
-    """A width-formula denominator, which must be positive: otherwise
-    the (projected) throw does not clear the mask."""
-    if value <= 0.0:
-        raise DenominatorCollapse(f"throw {throw} does not clear the {mask}")
-    return value
-
-
-def bottom_width_terms(
-    offset: float,
-    source_radius: float,
-    throw: float,
-    mask_top: float,
-    mask_bottom: float,
-    theta_rad: float,
-    center_branch: bool,
-) -> BranchTerms:
-    """Branch terms of the printed bottom-electrode width.
+def bottom_terms(offset, source_radius, throw, mask_top, mask_bottom, cos_t, center):
+    """Branch terms of the printed bottom-electrode width at angle t:
 
     Center branch:   W + (c + W) h / (D cos t - h)
     General branch:  W + (|x| + c + W/2)(H + h) / (D cos t - H)
 
     All lengths in one consistent unit: the formulas are homogeneous of
     degree one in the lengths, so any single unit gives the same result
-    up to rounding.
+    up to rounding. Elementwise like `top_terms`.
     """
-    projected = throw * math.cos(theta_rad)
-    if center_branch:
-        q = _denominator(projected - mask_bottom, "D cos(theta)", "bottom mask layer")
-        return 0.0, 1.0, source_radius, 1.0, mask_bottom, q
-    q = _denominator(projected - mask_top, "D cos(theta)", "top mask layer")
-    return 0.0, 1.0, abs(offset) + source_radius, 0.5, mask_top + mask_bottom, q
+    projected = throw * cos_t
+    return _branch(
+        center,
+        (0.0, 1.0, source_radius, 1.0, mask_bottom, projected - mask_bottom),
+        (0.0, 1.0, abs(offset) + source_radius, 0.5, mask_top + mask_bottom,
+         projected - mask_top),
+    )
 
 
-def top_width_terms(
-    sidewall: float,
-    source_radius: float,
-    throw: float,
-    mask_top: float,
-    mask_bottom: float,
-    theta_rad: float,
-    center_branch: bool,
-) -> BranchTerms:
-    """Branch terms of the printed top-electrode width.
+def top_terms(sidewall, source_radius, throw, mask_top, mask_bottom, sin_t, cos_t, center):
+    """Branch terms of the printed top-electrode width at angle t:
 
     Center branch:   W - T' - (2 D sin t + 2c + W) h / (D - h)
     General branch:  W - T' - H (D sin t - c - W/2) / (D cos t - T' - H - h)
 
     T' is the sidewall film grown during the bottom pass, which narrows
     the aperture before this (second) evaporation. The offset y enters
-    only through theta and T'.
-    """
-    terms = top_terms(
-        sidewall, source_radius, throw, mask_top, mask_bottom,
-        math.sin(theta_rad), math.cos(theta_rad), center_branch,
-    )
-    if center_branch:
-        _denominator(terms[5], "D", "bottom mask layer")
-    else:
-        _denominator(terms[5], "D cos(theta)", "film-coated mask")
-    return terms
-
-
-def top_terms(sidewall, source_radius, throw, mask_top, mask_bottom, sin_t, cos_t, center):
-    """The arithmetic of `top_width_terms` from the angle's sine and
-    cosine, without its denominator check.
-
-    Any argument may be a numpy array, evaluated elementwise; `center`
-    is then a bool array choosing each element's branch. The sidewall
-    film couples the top electrode to the bottom step's angle at the
-    same site, so a sweep evaluates these terms per site.
+    only through t and T'. Any argument may be a numpy array, evaluated
+    elementwise; `center` is then a bool array choosing each element's
+    branch. Neither builder checks the denominator: see `checked_terms`.
     """
     return _branch(
         center,
@@ -336,6 +295,24 @@ def top_terms(sidewall, source_radius, throw, mask_top, mask_bottom, sin_t, cos_
         (sidewall, -1.0, throw * sin_t - source_radius, -0.5, mask_top,
          throw * cos_t - sidewall - mask_top - mask_bottom),
     )
+
+
+#: DenominatorCollapse's text for each (top electrode, center branch).
+_COLLAPSE = {
+    (False, True): "throw D cos(theta) does not clear the bottom mask layer",
+    (False, False): "throw D cos(theta) does not clear the top mask layer",
+    (True, True): "throw D does not clear the bottom mask layer",
+    (True, False): "throw D cos(theta) does not clear the film-coated mask",
+}
+
+
+def checked_terms(terms: BranchTerms, top: bool, center: bool) -> BranchTerms:
+    """One site's `terms` of the top (else the bottom) electrode's center
+    (else general) branch; raises DenominatorCollapse unless their
+    denominator q is positive, i.e. the (projected) throw clears the mask."""
+    if terms[5] <= 0.0:
+        raise DenominatorCollapse(_COLLAPSE[top, center])
+    return terms
 
 
 def _branch(center, center_terms: tuple, general_terms: tuple) -> BranchTerms:
@@ -353,7 +330,7 @@ def forward_width(drawn, terms: BranchTerms):
 
     without the positivity check of `printed_width`; elementwise over
     numpy arrays. Every branch of both electrodes has this affine form,
-    which is what makes `drawn_width` a closed-form inverse.
+    which is what makes `inverse_width` a closed-form inverse.
     """
     t_prime, s, p, w, n, q = terms
     # This grouping reproduces each branch's formula bit for bit, which
@@ -385,22 +362,10 @@ def inverse_width(printed, terms: BranchTerms):
 
         W = (W' + T' - s p k) / (1 + s w k),  k = n / q,
 
-    without the slope check of `drawn_width`; elementwise over numpy
-    arrays."""
+    elementwise over numpy arrays. It is the inverse of `forward_width`
+    only where `inverse_slope` is positive."""
     t_prime, s, p, _, n, q = terms
     return (printed + (t_prime - s * (p * (n / q)))) / inverse_slope(terms)
-
-
-def drawn_width(printed: float, terms: BranchTerms) -> float:
-    """Drawn width that prints as `printed` under one branch's terms,
-    the inverse of `printed_width` (see `inverse_width`).
-
-    Raises Unreachable when the printed width does not grow with the
-    drawn width (1 + s w k <= 0), so no drawn width is admissible.
-    """
-    if inverse_slope(terms) <= 0.0:
-        raise Unreachable("printed width does not grow with the drawn width")
-    return inverse_width(printed, terms)
 
 
 def bottom_width_formula(
@@ -413,11 +378,11 @@ def bottom_width_formula(
     theta_rad: float,
     center_branch: bool,
 ) -> float:
-    """Printed bottom-electrode width; see `bottom_width_terms`."""
-    terms = bottom_width_terms(
-        offset, source_radius, throw, mask_top, mask_bottom, theta_rad, center_branch
+    """Printed bottom-electrode width; see `bottom_terms`."""
+    terms = bottom_terms(
+        offset, source_radius, throw, mask_top, mask_bottom, math.cos(theta_rad), center_branch
     )
-    return printed_width(drawn, terms)
+    return printed_width(drawn, checked_terms(terms, False, center_branch))
 
 
 def bottom_width(
@@ -463,16 +428,12 @@ def top_width(
     evaporation; t_prime_nm the sidewall film thickness grown during
     the bottom pass at the same site (see `sidewall_thickness`).
     """
-    terms = top_width_terms(
-        sidewall=t_prime_nm,
-        source_radius=source.effective_radius_mm * NM_PER_MM,
-        throw=source.distance_mm * NM_PER_MM,
-        mask_top=mask.top_nm,
-        mask_bottom=mask.bottom_nm,
-        theta_rad=theta_rad,
-        center_branch=abs(y_mm) <= epsilon_center_mm,
+    center = abs(y_mm) <= epsilon_center_mm
+    terms = top_terms(
+        t_prime_nm, source.effective_radius_mm * NM_PER_MM, source.distance_mm * NM_PER_MM,
+        mask.top_nm, mask.bottom_nm, math.sin(theta_rad), math.cos(theta_rad), center,
     )
-    return printed_width(junction.drawn_top_nm, terms)
+    return printed_width(junction.drawn_top_nm, checked_terms(terms, True, center))
 
 
 def junction_area(w_bottom_nm, w_top_nm):

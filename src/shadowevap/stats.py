@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveMean,
     ValidationError,
 )
-from .table import Table, column, group_codes
+from .table import Table, column, group_codes, group_mean
 
 # Exact SI defining constants (2019 redefinition).
 ELEMENTARY_CHARGE_C = 1.602176634e-19
@@ -482,12 +482,9 @@ def aggregate(
     pair, pair_first = group_codes([junction, columns["run_id"]])
     of_pair = junction[pair_first]
     n_runs = np.bincount(of_pair)
-    # Weighted bincount adds each group's values in row order from 0.0:
-    # a sequential left-to-right sum, as Python <= 3.11's `sum` adds
-    # floats (np.sum is pairwise).
     with np.errstate(all="ignore"):
-        run_means = np.bincount(pair, weights=rn) / np.bincount(pair)
-        mean = np.bincount(of_pair, weights=run_means) / n_runs
+        run_means = group_mean(pair, rn)
+        mean = group_mean(of_pair, run_means)
         deviations = (run_means - mean[of_pair]).tolist()
         try:
             # Python's float power: pow(d, 2) and d * d can round differently.

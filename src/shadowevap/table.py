@@ -98,3 +98,10 @@ def group_codes(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         )
     return codes, first
 
+
+def group_mean(codes: np.ndarray, values) -> np.ndarray:
+    """Mean of `values` per group number in `codes` (see `group_codes`).
+    Each group's values are added in row order from 0.0: a sequential
+    left-to-right sum, as Python <= 3.11's `sum` adds floats (np.sum is
+    pairwise)."""
+    return np.bincount(codes, weights=values) / np.bincount(codes)

@@ -20,9 +20,10 @@ distinct x and once per distinct y: `_Model.columns` evaluates the
 scalar `geometry` chain at those coordinates and runs the remaining
 arithmetic elementwise over numpy columns, the same operations in the
 same order, so every value equals the per-site scalar evaluation bit
-for bit. Results are `Table`s ordered by (row, column). A site the
-array arithmetic flags is replayed through the scalar chain, which
-raises the error of the first failing site.
+for bit; each electrode's terms come from `geometry.bottom_terms` or
+`top_terms` on both paths. Results are `Table`s ordered by (row,
+column). A site the array arithmetic flags is replayed through
+`_Model.widths`, which raises the error of the first failing site.
 """
 
 from __future__ import annotations
@@ -143,17 +144,21 @@ class WaferLayout:
         )
         if self.sites is not None:
             sites = sites.take(row_major_order(sites))
-        limit = self.wafer_diameter_mm / 2.0 + 1e-9
-        # np.hypot may differ from math.hypot in the last bit, so it only
-        # screens; WaferSite.radius_mm decides.
-        near = np.hypot(column(sites, "x_mm"), column(sites, "y_mm")) > limit * (1.0 - 1e-12)
-        for i in np.flatnonzero(near).tolist():
-            s = sites[i]
-            if s.radius_mm() > limit:
-                raise ValidationError(
-                    f"site ({s.x_mm}, {s.y_mm}) mm lies outside the wafer"
-                )
+        _check_on_wafer(self, column(sites, "x_mm"), column(sites, "y_mm"))
         return sites
+
+
+def _check_on_wafer(layout: WaferLayout, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise ValidationError naming the first site, of offsets x and y
+    (mm), that lies outside the layout's wafer."""
+    limit = layout.wafer_diameter_mm / 2.0 + 1e-9
+    # np.hypot may differ from math.hypot in the last bit, so it only
+    # screens; WaferSite.radius_mm decides.
+    near = np.hypot(x, y) > limit * (1.0 - 1e-12)
+    for i in np.flatnonzero(near).tolist():
+        s = WaferSite(x.item(i), y.item(i))
+        if s.radius_mm() > limit:
+            raise ValidationError(f"site ({s.x_mm}, {s.y_mm}) mm lies outside the wafer")
 
 
 def row_major_order(rows: Sequence) -> np.ndarray:
@@ -230,10 +235,12 @@ class _Model:
         width terms, raising the first error in that order."""
         theta = geometry.local_incidence_angle(WaferSite(x_mm, 0.0), self.bottom_step, self.source)
         t_prime = geometry.sidewall_thickness(theta, self.bottom_step.film_t0_nm)
-        return theta, t_prime, *geometry.bottom_width_terms(
+        center = abs(x_mm) <= self.band
+        terms = geometry.bottom_terms(
             x_mm * geometry.NM_PER_MM, self.radius, self.throw, self.mask_top,
-            self.mask_bottom, theta, abs(x_mm) <= self.band,
+            self.mask_bottom, math.cos(theta), center,
         )
+        return theta, t_prime, *geometry.checked_terms(terms, False, center)
 
     def top(self, y_mm: float) -> tuple:
         """(theta_top, sin, cos) at offset y: the top electrode's angle."""
@@ -247,10 +254,18 @@ class _Model:
         if self.constant:
             x_mm = y_mm = 0.0
         bottom = self.bottom(x_mm)
-        return bottom[2:], geometry.top_width_terms(
+        center = abs(y_mm) <= self.band
+        terms = geometry.top_terms(
             bottom[1], self.radius, self.throw, self.mask_top, self.mask_bottom,
-            self.top(y_mm)[0], abs(y_mm) <= self.band,
+            *self.top(y_mm)[1:], center,
         )
+        return bottom[2:], geometry.checked_terms(terms, True, center)
+
+    def widths(self, x_mm: float, y_mm: float, drawn_b: float, drawn_t: float) -> tuple:
+        """Printed (w_bottom, w_top) in nm of drawn widths at one site,
+        raising the first error of `site`, then of the bottom width."""
+        terms_b, terms_t = self.site(x_mm, y_mm)
+        return geometry.printed_width(drawn_b, terms_b), geometry.printed_width(drawn_t, terms_t)
 
     def columns(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """The chain at sites with offsets x and y as arrays
@@ -258,7 +273,7 @@ class _Model:
         plus a mask of the sites where `site` raises.
 
         `bottom` runs once per distinct x and `top` once per distinct y;
-        `geometry.top_terms` combines them per site.
+        `geometry.top_terms` combines them per site, as in `site`.
         """
         if self.constant:
             x = y = np.zeros(x.size)
@@ -279,7 +294,7 @@ class _Model:
 def _tabulate(evaluate, values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """evaluate(v) for each value as the rows of a (len, width) array,
     and a mask of the values it accepted. Rows it raised for stay NaN:
-    their sites are replayed through `_Model.site`, which reports the
+    their sites are replayed through `_Model.widths`, which reports the
     error of the first one."""
     table = np.full((values.size, width), np.nan)
     ok = np.ones(values.size, dtype=bool)
@@ -319,14 +334,10 @@ def _sweep(
     for i in np.flatnonzero(failed | ~((w_b > 0.0) & (w_t > 0.0) & np.isfinite(area))).tolist():
         x_i, y_i = x.item(i), y.item(i)
         try:
-            site_b, site_t = evaluate.site(x_i, y_i)
-            widths = (
-                geometry.printed_width(drawn_b.item(i), site_b),
-                geometry.printed_width(drawn_t.item(i), site_t),
-            )
+            widths = evaluate.widths(x_i, y_i, drawn_b.item(i), drawn_t.item(i))
         except ShadowEvapError as exc:
             raise _at_site(x_i, y_i, exc) from exc
-        if not math.isfinite(geometry.overlap_area(*widths)):
+        if not math.isfinite(geometry.junction_area(*widths)):
             raise _at_site(x_i, y_i, NonPhysicalWidth(f"printed widths {widths} nm overflow"))
     return Table(
         SiteResult,
@@ -348,11 +359,8 @@ def center_reference_widths(
 ) -> tuple[float, float]:
     """Printed (w_bottom, w_top) in nm at the wafer center, the zero
     point of every bias map for that model."""
-    terms_b, terms_t = _Model(config, model).site(0.0, 0.0)
-    return (
-        geometry.printed_width(config.junction.drawn_bottom_nm, terms_b),
-        geometry.printed_width(config.junction.drawn_top_nm, terms_t),
-    )
+    junction = config.junction
+    return _Model(config, model).widths(0.0, 0.0, junction.drawn_bottom_nm, junction.drawn_top_nm)
 
 
 def simulate_wafer(
@@ -426,7 +434,9 @@ DEFAULT_MAX_DRAWN_NM = 5000.0
 def _drawn(name: str, target_nm: float, terms: geometry.BranchTerms) -> float:
     """Drawn width of one electrode that prints as target_nm; raises
     Unreachable when none lies in (0, DEFAULT_MAX_DRAWN_NM]."""
-    drawn = geometry.drawn_width(target_nm, terms)
+    if geometry.inverse_slope(terms) <= 0.0:
+        raise Unreachable("printed width does not grow with the drawn width")
+    drawn = geometry.inverse_width(target_nm, terms)
     if not 0.0 < drawn <= DEFAULT_MAX_DRAWN_NM:
         raise Unreachable(
             f"required drawn {name} width {drawn:.3f} nm outside "
@@ -435,19 +445,14 @@ def _drawn(name: str, target_nm: float, terms: geometry.BranchTerms) -> float:
     return drawn
 
 
-def _invert_site(
-    evaluate: _Model, site: WaferSite, target_b: float, target_t: float
-) -> tuple[float, float, float]:
-    """(drawn bottom, drawn top, predicted area) at one site: the scalar
-    inverse, then the forward check of the predicted area."""
+def _invert_site(evaluate: _Model, site: WaferSite, target_b: float, target_t: float) -> None:
+    """Raise the first error at one site of the scalar inverse, then of
+    the forward check of the drawn widths it gives."""
     terms_b, terms_t = evaluate.site(site.x_mm, site.y_mm)
     drawn_b = _drawn("bottom", target_b, terms_b)
     drawn_t = _drawn("top", target_t, terms_t)
-    area = geometry.overlap_area(
-        geometry.printed_width(drawn_b, terms_b),
-        geometry.printed_width(drawn_t, terms_t),
-    )
-    return drawn_b, drawn_t, area
+    geometry.printed_width(drawn_b, terms_b)
+    geometry.printed_width(drawn_t, terms_t)
 
 
 @dataclass(frozen=True)
@@ -579,7 +584,8 @@ def resimulate_with_corrections(
 ) -> Table:
     """Forward-simulate a wafer whose drawn dimensions follow a
     correction table (the verification half of the compensation loop).
-    Results are ordered by (row, column), ties in the given order."""
+    Results are ordered by (row, column), ties in the given order. A
+    site off the wafer is refused as `generate_sites` refuses it."""
     if not corrections:
         raise EmptyInput("no correction rows")
     order = row_major_order(corrections)
@@ -587,6 +593,7 @@ def resimulate_with_corrections(
         column(corrections, name)[order]
         for name in ("x_mm", "y_mm", "drawn_w_bottom_nm", "drawn_w_top_nm")
     )
+    _check_on_wafer(config.layout, x, y)
     bad = np.flatnonzero(~((drawn_b > 0) & (drawn_t > 0)))
     if bad.size:
         raise ValidationError(
@@ -607,13 +614,8 @@ def branch_discontinuity_nm(config: ProcessConfig) -> tuple[float, float]:
     the epsilon_center boundary, reported for transparency since the
     printed formulas are discontinuous there."""
     eps = config.epsilon_center_mm
-    center_b, center_t = _Model(config).site(eps, eps)
+    drawn = config.junction.drawn_bottom_nm, config.junction.drawn_top_nm
+    center_b, center_t = _Model(config).widths(eps, eps, *drawn)
     # A negative band puts every offset, eps included, in the general branch.
-    general_b, general_t = _Model(config, center_band_mm=-1.0).site(eps, eps)
-    drawn_b, drawn_t = config.junction.drawn_bottom_nm, config.junction.drawn_top_nm
-    return (
-        geometry.printed_width(drawn_b, general_b)
-        - geometry.printed_width(drawn_b, center_b),
-        geometry.printed_width(drawn_t, general_t)
-        - geometry.printed_width(drawn_t, center_t),
-    )
+    general_b, general_t = _Model(config, center_band_mm=-1.0).widths(eps, eps, *drawn)
+    return general_b - center_b, general_t - center_t

@@ -542,6 +542,22 @@ class TestCompensateAndVerify:
         )
         assert code == 4
 
+    def test_correction_off_the_wafer_exits_2(self, tmp_path, capsys):
+        """A correction row outside the 100 mm wafer is refused as
+        `simulate` refuses the same site in `wafer.sites`; before, it was
+        simulated and counted in the residual."""
+        config = tmp_path / "empty.yaml"
+        config.write_text("{}\n")
+        corr = tmp_path / "corr.csv"
+        corr.write_text(CORRECTIONS_TEXT + "400,0,200,200,0.04,0\n")
+        out = tmp_path / "v.json"
+        argv = ["verify", "--config", str(config), "--corrections", str(corr), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: site (400.0, 0.0) mm lies outside the wafer\n"
+        )
+        assert not out.exists()
+
 
 class TestGoldenArtifacts:
     """SHA-256 of the default-config artifacts, as pinned for the
@@ -1073,6 +1089,22 @@ class TestHeatmap:
             ["heatmap", "--in", str(meas), "--field", "rn_ohm", "--out", str(svg)]
         )
         assert code == 0
+
+    def test_overflowing_site_mean_exits_4(self, tmp_path, capsys):
+        """Two runs of 1e308 at one site: their sum overflows. Before, the
+        map showed `inf` for the site and a NaN colour scale, and exited 0."""
+        meas = tmp_path / "meas.csv"
+        meas.write_text(
+            "wafer_id,chip_id,x_mm,y_mm,area_class_um2,run_id,rn_ohm\n"
+            "w1,c1,0,0,0.04,r,1e308\nw1,c1,0,0,0.04,s,1e308\nw1,c2,1,0,0.04,r,5\n"
+        )
+        svg = tmp_path / "map.svg"
+        assert main(["heatmap", "--in", str(meas), "--field", "rn_ohm", "--out", str(svg)]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "computation error: site (0.0, 0.0) mm: the mean of its rn_ohm values overflows\n",
+        )
+        assert not svg.exists()
 
     def test_unknown_field_exits_2(self, tmp_path, config_path, capsys):
         sites = tmp_path / "sites.csv"

@@ -3,9 +3,10 @@
 `wafer` evaluates trigonometry once per distinct coordinate and the
 rest of the model elementwise over numpy columns. These properties run
 the per-site `geometry` chain (local_incidence_angle -> sidewall_thickness
--> *_width_terms -> printed_width / drawn_width -> overlap_area) site by
-site in (row, column) order and require equal results, compared by
-repr, and equal errors: the same type and text, naming the same site.
+-> bottom_terms / top_terms -> checked_terms -> printed_width /
+inverse_width -> overlap_area) site by site in (row, column) order and
+require equal results, compared by repr, and equal errors: the same type
+and text, naming the same site.
 """
 
 import math
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shadowevap import geometry
+from shadowevap.config import default_config
 from shadowevap.errors import ShadowEvapError, Unreachable, ValidationError
 from shadowevap.geometry import (
     EvaporationStep,
@@ -60,13 +62,24 @@ def oracle_site(config, model, x_mm, y_mm):
     # Deposition order: the bottom electrode (angle, film, terms), then the top.
     theta_b = geometry.local_incidence_angle(WaferSite(x_mm, 0.0), config.bottom_step, source)
     t_prime = geometry.sidewall_thickness(theta_b, config.bottom_step.film_t0_nm)
-    terms_b = geometry.bottom_width_terms(
-        x_mm * geometry.NM_PER_MM, radius, throw, mask.top_nm, mask.bottom_nm,
-        theta_b, abs(x_mm) <= eps,
+    center_b = abs(x_mm) <= eps
+    terms_b = geometry.checked_terms(
+        geometry.bottom_terms(
+            x_mm * geometry.NM_PER_MM, radius, throw, mask.top_nm, mask.bottom_nm,
+            math.cos(theta_b), center_b,
+        ),
+        False,
+        center_b,
     )
     theta_t = geometry.local_incidence_angle(WaferSite(0.0, y_mm), config.top_step, source)
-    terms_t = geometry.top_width_terms(
-        t_prime, radius, throw, mask.top_nm, mask.bottom_nm, theta_t, abs(y_mm) <= eps
+    center_t = abs(y_mm) <= eps
+    terms_t = geometry.checked_terms(
+        geometry.top_terms(
+            t_prime, radius, throw, mask.top_nm, mask.bottom_nm,
+            math.sin(theta_t), math.cos(theta_t), center_t,
+        ),
+        True,
+        center_t,
     )
     return theta_b, theta_t, t_prime, terms_b, terms_t
 
@@ -104,7 +117,9 @@ def oracle_sweep(config, model, rows):
 
 
 def oracle_drawn(name, target, terms):
-    drawn = geometry.drawn_width(target, terms)
+    if geometry.inverse_slope(terms) <= 0.0:
+        raise Unreachable("printed width does not grow with the drawn width")
+    drawn = geometry.inverse_width(target, terms)
     if not 0.0 < drawn <= DEFAULT_MAX_DRAWN_NM:
         raise Unreachable(
             f"required drawn {name} width {drawn:.3f} nm outside "
@@ -298,3 +313,29 @@ class TestInverseParity:
             return [repr((tw_b, tw_t)), *map(repr, rows), *map(repr, rejections)]
 
         assert outcome(columnar) == outcome(oracle)
+
+
+class TestPublicScalarChain:
+    def test_default_grid_bit_for_bit(self):
+        """The public per-site chain that the benchmark's `site_eval_us`
+        times, called with the same arguments at every site of the
+        default grid, gives the sweep's angles, film, widths and areas
+        exactly."""
+        config = default_config()
+        src, eps = config.source, config.epsilon_center_mm
+        junction, mask = config.junction, config.mask
+        bottom, top = config.bottom_step, config.top_step
+        sites = config.layout.generate_sites()
+        results = simulate_wafer(config)
+        assert len(sites) == len(results) == 225
+        for s, r in zip(sites, results):
+            tb = geometry.local_incidence_angle(WaferSite(s.x_mm, 0.0), bottom, src)
+            tt = geometry.local_incidence_angle(WaferSite(0.0, s.y_mm), top, src)
+            tp = geometry.sidewall_thickness(tb, bottom.film_t0_nm)
+            wb = geometry.bottom_width(junction, mask, tb, s.x_mm, src, epsilon_center_mm=eps)
+            wt = geometry.top_width(junction, mask, tt, tp, s.y_mm, src, epsilon_center_mm=eps)
+            area = geometry.overlap_area(wb, wt)
+            assert (s.x_mm, s.y_mm, tb, tt, tp, wb, wt, area) == (
+                r.x_mm, r.y_mm, r.theta_bottom_rad, r.theta_top_rad, r.t_prime_nm,
+                r.w_bottom_nm, r.w_top_nm, r.area_um2,
+            )

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,6 @@ from shadowevap.errors import (
     DenominatorCollapse,
     DomainError,
     NonPhysicalWidth,
-    Unreachable,
     ValidationError,
 )
 from shadowevap.geometry import (
@@ -22,17 +22,19 @@ from shadowevap.geometry import (
     SourceModel,
     TiltSign,
     WaferSite,
+    bottom_terms,
     bottom_width,
     bottom_width_formula,
-    bottom_width_terms,
-    drawn_width,
+    checked_terms,
+    inverse_slope,
+    inverse_width,
     local_incidence_angle,
     overlap_area,
     closed_form_complement_angle,
     sidewall_thickness,
     printed_width,
+    top_terms,
     top_width,
-    top_width_terms,
 )
 
 SOURCE = SourceModel(distance_mm=650.0, radius_mm=1.0)
@@ -41,6 +43,18 @@ MASK = MaskStack(top_nm=100.0, bottom_nm=500.0)
 
 def step(tilt_deg, axis=ShadowAxis.ALONG_Y, sign=TiltSign.PLUS):
     return EvaporationStep(tilt_deg=tilt_deg, shadow_axis=axis, tilt_sign=sign)
+
+
+def checked_bottom(offset, radius, throw, mask_top, mask_bottom, theta, center):
+    terms = bottom_terms(offset, radius, throw, mask_top, mask_bottom, math.cos(theta), center)
+    return checked_terms(terms, False, center)
+
+
+def checked_top(sidewall, radius, throw, mask_top, mask_bottom, theta, center):
+    terms = top_terms(
+        sidewall, radius, throw, mask_top, mask_bottom, math.sin(theta), math.cos(theta), center
+    )
+    return checked_terms(terms, True, center)
 
 
 class TestLocalIncidenceAngle:
@@ -218,14 +232,14 @@ class TestTopWidth:
     def test_no_loss_limit(self):
         got = printed_width(
             200.0,
-            top_width_terms(
+            checked_top(
                 sidewall=0.0,
-                source_radius=0.0,
+                radius=0.0,
                 throw=6.5e8,
                 mask_top=0.0,
                 mask_bottom=0.0,
-                theta_rad=0.0,
-                center_branch=True,
+                theta=0.0,
+                center=True,
             ),
         )
         assert got == 200.0
@@ -252,24 +266,57 @@ class TestWidthTerms:
     @pytest.mark.parametrize(
         "terms",
         [
-            bottom_width_terms(0.0, 1e6, 6.5e8, 100.0, 500.0, 0.7, True),
-            bottom_width_terms(3.5e7, 1e6, 6.5e8, 100.0, 500.0, 0.7, False),
-            top_width_terms(14.67, 1e6, 6.5e8, 100.0, 500.0, 0.0, True),
-            top_width_terms(13.3, 1e6, 6.5e8, 100.0, 500.0, 0.054, False),
+            checked_bottom(0.0, 1e6, 6.5e8, 100.0, 500.0, 0.7, True),
+            checked_bottom(3.5e7, 1e6, 6.5e8, 100.0, 500.0, 0.7, False),
+            checked_top(14.67, 1e6, 6.5e8, 100.0, 500.0, 0.0, True),
+            checked_top(13.3, 1e6, 6.5e8, 100.0, 500.0, 0.054, False),
         ],
     )
     def test_drawn_width_inverts_printed_width(self, terms):
+        assert inverse_slope(terms) > 0.0
         for drawn in (50.0, 200.0, 900.0):
-            assert drawn_width(printed_width(drawn, terms), terms) == pytest.approx(
+            assert inverse_width(printed_width(drawn, terms), terms) == pytest.approx(
                 drawn, rel=1e-12
             )
 
-    def test_degenerate_slope_is_unreachable(self):
-        # Throw below twice the bottom layer: the top center branch
-        # narrows faster than the drawn width grows.
-        terms = top_width_terms(0.0, 0.0, 900.0, 100.0, 500.0, 0.0, True)
-        with pytest.raises(Unreachable):
-            drawn_width(150.0, terms)
+    def test_builders_are_elementwise(self):
+        # Arrays with a bool `center` give each element its scalar terms.
+        offset = np.array([0.0, 3.5e7, -2e7])
+        sin_t, cos_t = np.sin([0.7, 0.054, 0.3]), np.cos([0.7, 0.054, 0.3])
+        center = np.array([True, False, False])
+        sidewall = np.array([14.67, 13.3, 20.0])
+        arrays = (
+            bottom_terms(offset, 1e6, 6.5e8, 100.0, 500.0, cos_t, center),
+            top_terms(sidewall, 1e6, 6.5e8, 100.0, 500.0, sin_t, cos_t, center),
+        )
+        for i in range(3):
+            scalars = (
+                bottom_terms(offset[i], 1e6, 6.5e8, 100.0, 500.0, cos_t[i], center[i]),
+                top_terms(sidewall[i], 1e6, 6.5e8, 100.0, 500.0, sin_t[i], cos_t[i], center[i]),
+            )
+            for array, scalar in zip(arrays, scalars):
+                assert [t[i] for t in array] == list(scalar)
+
+    @pytest.mark.parametrize(
+        "top, offset_mm, text",
+        [
+            (False, 0.0, "throw D cos(theta) does not clear the bottom mask layer"),
+            (False, 5.0, "throw D cos(theta) does not clear the top mask layer"),
+            (True, 0.0, "throw D does not clear the bottom mask layer"),
+            (True, 5.0, "throw D cos(theta) does not clear the film-coated mask"),
+        ],
+    )
+    def test_denominator_collapse_texts(self, top, offset_mm, text):
+        # A 50 nm throw clears neither mask layer: each electrode's center
+        # (offset 0) and general branch names the mask it fails to clear.
+        shallow = SourceModel(distance_mm=5e-5, radius_mm=0.0, kind=SourceKind.POINT)
+        j = JunctionSpec(200.0, 200.0)
+        with pytest.raises(DenominatorCollapse) as caught:
+            if top:
+                top_width(j, MASK, 0.0, 10.0, offset_mm, shallow)
+            else:
+                bottom_width(j, MASK, 0.0, offset_mm, shallow)
+        assert str(caught.value) == text
 
 
 class TestOverlapArea:
@@ -343,12 +390,12 @@ class TestUnitSafety:
     @settings(max_examples=100)
     def test_top_formula_scale_invariant(self, drawn, sidewall, radius, theta):
         nm = printed_width(
-            drawn, top_width_terms(sidewall, radius, 6.5e8, 100.0, 500.0, theta, False)
+            drawn, checked_top(sidewall, radius, 6.5e8, 100.0, 500.0, theta, False)
         )
         s = 1e-6
         mm = printed_width(
             drawn * s,
-            top_width_terms(sidewall * s, radius * s, 650.0, 100.0 * s, 500.0 * s, theta, False),
+            checked_top(sidewall * s, radius * s, 650.0, 100.0 * s, 500.0 * s, theta, False),
         )
         assert mm / s == pytest.approx(nm, rel=1e-9)
 

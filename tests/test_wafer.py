@@ -13,9 +13,10 @@ from shadowevap.errors import (
     DenominatorCollapse,
     EmptyInput,
     ShadowEvapError,
+    Unreachable,
     ValidationError,
 )
-from shadowevap import geometry
+from shadowevap import geometry, wafer
 from shadowevap.config import default_config, load_config
 from shadowevap.geometry import (
     JunctionSpec,
@@ -358,6 +359,15 @@ class TestCompensateSite:
     def test_rejects_non_positive_targets(self, config):
         with pytest.raises(ValidationError):
             compensate_wafer(one_site(config, 0, 0), printed(-5.0, 100.0))
+
+    def test_degenerate_slope_is_unreachable(self):
+        # Throw below twice the bottom layer: the top center branch
+        # narrows faster than the drawn width grows.
+        terms = geometry.checked_terms(
+            geometry.top_terms(0.0, 0.0, 900.0, 100.0, 500.0, 0.0, 1.0, True), True, True
+        )
+        with pytest.raises(Unreachable, match="^printed width does not grow with the drawn width$"):
+            wafer._drawn("top", 150.0, terms)
 
     @given(
         st.floats(min_value=-35.0, max_value=35.0),
