@@ -103,18 +103,16 @@ def write_columns(path: PathLike, header: Sequence[str], columns: Sequence) -> N
         cells = [_formatted(c[rows], "%.12g") for c in head]
         return "".join(map(",".join, zip(*cells, _formatted(last[rows], "%.12g\n"))))
 
-    write_text(path, [",".join(header) + "\n", RowChunks(len(last), chunk)], newline="")
+    write_text(path, [",".join(header) + "\n", RowChunks(len(last), chunk)])
 
 
-def write_text(
-    path: PathLike, pieces: Iterable[Union[str, RowChunks]], newline: Optional[str] = None
-) -> None:
+def write_text(path: PathLike, pieces: Iterable[Union[str, RowChunks]]) -> None:
     """Write the strings and RowChunks of `pieces` to a UTF-8 file as
-    they come, the back half of a RowChunks' chunks formatted by a
-    forked child where that is possible (see the module docstring); an
-    OSError becomes IoError."""
+    they come, newlines untranslated on every platform, the back half of
+    a RowChunks' chunks formatted by a forked child where that is
+    possible (see the module docstring); an OSError becomes IoError."""
     try:
-        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             for piece in pieces:
                 if isinstance(piece, str):
                     fh.write(piece)

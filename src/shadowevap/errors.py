@@ -59,7 +59,8 @@ class NonPhysicalWidth(ComputationError):
 
 
 class Unreachable(ComputationError):
-    """No admissible drawn dimension reproduces the requested target."""
+    """No admissible drawn dimension reproduces the requested target.
+    `compensate_wafer` lists such sites as rejections, raising nothing."""
 
 
 class EmptyInput(ComputationError):

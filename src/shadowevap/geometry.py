@@ -342,7 +342,7 @@ def printed_width(drawn: float, terms: BranchTerms) -> float:
     """Printed width of drawn width W under one branch's terms (see
     `forward_width`); raises NonPhysicalWidth unless it is positive."""
     width = forward_width(drawn, terms)
-    if width <= 0.0:
+    if not width > 0.0:
         raise NonPhysicalWidth(
             f"printed width {width} <= 0 "
             "(aperture closed by sidewall film and shadowing)"

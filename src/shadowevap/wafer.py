@@ -22,8 +22,9 @@ arithmetic elementwise over numpy columns, the same operations in the
 same order, so every value equals the per-site scalar evaluation bit
 for bit; each electrode's terms come from `geometry.bottom_terms` or
 `top_terms` on both paths. Results are `Table`s ordered by (row,
-column). A site the array arithmetic flags is replayed through
-`_Model.widths`, which raises the error of the first failing site.
+column). Every sweep, `compensate_wafer`'s forward check included,
+goes through `_forward`, which replays the first site the arrays flag
+through `_Model.widths` and raises that site's error.
 """
 
 from __future__ import annotations
@@ -36,14 +37,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import geometry
-from .errors import (
-    AxisMismatch,
-    EmptyInput,
-    NonPhysicalWidth,
-    ShadowEvapError,
-    Unreachable,
-    ValidationError,
-)
+from .errors import AxisMismatch, EmptyInput, NonPhysicalWidth, ShadowEvapError, ValidationError
 from .geometry import (
     EvaporationStep,
     JunctionSpec,
@@ -306,9 +300,34 @@ def _tabulate(evaluate, values: np.ndarray, width: int) -> tuple[np.ndarray, np.
     return table, ok
 
 
-def _at_site(x_mm: float, y_mm: float, exc: ShadowEvapError) -> ShadowEvapError:
-    """The same error with the offending site's coordinates prepended."""
-    return type(exc)(f"site ({x_mm}, {y_mm}) mm: {exc}")
+def _at_site(x_mm: float, y_mm: float, text: object) -> str:
+    """`text` (an error, say) with the site's coordinates prepended."""
+    return f"site ({x_mm}, {y_mm}) mm: {text}"
+
+
+def _forward(
+    evaluate: _Model, x: np.ndarray, y: np.ndarray, drawn_b: np.ndarray, drawn_t: np.ndarray,
+    terms_b: tuple, terms_t: tuple, failed: np.ndarray, keep: Union[bool, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Printed (w_bottom, w_top) in nm and junction area of drawn widths
+    at sites with offsets x and y, under the terms and `failed` mask of
+    `evaluate.columns`. Of the `keep` sites (True: every site), the first
+    whose chain failed or whose widths or area are not physical is
+    replayed through `_Model.widths`, and its error raised."""
+    with np.errstate(all="ignore"):
+        w_b = geometry.forward_width(drawn_b, terms_b)
+        w_t = geometry.forward_width(drawn_t, terms_t)
+        area = geometry.junction_area(w_b, w_t)
+    flagged = keep & (failed | ~((w_b > 0.0) & (w_t > 0.0) & np.isfinite(area)))
+    for i in np.flatnonzero(flagged).tolist():
+        x_i, y_i = x.item(i), y.item(i)
+        try:
+            widths = evaluate.widths(x_i, y_i, drawn_b.item(i), drawn_t.item(i))
+        except ShadowEvapError as exc:
+            raise type(exc)(_at_site(x_i, y_i, exc)) from exc
+        if not math.isfinite(geometry.junction_area(*widths)):
+            raise NonPhysicalWidth(_at_site(x_i, y_i, f"printed widths {widths} nm overflow"))
+    return w_b, w_t, area
 
 
 def _sweep(
@@ -325,20 +344,8 @@ def _sweep(
     w_b0, w_t0 = center_reference_widths(config, model)
     evaluate = _Model(config, model)
     theta_b, theta_t, t_prime, terms_b, terms_t, failed = evaluate.columns(x, y)
-    drawn_b = np.broadcast_to(drawn_b, x.shape)
-    drawn_t = np.broadcast_to(drawn_t, x.shape)
-    with np.errstate(all="ignore"):
-        w_b = geometry.forward_width(drawn_b, terms_b)
-        w_t = geometry.forward_width(drawn_t, terms_t)
-        area = geometry.junction_area(w_b, w_t)
-    for i in np.flatnonzero(failed | ~((w_b > 0.0) & (w_t > 0.0) & np.isfinite(area))).tolist():
-        x_i, y_i = x.item(i), y.item(i)
-        try:
-            widths = evaluate.widths(x_i, y_i, drawn_b.item(i), drawn_t.item(i))
-        except ShadowEvapError as exc:
-            raise _at_site(x_i, y_i, exc) from exc
-        if not math.isfinite(geometry.junction_area(*widths)):
-            raise _at_site(x_i, y_i, NonPhysicalWidth(f"printed widths {widths} nm overflow"))
+    drawn_b, drawn_t = np.broadcast_to(drawn_b, x.shape), np.broadcast_to(drawn_t, x.shape)
+    w_b, w_t, area = _forward(evaluate, x, y, drawn_b, drawn_t, terms_b, terms_t, failed, True)
     return Table(
         SiteResult,
         x_mm=x,
@@ -431,28 +438,21 @@ def bias_profile(
 DEFAULT_MAX_DRAWN_NM = 5000.0
 
 
-def _drawn(name: str, target_nm: float, terms: geometry.BranchTerms) -> float:
-    """Drawn width of one electrode that prints as target_nm; raises
-    Unreachable when none lies in (0, DEFAULT_MAX_DRAWN_NM]."""
-    if geometry.inverse_slope(terms) <= 0.0:
-        raise Unreachable("printed width does not grow with the drawn width")
-    drawn = geometry.inverse_width(target_nm, terms)
-    if not 0.0 < drawn <= DEFAULT_MAX_DRAWN_NM:
-        raise Unreachable(
-            f"required drawn {name} width {drawn:.3f} nm outside "
-            f"(0, {DEFAULT_MAX_DRAWN_NM}] nm"
-        )
-    return drawn
+#: Unreachable texts by the reason code of `_unreachable`, formatted
+#: with the electrode's name and its inverse drawn width.
+_UNREACHABLE = {
+    1: "printed width does not grow with the drawn width",
+    2: f"required drawn {{}} width {{:.3f}} nm outside (0, {DEFAULT_MAX_DRAWN_NM}] nm",
+}
 
 
-def _invert_site(evaluate: _Model, site: WaferSite, target_b: float, target_t: float) -> None:
-    """Raise the first error at one site of the scalar inverse, then of
-    the forward check of the drawn widths it gives."""
-    terms_b, terms_t = evaluate.site(site.x_mm, site.y_mm)
-    drawn_b = _drawn("bottom", target_b, terms_b)
-    drawn_t = _drawn("top", target_t, terms_t)
-    geometry.printed_width(drawn_b, terms_b)
-    geometry.printed_width(drawn_t, terms_t)
+def _unreachable(drawn: np.ndarray, terms: geometry.BranchTerms) -> np.ndarray:
+    """Per site, why no drawn width in (0, DEFAULT_MAX_DRAWN_NM] prints
+    as the target whose inverse is `drawn`: 1 where the printed width
+    does not grow with the drawn width, else 2 where `drawn` lies outside
+    that range, else 0 (reachable)."""
+    outside = ~((drawn > 0.0) & (drawn <= DEFAULT_MAX_DRAWN_NM))
+    return np.where(geometry.inverse_slope(terms) <= 0.0, 1, 2 * outside)
 
 
 @dataclass(frozen=True)
@@ -519,10 +519,12 @@ def compensate_wafer(
 ) -> CorrectionTable:
     """Per-site drawn-dimension corrections that flatten the area map.
 
-    The width terms evaluated for the inverse also serve the forward
-    check of the predicted area. Unreachable sites are collected into
-    the rejection list instead of aborting the sweep; rows are a Table
-    of CorrectionRow ordered like `simulate_wafer` output.
+    Each electrode's drawn width is the closed-form inverse of its
+    terms. A site with no drawn width in (0, DEFAULT_MAX_DRAWN_NM] that
+    prints as the target is rejected with its reason instead of aborting
+    the sweep; the others go through `_forward`, the forward check of
+    every sweep, for their predicted areas. Rows are a Table of
+    CorrectionRow ordered like `simulate_wafer` output.
     """
     tw_b, tw_t = resolve_target_widths(config, target)
     target_area = tw_b * tw_t / 1.0e6
@@ -536,27 +538,19 @@ def compensate_wafer(
     with np.errstate(all="ignore"):
         drawn_b = geometry.inverse_width(tw_b, terms_b)
         drawn_t = geometry.inverse_width(tw_t, terms_t)
-        w_b = geometry.forward_width(drawn_b, terms_b)
-        w_t = geometry.forward_width(drawn_t, terms_t)
-        suspect = (
-            failed
-            | ~_admissible(drawn_b, terms_b)
-            | ~_admissible(drawn_t, terms_t)
-            | ~((w_b > 0.0) & (w_t > 0.0))
-        )
-    rejected = np.zeros(len(sites), dtype=bool)
-    rejections: list[tuple[WaferSite, str]] = []
-    for i in np.flatnonzero(suspect).tolist():
-        site = sites[i]
-        try:
-            _invert_site(evaluate, site, tw_b, tw_t)
-        except Unreachable as exc:
-            rejected[i] = True
-            rejections.append((site, str(_at_site(site.x_mm, site.y_mm, exc))))
-        except ShadowEvapError as exc:
-            raise _at_site(site.x_mm, site.y_mm, exc) from exc
-    keep = ~rejected
-    area = geometry.junction_area(w_b[keep], w_t[keep])
+        reason_b = _unreachable(drawn_b, terms_b)
+        # A site is rejected for its bottom electrode's reason, if it has one.
+        top = reason_b == 0
+        reason = np.where(top, _unreachable(drawn_t, terms_t), reason_b)
+    # A site whose chain failed is kept: `_forward` raises its error.
+    keep = failed | (reason == 0)
+    w_b, w_t, area = _forward(evaluate, x, y, drawn_b, drawn_t, terms_b, terms_t, failed, keep)
+    rejections = []
+    for i in np.flatnonzero(~keep).tolist():
+        name, drawn = ("top", drawn_t) if top[i] else ("bottom", drawn_b)
+        text = _UNREACHABLE[reason.item(i)].format(name, drawn.item(i))
+        rejections.append((sites[i], _at_site(x.item(i), y.item(i), text)))
+    area = area[keep]
     return CorrectionTable(
         target_w_bottom_nm=tw_b,
         target_w_top_nm=tw_t,
@@ -571,12 +565,6 @@ def compensate_wafer(
         ),
         rejections=tuple(rejections),
     )
-
-
-def _admissible(drawn: np.ndarray, terms: geometry.BranchTerms) -> np.ndarray:
-    """Where `_drawn` accepts an inverse: the printed width grows with
-    the drawn one, which lies in (0, DEFAULT_MAX_DRAWN_NM]."""
-    return (geometry.inverse_slope(terms) > 0.0) & (drawn > 0.0) & (drawn <= DEFAULT_MAX_DRAWN_NM)
 
 
 def resimulate_with_corrections(
@@ -594,11 +582,12 @@ def resimulate_with_corrections(
         for name in ("x_mm", "y_mm", "drawn_w_bottom_nm", "drawn_w_top_nm")
     )
     _check_on_wafer(config.layout, x, y)
-    bad = np.flatnonzero(~((drawn_b > 0) & (drawn_t > 0)))
+    positive = (drawn_b > 0) & (drawn_t > 0)
+    bad = np.flatnonzero(~(positive & (drawn_b < math.inf) & (drawn_t < math.inf)))
     if bad.size:
-        raise ValidationError(
-            f"site ({x.item(bad[0])}, {y.item(bad[0])}) mm: drawn widths must be > 0"
-        )
+        i = bad.item(0)
+        rule = "finite" if positive[i] else "> 0"
+        raise ValidationError(_at_site(x.item(i), y.item(i), f"drawn widths must be {rule}"))
     return _sweep(config, BiasModel.NON_POINT, x, y, drawn_b, drawn_t)
 
 

@@ -279,6 +279,13 @@ class TestWidthTerms:
                 drawn, rel=1e-12
             )
 
+    def test_nan_drawn_width_is_not_physical(self):
+        # A NaN compares false with 0, so only `not width > 0` refuses it.
+        with pytest.raises(NonPhysicalWidth):
+            printed_width(math.nan, checked_top(14.67, 1e6, 6.5e8, 100.0, 500.0, 0.0, True))
+        with pytest.raises(NonPhysicalWidth):
+            bottom_width_formula(math.nan, 0.0, 1e6, 6.5e8, 100.0, 500.0, 0.7, True)
+
     def test_builders_are_elementwise(self):
         # Arrays with a bool `center` give each element its scalar terms.
         offset = np.array([0.0, 3.5e7, -2e7])
