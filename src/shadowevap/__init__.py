@@ -19,7 +19,6 @@ from .errors import (
     ParseError,
     ShadowEvapError,
     UnknownField,
-    Unreachable,
     ValidationError,
     ZeroValidRows,
 )

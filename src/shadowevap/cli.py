@@ -230,20 +230,17 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def _heatmap_points(path: str, field: str) -> np.ndarray:
-    """(x, y, field) rows, an (n, 3) array, from a site map or a
-    measurement CSV (told apart by the header)."""
-    site_fields = [c for c in csvio.SITE_MAP_HEADER if c not in ("x_mm", "y_mm")]
-    if csvio.read_header(path) == csvio.SITE_MAP_HEADER:
+    """(x, y, field) rows, an (n, 3) array, from a site map, in the
+    file's own units, or a measurement CSV (told apart by the header)."""
+    header = csvio.SITE_MAP_HEADER
+    site_fields = [c for c in header if c not in ("x_mm", "y_mm")]
+    if csvio.read_header(path) == header:
         if field not in site_fields:
             raise UnknownField(
                 f"unknown field {field!r}; site maps provide {site_fields}"
             )
-        rows = csvio.import_site_map(path)
-        if field in ("theta_bottom_deg", "theta_top_deg"):
-            values = np.degrees(column(rows, field.replace("_deg", "_rad")))
-        else:
-            values = column(rows, field)
-        return np.column_stack((column(rows, "x_mm"), column(rows, "y_mm"), values))
+        columns, _ = csvio.read_numbers(path, header)
+        return columns[[header.index(name) for name in ("x_mm", "y_mm", field)]].T
 
     if field != "rn_ohm":
         raise UnknownField(

@@ -197,7 +197,7 @@ def export_site_map(results: Sequence[SiteResult], path: PathLike) -> None:
 def import_site_map(path: PathLike) -> Table:
     """Read back an exported site map as a Table of SiteResult, angles
     back in radians."""
-    columns, _ = _read_numbers(path, SITE_MAP_HEADER)
+    columns, _ = read_numbers(path, SITE_MAP_HEADER)
     return Table(
         SiteResult,
         **{name: np.radians(c) if name.endswith("_rad") else c
@@ -217,7 +217,7 @@ def import_corrections(path: PathLike) -> Table:
     """Read a correction table as a Table of CorrectionRow. Two rows for
     one site are rejected, since each site takes one correction, and
     then a predicted area not above 0, which `verify` divides by."""
-    columns, lines = _read_numbers(path, CORRECTIONS_HEADER)
+    columns, lines = read_numbers(path, CORRECTIONS_HEADER)
     x, y = columns[:2]
     code, first = group_codes([x, y])
     repeats = np.flatnonzero(first[code] != np.arange(len(code)))
@@ -236,7 +236,7 @@ def import_corrections(path: PathLike) -> Table:
     return Table(CorrectionRow, **dict(zip(CORRECTIONS_HEADER, columns)))
 
 
-def _read_numbers(path: PathLike, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def read_numbers(path: PathLike, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The data rows of a numeric table as columns, a (len(header), n)
     float array, and their line numbers. Every value must be finite, and
     there must be at least one row; a ParseError names file:line."""

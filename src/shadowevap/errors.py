@@ -58,11 +58,6 @@ class NonPhysicalWidth(ComputationError):
     fully closed by sidewall film and shadowing)."""
 
 
-class Unreachable(ComputationError):
-    """No admissible drawn dimension reproduces the requested target.
-    `compensate_wafer` lists such sites as rejections, raising nothing."""
-
-
 class EmptyInput(ComputationError):
     """An operation that needs data received none."""
 

@@ -342,6 +342,8 @@ def printed_width(drawn: float, terms: BranchTerms) -> float:
     """Printed width of drawn width W under one branch's terms (see
     `forward_width`); raises NonPhysicalWidth unless it is positive."""
     width = forward_width(drawn, terms)
+    if math.isnan(width):
+        raise NonPhysicalWidth("printed width nan (the drawn width or a term is NaN)")
     if not width > 0.0:
         raise NonPhysicalWidth(
             f"printed width {width} <= 0 "

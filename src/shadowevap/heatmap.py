@@ -61,6 +61,8 @@ def render_heatmap(
 
     Colors are scaled linearly between the field's min and max (a
     constant field renders mid-scale with legend min = max). +y is up.
+    The 600 px drawing spans the WAFER_DIAMETER_MM outline, or out to
+    the farthest cell edge when one lies beyond it.
     """
     if len(points) == 0:
         raise EmptyInput("no points to render")
@@ -70,11 +72,12 @@ def render_heatmap(
     span = vmax - vmin
     cell = _cell_size_mm(x_mm, y_mm)
     radius = WAFER_DIAMETER_MM / 2.0
+    extent = max(radius, np.abs(np.concatenate((x_mm, y_mm))).max().item() + cell / 2.0)
 
     # Layout: wafer drawing area plus a legend strip on the right.
-    scale = 6.0  # px per mm
     pad = 20.0
-    wafer_px = WAFER_DIAMETER_MM * scale
+    wafer_px = 600.0
+    scale = wafer_px / (2.0 * extent)  # px per mm
     legend_w = 130.0
     width = pad * 2 + wafer_px + legend_w
     height = pad * 2 + wafer_px

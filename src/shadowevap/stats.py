@@ -426,7 +426,7 @@ class AggregateReport:
 
 
 def aggregate(
-    records: Sequence[MeasurementRecord],
+    records: Table,
     group_by: Sequence[str] = ("wafer", "area"),
 ) -> AggregateReport:
     """Grouped resistance statistics plus a repeatability report.
@@ -436,8 +436,8 @@ def aggregate(
     skipped with a warning. Junctions probed under more than one run_id
     additionally get a per-junction CV across their run means, the
     repeatability of parallel measurements (a Table of
-    JunctionRepeatability). `records` may be a Table of
-    MeasurementRecord or any sequence of them.
+    JunctionRepeatability). `records` is a Table of MeasurementRecord,
+    as `csvio.import_measurements` reads it.
     """
     if not records:
         raise ValidationError("no measurement records")
@@ -446,10 +446,8 @@ def aggregate(
             raise ValidationError(
                 f"unknown group field {g!r}; expected subset of {GROUP_FIELDS}"
             )
-    if not isinstance(records, Table):
-        records = Table.from_rows(MeasurementRecord, records)
     columns = records.columns
-    rn = column(records, "rn_ohm")
+    rn = columns["rn_ohm"]
 
     # A group's key is formatted from its first record; distinct values
     # that format alike (or join alike) share one key, as before.

@@ -8,7 +8,7 @@ records still read the table as a sequence of them.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import fields
 from typing import Any
 
@@ -36,21 +36,6 @@ class Table(Sequence):
         self.row = row
         self.columns = columns
         self._length = lengths.pop()
-
-    @classmethod
-    def from_rows(cls, row: type, rows: Iterable) -> Table:
-        """A table of `rows`, records of type `row`: a field holding only
-        floats becomes a float column, any other an object column."""
-        rows = list(rows)
-        columns = {}
-        for f in fields(row):
-            values = [getattr(r, f.name) for r in rows]
-            if all(type(v) is float for v in values):
-                columns[f.name] = np.array(values, dtype=float)
-            else:
-                columns[f.name] = np.empty(len(values), dtype=object)
-                columns[f.name][:] = values
-        return cls(row, **columns)
 
     def __len__(self) -> int:
         return self._length

@@ -438,7 +438,7 @@ def bias_profile(
 DEFAULT_MAX_DRAWN_NM = 5000.0
 
 
-#: Unreachable texts by the reason code of `_unreachable`, formatted
+#: Rejection texts by the reason code of `_unreachable`, formatted
 #: with the electrode's name and its inverse drawn width.
 _UNREACHABLE = {
     1: "printed width does not grow with the drawn width",

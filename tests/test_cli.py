@@ -1081,6 +1081,25 @@ class TestHeatmap:
         assert code == 0
         assert svg.read_text().startswith("<svg")
 
+    def test_cells_beyond_the_outline_stay_on_the_canvas(self, tmp_path):
+        """A 200 mm wafer at 10 mm pitch has cells out to 75 mm. Before,
+        the drawing spanned only the 100 mm outline: 82 of the 225 cells
+        lay wholly outside the viewBox and 35 more partly. (The default
+        map's bytes are pinned by TestGoldenArtifacts.)"""
+        cfg = tmp_path / "process.yaml"
+        cfg.write_text("wafer: {diameter_mm: 200, working_span_mm: 140, grid_pitch_mm: 10}\n")
+        sites, svg = tmp_path / "sites.csv", tmp_path / "map.svg"
+        assert main(["simulate", "--config", str(cfg), "--out", str(sites)]) == 0
+        assert main(["heatmap", "--in", str(sites), "--field", "area_um2", "--out", str(svg)]) == 0
+        text = svg.read_text()
+        width, height = map(float, re.search(r'viewBox="0 0 (\S+) (\S+)"', text).groups())
+        cells = re.findall(
+            r'<rect x="(\S+)" y="(\S+)" width="(\S+)" height="(\S+)" fill="#\w+"><title>', text
+        )
+        assert len(cells) == 225
+        for x, y, w, h in (map(float, cell) for cell in cells):
+            assert 0.0 <= x and x + w <= width and 0.0 <= y and y + h <= height
+
     def test_measurement_field(self, tmp_path):
         meas = tmp_path / "meas.csv"
         meas.write_text(MEAS_TEXT)

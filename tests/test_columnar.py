@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from shadowevap import geometry
 from shadowevap.config import default_config
-from shadowevap.errors import ShadowEvapError, Unreachable, ValidationError
+from shadowevap.errors import ShadowEvapError, ValidationError
 from shadowevap.geometry import (
     EvaporationStep,
     JunctionSpec,
@@ -114,6 +114,11 @@ def oracle_sweep(config, model, rows):
             )
         )
     return out
+
+
+class Unreachable(Exception):
+    """The oracle's reason a site cannot print the target; compensate
+    lists such sites as rejections."""
 
 
 def oracle_drawn(name, target, terms):

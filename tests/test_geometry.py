@@ -207,6 +207,9 @@ class TestBottomWidth:
         shallow = SourceModel(distance_mm=4e-4, radius_mm=0.0, kind=SourceKind.POINT)
         with pytest.raises(DenominatorCollapse):
             bottom_width(JunctionSpec(200.0, 200.0), MASK, 0.0, 0.0, shallow)
+        # A 500 nm throw at tilt 0 over the 500 nm layer: D cos t - h is exactly 0.
+        with pytest.raises(DenominatorCollapse):
+            checked_bottom(0.0, 0.0, 500.0, 100.0, 500.0, 0.0, True)
 
 
 class TestTopWidth:
@@ -280,11 +283,18 @@ class TestWidthTerms:
             )
 
     def test_nan_drawn_width_is_not_physical(self):
-        # A NaN compares false with 0, so only `not width > 0` refuses it.
-        with pytest.raises(NonPhysicalWidth):
+        # A NaN compares false with 0; its text names a NaN as the cause,
+        # not a closed aperture.
+        nan_text = r"^printed width nan \(the drawn width or a term is NaN\)$"
+        with pytest.raises(NonPhysicalWidth, match=nan_text):
             printed_width(math.nan, checked_top(14.67, 1e6, 6.5e8, 100.0, 500.0, 0.0, True))
-        with pytest.raises(NonPhysicalWidth):
+        with pytest.raises(NonPhysicalWidth, match=nan_text):
             bottom_width_formula(math.nan, 0.0, 1e6, 6.5e8, 100.0, 500.0, 0.7, True)
+        terms = checked_top(14.67, 1e6, 6.5e8, 100.0, 500.0, 0.0, True)
+        with pytest.raises(NonPhysicalWidth, match=nan_text):
+            printed_width(200.0, (math.nan, *terms[1:]))
+        with pytest.raises(NonPhysicalWidth, match=r"^printed width -\S+ <= 0 \(aperture closed"):
+            printed_width(-1.0e3, terms)
 
     def test_builders_are_elementwise(self):
         # Arrays with a bool `center` give each element its scalar terms.

@@ -86,7 +86,9 @@ def reference_cells(points):
     coords = sorted({p[0] for p in points} | {p[1] for p in points})
     gaps = [b - a for a, b in zip(coords, coords[1:]) if b - a > 1e-9]
     cell = min(gaps) if gaps else 5.0
-    scale, cx, cy = 6.0, 20.0 + 300.0, 20.0 + 300.0
+    # 600 px span the 100 mm outline, or the farthest cell edge beyond it.
+    extent = max([50.0] + [abs(c) + cell / 2.0 for c in coords])
+    scale, cx, cy = 600.0 / (2.0 * extent), 20.0 + 300.0, 20.0 + 300.0
     half = cell * scale / 2.0
     out = []
     for x_mm, y_mm, value in sorted(points, key=lambda p: (p[1], p[0])):

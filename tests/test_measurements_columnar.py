@@ -41,6 +41,7 @@ from shadowevap.stats import (
     fit_gap,
     implied_gap_uev,
 )
+from shadowevap.table import Table
 
 SETTINGS = settings(
     max_examples=150,
@@ -336,12 +337,11 @@ class TestAggregate:
         except ShadowEvapError:
             return
         group_stats, warnings, repeatability = oracle_aggregate(list(table), group_by)
-        for records in (table, list(table)):
-            report = aggregate(records, group_by)
-            assert list(report.group_stats) == list(group_stats)
-            assert reprs(report.group_stats.values()) == reprs(group_stats.values())
-            assert report.warnings == warnings
-            assert reprs(report.repeatability) == reprs(repeatability)
+        report = aggregate(table, group_by)
+        assert list(report.group_stats) == list(group_stats)
+        assert reprs(report.group_stats.values()) == reprs(group_stats.values())
+        assert report.warnings == warnings
+        assert reprs(report.repeatability) == reprs(repeatability)
 
     @SETTINGS
     @given(st.sampled_from([2, 12]), st.data())
@@ -362,7 +362,22 @@ class TestAggregate:
         records = [
             MeasurementRecord("W1", "c1", x, 0.0, 0.04, run, rn) for x, run, rn in probes
         ]
-        new, new_error = outcome(aggregate, records, ())
+        # The Table the reader would give for these records, built column
+        # by column: `export_measurements` writes 12 digits, which would
+        # round the draws.
+        x, runs, rn = zip(*probes)
+        table = Table(
+            MeasurementRecord,
+            wafer_id=np.full(n, "W1", dtype=object),
+            chip_id=np.full(n, "c1", dtype=object),
+            x_mm=np.array(x),
+            y_mm=np.zeros(n),
+            area_class_um2=np.full(n, 0.04),
+            run_id=np.array(runs, dtype=object),
+            rn_ohm=np.array(rn),
+            jc_ua_um2=np.full(n, None, dtype=object),
+        )
+        new, new_error = outcome(aggregate, table, ())
         old, old_error = outcome(oracle_aggregate, records, ())
         assert new_error == old_error  # spreads overflow alike
         if old is not None:

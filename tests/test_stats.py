@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from shadowevap.stats import (
     resistance_sensitivity,
     transmon_frequency,
 )
+from shadowevap.table import Table
 
 PARAMS = QubitParams(gap_delta_uev=180.0, ec_mhz=270.0)
 
@@ -357,10 +359,23 @@ def record(wafer="w1", chip="c1", x=0.0, y=0.0, area=0.025, run="r1", rn=10.0):
     )
 
 
+def table(records):
+    """`records` as the Table of MeasurementRecord that
+    `csvio.import_measurements` reads: ids, and a jc_ua_um2 left out,
+    as object columns, the other numbers as float columns."""
+    objects = ("wafer_id", "chip_id", "run_id", "jc_ua_um2")
+    return Table(MeasurementRecord, **{
+        f.name: np.array(
+            [getattr(r, f.name) for r in records], dtype=object if f.name in objects else float
+        )
+        for f in fields(MeasurementRecord)
+    })
+
+
 class TestAggregate:
     def test_single_group_cv(self):
         records = [record(x=float(i), rn=v) for i, v in enumerate([9.0, 10.0, 11.0])]
-        report = aggregate(records, group_by=("wafer",))
+        report = aggregate(table(records), group_by=("wafer",))
         assert list(report.group_stats) == ["wafer=w1"]
         assert report.group_stats["wafer=w1"].cv_percent == 10.0
 
@@ -371,7 +386,7 @@ class TestAggregate:
             record(x=3.0, area=0.090, rn=100.0),
             record(x=4.0, area=0.090, rn=100.0),
         ]
-        report = aggregate(records, group_by=("area",))
+        report = aggregate(table(records), group_by=("area",))
         assert report.group_stats["area=0.09"].cv == 0.0
         assert report.group_stats["area=0.025"].cv > 0.0
 
@@ -380,7 +395,7 @@ class TestAggregate:
         for x in (0.0, 5.0, 10.0):
             for run in ("r1", "r2"):
                 records.append(record(x=x, run=run, rn=10.0 + x))
-        report = aggregate(records, group_by=("wafer",))
+        report = aggregate(table(records), group_by=("wafer",))
         assert len(report.repeatability) == 3
         assert all(j.cv == 0.0 for j in report.repeatability)
         summary = report.repeat_cv_summary
@@ -393,7 +408,7 @@ class TestAggregate:
             record(run="r2", rn=11.0),
             record(x=5.0, run="r1", rn=10.0),
         ]
-        report = aggregate(records, group_by=("wafer",))
+        report = aggregate(table(records), group_by=("wafer",))
         assert len(report.repeatability) == 1
         j = report.repeatability[0]
         assert j.n_runs == 2
@@ -403,18 +418,18 @@ class TestAggregate:
     def test_small_groups_skipped_with_warning(self):
         records = [record(rn=10.0), record(wafer="w2", x=1.0, rn=12.0),
                    record(wafer="w2", x=2.0, rn=13.0)]
-        report = aggregate(records, group_by=("wafer",))
+        report = aggregate(table(records), group_by=("wafer",))
         assert "wafer=w2" in report.group_stats
         assert "wafer=w1" not in report.group_stats
         assert any("wafer=w1" in w for w in report.warnings)
 
     def test_unknown_group_field(self):
         with pytest.raises(ValidationError):
-            aggregate([record()], group_by=("lot",))
+            aggregate(table([record()]), group_by=("lot",))
 
     def test_empty_records(self):
         with pytest.raises(ValidationError):
-            aggregate([], group_by=("wafer",))
+            aggregate(table([]), group_by=("wafer",))
 
     def test_record_invariants(self):
         with pytest.raises(ValidationError):

@@ -425,17 +425,37 @@ class TestCompensateSite:
 
     def test_degenerate_slope_is_unreachable(self, config):
         # Throw below twice the bottom layer: the top center branch
-        # narrows faster than the drawn width grows.
-        config = replace(
-            one_site(config, 0.0, 0.0),
-            source=geometry.SourceModel(0.0009, 0.0, geometry.SourceKind.POINT),
+        # narrows faster than the drawn width grows. At exactly twice
+        # (0.001 mm over 500 nm) its slope is exactly 0, still refused.
+        for throw_mm in (0.0009, 0.001):
+            site_config = replace(
+                one_site(config, 0.0, 0.0),
+                source=geometry.SourceModel(throw_mm, 0.0, geometry.SourceKind.POINT),
+                bottom_step=replace(config.bottom_step, tilt_deg=0.0),
+            )
+            table = compensate_wafer(site_config, ExplicitAreaTarget(0.04))
+            assert len(table.rows) == 0
+            [(site, reason)] = table.rejections
+            assert site == WaferSite(0.0, 0.0)
+            assert reason == (
+                "site (0.0, 0.0) mm: printed width does not grow with the drawn width"
+            )
+
+    def test_top_denominator_of_exactly_zero_collapses(self, config):
+        # A 500 nm throw over the 500 nm bottom layer: the top center
+        # branch's denominator D - h is exactly 0. The site sits just off
+        # the bottom's center band, whose denominator is also 0.
+        site_config = replace(
+            one_site(config, 1.0e-7, 0.0),
+            source=geometry.SourceModel(0.0005, 0.0, geometry.SourceKind.POINT),
+            epsilon_center_mm=0.0,
             bottom_step=replace(config.bottom_step, tilt_deg=0.0),
         )
-        table = compensate_wafer(config, ExplicitAreaTarget(0.04))
-        assert len(table.rows) == 0
-        [(site, reason)] = table.rejections
-        assert site == WaferSite(0.0, 0.0)
-        assert reason == "site (0.0, 0.0) mm: printed width does not grow with the drawn width"
+        with pytest.raises(DenominatorCollapse) as caught:
+            compensate_wafer(site_config, ExplicitAreaTarget(0.04))
+        assert str(caught.value) == (
+            "site (1e-07, 0.0) mm: throw D does not clear the bottom mask layer"
+        )
 
     @given(
         st.floats(min_value=-35.0, max_value=35.0),
