@@ -19,9 +19,11 @@ import sys
 from dataclasses import MISSING, fields
 from enum import Enum
 from functools import cache
+from itertools import starmap
 from pathlib import Path
-from typing import Any, Iterable, Union, get_type_hints
+from typing import Any, Iterable, Optional, Union, get_type_hints
 
+import numpy as np
 import yaml
 
 from .errors import IoError, ParseError, ValidationError
@@ -133,9 +135,34 @@ def _section(name: str, cls: type, raw: Any, provenance: list[str]) -> Any:
     return cls(*values)
 
 
+def _site_columns(raw: list) -> Optional[tuple[WaferSite, ...]]:
+    """The sites of a list of plain dicts with the site keys only, both
+    coordinates in each and every coordinate an int or float within the
+    float range, checked as arrays; None for any other list."""
+    if not all(type(entry) is dict for entry in raw) or set().union(*raw).difference(_SITE_KEYS):
+        return None
+    try:
+        coords = [[entry[key] for entry in raw] for key in _SITE_KEYS if key in _SITE_COORDS]
+        if not set().union(*(map(type, column) for column in coords)) <= {int, float}:
+            return None
+        values = np.array(coords, dtype=float)
+    except (KeyError, OverflowError):  # a missing coordinate, an int past the float range
+        return None
+    # `_parse`'s bound, strict: an int past it may round to the largest float.
+    if not (np.abs(values) < sys.float_info.max).all():
+        return None
+    # WaferSite's fields without a default, the coordinates, come first.
+    ids = ([entry.get(key) for entry in raw] for key in _SITE_KEYS if key not in _SITE_COORDS)
+    return tuple(starmap(WaferSite, zip(*values.tolist(), *ids)))
+
+
 def _parse_sites(raw: Any) -> tuple[WaferSite, ...]:
     if not isinstance(raw, list) or not raw:
         raise ValidationError("wafer.sites must be a non-empty list")
+    sites = _site_columns(raw)
+    if sites is not None:
+        return sites
+    # Entry by entry, so the first bad entry names itself.
     sites = []
     for i, entry in enumerate(raw):
         where = f"wafer.sites[{i}]"

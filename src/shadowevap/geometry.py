@@ -11,12 +11,13 @@ mask dimensions.
 Everything here is a pure function of its inputs: lengths in
 nanometers, angles in radians (millimeters and degrees only at the
 dataclass boundary), safe to call concurrently. The scalar functions are
-the oracle for wafer sweeps. The arithmetic of the checked scalar
-functions, `bottom_terms`, `top_terms`, `forward_width`,
-`inverse_width`, `inverse_slope` and `junction_area`, also accepts
-numpy arrays, so a sweep runs it elementwise after taking trigonometry
-once per distinct coordinate; the checks `checked_terms`,
-`printed_width` and `overlap_area` take one site.
+the oracle for wafer sweeps, which run their arithmetic elementwise:
+`incidence_angles` and `sidewall_film` are `local_incidence_angle` and
+`sidewall_thickness` without their checks (the same libm calls, through
+`libm`), and `bottom_terms`, `top_terms`, `forward_width`,
+`inverse_width`, `inverse_slope` and `junction_area` accept numpy
+arrays. The checks `checked_terms`, `printed_width` and `overlap_area`
+take one site.
 """
 
 from __future__ import annotations
@@ -210,6 +211,19 @@ def local_incidence_angle(
     return theta
 
 
+def libm(function, *args) -> np.ndarray:
+    """A `math` function called on each element of numpy arrays: numpy's
+    own hypot and arctan2 differ from it in the last bit on some inputs."""
+    with np.errstate(all="ignore"):  # a NaN gives NaN, as the scalar call does
+        return np.frompyfunc(function, len(args), 1)(*args).astype(float)
+
+
+def incidence_angles(x_mm, y_mm, step: EvaporationStep, source: SourceModel) -> np.ndarray:
+    """`local_incidence_angle` at offsets x_mm, y_mm (arrays or floats), unchecked."""
+    sx, sy, sz = _source_position_mm(step, source)
+    return libm(math.atan2, libm(math.hypot, sx - x_mm, sy - y_mm), sz)
+
+
 def closed_form_complement_angle(
     y_mm: float, step: EvaporationStep, source: SourceModel, sign: int = +1
 ) -> float:
@@ -248,8 +262,13 @@ def sidewall_thickness(theta_first_rad: float, t0_nm: float) -> float:
         raise ValidationError("theta must be in [0, 90 deg)")
     if not t0_nm > 0:
         raise ValidationError("t0_nm must be > 0")
-    c = math.cos(theta_first_rad)
-    return t0_nm * c * c
+    return sidewall_film(math.cos(theta_first_rad), t0_nm)
+
+
+def sidewall_film(cos_t, t0_nm):
+    """T0 cos^2(theta) from cos(theta), without the checks of
+    `sidewall_thickness`; elementwise over numpy arrays."""
+    return t0_nm * cos_t * cos_t
 
 
 #: Affine terms (T', s, p, w, n, q) of one printed-width branch; see

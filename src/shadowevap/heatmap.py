@@ -77,7 +77,7 @@ def render_heatmap(
     # Layout: wafer drawing area plus a legend strip on the right.
     pad = 20.0
     wafer_px = 600.0
-    scale = wafer_px / (2.0 * extent)  # px per mm
+    scale = (wafer_px / 2.0) / extent  # px per mm; 2 * extent may overflow
     legend_w = 130.0
     width = pad * 2 + wafer_px + legend_w
     height = pad * 2 + wafer_px

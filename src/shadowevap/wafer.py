@@ -16,15 +16,16 @@ own coordinate; the sidewall film links the top width to the bottom
 step's angle at the same site.
 
 Because of that convention a sweep needs trigonometry only once per
-distinct x and once per distinct y: `_Model.columns` evaluates the
-scalar `geometry` chain at those coordinates and runs the remaining
-arithmetic elementwise over numpy columns, the same operations in the
-same order, so every value equals the per-site scalar evaluation bit
-for bit; each electrode's terms come from `geometry.bottom_terms` or
-`top_terms` on both paths. Results are `Table`s ordered by (row,
-column). Every sweep, `compensate_wafer`'s forward check included,
-goes through `_forward`, which replays the first site the arrays flag
-through `_Model.widths` and raises that site's error.
+distinct x and once per distinct y: `_Model.columns` runs the chain
+elementwise over those coordinates, with the scalar chain's libm
+functions (`geometry.incidence_angles`, `geometry.libm`), and the rest
+per site over numpy columns, the same operations in the same order, so
+every value equals the per-site scalar evaluation bit for bit; each
+electrode's terms come from `geometry.bottom_terms` or `top_terms` on
+both paths. The chain's checks are masks. Results are `Table`s ordered
+by (row, column). Every sweep, `compensate_wafer`'s forward check
+included, goes through `_forward`, which replays the first site the
+arrays flag through `_Model.widths` and raises that site's error.
 """
 
 from __future__ import annotations
@@ -224,9 +225,9 @@ class _Model:
         self.constant = model is BiasModel.CONSTANT
 
     def bottom(self, x_mm: float) -> tuple:
-        """(theta_bottom, t_prime_nm, *bottom terms) at offset x: the
-        bottom electrode's angle, the sidewall film it grows and its
-        width terms, raising the first error in that order."""
+        """(t_prime_nm, *bottom terms) at offset x: the sidewall film the
+        bottom electrode's angle grows and its width terms, raising the
+        first error of the angle, the film and the terms in that order."""
         theta = geometry.local_incidence_angle(WaferSite(x_mm, 0.0), self.bottom_step, self.source)
         t_prime = geometry.sidewall_thickness(theta, self.bottom_step.film_t0_nm)
         center = abs(x_mm) <= self.band
@@ -234,12 +235,12 @@ class _Model:
             x_mm * geometry.NM_PER_MM, self.radius, self.throw, self.mask_top,
             self.mask_bottom, math.cos(theta), center,
         )
-        return theta, t_prime, *geometry.checked_terms(terms, False, center)
+        return t_prime, *geometry.checked_terms(terms, False, center)
 
     def top(self, y_mm: float) -> tuple:
-        """(theta_top, sin, cos) at offset y: the top electrode's angle."""
+        """(sin, cos) of the top electrode's angle at offset y."""
         theta = geometry.local_incidence_angle(WaferSite(0.0, y_mm), self.top_step, self.source)
-        return theta, math.sin(theta), math.cos(theta)
+        return math.sin(theta), math.cos(theta)
 
     def site(self, x_mm: float, y_mm: float) -> tuple[geometry.BranchTerms, geometry.BranchTerms]:
         """(bottom terms, top terms) at one site: the scalar chain in
@@ -250,10 +251,10 @@ class _Model:
         bottom = self.bottom(x_mm)
         center = abs(y_mm) <= self.band
         terms = geometry.top_terms(
-            bottom[1], self.radius, self.throw, self.mask_top, self.mask_bottom,
-            *self.top(y_mm)[1:], center,
+            bottom[0], self.radius, self.throw, self.mask_top, self.mask_bottom,
+            *self.top(y_mm), center,
         )
-        return bottom[2:], geometry.checked_terms(terms, True, center)
+        return bottom[1:], geometry.checked_terms(terms, True, center)
 
     def widths(self, x_mm: float, y_mm: float, drawn_b: float, drawn_t: float) -> tuple:
         """Printed (w_bottom, w_top) in nm of drawn widths at one site,
@@ -266,38 +267,31 @@ class _Model:
         (theta_bottom, theta_top, t_prime_nm, bottom terms, top terms),
         plus a mask of the sites where `site` raises.
 
-        `bottom` runs once per distinct x and `top` once per distinct y;
+        The chain of `bottom` runs elementwise over the distinct x and
+        that of `top` over the distinct y, with their checks as masks;
         `geometry.top_terms` combines them per site, as in `site`.
         """
         if self.constant:
             x = y = np.zeros(x.size)
         ux, ix = np.unique(x, return_inverse=True)
         uy, iy = np.unique(y, return_inverse=True)
-        bottom, bottom_ok = _tabulate(self.bottom, ux, 8)
-        top, top_ok = _tabulate(self.top, uy, 3)
-        bottom, top = bottom[ix], top[iy]
-        t_prime = bottom[:, 1]
+        theta_b = geometry.incidence_angles(ux, 0.0, self.bottom_step, self.source)
+        theta_t = geometry.incidence_angles(0.0, uy, self.top_step, self.source)
+        cos_b = geometry.libm(math.cos, theta_b)
+        terms_b = geometry.bottom_terms(
+            ux * geometry.NM_PER_MM, self.radius, self.throw, self.mask_top,
+            self.mask_bottom, cos_b, np.abs(ux) <= self.band,
+        )
+        # GrazingIncidence and sidewall_thickness's angle check, then q.
+        bad_b = ~((theta_b >= 0.0) & (theta_b < math.pi / 2)) | (terms_b[5] <= 0.0)
+        t_prime = geometry.sidewall_film(cos_b, self.bottom_step.film_t0_nm)[ix]
         terms_t = geometry.top_terms(
             t_prime, self.radius, self.throw, self.mask_top, self.mask_bottom,
-            top[:, 1], top[:, 2], (np.abs(uy) <= self.band)[iy],
+            geometry.libm(math.sin, theta_t)[iy], geometry.libm(math.cos, theta_t)[iy],
+            (np.abs(uy) <= self.band)[iy],
         )
-        failed = ~bottom_ok[ix] | ~top_ok[iy] | (terms_t[5] <= 0.0)
-        return bottom[:, 0], top[:, 0], t_prime, tuple(bottom[:, 2:].T), terms_t, failed
-
-
-def _tabulate(evaluate, values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """evaluate(v) for each value as the rows of a (len, width) array,
-    and a mask of the values it accepted. Rows it raised for stay NaN:
-    their sites are replayed through `_Model.widths`, which reports the
-    error of the first one."""
-    table = np.full((values.size, width), np.nan)
-    ok = np.ones(values.size, dtype=bool)
-    for j, value in enumerate(values.tolist()):
-        try:
-            table[j] = evaluate(value)
-        except ShadowEvapError:
-            ok[j] = False
-    return table, ok
+        failed = bad_b[ix] | (theta_t >= math.pi / 2)[iy] | (terms_t[5] <= 0.0)
+        return theta_b[ix], theta_t[iy], t_prime, tuple(t[ix] for t in terms_b), terms_t, failed
 
 
 def _at_site(x_mm: float, y_mm: float, text: object) -> str:

@@ -1100,6 +1100,25 @@ class TestHeatmap:
         for x, y, w, h in (map(float, cell) for cell in cells):
             assert 0.0 <= x and x + w <= width and 0.0 <= y and y + h <= height
 
+    def test_cells_of_a_map_2e308_mm_wide_have_a_size(self, tmp_path):
+        """Sites at x = -1e308 and 1e308 mm. Before, twice the drawing's
+        extent overflowed to inf, so every cell was 0.000 px wide."""
+        meas, svg = tmp_path / "meas.csv", tmp_path / "map.svg"
+        meas.write_text(
+            "wafer_id,chip_id,x_mm,y_mm,area_class_um2,run_id,rn_ohm\n"
+            "w1,c1,-1e308,0,0.04,r,5\nw1,c2,1e308,0,0.04,r,6\n"
+        )
+        assert main(["heatmap", "--in", str(meas), "--field", "rn_ohm", "--out", str(svg)]) == 0
+        text = svg.read_text()
+        width, height = map(float, re.search(r'viewBox="0 0 (\S+) (\S+)"', text).groups())
+        cells = re.findall(
+            r'<rect x="(\S+)" y="(\S+)" width="(\S+)" height="(\S+)" fill="#\w+"><title>', text
+        )
+        assert len(cells) == 2
+        for x, y, w, h in (map(float, cell) for cell in cells):
+            assert w > 0.0 and h > 0.0
+            assert 0.0 <= x and x + w <= width and 0.0 <= y and y + h <= height
+
     def test_measurement_field(self, tmp_path):
         meas = tmp_path / "meas.csv"
         meas.write_text(MEAS_TEXT)

@@ -10,8 +10,10 @@ and text, naming the same site.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -231,6 +233,127 @@ def scenarios(draw):
     return replace(config, layout=replace(config.layout, sites=tuple(sites))), sites
 
 
+# --- edge cases ---------------------------------------------------------------
+
+
+EPS = geometry.DEFAULT_EPSILON_CENTER_MM
+
+
+def stack(eps=EPS, **changes):
+    """The default stack with `changes` under a point source; see EDGE_CASES."""
+    source = SourceModel(changes.pop("distance_mm"), 0.0, SourceKind.POINT)
+    return replace(default_config(), source=source, epsilon_center_mm=eps, **changes)
+
+
+#: A throw of 2 um over a 500 nm bottom layer at a 70 deg bottom tilt: the
+#: bottom electrode's general-branch denominator q is negative at x =
+#: -0.02 mm and positive at the other sites; the top's is positive.
+STEEP = dict(
+    distance_mm=0.002,
+    bottom_step=EvaporationStep(70.0, ShadowAxis.ALONG_X, TiltSign.PLUS, 5.0),
+    top_step=EvaporationStep(0.0, ShadowAxis.ALONG_Y, TiltSign.PLUS, 5.0),
+    eps=0.0001,
+)
+STEEP_SITES = [(0.0, -0.001), (0.001, -0.001), (-0.005, 0.0), (0.0, 0.0), (0.00188, 0.0)]
+#: A point source 0.5 um away at tilt 0 over the 500 nm bottom layer: q
+#: is exactly 0 in the bottom center branch at x = 0 (and negative at the
+#: rest of the band), and the top's q is at most 0 everywhere.
+ZERO_Q = dict(distance_mm=0.0005, bottom_step=EvaporationStep(0.0, ShadowAxis.ALONG_X))
+#: A 1 um throw at a 30 deg bottom tilt over a 1 um top layer: right below
+#: the source, at x = D sin 30 deg, the bottom angle is exactly 0 and the
+#: general branch's q = D - H exactly 0 (negative at any other x outside
+#: the band); the top's q is positive.
+BELOW_SOURCE = dict(
+    distance_mm=0.001,
+    bottom_step=EvaporationStep(30.0, ShadowAxis.ALONG_X),
+    top_step=EvaporationStep(0.0, ShadowAxis.ALONG_Y),
+    mask=MaskStack(top_nm=1000.0, bottom_nm=100.0),
+    eps=0.0001,
+)
+BELOW_X = 0.001 * math.sin(math.radians(30.0))
+#: A throw of 1e100 mm on a wafer 1e130 mm across: at an offset of 1e125
+#: mm an angle rounds to exactly 90 deg, yet the denominators stay
+#: positive and the bottom width finite.
+FAR = dict(distance_mm=1e100, layout=WaferLayout(wafer_diameter_mm=1e130))
+
+#: (config, sites) the drawn scenarios may miss, and the first error that
+#: compensating to a 0.04 um^2 area raises on them (None: no error).
+EDGE_CASES = {
+    "signed zeros and band edges": (
+        default_config(),
+        [(-0.0, 3.0), (0.0, -0.0), (EPS, -EPS), (-EPS, EPS), (-0.0, EPS), (EPS, -0.0),
+         (math.nextafter(EPS, math.inf), 0.0), (-EPS, -0.0)],
+        None,
+    ),
+    "duplicates": (
+        default_config(),
+        [(1.5, 2.5), (1.5, 2.5), (-4.0, 2.5), (1.5, -4.0), (-4.0, 2.5), (0.0, 0.0), (0.0, 0.0)],
+        None,
+    ),
+    "q > 0 at every x": (stack(**STEEP), STEEP_SITES, None),
+    "q < 0 at one x": (
+        stack(**STEEP),
+        [*STEEP_SITES, (-0.02, 0.0)],
+        "DenominatorCollapse: site (-0.02, 0.0) mm: "
+        "throw D cos(theta) does not clear the top mask layer",
+    ),
+    "q = 0 at one x": (
+        stack(**BELOW_SOURCE),
+        [(0.0, -0.00005), (BELOW_X, 0.0), (0.0, 0.0)],
+        f"DenominatorCollapse: site ({BELOW_X}, 0.0) mm: "
+        "throw D cos(theta) does not clear the top mask layer",
+    ),
+    "grazing bottom angle": (
+        stack(**FAR),
+        [(0.0, 0.0), (1e125, 0.0)],
+        "GrazingIncidence: site (1e+125, 0.0) mm: "
+        "flux incidence >= 90 deg at site (1e+125, 0.0) mm",
+    ),
+    "grazing top angle": (
+        stack(**FAR),
+        [(0.0, 0.0), (0.0, 1e125)],
+        "GrazingIncidence: site (0.0, 1e+125) mm: "
+        "flux incidence >= 90 deg at site (0.0, 1e+125) mm",
+    ),
+    # A library caller's NaN passes the wafer's rim check.
+    "NaN x": (
+        default_config(),
+        [(math.nan, 0.0)],
+        "ValidationError: site (nan, 0.0) mm: theta must be in [0, 90 deg)",
+    ),
+    "NaN y": (default_config(), [(0.0, math.nan)], None),
+    "q = 0 at x = 0": (
+        stack(**ZERO_Q),
+        [(0.0003, 0.0), (0.0, 0.0)],
+        "DenominatorCollapse: site (0.0, 0.0) mm: "
+        "throw D cos(theta) does not clear the bottom mask layer",
+    ),
+    "q = 0 at x = 0, after a top collapse": (
+        stack(eps=0.0001, **ZERO_Q),
+        [(0.0, 0.0), (-0.0002, 0.0)],
+        "DenominatorCollapse: site (-0.0002, 0.0) mm: "
+        "throw D does not clear the bottom mask layer",
+    ),
+}
+
+
+def edge_case(name):
+    config, sites, error = EDGE_CASES[name]
+    sites = [WaferSite(x, y) for x, y in sites]
+    return replace(config, layout=replace(config.layout, sites=tuple(sites))), sites, error
+
+
+def quiet(fn):
+    """`fn`, with any warning (a numpy RuntimeWarning, say) raised."""
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fn()
+
+    return run
+
+
 # --- properties ---------------------------------------------------------------
 
 
@@ -286,6 +409,20 @@ class TestForwardParity:
             oracle
         )
 
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_edge_sites(self, name):
+        config, sites, _ = edge_case(name)
+        junction = config.junction
+        rows = [(s, junction.drawn_bottom_nm, junction.drawn_top_nm) for s in row_major(sites)]
+        for model in BiasModel:
+            assert outcome(quiet(lambda: simulate_wafer(config, model))) == outcome(
+                lambda: oracle_sweep(config, model, rows)
+            )
+        corrections = [CorrectionRow(s.x_mm, s.y_mm, *drawn, 0.04, 0.0) for s, *drawn in rows]
+        assert outcome(quiet(lambda: resimulate_with_corrections(config, corrections))) == (
+            outcome(lambda: oracle_sweep(config, BiasModel.NON_POINT, rows))
+        )
+
 
 class TestInverseParity:
     @SETTINGS
@@ -304,20 +441,32 @@ class TestInverseParity:
     )
     def test_compensate(self, scenario, target):
         config, sites = scenario
+        assert outcome(lambda: compensated(config, target)) == outcome(
+            lambda: oracle_compensated(config, target, sites)
+        )
 
-        def columnar():
-            table = compensate_wafer(config, target)
-            return [
-                repr((table.target_w_bottom_nm, table.target_w_top_nm)),
-                *map(repr, table.rows),
-                *map(repr, table.rejections),
-            ]
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    @pytest.mark.parametrize("target", [CenterWidthsTarget(), ExplicitAreaTarget(0.04)])
+    def test_edge_sites(self, name, target):
+        config, sites, error = edge_case(name)
+        got = outcome(quiet(lambda: compensated(config, target)))
+        assert got == outcome(lambda: oracle_compensated(config, target, sites))
+        if isinstance(target, ExplicitAreaTarget):
+            assert (got if isinstance(got, str) else None) == error
 
-        def oracle():
-            tw_b, tw_t, rows, rejections = oracle_compensate(config, target, row_major(sites))
-            return [repr((tw_b, tw_t)), *map(repr, rows), *map(repr, rejections)]
 
-        assert outcome(columnar) == outcome(oracle)
+def compensated(config, target):
+    table = compensate_wafer(config, target)
+    return [
+        repr((table.target_w_bottom_nm, table.target_w_top_nm)),
+        *map(repr, table.rows),
+        *map(repr, table.rejections),
+    ]
+
+
+def oracle_compensated(config, target, sites):
+    tw_b, tw_t, rows, rejections = oracle_compensate(config, target, row_major(sites))
+    return [repr((tw_b, tw_t)), *map(repr, rows), *map(repr, rejections)]
 
 
 class TestPublicScalarChain:

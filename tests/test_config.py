@@ -5,6 +5,7 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -133,6 +134,84 @@ class TestExplicitSites:
         path = write(tmp_path, "wafer:\n  sites:\n    - {x_mm: 0}\n")
         with pytest.raises(ValidationError):
             load_config(path)
+
+
+def site_list_outcome(sites):
+    """repr of the config `config_from_dict` builds on a wafer.sites
+    list, or its error's text."""
+    try:
+        return repr(config_from_dict({"wafer": {"sites": sites}})[0])
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+GOOD_SITE = {"x_mm": 1.5, "y_mm": -2, "chip_id": "c0"}
+
+#: wafer.sites lists with what the array check must make of them: the
+#: config or the first error text the entry-by-entry loop gives.
+SITE_LISTS = {
+    "well formed": [GOOD_SITE, {"x_mm": 0, "y_mm": 7.25, "site_id": "s1"}],
+    "ints above 2^53": [{"x_mm": 9007199254740993, "y_mm": 9999999999999999},
+                        {"x_mm": -9007199254740995, "y_mm": 1234567890123457}],
+    "int -0 and float -0.0": [{"x_mm": -0, "y_mm": -0.0}, {"x_mm": -0.0, "y_mm": 0}],
+    "largest float": [{"x_mm": 1.7976931348623157e308, "y_mm": 0}],
+    "bool": [GOOD_SITE, {"x_mm": 1, "y_mm": True}],
+    "string": [GOOD_SITE, {"x_mm": "1.5", "y_mm": 0}],
+    "inf": [GOOD_SITE, GOOD_SITE, {"x_mm": 0, "y_mm": math.inf}],
+    "nan": [{"x_mm": math.nan, "y_mm": 0}],
+    "int past the float range": [GOOD_SITE, {"x_mm": 10**400, "y_mm": 0}],
+    "int rounding to the largest float": [{"x_mm": 0, "y_mm": 2**1024 - 2**970 - 1}],
+    "unknown key": [GOOD_SITE, {"x_mm": 0, "y_mm": 0, "chip": "a"}],
+    "missing y_mm": [GOOD_SITE, {"x_mm": 0}],
+    "null entry": [GOOD_SITE, None],
+    "non-mapping entry": [GOOD_SITE, [0, 0]],
+    "first error in entry order": [GOOD_SITE, {"x_mm": 0, "y_mm": "a"}, {"x_mm": math.nan}],
+}
+
+
+class TestSiteArrayCheck:
+    """`_parse_sites` checks a list of plain dicts as arrays, and falls
+    back to its entry-by-entry loop (the oracle here) for anything else."""
+
+    @pytest.mark.parametrize("sites", SITE_LISTS.values(), ids=SITE_LISTS)
+    def test_equals_the_loop(self, sites, monkeypatch):
+        got = site_list_outcome(sites)
+        monkeypatch.setattr(config_module, "_site_columns", lambda raw: None)
+        assert got == site_list_outcome(sites)
+
+    def test_expected_outcomes(self):
+        assert site_list_outcome(SITE_LISTS["int -0 and float -0.0"]).count("x_mm=-0.0") == 1
+        assert site_list_outcome(SITE_LISTS["bool"]) == (
+            "ValidationError: wafer.sites[1].y_mm must be a number, got True"
+        )
+        assert site_list_outcome(SITE_LISTS["int rounding to the largest float"]).startswith(
+            "ValidationError: wafer.sites[0].y_mm must be finite, got 1797693"
+        )
+        assert site_list_outcome(SITE_LISTS["first error in entry order"]) == (
+            "ValidationError: wafer.sites[1].y_mm must be a number, got 'a'"
+        )
+
+    @pytest.mark.parametrize(
+        "name, arrays",
+        [("well formed", True), ("ints above 2^53", True), ("int -0 and float -0.0", True),
+         ("largest float", False), ("bool", False), ("nan", False), ("null entry", False)],
+    )
+    def test_which_lists_take_the_arrays(self, name, arrays):
+        assert (config_module._site_columns(SITE_LISTS[name]) is not None) == arrays
+
+    def test_numpy_coordinates_take_the_loop(self):
+        # A library caller's np.float64 is a float, but not a plain one.
+        sites = [{"x_mm": np.float64(1.5), "y_mm": np.float64(-0.0)}]
+        assert config_module._site_columns(sites) is None
+        (site,) = config_from_dict({"wafer": {"sites": sites}})[0].layout.sites
+        assert repr((site.x_mm, site.y_mm)) == "(1.5, -0.0)"
+        assert type(site.x_mm) is float
+
+    def test_yaml_text(self, tmp_path):
+        text = "wafer:\n  sites:\n  - {x_mm: -0, y_mm: 2}\n  - {x_mm: .inf, y_mm: 1}\n"
+        with pytest.raises(ValidationError) as caught:
+            load_config(write(tmp_path, text))
+        assert str(caught.value) == "wafer.sites[1].x_mm must be finite, got inf"
 
 
 class TestStepOptions:

@@ -555,17 +555,42 @@ class TestCompensateWafer:
         # The bottom angle depends on x alone and the top angle on y
         # alone: 15 + 15 evaluations serve the inverse and the
         # predicted-area forward at all 15 x 15 sites.
-        calls = []
-        angle = geometry.local_incidence_angle
-
-        def counted(*args):
-            calls.append(args)
-            return angle(*args)
-
-        monkeypatch.setattr(geometry, "local_incidence_angle", counted)
+        angles = counted_angles(monkeypatch)
         table = compensate_wafer(config, ExplicitAreaTarget(area_um2=0.04))
         assert len(table.rows) == 225
-        assert len(calls) == 15 + 15
+        assert sum(angles) == 15 + 15
+
+    def test_one_angle_per_distinct_explicit_coordinate(self, config, monkeypatch):
+        # Scattered sites with repeated coordinates, -0.0 among them
+        # (the same coordinate as 0.0): distinct x plus distinct y.
+        xs = [-20.0, -0.0, 0.0, 3.5, 12.25, 3.5]
+        ys = [9.5, -7.0, 0.0, 9.5, -0.0]
+        sites = tuple(WaferSite(x, y) for x in xs for y in ys)
+        config = replace(config, layout=replace(config.layout, sites=sites))
+        angles = counted_angles(monkeypatch)
+        table = compensate_wafer(config, ExplicitAreaTarget(area_um2=0.04))
+        assert len(table.rows) == len(sites) == 30
+        assert sum(angles) == len(set(xs)) + len(set(ys)) == 4 + 3
+
+
+def counted_angles(monkeypatch):
+    """The number of sites of each incidence-angle evaluation from now
+    on: each call of `geometry.incidence_angles` (the sweeps' elementwise
+    step) counts its sites, each scalar `local_incidence_angle` call one."""
+    sites = []
+    angles, angle = geometry.incidence_angles, geometry.local_incidence_angle
+
+    def counted_elementwise(x_mm, y_mm, *args):
+        sites.append(np.broadcast(x_mm, y_mm).size)
+        return angles(x_mm, y_mm, *args)
+
+    def counted_scalar(*args):
+        sites.append(1)
+        return angle(*args)
+
+    monkeypatch.setattr(geometry, "incidence_angles", counted_elementwise)
+    monkeypatch.setattr(geometry, "local_incidence_angle", counted_scalar)
+    return sites
 
 
 class TestResimulate:
