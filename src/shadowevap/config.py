@@ -19,7 +19,6 @@ import sys
 from dataclasses import MISSING, fields
 from enum import Enum
 from functools import cache
-from itertools import starmap
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union, get_type_hints
 
@@ -28,6 +27,7 @@ import yaml
 
 from .errors import IoError, ParseError, ValidationError
 from .geometry import DEFAULT_EPSILON_CENTER_MM, WaferSite
+from .table import Table
 from .wafer import ProcessConfig, WaferLayout
 
 DEFAULTS: dict[str, dict[str, Any]] = {
@@ -135,10 +135,10 @@ def _section(name: str, cls: type, raw: Any, provenance: list[str]) -> Any:
     return cls(*values)
 
 
-def _site_columns(raw: list) -> Optional[tuple[WaferSite, ...]]:
-    """The sites of a list of plain dicts with the site keys only, both
-    coordinates in each and every coordinate an int or float within the
-    float range, checked as arrays; None for any other list."""
+def _site_columns(raw: list) -> Optional[list]:
+    """WaferSite's columns from a list of plain dicts with the site keys
+    only, both coordinates in each and every coordinate an int or float
+    within the float range, checked as arrays; None for any other list."""
     if not all(type(entry) is dict for entry in raw) or set().union(*raw).difference(_SITE_KEYS):
         return None
     try:
@@ -153,29 +153,32 @@ def _site_columns(raw: list) -> Optional[tuple[WaferSite, ...]]:
         return None
     # WaferSite's fields without a default, the coordinates, come first.
     ids = ([entry.get(key) for entry in raw] for key in _SITE_KEYS if key not in _SITE_COORDS)
-    return tuple(starmap(WaferSite, zip(*values.tolist(), *ids)))
+    return [*values, *ids]
 
 
-def _parse_sites(raw: Any) -> tuple[WaferSite, ...]:
+def _parse_sites(raw: Any) -> Table:
     if not isinstance(raw, list) or not raw:
         raise ValidationError("wafer.sites must be a non-empty list")
-    sites = _site_columns(raw)
-    if sites is not None:
-        return sites
-    # Entry by entry, so the first bad entry names itself.
-    sites = []
-    for i, entry in enumerate(raw):
-        where = f"wafer.sites[{i}]"
-        entry = _require_mapping(entry, where)
-        _check_keys(entry, _SITE_KEYS, f"key(s) in {where}")
-        if not _SITE_COORDS <= entry.keys():
-            raise ValidationError(f"{where} needs x_mm and y_mm")
-        values = [
-            _parse(where, key, entry[key]) if key in _SITE_COORDS else entry.get(key)
-            for key in _SITE_KEYS
-        ]
-        sites.append(WaferSite(*values))
-    return tuple(sites)
+    columns = _site_columns(raw)
+    if columns is None:
+        # Entry by entry, so the first bad entry names itself.
+        rows = []
+        for i, entry in enumerate(raw):
+            where = f"wafer.sites[{i}]"
+            entry = _require_mapping(entry, where)
+            _check_keys(entry, _SITE_KEYS, f"key(s) in {where}")
+            if not _SITE_COORDS <= entry.keys():
+                raise ValidationError(f"{where} needs x_mm and y_mm")
+            rows.append([
+                _parse(where, key, entry[key]) if key in _SITE_COORDS else entry.get(key)
+                for key in _SITE_KEYS
+            ])
+        columns = zip(*rows)
+    # The ids pass as given, into object columns.
+    return Table(WaferSite, **{
+        key: np.fromiter(values, float if key in _SITE_COORDS else object, len(raw))
+        for key, values in zip(_SITE_KEYS, columns)
+    })
 
 
 def config_from_dict(raw: dict) -> tuple[ProcessConfig, list[str]]:

@@ -166,9 +166,6 @@ class WaferSite:
     chip_id: Optional[str] = None
     site_id: Optional[str] = None
 
-    def radius_mm(self) -> float:
-        return math.hypot(self.x_mm, self.y_mm)
-
 
 def _source_position_mm(
     step: EvaporationStep, source: SourceModel

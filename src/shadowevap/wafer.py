@@ -87,13 +87,14 @@ class WaferLayout:
 
     The default grid covers a centered working square of
     working_span_mm at grid_pitch_mm spacing, always symmetric about
-    and including the center. An explicit site list overrides the grid.
+    and including the center. An explicit site list, a non-empty Table
+    of WaferSite with float coordinates, overrides the grid.
     """
 
     wafer_diameter_mm: float = 100.0
     working_span_mm: float = 70.0
     grid_pitch_mm: float = 5.0
-    sites: Optional[tuple[WaferSite, ...]] = None
+    sites: Optional[Table] = None
 
     def __post_init__(self) -> None:
         if not self.wafer_diameter_mm > 0:
@@ -102,6 +103,14 @@ class WaferLayout:
             raise ValidationError("wafer.working_span_mm must be > 0")
         if not self.grid_pitch_mm > 0:
             raise ValidationError("wafer.grid_pitch_mm must be > 0")
+        sites = self.sites
+        if sites is not None and not (
+            isinstance(sites, Table) and sites.row is WaferSite and len(sites)
+            and column(sites, "x_mm").dtype == column(sites, "y_mm").dtype == float
+        ):
+            raise ValidationError(
+                "wafer.sites must be a non-empty Table of WaferSite rows with float coordinates"
+            )
 
     def grid_offsets(self) -> list[float]:
         """Grid offsets (mm) along either axis, ascending: whole pitches
@@ -124,36 +133,27 @@ class WaferLayout:
         i.e. y then x ascending: a grid built from `grid_offsets`, or
         the explicit site list sorted stably."""
         if self.sites is not None:
-            x, y, *ids = zip(*((s.x_mm, s.y_mm, s.chip_id, s.site_id) for s in self.sites))
-            ids = [np.fromiter(i, dtype=object, count=len(x)) for i in ids]
+            sites = self.sites.take(row_major_order(self.sites))
         else:
-            offsets = self.grid_offsets()
-            x, y = np.tile(offsets, len(offsets)), np.repeat(offsets, len(offsets))
-            ids = [np.full(x.size, None, dtype=object)] * 2
-        sites = Table(
-            WaferSite,
-            x_mm=np.asarray(x, dtype=float),
-            y_mm=np.asarray(y, dtype=float),
-            chip_id=ids[0],
-            site_id=ids[1],
-        )
-        if self.sites is not None:
-            sites = sites.take(row_major_order(sites))
+            offsets = np.array(self.grid_offsets(), dtype=float)
+            x, y = (a.ravel() for a in np.meshgrid(offsets, offsets))
+            none = np.full(x.size, None, dtype=object)
+            sites = Table(WaferSite, x_mm=x, y_mm=y, chip_id=none, site_id=none)
         _check_on_wafer(self, column(sites, "x_mm"), column(sites, "y_mm"))
         return sites
 
 
 def _check_on_wafer(layout: WaferLayout, x: np.ndarray, y: np.ndarray) -> None:
     """Raise ValidationError naming the first site, of offsets x and y
-    (mm), that lies outside the layout's wafer."""
+    (mm), that does not lie on the layout's wafer (a NaN offset does not)."""
     limit = layout.wafer_diameter_mm / 2.0 + 1e-9
     # np.hypot may differ from math.hypot in the last bit, so it only
-    # screens; WaferSite.radius_mm decides.
-    near = np.hypot(x, y) > limit * (1.0 - 1e-12)
+    # screens; math.hypot decides.
+    near = ~(np.hypot(x, y) <= limit * (1.0 - 1e-12))
     for i in np.flatnonzero(near).tolist():
-        s = WaferSite(x.item(i), y.item(i))
-        if s.radius_mm() > limit:
-            raise ValidationError(f"site ({s.x_mm}, {s.y_mm}) mm lies outside the wafer")
+        x_i, y_i = x.item(i), y.item(i)
+        if not math.hypot(x_i, y_i) <= limit:
+            raise ValidationError(f"site ({x_i}, {y_i}) mm lies outside the wafer")
 
 
 def row_major_order(rows: Sequence) -> np.ndarray:

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from shadowevap.config import default_config
+from shadowevap.geometry import WaferSite
+from shadowevap.table import Table
 
 # Measured per-wafer entries: (wafer_id, area_class um^2, R_N ohm, J_c uA/um^2).
 # Wafers 3-5 are the internally consistent set; wafers 1-2 carry R_N rounded
@@ -24,3 +27,13 @@ CONSISTENT_WAFERS = ("w3", "w4", "w5")
 @pytest.fixture
 def config():
     return default_config()
+
+
+def site_table(points, chip_ids=None):
+    """`WaferLayout.sites` at the (x_mm, y_mm) points, built column by
+    column: float coordinates, the given chip ids (None if not given) and
+    no site ids."""
+    x, y = np.array(points, dtype=float).reshape(-1, 2).T
+    none = np.full(x.size, None, dtype=object)
+    chips = none if chip_ids is None else np.fromiter(chip_ids, object, x.size)
+    return Table(WaferSite, x_mm=x, y_mm=y, chip_id=chips, site_id=none)

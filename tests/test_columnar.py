@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import site_table
 from shadowevap import geometry
 from shadowevap.config import default_config
 from shadowevap.errors import ShadowEvapError, ValidationError
@@ -94,8 +95,18 @@ def row_major(items):
     return sorted(items, key=lambda item: (item.y_mm, item.x_mm))
 
 
+def oracle_on_wafer(config, sites):
+    """Refuse the first site not on the wafer, as every sweep does before
+    it evaluates any site (a NaN offset is not on it)."""
+    limit = config.layout.wafer_diameter_mm / 2.0 + 1e-9
+    for site in sites:
+        if not math.hypot(site.x_mm, site.y_mm) <= limit:
+            raise ValidationError(f"site ({site.x_mm}, {site.y_mm}) mm lies outside the wafer")
+
+
 def oracle_sweep(config, model, rows):
     """rows: (site, drawn bottom, drawn top) in (row, column) order."""
+    oracle_on_wafer(config, [site for site, _, _ in rows])
     _, _, _, center_b, center_t = oracle_site(config, model, 0.0, 0.0)
     w_b0 = geometry.printed_width(config.junction.drawn_bottom_nm, center_b)
     w_t0 = geometry.printed_width(config.junction.drawn_top_nm, center_t)
@@ -145,6 +156,7 @@ def oracle_compensate(config, target, sites):
         tw_b = math.sqrt(area_nm2 * target.aspect)
         tw_t = math.sqrt(area_nm2 / target.aspect)
     target_area = tw_b * tw_t / 1.0e6
+    oracle_on_wafer(config, sites)
     rows, rejections = [], []
     for site in sites:
         try:
@@ -226,11 +238,18 @@ def site_lists(draw, eps):
     return [WaferSite(x, y, chip_id=f"c{i}") for i, (x, y) in enumerate(picks)]
 
 
+def with_sites(config, sites):
+    """The config with its layout cut to the sites (WaferSite records),
+    as the Table of their coordinates and chip ids."""
+    table = site_table([(s.x_mm, s.y_mm) for s in sites], [s.chip_id for s in sites])
+    return replace(config, layout=replace(config.layout, sites=table))
+
+
 @st.composite
 def scenarios(draw):
     config = draw(configs())
     sites = draw(site_lists(config.epsilon_center_mm))
-    return replace(config, layout=replace(config.layout, sites=tuple(sites))), sites
+    return with_sites(config, sites), sites
 
 
 # --- edge cases ---------------------------------------------------------------
@@ -276,6 +295,9 @@ BELOW_X = 0.001 * math.sin(math.radians(30.0))
 #: positive and the bottom width finite.
 FAR = dict(distance_mm=1e100, layout=WaferLayout(wafer_diameter_mm=1e130))
 
+NAN_X = "ValidationError: site (nan, 0.0) mm lies outside the wafer"
+NAN_Y = "ValidationError: site (0.0, nan) mm lies outside the wafer"
+
 #: (config, sites) the drawn scenarios may miss, and the first error that
 #: compensating to a 0.04 um^2 area raises on them (None: no error).
 EDGE_CASES = {
@@ -315,13 +337,9 @@ EDGE_CASES = {
         "GrazingIncidence: site (0.0, 1e+125) mm: "
         "flux incidence >= 90 deg at site (0.0, 1e+125) mm",
     ),
-    # A library caller's NaN passes the wafer's rim check.
-    "NaN x": (
-        default_config(),
-        [(math.nan, 0.0)],
-        "ValidationError: site (nan, 0.0) mm: theta must be in [0, 90 deg)",
-    ),
-    "NaN y": (default_config(), [(0.0, math.nan)], None),
+    # A library caller's NaN is not on the wafer (see TestOffWafer).
+    "NaN x": (default_config(), [(math.nan, 0.0)], NAN_X),
+    "NaN y": (default_config(), [(0.0, math.nan)], NAN_Y),
     "q = 0 at x = 0": (
         stack(**ZERO_Q),
         [(0.0003, 0.0), (0.0, 0.0)],
@@ -338,9 +356,9 @@ EDGE_CASES = {
 
 
 def edge_case(name):
-    config, sites, error = EDGE_CASES[name]
-    sites = [WaferSite(x, y) for x, y in sites]
-    return replace(config, layout=replace(config.layout, sites=tuple(sites))), sites, error
+    config, points, error = EDGE_CASES[name]
+    sites = [WaferSite(x, y) for x, y in points]
+    return with_sites(config, sites), sites, error
 
 
 def quiet(fn):
@@ -394,6 +412,7 @@ class TestForwardParity:
 
         def oracle():
             rows = row_major(given_rows)
+            oracle_on_wafer(config, rows)
             for r in rows:
                 if not (r.drawn_w_bottom_nm > 0 and r.drawn_w_top_nm > 0):
                     raise ValidationError(
@@ -467,6 +486,24 @@ def compensated(config, target):
 def oracle_compensated(config, target, sites):
     tw_b, tw_t, rows, rejections = oracle_compensate(config, target, row_major(sites))
     return [repr((tw_b, tw_t)), *map(repr, rows), *map(repr, rejections)]
+
+
+class TestOffWafer:
+    @pytest.mark.parametrize("name, error", [("NaN x", NAN_X), ("NaN y", NAN_Y)])
+    def test_nan_offset(self, name, error):
+        """Every sweep refuses a NaN offset by the site's coordinates.
+        Before, the rim check let it through: `simulate_wafer` then
+        raised a NaN x as an angle out of range and a NaN y as a printed
+        width of nan, and `compensate_wafer` rejected it as unreachable."""
+        config, [site], _ = edge_case(name)
+        row = CorrectionRow(site.x_mm, site.y_mm, 200.0, 200.0, 0.04, 0.0)
+        for sweep in (
+            lambda: simulate_wafer(config),
+            lambda: compensate_wafer(config, ExplicitAreaTarget(0.04)),
+            lambda: compensate_wafer(config),
+            lambda: resimulate_with_corrections(default_config(), [row]),
+        ):
+            assert outcome(quiet(sweep)) == error
 
 
 class TestPublicScalarChain:

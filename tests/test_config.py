@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from shadowevap import config as config_module
 from shadowevap.config import config_from_dict, default_config, load_config
 from shadowevap.errors import IoError, ParseError, ValidationError
-from shadowevap.geometry import ShadowAxis, SourceKind, TiltSign
+from shadowevap.geometry import ShadowAxis, SourceKind, TiltSign, WaferSite
+from shadowevap.wafer import ExplicitAreaTarget, compensate_wafer
 
 
 def write(tmp_path, text, name="process.yaml"):
@@ -138,9 +139,11 @@ class TestExplicitSites:
 
 def site_list_outcome(sites):
     """repr of the config `config_from_dict` builds on a wafer.sites
-    list, or its error's text."""
+    list and of its sites' rows (the config shows the sites' Table by
+    its length), or its error's text."""
     try:
-        return repr(config_from_dict({"wafer": {"sites": sites}})[0])
+        config = config_from_dict({"wafer": {"sites": sites}})[0]
+        return repr((config, list(config.layout.sites)))
     except ValidationError as exc:
         return f"ValidationError: {exc}"
 
@@ -212,6 +215,52 @@ class TestSiteArrayCheck:
         with pytest.raises(ValidationError) as caught:
             load_config(write(tmp_path, text))
         assert str(caught.value) == "wafer.sites[1].x_mm must be finite, got inf"
+
+
+def site_rows(n, block):
+    """A config of n wafer.sites rows with chip and site ids, in the
+    benchmark's flow form or in block style."""
+    row = ("  - x_mm: {}\n    y_mm: {}\n    chip_id: c{}\n    site_id: s{:05d}\n" if block
+           else "  - {{x_mm: {}, y_mm: {}, chip_id: c{}, site_id: s{:05d}}}\n")
+    return "wafer:\n  sites:\n" + "".join(
+        row.format(round(40 * math.cos(i) * i / n, 4), round(40 * math.sin(i) * i / n, 4),
+                   i % 97, i)
+        for i in range(n)
+    )
+
+
+class TestSiteTable:
+    """A wafer.sites list is one Table of WaferSite, built column by
+    column, from the config to the sweep."""
+
+    @pytest.mark.parametrize("n, block", [(5000, False), (50, True)], ids=["flow", "block"])
+    def test_no_site_object_is_built(self, tmp_path, monkeypatch, n, block):
+        """Before, the config built one WaferSite per site and
+        `generate_sites` took them apart again: 5,000 for the
+        benchmark's list."""
+        built, init = [], WaferSite.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WaferSite, "__init__", counted)
+        sites = load_config(write(tmp_path, site_rows(n, block)))[0].layout.generate_sites()
+        assert len(sites) == n and built == []
+        assert isinstance(sites[0], WaferSite)
+        assert len(built) == 1  # the count sees a record built on access
+
+    def test_ids_pass_as_given(self, tmp_path):
+        """A YAML list or int id reaches the sites' rows and the
+        rejections as it is."""
+        text = ("wafer:\n  sites:\n  - {x_mm: 1.0, y_mm: 0.0, chip_id: [c, 1], site_id: 7}\n"
+                "  - {x_mm: -0.5, y_mm: 0.0, chip_id: c2}\n")
+        config, _ = load_config(write(tmp_path, text))
+        sites = config.layout.generate_sites()
+        assert [(s.chip_id, s.site_id) for s in sites] == [("c2", None), (["c", 1], 7)]
+        table = compensate_wafer(config, ExplicitAreaTarget(area_um2=1e-6))
+        assert [site for site, _ in table.rejections] == list(sites)
+        assert type(table.rejections[1][0].chip_id) is list
 
 
 class TestStepOptions:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import site_table
 from shadowevap.errors import (
     AxisMismatch,
     DenominatorCollapse,
@@ -21,7 +22,7 @@ from shadowevap.geometry import (
     JunctionSpec,
     WaferSite,
 )
-from shadowevap.table import column
+from shadowevap.table import Table, column
 from shadowevap.wafer import (
     MAX_GRID_SITES,
     Axis,
@@ -70,17 +71,12 @@ class TestWaferLayout:
         assert any(s.x_mm == 0.0 and s.y_mm == 0.0 for s in sites)
 
     def test_explicit_site_list(self):
-        layout = WaferLayout(
-            sites=(
-                WaferSite(5.0, -5.0, chip_id="c2"),
-                WaferSite(-5.0, -5.0, chip_id="c1"),
-            )
-        )
+        layout = WaferLayout(sites=site_table([(5.0, -5.0), (-5.0, -5.0)], ["c2", "c1"]))
         sites = layout.generate_sites()
         assert [s.chip_id for s in sites] == ["c1", "c2"]
 
     def test_site_outside_wafer_rejected(self):
-        layout = WaferLayout(sites=(WaferSite(49.0, 49.0),))
+        layout = WaferLayout(sites=site_table([(49.0, 49.0)]))
         with pytest.raises(ValidationError):
             layout.generate_sites()
 
@@ -92,8 +88,27 @@ class TestWaferLayout:
             WaferLayout(working_span_mm=1000.0, grid_pitch_mm=1.0).grid_offsets()
 
     def test_explicit_sites_ignore_the_grid_cap(self):
-        layout = WaferLayout(grid_pitch_mm=1e-4, sites=(WaferSite(1.0, 2.0),))
+        layout = WaferLayout(grid_pitch_mm=1e-4, sites=site_table([(1.0, 2.0)]))
         assert [(s.x_mm, s.y_mm) for s in layout.generate_sites()] == [(1.0, 2.0)]
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            (WaferSite(1.0, 2.0),),
+            [WaferSite(1.0, 2.0)],
+            (),
+            site_table([]),
+            Table(WaferSite, x_mm=np.array([1]), y_mm=np.array([2.0]),
+                  chip_id=np.array([None]), site_id=np.array([None])),
+        ],
+        ids=["tuple", "list", "empty tuple", "empty table", "int coordinates"],
+    )
+    def test_sites_are_a_non_empty_table_of_float_sites(self, config, sites):
+        """A site list has one form. Before, a tuple of WaferSite was
+        the form, and an empty one reached the sweep, which raised a bare
+        ValueError."""
+        with pytest.raises(ValidationError, match="non-empty Table of WaferSite"):
+            replace(config, layout=replace(config.layout, sites=sites))
 
 
 class TestSimulateWafer:
@@ -367,7 +382,7 @@ class TestBiasProfile:
 
 def one_site(config, x, y):
     """The config with its layout cut to the one explicit site (x, y)."""
-    return replace(config, layout=replace(config.layout, sites=(WaferSite(x, y),)))
+    return replace(config, layout=replace(config.layout, sites=site_table([(x, y)])))
 
 
 def printed(target_b, target_t):
@@ -565,11 +580,11 @@ class TestCompensateWafer:
         # (the same coordinate as 0.0): distinct x plus distinct y.
         xs = [-20.0, -0.0, 0.0, 3.5, 12.25, 3.5]
         ys = [9.5, -7.0, 0.0, 9.5, -0.0]
-        sites = tuple(WaferSite(x, y) for x in xs for y in ys)
-        config = replace(config, layout=replace(config.layout, sites=sites))
+        points = [(x, y) for x in xs for y in ys]
+        config = replace(config, layout=replace(config.layout, sites=site_table(points)))
         angles = counted_angles(monkeypatch)
         table = compensate_wafer(config, ExplicitAreaTarget(area_um2=0.04))
-        assert len(table.rows) == len(sites) == 30
+        assert len(table.rows) == len(points) == 30
         assert sum(angles) == len(set(xs)) + len(set(ys)) == 4 + 3
 
 
