@@ -147,6 +147,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     group_by = tuple(g for g in args.group_by.split(",") if g)
     report_obj = stats.aggregate(records, group_by)
     repeats = report_obj.repeatability
+    cv = column(repeats, "cv")
     report = {
         "n_records": len(records),
         "n_skipped_rows": len(diagnostics),
@@ -157,16 +158,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "n_junctions_with_repeats": len(repeats),
             "per_junction": _json_records(
                 repeats, "wafer_id", "chip_id", "x_mm", "y_mm", "area_class_um2", "n_runs",
-                cv_percent=100.0 * column(repeats, "cv"),
+                cv_percent=100.0 * cv,
             ),
         },
     }
-    repeat_summary = report_obj.repeat_cv_summary
-    if repeat_summary is not None:
-        report["repeatability"]["mean_cv_percent"] = 100.0 * repeat_summary.mean
-        report["repeatability"]["max_cv_percent"] = 100.0 * max(
-            column(repeats, "cv").tolist()
-        )
+    if len(cv) >= 2:
+        report["repeatability"]["mean_cv_percent"] = 100.0 * float(cv.mean())
+        report["repeatability"]["max_cv_percent"] = 100.0 * max(cv.tolist())
     if args.fit_gap:
         jc = np.asarray(column(records, "jc_ua_um2"), dtype=float)  # None is NaN
         given = ~np.isnan(jc)

@@ -21,9 +21,10 @@ file is read once, a well-formed text is parsed by np.loadtxt a column
 at a time, and the rows that fail a check (or the whole text, when
 np.loadtxt cannot take it) are replayed through one csv.reader loop
 and a per-row parser, so a ParseError names file:line and a skipped
-measurement row is reported as `line N:`. JSON reports write each
-`JsonRecords` (a list of flat records held as columns) with one `%`
-template per record.
+measurement row is reported as `line N:`. The json module lays out each
+JSON report, with a placeholder string for each `JsonRecords` (a list
+of flat records held as columns); csvio writes only the records, one
+`%` template per record, in the placeholders' places.
 """
 
 from __future__ import annotations
@@ -459,14 +460,12 @@ def export_measurements(records: Sequence[MeasurementRecord], path: PathLike) ->
          for v in (getattr(r, name) for name in header)]
         for r in records
     ]
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            # csv quotes an id that holds a comma, quote or newline.
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    text = io.StringIO()
+    # csv quotes an id that holds a comma, quote or newline.
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, [text.getvalue()])
 
 
 class JsonRecords:
@@ -488,47 +487,46 @@ def write_json_report(report: dict, path: PathLike) -> None:
 
     The bytes are those of json.dump(report, indent=2, sort_keys=True)
     plus the newline, with each JsonRecords written as its list of
-    dicts. Such columns are written with one `%` template per record;
-    the rest goes through the json encoder.
+    dicts: json lays out the report with a placeholder string for each
+    JsonRecords, and `_record_chunks` writes the records in its place.
     """
-    write_text(path, itertools.chain(_json_chunks(report, 0), ["\n"]))
+    placeholder = "JsonRecords"
+    while True:
+        records = []
+
+        def default(obj):
+            if not isinstance(obj, JsonRecords):
+                return _encoder.default(obj)  # json's own TypeError
+            records.append(obj)
+            return placeholder
+
+        text = json.dumps(report, indent=2, sort_keys=True, default=default)
+        pieces = text.split(f'"{placeholder}"')
+        if len(pieces) == len(records) + 1:
+            break
+        # A key or string of the report holds the quoted placeholder.
+        placeholder += "_"
+    parts = [pieces[0]]
+    for rows, before, after in zip(records, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        parts += [*_record_chunks(rows, line[: len(line) - len(line.lstrip())]), after]
+    write_text(path, parts + ["\n"])
 
 
-_encode_json = json.JSONEncoder(indent=2, sort_keys=True).encode
+_encoder = json.JSONEncoder(indent=2, sort_keys=True)
 
 
-def _json_chunks(obj, level: int) -> Iterator[Union[str, RowChunks]]:
-    """The text json.dumps(obj, indent=2, sort_keys=True) gives `obj`
-    nested `level` containers deep, in pieces."""
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(obj, JsonRecords):
-        yield from _record_chunks(obj, level)
-    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        for i, key in enumerate(sorted(obj)):
-            yield ("," if i else "{") + inner + encode_basestring_ascii(key) + ": "
-            yield from _json_chunks(obj[key], level + 1)
-        yield "\n" + "  " * level + "}"
-    elif isinstance(obj, (list, tuple)) and obj:
-        for i, item in enumerate(obj):
-            yield ("," if i else "[") + inner
-            yield from _json_chunks(item, level + 1)
-        yield "\n" + "  " * level + "]"
-    else:
-        # JSON strings hold no raw newline, so this only indents.
-        yield _encode_json(obj).replace("\n", "\n" + "  " * level)
-
-
-def _record_chunks(records: JsonRecords, level: int) -> Iterator[Union[str, RowChunks]]:
-    """Records given as columns, written as `_json_chunks` writes their
-    list of dicts, ROWS_PER_CHUNK records at a time: one `%` template per
+def _record_chunks(records: JsonRecords, indent: str) -> list[Union[str, RowChunks]]:
+    """Records given as columns, written as json.dumps(..., indent=2,
+    sort_keys=True) writes their list of dicts on a line indented by
+    `indent`, ROWS_PER_CHUNK records at a time: one `%` template per
     record. In each chunk, columns of finite floats or of ints are
     formatted by the template (`%r` is float.__repr__, as json uses); any
     other column is encoded value by value first, which gives the same
     text."""
     if not records.rows:
-        yield "[]"
-        return
-    inner = "\n" + "  " * (level + 1)
+        return ["[]"]
+    inner, field = "\n" + indent + "  ", "\n" + indent + "    "
 
     def chunk(k: int) -> str:
         rows = slice(k * ROWS_PER_CHUNK, (k + 1) * ROWS_PER_CHUNK)
@@ -544,12 +542,12 @@ def _record_chunks(records: JsonRecords, level: int) -> Iterator[Union[str, RowC
             elif types == {str}:
                 slot, col = "%s", list(map(encode_basestring_ascii, col))
             else:
-                slot, col = "%s", ["".join(_json_chunks(v, level + 2)) for v in col]
+                # JSON strings hold no raw newline, so this only indents.
+                slot, col = "%s", [_encoder.encode(v).replace("\n", field) for v in col]
             name = encode_basestring_ascii(key).replace("%", "%%")
-            slots.append("  " * (level + 2) + name + ": " + slot)
+            slots.append(field + name + ": " + slot)
             values.append(col)
-        record = "{\n" + ",\n".join(slots) + inner + "}"
+        record = "{" + ",".join(slots) + inner + "}"
         return ("," if k else "[") + inner + ("," + inner).join(map(record.__mod__, zip(*values)))
 
-    yield RowChunks(records.rows, chunk)
-    yield "\n" + "  " * level + "]"
+    return [RowChunks(records.rows, chunk), "\n" + indent + "]"]

@@ -412,18 +412,6 @@ class AggregateReport:
     repeatability: Sequence[JunctionRepeatability]
     warnings: list[str] = field(default_factory=list)
 
-    @property
-    def repeat_cv_summary(self) -> Optional[StatsSummary]:
-        """Distribution of the per-junction repeat CVs, if >= 2 exist."""
-        if len(self.repeatability) < 2:
-            return None
-        arr = column(self.repeatability, "cv")
-        mean = float(arr.mean())
-        sd = float(arr.std(ddof=1))
-        return StatsSummary(
-            n=len(arr), mean=mean, sd_sample=sd, cv=sd / mean if mean > 0 else 0.0
-        )
-
 
 def aggregate(
     records: Table,

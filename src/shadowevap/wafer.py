@@ -412,7 +412,7 @@ def bias_profile(
             f"{'x' if electrode is Electrode.BOTTOM else 'y'}, not {axis.value}"
         )
     bottom = electrode is Electrode.BOTTOM
-    offsets = np.array(config.layout.grid_offsets())
+    offsets = np.array(config.layout.grid_offsets(), dtype=float)
     zeros = np.zeros(offsets.size)
     x, y = (offsets, zeros) if bottom else (zeros, offsets)
     junction = config.junction

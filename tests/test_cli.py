@@ -819,6 +819,36 @@ class TestAnalyze:
         assert "wafer=w1|area=0.025" in data["groups"]
         assert data["repeatability"]["n_junctions_with_repeats"] == 1
 
+    def test_repeat_cv_summary(self, tmp_path):
+        """mean_cv_percent and max_cv_percent summarise the per-junction
+        CVs, and are left out below two junctions with repeats."""
+        meas = tmp_path / "meas.csv"
+        out = tmp_path / "stats.json"
+        args = ["analyze", "--measurements", str(meas), "--out", str(out)]
+        meas.write_text(MEAS_TEXT)
+        assert main(args) == 0
+        assert set(json.loads(out.read_text())["repeatability"]) == {
+            "n_junctions_with_repeats", "per_junction"
+        }
+        meas.write_text(MEAS_TEXT + "w1,c2,5,0,0.025,r2,8398.5\nw1,c2,5,5,0.025,r3,8350.0\n")
+        assert main(args) == 0
+        repeats = json.loads(out.read_text())["repeatability"]
+        cvs = [j["cv_percent"] for j in repeats["per_junction"]]
+        assert len(cvs) == 3 and cvs[2] == 0.0
+        assert cvs[0] == pytest.approx(100.0 * math.sqrt(3.4**2 / 2) / 8121.8, rel=1e-9)
+        assert repeats["mean_cv_percent"] == pytest.approx(sum(cvs) / 3, rel=1e-12)
+        assert repeats["max_cv_percent"] == max(cvs)
+
+    def test_fit_gap_report_is_the_encoders_layout(self, tmp_path):
+        """The written report is json's own layout of its contents."""
+        meas, out = tmp_path / "meas.csv", tmp_path / "stats.json"
+        write_seeded_measurements(meas)
+        assert main(["analyze", "--measurements", str(meas), "--fit-gap", "--out", str(out)]) == 0
+        text = out.read_text()
+        report = json.loads(text)
+        assert report["gap_fit"]["records"] and report["repeatability"]["per_junction"]
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
     def test_fit_gap(self, tmp_path):
         meas = tmp_path / "table.csv"
         meas.write_text(TABLE_TEXT)

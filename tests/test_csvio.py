@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from shadowevap.config import default_config
 from shadowevap.csvio import (
     CORRECTIONS_HEADER,
+    MEASUREMENT_HEADER,
+    MEASUREMENT_JC_COLUMN,
     ROWS_PER_CHUNK,
     SITE_MAP_HEADER,
     JsonRecords,
@@ -432,6 +434,35 @@ class TestMeasurementCsv:
         with pytest.raises(IoError):
             import_measurements(tmp_path / "nope.csv")
 
+    def test_export_quotes_ids_as_csv_writer(self, tmp_path):
+        """Ids holding a comma, quote, CRLF or LF are quoted as a
+        csv.writer on the file quotes them, and read back whole."""
+        ids = ["w,1", 'c"2', "r\r\n3", "r\n4", "r 5"]
+        records = [
+            MeasurementRecord(ids[0], ids[1], 0.0, float(i), 0.04, run, 8000.0 + i, jc)
+            for i, (run, jc) in enumerate(zip(ids[2:], [None, 5.61, None]))
+        ]
+        path, expected = tmp_path / "meas.csv", tmp_path / "expected.csv"
+        export_measurements(records, path)
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([*MEASUREMENT_HEADER, MEASUREMENT_JC_COLUMN])
+            writer.writerows(
+                [r.wafer_id, r.chip_id, fmt(r.x_mm), fmt(r.y_mm), fmt(r.area_class_um2),
+                 r.run_id, fmt(r.rn_ohm), "" if r.jc_ua_um2 is None else fmt(r.jc_ua_um2)]
+                for r in records
+            )
+        assert path.read_bytes() == expected.read_bytes()
+        back, diagnostics = import_measurements(path)
+        assert not diagnostics
+        assert column(back, "run_id").tolist() == ids[2:]
+
+    def test_export_to_a_missing_directory_is_io_error(self, tmp_path):
+        path = tmp_path / "missing" / "meas.csv"
+        record = MeasurementRecord("w1", "c1", 0.0, 0.0, 0.04, "r1", 8000.0)
+        with pytest.raises(IoError, match=f"^cannot write {path}: .*No such file"):
+            export_measurements([record], path)
+
 
 class TestJsonReport:
     def test_columns_of_unequal_length_are_refused(self):
@@ -469,7 +500,7 @@ class TestJsonReport:
             "f": np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=float),
             "i": np.array(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)), dtype=int),
             "s": np.array(data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)), dtype=object),
-            "m": data.draw(st.lists(json_scalars, min_size=n, max_size=n)),
+            "m": data.draw(st.lists(json_values(), min_size=n, max_size=n)),
         }
         keys = data.draw(st.lists(st.sampled_from(sorted(columns)), min_size=1, unique=True))
         columns = {k: columns[k] for k in keys}
@@ -487,6 +518,57 @@ class TestJsonReport:
         path = tmp_path / "r.json"
         write_json_report(report, path)
         assert path.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_records_under_int_keys(self, tmp_path):
+        """json turns int keys into strings and sorts them as ints."""
+        columns = {"x": [1.5, -0.0], "s": ["a", "b"]}
+        rows = [{"x": 1.5, "s": "a"}, {"x": -0.0, "s": "b"}]
+        path = tmp_path / "r.json"
+        write_json_report({"a": {10: JsonRecords(**columns), 9: None}}, path)
+        expected = json.dumps({"a": {10: rows, 9: None}}, indent=2, sort_keys=True)
+        assert path.read_text() == expected + "\n"
+
+    def test_unknown_objects_raise_jsons_error(self, tmp_path):
+        with pytest.raises(TypeError, match="^Object of type complex is not JSON serializable$"):
+            write_json_report({"r": JsonRecords(x=[1]), "z": [1j]}, tmp_path / "r.json")
+
+    def test_records_at_any_depth(self, tmp_path):
+        """Records as the whole report, three containers deep and in a
+        list, with nested values whose own lines take the records'
+        indent."""
+        columns = {"m": [{"k": [1, {"j": []}]}, [[2.5]]], "f": [1.0, 2.0]}
+        rows = [{"m": {"k": [1, {"j": []}]}, "f": 1.0}, {"m": [[2.5]], "f": 2.0}]
+        path = tmp_path / "r.json"
+        write_json_report(JsonRecords(**columns), path)
+        assert path.read_text() == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        report = {"a": {"b": {"c": JsonRecords(**columns)}},
+                  "l": [JsonRecords(f=[3.0]), {"d": JsonRecords()}]}
+        expected = {"a": {"b": {"c": rows}}, "l": [[{"f": 3.0}], {"d": []}]}
+        write_json_report(report, path)
+        assert path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "report, encodings",
+        [
+            ({"JsonRecords": 1, "r": None}, 2),
+            ({"a": "JsonRecords", "r": None}, 2),
+            ({"a": 'x"JsonRecords', "r": None}, 2),
+            ({"JsonRecords": 'x"JsonRecords_', "a": ["JsonRecords__"], "r": None}, 4),
+        ],
+        ids=["key", "value", "escaped-quote", "three-lengths"],
+    )
+    def test_placeholder_in_the_report(self, tmp_path, monkeypatch, report, encodings):
+        """A key or string that json writes as the quoted placeholder
+        (here "JsonRecords", lengthened by "_") costs one more encoding
+        per collision, and changes no byte."""
+        expected = json.dumps({**report, "r": [{"x": 1}]}, indent=2, sort_keys=True) + "\n"
+        calls = []
+        real = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(1) or real(*a, **k))
+        path = tmp_path / "r.json"
+        write_json_report({**report, "r": JsonRecords(x=[1])}, path)
+        assert path.read_text() == expected
+        assert len(calls) == encodings
 
 
 json_scalars = st.one_of(

@@ -34,7 +34,7 @@ from shadowevap.stats import (
     resistance_sensitivity,
     transmon_frequency,
 )
-from shadowevap.table import Table
+from shadowevap.table import Table, column
 
 PARAMS = QubitParams(gap_delta_uev=180.0, ec_mhz=270.0)
 
@@ -398,9 +398,8 @@ class TestAggregate:
         report = aggregate(table(records), group_by=("wafer",))
         assert len(report.repeatability) == 3
         assert all(j.cv == 0.0 for j in report.repeatability)
-        summary = report.repeat_cv_summary
-        assert summary is not None
-        assert summary.n == 3 and summary.mean == 0.0
+        cv = column(report.repeatability, "cv")
+        assert len(cv) == 3 and cv.mean() == 0.0
 
     def test_repeat_cv_detects_run_disagreement(self):
         records = [

@@ -373,6 +373,17 @@ class TestBiasProfile:
         )
         assert p3[35.0] != p2[35.0]
 
+    def test_int_pitch_gives_float_offsets(self, config):
+        """A library caller's int pitch gives the float pitch's points."""
+        for electrode, axis in ((Electrode.BOTTOM, Axis.X), (Electrode.TOP, Axis.Y)):
+            profiles = [
+                bias_profile(replace(config, layout=replace(config.layout, grid_pitch_mm=pitch)),
+                             axis, electrode).points
+                for pitch in (5, 5.0)
+            ]
+            assert profiles[0] == profiles[1]
+            assert {type(v) for point in profiles[0] for v in point} == {float}
+
     def test_axis_mismatch(self, config):
         with pytest.raises(AxisMismatch):
             bias_profile(config, Axis.Y, Electrode.BOTTOM)
