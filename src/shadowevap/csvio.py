@@ -41,6 +41,7 @@ import tempfile
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -460,12 +461,13 @@ def export_measurements(records: Sequence[MeasurementRecord], path: PathLike) ->
          for v in (getattr(r, name) for name in header)]
         for r in records
     ]
-    text = io.StringIO()
-    # csv quotes an id that holds a comma, quote or newline.
-    writer = csv.writer(text, lineterminator="\n")
+    # csv quotes a field that holds a comma, a quote or a character of the
+    # line terminator, so rows made to end in CRLF quote a lone CR too.
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    write_text(path, [text.getvalue()])
+    write_text(path, [line[:-2] + "\n" for line in lines])
 
 
 class JsonRecords:

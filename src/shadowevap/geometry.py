@@ -16,8 +16,8 @@ the oracle for wafer sweeps, which run their arithmetic elementwise:
 `sidewall_thickness` without their checks (the same libm calls, through
 `libm`), and `bottom_terms`, `top_terms`, `forward_width`,
 `inverse_width`, `inverse_slope` and `junction_area` accept numpy
-arrays. The checks `checked_terms`, `printed_width` and `overlap_area`
-take one site.
+arrays. The checks `checked_angle`, `check_film_angle`, `checked_terms`,
+`printed_width` and `overlap_area` take one site.
 """
 
 from __future__ import annotations
@@ -200,11 +200,13 @@ def local_incidence_angle(
     lateral = math.hypot(sx - site.x_mm, sy - site.y_mm)
     # atan2 keeps the angle exact at the wafer center (lateral/normal is
     # tan(tilt) there) and well conditioned near normal incidence.
-    theta = math.atan2(lateral, sz)
+    return checked_angle(math.atan2(lateral, sz), site.x_mm, site.y_mm)
+
+
+def checked_angle(theta: float, x_mm: float, y_mm: float) -> float:
+    """theta; raises GrazingIncidence if it is >= 90 deg (site unreachable by flux)."""
     if theta >= math.pi / 2:
-        raise GrazingIncidence(
-            f"flux incidence >= 90 deg at site ({site.x_mm}, {site.y_mm}) mm"
-        )
+        raise GrazingIncidence(f"flux incidence >= 90 deg at site ({x_mm}, {y_mm}) mm")
     return theta
 
 
@@ -255,11 +257,16 @@ def sidewall_thickness(theta_first_rad: float, t0_nm: float) -> float:
     evaporation at this site. This film narrows the aperture seen by
     the second pass.
     """
-    if not 0.0 <= theta_first_rad < math.pi / 2:
-        raise ValidationError("theta must be in [0, 90 deg)")
+    check_film_angle(theta_first_rad)
     if not t0_nm > 0:
         raise ValidationError("t0_nm must be > 0")
     return sidewall_film(math.cos(theta_first_rad), t0_nm)
+
+
+def check_film_angle(theta_first_rad: float) -> None:
+    """Raise ValidationError unless the first pass's angle is in [0, 90 deg)."""
+    if not 0.0 <= theta_first_rad < math.pi / 2:
+        raise ValidationError("theta must be in [0, 90 deg)")
 
 
 def sidewall_film(cos_t, t0_nm):

@@ -16,16 +16,15 @@ own coordinate; the sidewall film links the top width to the bottom
 step's angle at the same site.
 
 Because of that convention a sweep needs trigonometry only once per
-distinct x and once per distinct y: `_Model.columns` runs the chain
-elementwise over those coordinates, with the scalar chain's libm
-functions (`geometry.incidence_angles`, `geometry.libm`), and the rest
-per site over numpy columns, the same operations in the same order, so
-every value equals the per-site scalar evaluation bit for bit; each
-electrode's terms come from `geometry.bottom_terms` or `top_terms` on
-both paths. The chain's checks are masks. Results are `Table`s ordered
-by (row, column). Every sweep, `compensate_wafer`'s forward check
-included, goes through `_forward`, which replays the first site the
-arrays flag through `_Model.widths` and raises that site's error.
+distinct x and once per distinct y: `_Model.columns`, the one evaluation
+of the chain, runs it elementwise over those coordinates, with the
+scalar chain's libm functions (`geometry.incidence_angles`,
+`geometry.libm`), and the rest per site over numpy columns, the same
+operations in the same order, so every value equals the per-site scalar
+evaluation bit for bit. Its checks are masks. Results are `Table`s
+ordered by (row, column). Every sweep goes through `_forward`, which
+raises the first flagged site's error from that site's own array values
+(`_check`).
 """
 
 from __future__ import annotations
@@ -175,7 +174,7 @@ class ProcessConfig:
     epsilon_center_mm: float = geometry.DEFAULT_EPSILON_CENTER_MM
 
     def __post_init__(self) -> None:
-        if self.epsilon_center_mm < 0:
+        if not self.epsilon_center_mm >= 0:
             raise ValidationError("epsilon_center_mm must be >= 0")
 
 
@@ -197,7 +196,7 @@ class SiteResult:
 
 
 class _Model:
-    """The per-site model of one sweep.
+    """The model of one sweep.
 
     Angles are evaluated at the site's projection onto each electrode's
     width axis: (x, 0) for the bottom electrode, (0, y) for the top, so
@@ -224,52 +223,15 @@ class _Model:
         self.band = config.epsilon_center_mm if center_band_mm is None else center_band_mm
         self.constant = model is BiasModel.CONSTANT
 
-    def bottom(self, x_mm: float) -> tuple:
-        """(t_prime_nm, *bottom terms) at offset x: the sidewall film the
-        bottom electrode's angle grows and its width terms, raising the
-        first error of the angle, the film and the terms in that order."""
-        theta = geometry.local_incidence_angle(WaferSite(x_mm, 0.0), self.bottom_step, self.source)
-        t_prime = geometry.sidewall_thickness(theta, self.bottom_step.film_t0_nm)
-        center = abs(x_mm) <= self.band
-        terms = geometry.bottom_terms(
-            x_mm * geometry.NM_PER_MM, self.radius, self.throw, self.mask_top,
-            self.mask_bottom, math.cos(theta), center,
-        )
-        return t_prime, *geometry.checked_terms(terms, False, center)
-
-    def top(self, y_mm: float) -> tuple:
-        """(sin, cos) of the top electrode's angle at offset y."""
-        theta = geometry.local_incidence_angle(WaferSite(0.0, y_mm), self.top_step, self.source)
-        return math.sin(theta), math.cos(theta)
-
-    def site(self, x_mm: float, y_mm: float) -> tuple[geometry.BranchTerms, geometry.BranchTerms]:
-        """(bottom terms, top terms) at one site: the scalar chain in
-        deposition order, bottom electrode then top, which raises the
-        first error in that order."""
-        if self.constant:
-            x_mm = y_mm = 0.0
-        bottom = self.bottom(x_mm)
-        center = abs(y_mm) <= self.band
-        terms = geometry.top_terms(
-            bottom[0], self.radius, self.throw, self.mask_top, self.mask_bottom,
-            *self.top(y_mm), center,
-        )
-        return bottom[1:], geometry.checked_terms(terms, True, center)
-
-    def widths(self, x_mm: float, y_mm: float, drawn_b: float, drawn_t: float) -> tuple:
-        """Printed (w_bottom, w_top) in nm of drawn widths at one site,
-        raising the first error of `site`, then of the bottom width."""
-        terms_b, terms_t = self.site(x_mm, y_mm)
-        return geometry.printed_width(drawn_b, terms_b), geometry.printed_width(drawn_t, terms_t)
-
     def columns(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """The chain at sites with offsets x and y as arrays
         (theta_bottom, theta_top, t_prime_nm, bottom terms, top terms),
-        plus a mask of the sites where `site` raises.
+        plus a mask of the sites where one of its checks fails.
 
-        The chain of `bottom` runs elementwise over the distinct x and
-        that of `top` over the distinct y, with their checks as masks;
-        `geometry.top_terms` combines them per site, as in `site`.
+        The bottom electrode's angle, film and terms run elementwise over
+        the distinct x and the top angle over the distinct y, with their
+        checks as masks; `geometry.top_terms` combines them per site.
+        `_check` raises a flagged site's error from these arrays.
         """
         if self.constant:
             x = y = np.zeros(x.size)
@@ -282,7 +244,7 @@ class _Model:
             ux * geometry.NM_PER_MM, self.radius, self.throw, self.mask_top,
             self.mask_bottom, cos_b, np.abs(ux) <= self.band,
         )
-        # GrazingIncidence and sidewall_thickness's angle check, then q.
+        # `_check`'s checks: the grazing angle, the film's angle range, q.
         bad_b = ~((theta_b >= 0.0) & (theta_b < math.pi / 2)) | (terms_b[5] <= 0.0)
         t_prime = geometry.sidewall_film(cos_b, self.bottom_step.film_t0_nm)[ix]
         terms_t = geometry.top_terms(
@@ -299,15 +261,43 @@ def _at_site(x_mm: float, y_mm: float, text: object) -> str:
     return f"site ({x_mm}, {y_mm}) mm: {text}"
 
 
+def _check(
+    evaluate: _Model, chain: tuple, i: int, x_mm: float, y_mm: float, drawn: tuple
+) -> tuple[float, float]:
+    """Printed (w_bottom, w_top) in nm of the (bottom, top) `drawn` widths
+    at site i, of offsets x_mm and y_mm, of `evaluate.columns`' `chain`:
+    `geometry`'s scalar checks on the site's own values, in deposition
+    order, raise its first error without its coordinates."""
+    if evaluate.constant:
+        x_mm = y_mm = 0.0
+    theta_b, theta_t, _, terms_b, terms_t, _ = chain
+    band = evaluate.band
+    geometry.check_film_angle(geometry.checked_angle(theta_b.item(i), x_mm, 0.0))
+    bottom = geometry.checked_terms(tuple(v.item(i) for v in terms_b), False, abs(x_mm) <= band)
+    geometry.checked_angle(theta_t.item(i), 0.0, y_mm)
+    top = geometry.checked_terms(tuple(v.item(i) for v in terms_t), True, abs(y_mm) <= band)
+    return geometry.printed_width(drawn[0], bottom), geometry.printed_width(drawn[1], top)
+
+
+def _site_widths(evaluate: _Model, x_mm: float, y_mm: float, junction: JunctionSpec) -> tuple:
+    """Printed (w_bottom, w_top) in nm of the junction's drawn widths at
+    one site, raising its error without its coordinates."""
+    drawn = junction.drawn_bottom_nm, junction.drawn_top_nm
+    with np.errstate(all="ignore"):  # the site may lie far off the wafer
+        chain = evaluate.columns(np.array([x_mm], dtype=float), np.array([y_mm], dtype=float))
+    return _check(evaluate, chain, 0, x_mm, y_mm, drawn)
+
+
 def _forward(
     evaluate: _Model, x: np.ndarray, y: np.ndarray, drawn_b: np.ndarray, drawn_t: np.ndarray,
-    terms_b: tuple, terms_t: tuple, failed: np.ndarray, keep: Union[bool, np.ndarray],
+    chain: tuple, keep: Union[bool, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Printed (w_bottom, w_top) in nm and junction area of drawn widths
-    at sites with offsets x and y, under the terms and `failed` mask of
-    `evaluate.columns`. Of the `keep` sites (True: every site), the first
-    whose chain failed or whose widths or area are not physical is
-    replayed through `_Model.widths`, and its error raised."""
+    at sites with offsets x and y, under the `chain` of `evaluate.columns`.
+    Of the `keep` sites (True: every site), the first whose chain failed
+    or whose widths or area are not physical raises its error, from
+    `_check` or as an overflow, with the site prepended."""
+    terms_b, terms_t, failed = chain[3:]
     with np.errstate(all="ignore"):
         w_b = geometry.forward_width(drawn_b, terms_b)
         w_t = geometry.forward_width(drawn_t, terms_t)
@@ -316,11 +306,11 @@ def _forward(
     for i in np.flatnonzero(flagged).tolist():
         x_i, y_i = x.item(i), y.item(i)
         try:
-            widths = evaluate.widths(x_i, y_i, drawn_b.item(i), drawn_t.item(i))
+            widths = _check(evaluate, chain, i, x_i, y_i, (drawn_b.item(i), drawn_t.item(i)))
+            if not math.isfinite(geometry.junction_area(*widths)):
+                raise NonPhysicalWidth(f"printed widths {widths} nm overflow")
         except ShadowEvapError as exc:
             raise type(exc)(_at_site(x_i, y_i, exc)) from exc
-        if not math.isfinite(geometry.junction_area(*widths)):
-            raise NonPhysicalWidth(_at_site(x_i, y_i, f"printed widths {widths} nm overflow"))
     return w_b, w_t, area
 
 
@@ -337,9 +327,10 @@ def _sweep(
     site), with biases relative to the model's wafer-center widths."""
     w_b0, w_t0 = center_reference_widths(config, model)
     evaluate = _Model(config, model)
-    theta_b, theta_t, t_prime, terms_b, terms_t, failed = evaluate.columns(x, y)
+    chain = evaluate.columns(x, y)
+    theta_b, theta_t, t_prime = chain[:3]
     drawn_b, drawn_t = np.broadcast_to(drawn_b, x.shape), np.broadcast_to(drawn_t, x.shape)
-    w_b, w_t, area = _forward(evaluate, x, y, drawn_b, drawn_t, terms_b, terms_t, failed, True)
+    w_b, w_t, area = _forward(evaluate, x, y, drawn_b, drawn_t, chain, True)
     return Table(
         SiteResult,
         x_mm=x,
@@ -360,8 +351,7 @@ def center_reference_widths(
 ) -> tuple[float, float]:
     """Printed (w_bottom, w_top) in nm at the wafer center, the zero
     point of every bias map for that model."""
-    junction = config.junction
-    return _Model(config, model).widths(0.0, 0.0, junction.drawn_bottom_nm, junction.drawn_top_nm)
+    return _site_widths(_Model(config, model), 0.0, 0.0, config.junction)
 
 
 def simulate_wafer(
@@ -528,7 +518,8 @@ def compensate_wafer(
     evaluate = _Model(config)
     sites = config.layout.generate_sites()
     x, y = column(sites, "x_mm"), column(sites, "y_mm")
-    _, _, _, terms_b, terms_t, failed = evaluate.columns(x, y)
+    chain = evaluate.columns(x, y)
+    terms_b, terms_t, failed = chain[3:]
     with np.errstate(all="ignore"):
         drawn_b = geometry.inverse_width(tw_b, terms_b)
         drawn_t = geometry.inverse_width(tw_t, terms_t)
@@ -538,7 +529,7 @@ def compensate_wafer(
         reason = np.where(top, _unreachable(drawn_t, terms_t), reason_b)
     # A site whose chain failed is kept: `_forward` raises its error.
     keep = failed | (reason == 0)
-    w_b, w_t, area = _forward(evaluate, x, y, drawn_b, drawn_t, terms_b, terms_t, failed, keep)
+    w_b, w_t, area = _forward(evaluate, x, y, drawn_b, drawn_t, chain, keep)
     rejections = []
     for i in np.flatnonzero(~keep).tolist():
         name, drawn = ("top", drawn_t) if top[i] else ("bottom", drawn_b)
@@ -596,9 +587,8 @@ def branch_discontinuity_nm(config: ProcessConfig) -> tuple[float, float]:
     """Width jump (general minus center branch) for each electrode at
     the epsilon_center boundary, reported for transparency since the
     printed formulas are discontinuous there."""
-    eps = config.epsilon_center_mm
-    drawn = config.junction.drawn_bottom_nm, config.junction.drawn_top_nm
-    center_b, center_t = _Model(config).widths(eps, eps, *drawn)
+    eps, junction = config.epsilon_center_mm, config.junction
+    center_b, center_t = _site_widths(_Model(config), eps, eps, junction)
     # A negative band puts every offset, eps included, in the general branch.
-    general_b, general_t = _Model(config, center_band_mm=-1.0).widths(eps, eps, *drawn)
+    general_b, general_t = _site_widths(_Model(config, center_band_mm=-1.0), eps, eps, junction)
     return general_b - center_b, general_t - center_t

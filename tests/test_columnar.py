@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import site_table
 from shadowevap import geometry
 from shadowevap.config import default_config
-from shadowevap.errors import ShadowEvapError, ValidationError
+from shadowevap.errors import DenominatorCollapse, ShadowEvapError, ValidationError
 from shadowevap.geometry import (
     EvaporationStep,
     JunctionSpec,
@@ -40,6 +40,7 @@ from shadowevap.wafer import (
     ProcessConfig,
     SiteResult,
     WaferLayout,
+    center_reference_widths,
     compensate_wafer,
     resimulate_with_corrections,
     simulate_wafer,
@@ -441,6 +442,14 @@ class TestForwardParity:
         assert outcome(quiet(lambda: resimulate_with_corrections(config, corrections))) == (
             outcome(lambda: oracle_sweep(config, BiasModel.NON_POINT, rows))
         )
+
+
+def test_center_error_has_no_site_prefix():
+    """The center widths every bias map is relative to raise the center's
+    own error, without the site prefix a sweep gives it."""
+    with pytest.raises(DenominatorCollapse) as caught:
+        center_reference_widths(stack(**ZERO_Q))
+    assert str(caught.value) == "throw D cos(theta) does not clear the bottom mask layer"
 
 
 class TestInverseParity:

@@ -1,8 +1,11 @@
 """CSV/JSON artifact round trips and measurement ingestion."""
 
 import csv
+import io
+import itertools
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from dataclasses import astuple, replace
@@ -35,6 +38,10 @@ from shadowevap.table import column
 from shadowevap.errors import EmptyInput, IoError, ParseError, ZeroValidRows
 from shadowevap.stats import MeasurementRecord, coefficient_of_variation
 from shadowevap.wafer import SiteResult, compensate_wafer, simulate_wafer
+
+#: Ids of measurement records: any text, with the characters csv and
+#: the reader treat specially drawn often.
+IDS = st.text(st.one_of(st.characters(), st.sampled_from('\r\n",\0\ufeff')))
 
 MEAS_TEXT = (
     "wafer_id,chip_id,x_mm,y_mm,area_class_um2,run_id,rn_ohm\n"
@@ -456,6 +463,36 @@ class TestMeasurementCsv:
         back, diagnostics = import_measurements(path)
         assert not diagnostics
         assert column(back, "run_id").tolist() == ids[2:]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(IDS, IDS, IDS), min_size=1, max_size=6))
+    @example([("r\r5", "\r", "a\r\nb"), ('q"t', "c,d", "n\0l"), ("\ufeffw", "é→", " s ")])
+    @example([("W1", "c1", "r\r5")])
+    def test_export_import_round_trip(self, tmp_path, ids):
+        """Every id export_measurements writes reads back whole, and a
+        file whose ids hold no lone CR has the bytes csv.writer gives.
+        Before, an id holding a lone CR was written unquoted, its row was
+        split in two on reading, and `W1,c1,...,r\r5` gave ZeroValidRows."""
+        records = [
+            MeasurementRecord(w, c, float(i), -0.5 * i, 0.04, r, 8000.0 + i)
+            for i, (w, c, r) in enumerate(ids)
+        ]
+        path = tmp_path / "meas.csv"
+        export_measurements(records, path)
+        back, diagnostics = import_measurements(path)
+        assert diagnostics == []
+        assert list(back) == records
+        if not any(re.search("\r(?!\n)", v) for v in itertools.chain(*ids)):
+            text = io.StringIO()
+            writer = csv.writer(text, lineterminator="\n")
+            writer.writerow(MEASUREMENT_HEADER)
+            writer.writerows(
+                [r.wafer_id, r.chip_id, fmt(r.x_mm), fmt(r.y_mm), fmt(r.area_class_um2),
+                 r.run_id, fmt(r.rn_ohm)]
+                for r in records
+            )
+            assert path.read_bytes() == text.getvalue().encode()
 
     def test_export_to_a_missing_directory_is_io_error(self, tmp_path):
         path = tmp_path / "missing" / "meas.csv"

@@ -13,6 +13,7 @@ from shadowevap.errors import (
     AxisMismatch,
     DenominatorCollapse,
     EmptyInput,
+    NonPhysicalWidth,
     ShadowEvapError,
     ValidationError,
 )
@@ -87,6 +88,16 @@ class TestWaferLayout:
         with pytest.raises(ValidationError, match=r"grid of 1\.002e\+06 sites, more than"):
             WaferLayout(working_span_mm=1000.0, grid_pitch_mm=1.0).grid_offsets()
 
+    @pytest.mark.parametrize("x, on", [(50 + 5e-10, True), (50 + 2e-9, False)])
+    def test_rim_tolerance(self, x, on):
+        """A site up to 1e-9 mm beyond the rim of the 100 mm wafer is on it."""
+        layout = WaferLayout(sites=site_table([(x, 0.0)]))
+        if on:
+            assert [(s.x_mm, s.y_mm) for s in layout.generate_sites()] == [(x, 0.0)]
+        else:
+            with pytest.raises(ValidationError, match=r"lies outside the wafer$"):
+                layout.generate_sites()
+
     def test_explicit_sites_ignore_the_grid_cap(self):
         layout = WaferLayout(grid_pitch_mm=1e-4, sites=site_table([(1.0, 2.0)]))
         assert [(s.x_mm, s.y_mm) for s in layout.generate_sites()] == [(1.0, 2.0)]
@@ -109,6 +120,17 @@ class TestWaferLayout:
         ValueError."""
         with pytest.raises(ValidationError, match="non-empty Table of WaferSite"):
             replace(config, layout=replace(config.layout, sites=sites))
+
+
+class TestProcessConfig:
+    @pytest.mark.parametrize("eps", [-0.5, math.nan])
+    def test_center_band_must_be_non_negative(self, config, eps):
+        """A NaN band is refused too. Before, it put every site, the
+        center included, in the general branch (center widths 201.205
+        and 185.483 nm, not 201.004 and 183.791), and
+        branch_discontinuity_nm raised `theta must be in [0, 90 deg)`."""
+        with pytest.raises(ValidationError, match=r"^epsilon_center_mm must be >= 0$"):
+            replace(config, epsilon_center_mm=eps)
 
 
 class TestSimulateWafer:
@@ -445,6 +467,15 @@ class TestCompensateSite:
             "site (0.0, 0.0) mm: required drawn bottom width -0.004 nm outside (0, 5000.0] nm"
         )
 
+    def test_drawn_width_at_the_cap_is_reachable(self, config):
+        """Drawn widths of exactly DEFAULT_MAX_DRAWN_NM print the center
+        widths at the center, so the center target asks for them there."""
+        site_config = replace(one_site(config, 0.0, 0.0), junction=JunctionSpec(5000.0, 5000.0))
+        table = compensate_wafer(site_config, CenterWidthsTarget())
+        assert table.rejections == ()
+        [row] = table.rows
+        assert (row.drawn_w_bottom_nm, row.drawn_w_top_nm) == (5000.0, 5000.0)
+
     def test_rejects_non_positive_targets(self, config):
         with pytest.raises(ValidationError):
             compensate_wafer(one_site(config, 0, 0), printed(-5.0, 100.0))
@@ -635,6 +666,16 @@ class TestResimulate:
         with pytest.raises(ValidationError) as caught:
             resimulate_with_corrections(config, [row])
         assert str(caught.value) == f"site (0.0, 0.0) mm: drawn widths must be {rule}"
+
+
+    def test_overflowing_area_names_the_site(self, config):
+        row = CorrectionRow(0.0, 0.0, 1e200, 1e200, 0.04, 0.0)
+        with pytest.raises(NonPhysicalWidth) as caught:
+            resimulate_with_corrections(config, [row])
+        assert str(caught.value) == (
+            "site (0.0, 0.0) mm: printed widths "
+            "(1.0000010041604617e+200, 9.99999230768639e+199) nm overflow"
+        )
 
 
 class TestBranchDiscontinuity:
