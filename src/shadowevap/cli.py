@@ -140,10 +140,16 @@ def _json_records(rows: Table, *names: str, **columns: np.ndarray) -> csvio.Json
     return csvio.JsonRecords(**{name: column(rows, name) for name in names}, **columns)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    records, diagnostics = csvio.import_measurements(args.measurements)
+def _import_measurements(path: str, ids: bool = True) -> tuple[Table, list[str]]:
+    """`csvio.import_measurements`, each skipped row reported on stderr."""
+    records, diagnostics = csvio.import_measurements(path, ids)
     for d in diagnostics:
         print(f"skipped row: {d}", file=sys.stderr)
+    return records, diagnostics
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    records, diagnostics = _import_measurements(args.measurements)
     group_by = tuple(g for g in args.group_by.split(",") if g)
     report_obj = stats.aggregate(records, group_by)
     repeats = report_obj.repeatability
@@ -244,7 +250,7 @@ def _heatmap_points(path: str, field: str) -> np.ndarray:
         raise UnknownField(
             f"unknown field {field!r}; measurement files provide ['rn_ohm']"
         )
-    records, _ = csvio.import_measurements(path, ids=False)
+    records, _ = _import_measurements(path, ids=False)
     x, y = column(records, "x_mm"), column(records, "y_mm")
     site, first = group_codes([x, y])
     mean = group_mean(site, column(records, "rn_ohm"))

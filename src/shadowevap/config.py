@@ -205,7 +205,7 @@ def config_from_dict(raw: dict) -> tuple[ProcessConfig, list[str]]:
 
 
 #: The characters of a text the row reader may take. It keeps `\`
-#: escapes (which could spell the placeholder mark), tags and block
+#: escapes (an escaped item could spell a token), tags and block
 #: scalars away from `_splice`.
 _ROW_TEXT = re.compile(r"[A-Za-z0-9 \n_.,:#'\"{}\[\]+\-~&*<=/()$;^]*")
 
@@ -244,30 +244,20 @@ _ROW = rf"^( *)- \{{x_mm: {_N}, y_mm: {_N}(?:, chip_id: {_ID})?(?:, site_id: {_I
 _RESOLVERS = yaml.resolver.Resolver.yaml_implicit_resolvers
 
 
-def _splice(data: Any, rows: dict[str, list], mark: str) -> bool:
-    """Put each token's rows in its place in `data`, if each token is a
-    whole list element once and no other string holds `mark`. Each
-    container is visited once, by id, since aliases share nodes."""
-    found: dict[str, tuple[list, int]] = {}
-    seen, stack = set(), [data]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str) and mark in node:
-            return False
-        if isinstance(node, (dict, list)) and id(node) not in seen:
-            seen.add(id(node))
-            if isinstance(node, dict):
-                stack += [*node, *node.values()]
-                continue
-            for i, item in enumerate(node):
-                if isinstance(item, str) and item in rows and item not in found:
-                    found[item] = (node, i)
-                else:
-                    stack.append(item)
-    if len(found) < len(rows):
+def _splice(data: Any, rows: dict[str, list]) -> bool:
+    """Put each token's rows in its place in `data["wafer"]["sites"]`,
+    the one list where rows are valid, if it holds every token as a
+    whole item. No other string equals a token; anchors, aliases and
+    merges share the list, so one splice gives what YAML gives."""
+    wafer = data.get("wafer") if isinstance(data, dict) else None
+    sites = wafer.get(_SITES) if isinstance(wafer, dict) else None
+    if not isinstance(sites, list):
         return False
-    for token, (node, i) in reversed(found.items()):  # a list's last first
-        node[i : i + 1] = rows[token]
+    at = [i for i, item in enumerate(sites) if isinstance(item, str) and item in rows]
+    if len(at) < len(rows):
+        return False
+    for i in reversed(at):  # the last item first
+        sites[i : i + 1] = rows[sites[i]]
     return True
 
 
@@ -277,9 +267,9 @@ def _safe_load(text: str) -> Any:
     In a text `_ROW_TEXT` admits (so without escapes, tags or block
     scalars), each run of consecutive `_ROW` lines at one indent is
     read by the regex and stands as one line `- <token>` in the text
-    YAML parses, and `_splice` puts the rows back. Where that fails,
-    YAML parses the whole text, so errors keep their wording and
-    position.
+    YAML parses, and `_splice` puts the rows back into `wafer.sites`.
+    Where that fails, as it does for rows anywhere else, YAML parses
+    the whole text, so errors keep their wording and position.
     """
     if "- {x_mm:" not in text or not _ROW_TEXT.fullmatch(text):
         return yaml.safe_load(text)
@@ -302,7 +292,7 @@ def _safe_load(text: str) -> Any:
     if rows:
         try:
             data = yaml.safe_load("".join(pieces) + text[at:])
-            if _splice(data, rows, mark):
+            if _splice(data, rows):
                 return data
         except Exception:  # the whole text gives the error, at its own position
             pass

@@ -35,6 +35,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import tempfile
@@ -78,11 +79,11 @@ ROWS_PER_CHUNK = 4096
 
 
 class RowChunks(NamedTuple):
-    """The text of `rows` rows, ROWS_PER_CHUNK at a time: `chunk(k)` is
-    that of rows k * ROWS_PER_CHUNK up to (k + 1) * ROWS_PER_CHUNK."""
+    """The text of `rows` rows, a chunk at a time: `chunk(rows)` is
+    that of the rows of the slice `rows`, which `write_text` picks."""
 
     rows: int
-    chunk: Callable[[int], str]
+    chunk: Callable[[slice], str]
 
 
 def _formatted(values: np.ndarray, template: str) -> list[str]:
@@ -100,8 +101,7 @@ def write_columns(path: PathLike, header: Sequence[str], columns: Sequence) -> N
     ROWS_PER_CHUNK rows at a time."""
     *head, last = [np.asarray(c, dtype=float) for c in columns]
 
-    def chunk(k: int) -> str:
-        rows = slice(k * ROWS_PER_CHUNK, (k + 1) * ROWS_PER_CHUNK)
+    def chunk(rows: slice) -> str:
         cells = [_formatted(c[rows], "%.12g") for c in head]
         return "".join(map(",".join, zip(*cells, _formatted(last[rows], "%.12g\n"))))
 
@@ -125,18 +125,18 @@ def write_text(path: PathLike, pieces: Iterable[Union[str, RowChunks]]) -> None:
 
 
 def _write_chunks(fh: IO[str], chunks: RowChunks) -> None:
-    """Write every chunk to `fh` in order, the back half formatted by a
-    forked child where one can be made."""
-    count, chunk = -(-chunks.rows // ROWS_PER_CHUNK), chunks.chunk
-    split = count // 2
-    child = _fork_writer(chunk, range(split, count)) if split else None
+    """Write every chunk of ROWS_PER_CHUNK rows to `fh` in order, the
+    back half formatted by a forked child where one can be made."""
+    rows = [slice(k, k + ROWS_PER_CHUNK) for k in range(0, chunks.rows, ROWS_PER_CHUNK)]
+    front, back = rows[: len(rows) // 2], rows[len(rows) // 2 :]
+    child = _fork_writer(chunks.chunk, back) if front else None
     if child is None:
-        fh.writelines(map(chunk, range(count)))
+        fh.writelines(map(chunks.chunk, rows))
         return
     pid, tmp = child
     with tmp:
         try:
-            fh.writelines(map(chunk, range(split)))
+            fh.writelines(map(chunks.chunk, front))
             status = os.waitpid(pid, 0)[1]
             pid = None
         finally:
@@ -148,14 +148,14 @@ def _write_chunks(fh: IO[str], chunks: RowChunks) -> None:
             tmp.seek(0)
             shutil.copyfileobj(tmp, fh.buffer, 1 << 20)
         else:
-            fh.writelines(map(chunk, range(split, count)))
+            fh.writelines(map(chunks.chunk, back))
 
 
-def _fork_writer(chunk: Callable[[int], str], ks: range) -> Optional[tuple[int, IO[bytes]]]:
-    """(pid, file) of a child process that writes chunk(k) for each k
-    of `ks`, UTF-8 encoded, to that unlinked temporary file and exits 0;
-    None if this process has fewer than two CPUs, or no file or child
-    can be made."""
+def _fork_writer(chunk: Callable[[slice], str], rows: list) -> Optional[tuple[int, IO[bytes]]]:
+    """(pid, file) of a child process that writes chunk(r) for each
+    slice r of `rows`, UTF-8 encoded, to that unlinked temporary file
+    and exits 0; None if this process has fewer than two CPUs, or no
+    file or child can be made."""
     usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if len(usable) < 2 or not hasattr(os, "fork"):
         return None
@@ -173,8 +173,8 @@ def _fork_writer(chunk: Callable[[int], str], ks: range) -> Optional[tuple[int, 
     code = 1
     try:
         with open(tmp.fileno(), "wb", closefd=False) as out:
-            for k in ks:
-                out.write(chunk(k).encode("utf-8"))
+            for r in rows:
+                out.write(chunk(r).encode("utf-8"))
         code = 0
     finally:
         # Neither exit handlers nor the parent's buffers run here.
@@ -461,6 +461,10 @@ def export_measurements(records: Sequence[MeasurementRecord], path: PathLike) ->
          for v in (getattr(r, name) for name in header)]
         for r in records
     ]
+    # UTF-8 cannot encode a lone surrogate: refuse its id before any byte is written.
+    bad = [v for row in rows for v in row if re.search("[\ud800-\udfff]", v)]
+    if bad:
+        raise ValidationError(f"id {bad[0]!r} holds a lone surrogate, which UTF-8 cannot encode")
     # csv quotes a field that holds a comma, a quote or a character of the
     # line terminator, so rows made to end in CRLF quote a lone CR too.
     lines: list[str] = []
@@ -521,7 +525,7 @@ _encoder = json.JSONEncoder(indent=2, sort_keys=True)
 def _record_chunks(records: JsonRecords, indent: str) -> list[Union[str, RowChunks]]:
     """Records given as columns, written as json.dumps(..., indent=2,
     sort_keys=True) writes their list of dicts on a line indented by
-    `indent`, ROWS_PER_CHUNK records at a time: one `%` template per
+    `indent`, a chunk of records at a time: one `%` template per
     record. In each chunk, columns of finite floats or of ints are
     formatted by the template (`%r` is float.__repr__, as json uses); any
     other column is encoded value by value first, which gives the same
@@ -530,8 +534,7 @@ def _record_chunks(records: JsonRecords, indent: str) -> list[Union[str, RowChun
         return ["[]"]
     inner, field = "\n" + indent + "  ", "\n" + indent + "    "
 
-    def chunk(k: int) -> str:
-        rows = slice(k * ROWS_PER_CHUNK, (k + 1) * ROWS_PER_CHUNK)
+    def chunk(rows: slice) -> str:
         slots, values = [], []
         for key in sorted(records.columns):
             col = records.columns[key][rows]
@@ -550,6 +553,7 @@ def _record_chunks(records: JsonRecords, indent: str) -> list[Union[str, RowChun
             slots.append(field + name + ": " + slot)
             values.append(col)
         record = "{" + ",".join(slots) + inner + "}"
-        return ("," if k else "[") + inner + ("," + inner).join(map(record.__mod__, zip(*values)))
+        texts = map(record.__mod__, zip(*values))
+        return ("," if rows.start else "[") + inner + ("," + inner).join(texts)
 
     return [RowChunks(records.rows, chunk), "\n" + indent + "]"]

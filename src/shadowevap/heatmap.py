@@ -10,7 +10,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .csvio import ROWS_PER_CHUNK, RowChunks, write_text
+from .csvio import RowChunks, write_text
 from .errors import EmptyInput
 
 #: Diameter (mm) of the drawn wafer outline.
@@ -108,8 +108,7 @@ def render_heatmap(
         'fill="#%06x"><title>(%g, %g) mm: %.9g</title></rect>\n'
     )
 
-    def cells(k: int) -> str:
-        rows = slice(k * ROWS_PER_CHUNK, (k + 1) * ROWS_PER_CHUNK)
+    def cells(rows: slice) -> str:
         left, top, x, y, v = (c[rows].tolist() for c in (x0, y0, x_mm, y_mm, values))
         return "".join(map(rect.__mod__, zip(left, top, _rgb(t[rows]), x, y, v)))
 
@@ -136,7 +135,7 @@ def render_heatmap(
             "</svg>",
         ]
     )
-    # The cells are formatted and written ROWS_PER_CHUNK at a time.
+    # The cells are formatted and written a chunk at a time.
     write_text(
         path, ["\n".join(head) + "\n", RowChunks(values.size, cells), "\n".join(legend) + "\n"]
     )

@@ -176,6 +176,8 @@ class ProcessConfig:
     def __post_init__(self) -> None:
         if not self.epsilon_center_mm >= 0:
             raise ValidationError("epsilon_center_mm must be >= 0")
+        if self.epsilon_center_mm == math.inf:
+            raise ValidationError("epsilon_center_mm must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -268,8 +270,6 @@ def _check(
     at site i, of offsets x_mm and y_mm, of `evaluate.columns`' `chain`:
     `geometry`'s scalar checks on the site's own values, in deposition
     order, raise its first error without its coordinates."""
-    if evaluate.constant:
-        x_mm = y_mm = 0.0
     theta_b, theta_t, _, terms_b, terms_t, _ = chain
     band = evaluate.band
     geometry.check_film_angle(geometry.checked_angle(theta_b.item(i), x_mm, 0.0))

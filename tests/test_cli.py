@@ -630,10 +630,11 @@ class TestGoldenMeasurements:
         assert main(["heatmap", "--in", str(meas), "--field", "rn_ohm", "--out", str(svg)]) == 0
         out, err = capsys.readouterr()
         assert out == "groups: 36\ncells: 25\n"
+        # Each command reports the two skipped rows.
         assert err == (
             "skipped row: line 302: rn_ohm must be finite, got nan\n"
             "skipped row: line 303: rn_ohm must be > 0\n"
-        )
+        ) * 2
         for name, digest in self.HASHES.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
@@ -1157,6 +1158,24 @@ class TestHeatmap:
             ["heatmap", "--in", str(meas), "--field", "rn_ohm", "--out", str(svg)]
         )
         assert code == 0
+
+    def test_skipped_rows_are_reported_as_by_analyze(self, tmp_path, capsys):
+        """Before, `heatmap` dropped invalid measurement rows without a word."""
+        meas = tmp_path / "meas.csv"
+        meas.write_text(
+            "wafer_id,chip_id,x_mm,y_mm,area_class_um2,run_id,rn_ohm\n"
+            "w1,c1,0,0,0.04,r1,8000\nw1,c2,5,0,0.04,r1,nan\n"
+            "w1,c3,0,5,0.04,r1,-3\nw1,c4,5,5,0.04,r1,8100\n"
+        )
+        skipped = (
+            "skipped row: line 3: rn_ohm must be finite, got nan\n"
+            "skipped row: line 4: rn_ohm must be > 0\n"
+        )
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--measurements", str(meas), "--out", out]) == 0
+        assert capsys.readouterr().err == skipped
+        assert main(["heatmap", "--in", str(meas), "--field", "rn_ohm", "--out", out]) == 0
+        assert capsys.readouterr() == ("cells: 2\n", skipped)
 
     def test_overflowing_site_mean_exits_4(self, tmp_path, capsys):
         """Two runs of 1e308 at one site: their sum overflows. Before, the

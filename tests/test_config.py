@@ -1,6 +1,7 @@
 """YAML config loading: defaults, provenance, strict key checking."""
 
 import math
+import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -604,6 +605,60 @@ ROW_CASES = {
 }
 
 
+def valid_row_config(text):
+    """Whether `text` is a config whose rows the reader must keep from
+    YAML: `_ROW_TEXT` admits it, it has `_ROW` lines whose ids no
+    implicit resolver claims, `config_from_dict` accepts its data, and
+    YAML keeps each of those lines as a row. That is, each starts a flow
+    mapping, not a line of a scalar, and no mapping repeats a key, which
+    would drop the value that held it."""
+    if not config_module._ROW_TEXT.fullmatch(text):
+        return False
+    resolvers = config_module._RESOLVERS
+    lines = {
+        text.count("\n", 0, m.start())
+        for m in re.finditer(config_module._ROW, text, re.M)
+        if not any(r.match(i) for i in m.groups()[3:] if i for _, r in resolvers.get(i[0], ()))
+    }
+    if not lines:
+        return False
+    try:
+        data = yaml.safe_load(text)
+        config_from_dict(data if data is not None else {})
+    except (yaml.YAMLError, *CONSTRUCTOR_ERRORS, ValidationError):
+        return False
+    starts, seen, stack = set(), set(), [yaml.compose(text)]
+    while stack:  # each node once, since aliases share nodes
+        node = stack.pop()
+        if not isinstance(node, yaml.CollectionNode) or id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, yaml.MappingNode):
+            keys = [k.value for k, _ in node.value if isinstance(k, yaml.ScalarNode)]
+            if len(set(keys)) < len(keys):
+                return False
+            if node.flow_style:
+                starts.add(node.start_mark.line)
+            stack += [n for pair in node.value for n in pair]
+        else:
+            stack += node.value
+    return lines <= starts
+
+
+def assert_rows_bypass_yaml(text):
+    """`_safe_load(text)` hands `yaml.safe_load` one text, not the whole."""
+    seen, load = [], yaml.safe_load
+
+    def recording_load(text):
+        seen.append(text)
+        return load(text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(yaml, "safe_load", recording_load)
+        config_module._safe_load(text)
+    assert len(seen) == 1 and seen[0] != text
+
+
 class Unusable:
     """Stands for `yaml.CSafeLoader`: records each use in `used` and
     raises, so a use is seen even where the error is caught."""
@@ -661,6 +716,23 @@ class TestLoaders:
     def test_site_row_cases(self, text, build):
         with pyyaml_build(build):
             check_against_pure_loader(text)
+
+    def test_valid_row_cases_bypass_yaml(self):
+        """Of the ROW_CASES, each valid config's rows stay out of the
+        one text YAML parses."""
+        valid = [text for text in ROW_CASES.values() if valid_row_config(text)]
+        assert valid
+        for text in valid:
+            assert_rows_bypass_yaml(text)
+
+    # About one draw in a hundred is a valid config with rows.
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(yaml_configs(mangle=False))
+    def test_valid_rows_bypass_yaml(self, text):
+        """Rows are spliced only into `wafer.sites`, and that loses no
+        valid config: YAML parses only the text without them."""
+        if valid_row_config(text):
+            assert_rows_bypass_yaml(text)
 
     def test_no_path_reaches_libyaml(self, tmp_path):
         """A grid config and configs of flow and block rows load with

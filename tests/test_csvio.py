@@ -5,9 +5,11 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -34,10 +36,16 @@ from shadowevap.csvio import (
     write_columns,
     write_json_report,
 )
-from shadowevap.table import column
-from shadowevap.errors import EmptyInput, IoError, ParseError, ZeroValidRows
+from shadowevap.table import Table, column
+from shadowevap.errors import EmptyInput, IoError, ParseError, ValidationError, ZeroValidRows
 from shadowevap.stats import MeasurementRecord, coefficient_of_variation
-from shadowevap.wafer import SiteResult, compensate_wafer, simulate_wafer
+from shadowevap.wafer import (
+    CorrectionRow,
+    CorrectionTable,
+    SiteResult,
+    compensate_wafer,
+    simulate_wafer,
+)
 
 #: Ids of measurement records: any text, with the characters csv and
 #: the reader treat specially drawn often.
@@ -469,16 +477,26 @@ class TestMeasurementCsv:
     @given(st.lists(st.tuples(IDS, IDS, IDS), min_size=1, max_size=6))
     @example([("r\r5", "\r", "a\r\nb"), ('q"t', "c,d", "n\0l"), ("\ufeffw", "é→", " s ")])
     @example([("W1", "c1", "r\r5")])
+    @example([("W1", "c1", "r\ud800")])
     def test_export_import_round_trip(self, tmp_path, ids):
         """Every id export_measurements writes reads back whole, and a
         file whose ids hold no lone CR has the bytes csv.writer gives.
         Before, an id holding a lone CR was written unquoted, its row was
-        split in two on reading, and `W1,c1,...,r\r5` gave ZeroValidRows."""
+        split in two on reading, and `W1,c1,...,r\r5` gave ZeroValidRows.
+        An id holding a lone surrogate, which UTF-8 cannot encode, is
+        refused before a byte is written; before, UnicodeEncodeError
+        left a file holding the header alone."""
         records = [
             MeasurementRecord(w, c, float(i), -0.5 * i, 0.04, r, 8000.0 + i)
             for i, (w, c, r) in enumerate(ids)
         ]
         path = tmp_path / "meas.csv"
+        path.unlink(missing_ok=True)
+        if any(re.search("[\ud800-\udfff]", v) for v in itertools.chain(*ids)):
+            with pytest.raises(ValidationError, match=r"^id .* holds a lone surrogate"):
+                export_measurements(records, path)
+            assert not path.exists()
+            return
         export_measurements(records, path)
         back, diagnostics = import_measurements(path)
         assert diagnostics == []
@@ -648,3 +666,102 @@ def json_values():
         ),
         max_leaves=25,
     )
+
+
+#: Row counts about the writers' chunk size: one chunk short of full,
+#: one full, one row into a second, and four chunks, the last short.
+CHUNKED_ROWS = st.sampled_from(
+    [ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1, 3 * ROWS_PER_CHUNK + 5]
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@contextmanager
+def writer_cpus(forked):
+    """Writers fork a child for the back half of their chunks, or not."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(2 if forked else 1)))
+        yield
+
+
+def pooled_columns(data, count, n, values=FINITE, zero=-0.0):
+    """`count` columns of n values drawn from a small drawn pool of
+    `values`, each with `zero` as its first and last value."""
+    pool = np.array([zero, *data.draw(st.lists(values, min_size=1, max_size=8))])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    columns = pool[rng.integers(0, pool.size, (count, n))]
+    columns[:, [0, -1]] = zero
+    return columns
+
+
+def reprs(values):
+    """The repr of each value, which tells -0.0 from 0.0."""
+    return [repr(v) for v in np.asarray(values).tolist()]
+
+
+def as_written(values):
+    """`reprs` of the values a CSV writer's file gives back: float(fmt(v))."""
+    return reprs([float(fmt(v)) for v in np.asarray(values).tolist()])
+
+
+class TestRoundTrips:
+    """Each writer's file reads back as written, at sizes about the
+    chunk size and with the forked writer on and off: a CSV value as
+    float(fmt(v)), a JSON value whole, and -0.0 with its sign."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data(), CHUNKED_ROWS, st.booleans())
+    def test_site_map(self, tmp_path, data, n, forked):
+        """Angles read back as float(fmt(v)) of the degrees written, in
+        radians."""
+        angles = st.floats(-1e300, 1e300)
+        columns = dict(zip(SiteResult.__dataclass_fields__, pooled_columns(data, 10, n)))
+        columns["theta_bottom_rad"], columns["theta_top_rad"] = pooled_columns(data, 2, n, angles)
+        path = tmp_path / "sites.csv"
+        with writer_cpus(forked):
+            export_site_map(Table(SiteResult, **columns), path)
+        back = import_site_map(path)
+        for name, values in columns.items():
+            if name.endswith("_rad"):
+                expected = reprs(np.radians([float(fmt(v)) for v in np.degrees(values).tolist()]))
+            else:
+                expected = as_written(values)
+            assert reprs(column(back, name)) == expected, name
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data(), CHUNKED_ROWS, st.booleans())
+    def test_corrections(self, tmp_path, data, n, forked):
+        """Distinct sites (y counts the rows) and predicted areas above 0."""
+        x, drawn_b, drawn_t, residual = pooled_columns(data, 4, n)
+        y = np.arange(n, dtype=float)
+        y[0] = -0.0
+        (area,) = pooled_columns(data, 1, n, st.floats(0.0, exclude_min=True, allow_infinity=False),
+                                 zero=1e-300)
+        columns = dict(x_mm=x, y_mm=y, drawn_w_bottom_nm=drawn_b, drawn_w_top_nm=drawn_t,
+                       predicted_area_um2=area, residual_area_rel=residual)
+        path = tmp_path / "corr.csv"
+        with writer_cpus(forked):
+            export_corrections(CorrectionTable(1.0, 1.0, Table(CorrectionRow, **columns), ()), path)
+        back = import_corrections(path)
+        for name, values in columns.items():
+            assert reprs(column(back, name)) == as_written(values), name
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data(), CHUNKED_ROWS, st.booleans())
+    def test_json_report(self, tmp_path, data, n, forked):
+        """Records of finite floats, of any floats (NaN and infinities
+        too), of ints and of drawn text."""
+        finite, any_float = pooled_columns(data, 1, n)[0], pooled_columns(data, 1, n, st.floats())[0]
+        labels = data.draw(st.lists(st.text(max_size=4), min_size=1, max_size=4))
+        columns = dict(finite=finite, any_float=any_float, n_runs=np.arange(n) % 4,
+                       label=[labels[i % len(labels)] for i in range(n)])
+        path = tmp_path / "r.json"
+        with writer_cpus(forked):
+            write_json_report({"n": n, "records": JsonRecords(**columns)}, path)
+        back = json.loads(path.read_text(encoding="utf-8"))
+        assert back["n"] == n and len(back["records"]) == n
+        for name, values in columns.items():
+            assert reprs([record[name] for record in back["records"]]) == reprs(values), name

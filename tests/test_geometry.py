@@ -126,6 +126,14 @@ class TestPaperAngleClosedForm:
         with pytest.raises(ValidationError):
             closed_form_complement_angle(0.0, step(40.0), SOURCE, sign=2)
 
+    def test_argument_at_the_guard_is_clamped(self):
+        """At this offset the acos argument is exactly 1 + ACOS_ROUNDING_GUARD
+        (1.000000000001), which is clamped to 1; a hair further is refused."""
+        src = SourceModel(distance_mm=10.0, radius_mm=0.0)
+        assert closed_form_complement_angle(2.2823405429405845, step(40.0), src, sign=-1) == 0.0
+        with pytest.raises(DomainError, match=r"^acos argument 1\.0000000000010025 outside"):
+            closed_form_complement_angle(2.2823405429406, step(40.0), src, sign=-1)
+
 
 class TestSidewallThickness:
     def test_calibration_point(self):

@@ -190,6 +190,13 @@ class TestMonteCarloPropagation:
         with pytest.raises(NonPositiveFrequency):
             propagate_cv_monte_carlo(5e6, 0.01, PARAMS, 10_000, seed=0)
 
+    def test_cap_is_a_tenth_of_a_percent(self):
+        """At seed 5 and a CV of 6%, a mean of 3.445 Mohm gives exactly 10
+        invalid draws of 10,000, which are taken, and 3.45 Mohm gives 11."""
+        assert propagate_cv_monte_carlo(3.445e6, 0.06, PARAMS, 10_000, seed=5).n_invalid == 10
+        with pytest.raises(NonPositiveFrequency, match="^11 of 10000 draws"):
+            propagate_cv_monte_carlo(3.45e6, 0.06, PARAMS, 10_000, seed=5)
+
     def test_preconditions(self):
         with pytest.raises(ValidationError):
             propagate_cv_monte_carlo(8000.0, 0.5, PARAMS, 10_000)

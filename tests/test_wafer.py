@@ -132,6 +132,13 @@ class TestProcessConfig:
         with pytest.raises(ValidationError, match=r"^epsilon_center_mm must be >= 0$"):
             replace(config, epsilon_center_mm=eps)
 
+    def test_infinite_center_band_is_refused(self, config):
+        """Before, it was taken, and branch_discontinuity_nm raised
+        GrazingIncidence at site (inf, 0.0) mm, naming neither the key
+        nor a real site."""
+        with pytest.raises(ValidationError, match=r"^epsilon_center_mm must be finite, got inf$"):
+            replace(config, epsilon_center_mm=math.inf)
+
 
 class TestSimulateWafer:
     def test_center_site_has_zero_bias(self, config):
