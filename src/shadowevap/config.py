@@ -16,14 +16,13 @@ from __future__ import annotations
 import re
 import reprlib
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from enum import Enum
 from functools import cache
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union, get_type_hints
 
 import numpy as np
-import yaml
 
 from .errors import IoError, ParseError, ValidationError
 from .geometry import DEFAULT_EPSILON_CENTER_MM, WaferSite
@@ -56,8 +55,8 @@ _SITES = "sites"
 
 #: Keys of a wafer.sites entry: the WaferSite fields. Those without a
 #: default (the coordinates) are required numbers; the ids pass as given.
-_SITE_KEYS = [f.name for f in fields(WaferSite)]
-_SITE_COORDS = {f.name for f in fields(WaferSite) if f.default is MISSING}
+_SITE_KEYS = list(WaferSite._fields)
+_SITE_COORDS = set(_SITE_KEYS).difference(WaferSite._field_defaults)
 
 
 @cache
@@ -241,7 +240,6 @@ def _nests_deeper(data: Any, depth: int) -> bool:
 _N = r"(-?(?:0|[1-9][0-9]{0,15})(?:\.[0-9]{0,17})?)"
 _ID = r"([A-Za-z_][A-Za-z0-9_]*)"
 _ROW = rf"^( *)- \{{x_mm: {_N}, y_mm: {_N}(?:, chip_id: {_ID})?(?:, site_id: {_ID})?\}}$"
-_RESOLVERS = yaml.resolver.Resolver.yaml_implicit_resolvers
 
 
 def _splice(data: Any, rows: dict[str, list]) -> bool:
@@ -271,16 +269,19 @@ def _safe_load(text: str) -> Any:
     Where that fails, as it does for rows anywhere else, YAML parses
     the whole text, so errors keep their wording and position.
     """
+    import yaml  # here, not at module level: only a config needs it
+
     if "- {x_mm:" not in text or not _ROW_TEXT.fullmatch(text):
         return yaml.safe_load(text)
     mark = "shadowevap_rows"
     while mark in text:
         mark += "_"
+    resolvers = yaml.resolver.Resolver.yaml_implicit_resolvers
     rows: dict[str, list] = {}
     pieces, at, run_indent = [], 0, None
     for match in re.finditer(_ROW, text, re.MULTILINE):
         indent, x, y, *ids = match.groups()
-        if any(regexp.match(i) for i in ids if i for _, regexp in _RESOLVERS.get(i[0], ())):
+        if any(regexp.match(i) for i in ids if i for _, regexp in resolvers.get(i[0], ())):
             continue
         if not rows or match.start() != at + 1 or indent != run_indent:
             run_indent, token = indent, f"{mark}{len(rows)}"
@@ -308,6 +309,8 @@ def load_config(path: Union[str, Path]) -> tuple[ProcessConfig, list[str]]:
     more than MAX_NESTING deep, ValidationError for invariant violations and
     IoError when the file cannot be read.
     """
+    import yaml
+
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

@@ -39,7 +39,6 @@ import re
 import shutil
 import signal
 import tempfile
-from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -54,18 +53,18 @@ from .wafer import CorrectionRow, CorrectionTable, SiteResult
 
 PathLike = Union[str, Path]
 
-_SITE_FIELDS = [f.name for f in fields(SiteResult)]
+_SITE_FIELDS = SiteResult._fields
 
 #: The columns of a site map: the fields of SiteResult, angles in degrees.
 SITE_MAP_HEADER = [name.replace("_rad", "_deg") for name in _SITE_FIELDS]
 
 #: The columns of a correction table: the fields of CorrectionRow.
-CORRECTIONS_HEADER = [f.name for f in fields(CorrectionRow)]
+CORRECTIONS_HEADER = list(CorrectionRow._fields)
 
 #: The columns of a measurement file: the fields of MeasurementRecord.
 #: The last, a reported critical-current density needed only for gap
 #: fitting, is optional.
-*MEASUREMENT_HEADER, MEASUREMENT_JC_COLUMN = [f.name for f in fields(MeasurementRecord)]
+*MEASUREMENT_HEADER, MEASUREMENT_JC_COLUMN = MeasurementRecord.__annotations__
 
 
 def fmt(value: float) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -157,8 +157,7 @@ class JunctionSpec:
             raise ValidationError("junction.drawn_w_top_nm must be > 0")
 
 
-@dataclass(frozen=True)
-class WaferSite:
+class WaferSite(NamedTuple):
     """Signed offsets (mm) from the wafer center, with optional ids."""
 
     x_mm: float

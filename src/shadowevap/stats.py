@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,8 +34,7 @@ PLANCK_J_S = 6.62607015e-34
 FLUX_QUANTUM_WB = PLANCK_J_S / (2.0 * ELEMENTARY_CHARGE_C)
 
 
-@dataclass(frozen=True)
-class StatsSummary:
+class StatsSummary(NamedTuple):
     """Sample statistics of one group: n, mean, sample sd (n-1) and
     cv = sd/mean as a fraction."""
 
@@ -132,8 +131,7 @@ def resistance_sensitivity(rn_ohm: float, params: QubitParams) -> float:
     return -0.5 * (1.0 + params.ec_j / (PLANCK_J_S * f))
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(NamedTuple):
     """Monte-Carlo propagation of a resistance spread to frequency."""
 
     cv_rn: float
@@ -277,8 +275,7 @@ def implied_gap_uev(rn_ohm: float, area_um2: float, jc_ua_um2: float) -> float:
     return 2.0 * rn_ohm * jc_ua_um2 * area_um2 / math.pi
 
 
-@dataclass(frozen=True)
-class GapFitRecord:
+class GapFitRecord(NamedTuple):
     """One fitted observation with its per-record diagnostics."""
 
     rn_ohm: float
@@ -290,8 +287,7 @@ class GapFitRecord:
     rel_residual: float
 
 
-@dataclass(frozen=True)
-class GapFitResult:
+class GapFitResult(NamedTuple):
     delta_uev: float
     records: Sequence[GapFitRecord]
 
@@ -393,8 +389,7 @@ GROUP_FIELDS = tuple(_GROUP_LABELS)
 _JUNCTION_KEY = ("wafer_id", "chip_id", "x_mm", "y_mm", "area_class_um2")
 
 
-@dataclass(frozen=True)
-class JunctionRepeatability:
+class JunctionRepeatability(NamedTuple):
     """Spread of one physical junction's R_N across measurement runs."""
 
     wafer_id: str

@@ -9,7 +9,6 @@ records still read the table as a sequence of them.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import fields
 from typing import Any
 
 import numpy as np
@@ -18,14 +17,15 @@ import numpy as np
 class Table(Sequence):
     """Columns of equal length, read as a sequence of `row` records.
 
-    `row` is a dataclass; there is one column per field, in field order.
+    `row` is a NamedTuple or a dataclass; there is one column per
+    field, in the field order its annotations give.
     A column is a numpy array of floats, or of objects such as ids. A
     record is built only when it is asked for. The arrays are made
     read-only.
     """
 
     def __init__(self, row: type, **columns: np.ndarray) -> None:
-        names = [f.name for f in fields(row)]
+        names = list(row.__annotations__)
         if list(columns) != names:
             raise TypeError(f"{row.__name__} columns must be {names}, got {list(columns)}")
         lengths = {len(c) for c in columns.values()}
@@ -74,14 +74,17 @@ def group_codes(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct rows of equal-length key columns 0, 1, ... in
     ascending lexicographic order; values equal under == share a number
     (so do -0.0 and 0.0). Returns each row's number and, per number, the
-    index of its first row."""
-    codes = np.zeros(len(keys[0]), dtype=np.intp)
+    index of its first row. One stable sort: each group's rows lie
+    together in row order, and a group starts where a key differs."""
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
     for key in keys:
-        values, inverse = np.unique(key, return_inverse=True)
-        _, first, codes = np.unique(
-            codes * len(values) + inverse, return_index=True, return_inverse=True
-        )
-    return codes, first
+        ordered = key[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    codes = np.empty(len(order), dtype=np.intp)
+    codes[order] = np.cumsum(starts) - 1
+    return codes, order[starts]
 
 
 def group_mean(codes: np.ndarray, values) -> np.ndarray:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -180,8 +180,7 @@ class ProcessConfig:
             raise ValidationError("epsilon_center_mm must be finite, got inf")
 
 
-@dataclass(frozen=True)
-class SiteResult:
+class SiteResult(NamedTuple):
     """Model evaluation at one site. Biases are deviations of the
     printed widths from the same run's wafer-center printed widths."""
 
@@ -370,8 +369,7 @@ def simulate_wafer(
     )
 
 
-@dataclass(frozen=True)
-class BiasProfile:
+class BiasProfile(NamedTuple):
     """Bias vs offset along one axis for one electrode and model."""
 
     electrode: Electrode
@@ -463,8 +461,7 @@ class ExplicitAreaTarget:
 CompensationTarget = Union[CenterWidthsTarget, ExplicitAreaTarget]
 
 
-@dataclass(frozen=True)
-class CorrectionRow:
+class CorrectionRow(NamedTuple):
     x_mm: float
     y_mm: float
     drawn_w_bottom_nm: float
@@ -473,8 +470,7 @@ class CorrectionRow:
     residual_area_rel: float
 
 
-@dataclass(frozen=True)
-class CorrectionTable:
+class CorrectionTable(NamedTuple):
     target_w_bottom_nm: float
     target_w_top_nm: float
     rows: Sequence[CorrectionRow]

@@ -394,6 +394,70 @@ class TestExitCodeFuzz:
                             "--delta-uev", "180", "--ec-mhz", "270", f"--n={n}"]) == 2
 
 
+#: Bytes a damaged CSV file has inserted somewhere. A file is also
+#: damaged by cutting it mid-row or by repeating its header line.
+INSERTS = {
+    "NUL": b"\x00",
+    "lone CR": b"\r",
+    "stray quote": b'"',
+    "BOM": "\ufeff".encode(),
+    "not UTF-8": b"\xff\xfe\x80",
+    "long number": b"7" * 200_000,
+    "long text": b"x" * 200_000,
+}
+
+
+class TestFileInputFuzz:
+    """A valid site map, corrections file and measurement file, each
+    damaged once, read by the commands that take them: every run exits
+    0, 2, 3 or 4 with no numpy warning and no traceback."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("inputs")
+        config = tmp / "process.yaml"
+        config.write_text(DEFAULT_CONFIG + "wafer: {grid_pitch_mm: 10}\n")
+        sites, corrections, meas = tmp / "sites.csv", tmp / "corr.csv", tmp / "meas.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(sites)]) == 0
+        assert main(["compensate", "--config", str(config), "--out", str(corrections)]) == 0
+        meas.write_text(TABLE_TEXT)
+        commands = {
+            "site map": [["heatmap", "--in", "{csv}", "--field", "area_um2", "--out", "{out}"]],
+            "corrections": [["verify", "--config", str(config), "--corrections", "{csv}",
+                             "--out", "{out}"]],
+            "measurements": [
+                ["analyze", "--measurements", "{csv}", "--fit-gap", "--out", "{out}"],
+                ["analyze", "--measurements", "{csv}", "--group-by", "chip,run", "--out", "{out}"],
+                ["heatmap", "--in", "{csv}", "--field", "rn_ohm", "--out", "{out}"],
+            ],
+        }
+        return {name: (path.read_bytes(), commands[name])
+                for name, path in [("site map", sites), ("corrections", corrections),
+                                   ("measurements", meas)]}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["site map", "corrections", "measurements"]),
+           st.sampled_from(["truncated", "header again", *INSERTS]), st.data())
+    def test_exit_codes(self, inputs, name, damage, data):
+        text, commands = inputs[name]
+        header_end = text.index(b"\n") + 1
+        if damage == "truncated":  # mid-row: after the header, not at a line end
+            cuts = [i for i in range(header_end, len(text)) if text[i - 1] != ord("\n")]
+            damaged = text[:data.draw(st.sampled_from(cuts))]
+        elif damage == "header again":  # at a line start
+            starts = [i + 1 for i in range(len(text)) if text[i] == ord("\n")]
+            at = data.draw(st.sampled_from([0, *starts]))
+            damaged = text[:at] + text[:header_end] + text[at:]
+        else:
+            at = data.draw(st.integers(0, len(text)))
+            damaged = text[:at] + INSERTS[damage] + text[at:]
+        command = data.draw(st.sampled_from(commands))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(damaged)
+            run_checked([a.format(csv=path, out=Path(tmp) / "out") for a in command])
+
+
 class TestCompareModels:
     def test_emits_three_model_columns(self, tmp_path, config_path):
         out = tmp_path / "models.csv"
@@ -1215,3 +1279,53 @@ class TestHeatmap:
         assert capsys.readouterr() == (
             "", "error: unknown field 'bogus'; measurement files provide ['rn_ohm']\n"
         )
+
+
+#: Run one command in a fresh interpreter, then print the modules it
+#: loaded, space-separated, as the last line of stdout.
+MODULES_SCRIPT = (
+    "import sys\n"
+    "from shadowevap.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*sorted(sys.modules))\n"
+    "sys.exit(code)\n"
+)
+
+
+class TestStartUp:
+    """A command loads only what it runs: PyYAML only for a config,
+    `logging` for no command and `hashlib` only for numpy's draws."""
+
+    UNUSED = {"yaml", "logging", "hashlib"}
+
+    @staticmethod
+    def modules(argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(shadowevap.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", MODULES_SCRIPT, *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        return set(run.stdout.splitlines()[-1].split())
+
+    @pytest.mark.parametrize("command", ["analyze", "heatmap", "propagate", "frequency"])
+    def test_no_config_command_loads_yaml(self, tmp_path, command):
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MEAS_TEXT)
+        argv = {
+            "analyze": ["analyze", "--measurements", meas, "--out", tmp_path / "a.json"],
+            "heatmap": ["heatmap", "--in", meas, "--field", "rn_ohm", "--out", tmp_path / "m.svg"],
+            "propagate": ["propagate", "--mean-rn-ohm", "8000", "--cv-rn", "0.06",
+                          "--delta-uev", "180", "--ec-mhz", "270", "--n", "10000"],
+            "frequency": ["frequency", "--rn-ohm", "8000", "--delta-uev", "180",
+                          "--ec-mhz", "270"],
+        }[command]
+        loaded = self.modules(argv)
+        assert "shadowevap.cli" in loaded
+        # numpy.random, which makes the draws, loads hashlib (by `secrets`).
+        unused = self.UNUSED - {"hashlib"} if command == "propagate" else self.UNUSED
+        assert loaded & unused == set()
+
+    def test_simulate_loads_yaml_alone(self, tmp_path, config_path):
+        loaded = self.modules(["simulate", "--config", config_path, "--out", tmp_path / "s.csv"])
+        assert loaded & self.UNUSED == {"yaml"}

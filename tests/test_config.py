@@ -239,13 +239,13 @@ class TestSiteTable:
         """Before, the config built one WaferSite per site and
         `generate_sites` took them apart again: 5,000 for the
         benchmark's list."""
-        built, init = [], WaferSite.__init__
+        built, new = [], WaferSite.__new__
 
-        def counted(self, *args, **kwargs):
+        def counted(cls, *args, **kwargs):
             built.append(args)
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(WaferSite, "__init__", counted)
+        monkeypatch.setattr(WaferSite, "__new__", counted)
         sites = load_config(write(tmp_path, site_rows(n, block)))[0].layout.generate_sites()
         assert len(sites) == n and built == []
         assert isinstance(sites[0], WaferSite)
@@ -518,6 +518,83 @@ def yaml_configs(draw, mangle=True):
     return text
 
 
+#: Values each key accepts, in YAML's forms: ints, floats, YAML 1.1
+#: underscores and signed exponents, names in any case, quoted or not.
+VALID_VALUES = {
+    "diameter_mm": ["100", "150.0", "1_00"],
+    "working_span_mm": ["70", "35.5", "7.0e+1"],
+    "grid_pitch_mm": ["5", "2.5", "10"],
+    "distance_mm": ["650", "700.5", "1_000"],
+    "radius_mm": ["0", "1", "2.5"],
+    "kind": ["disk", "point", "Disk", "POINT", "'disk'"],
+    "top_H_nm": ["100", "80.5", "1.2e+2"],
+    "bottom_h_nm": ["500", "450.0", "5_00"],
+    "drawn_w_bottom_nm": ["200", "180.5", "250"],
+    "drawn_w_top_nm": ["200", "220.0", "1_50"],
+    "tilt_deg": ["0", "40", "12.5", "89.9"],
+    "shadow_axis": ["x", "y", "X", '"Y"'],
+    "tilt_sign": ["+", "'+'", "'-'", '"-"'],
+    "film_T0_nm": ["25", "45.0", "3_0"],
+    "epsilon_center_mm": ["0", "0.5", "2.0"],
+}
+#: Coordinates of a valid row that are not in the row form.
+VALID_ODD_COORDS = [c for c in ODD_COORDS if c != "1e3"]  # YAML 1.1 reads 1e3 as a string
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid config text with rows: a valid value in every key given,
+    sections in any order, flow or block style, and a wafer section
+    whose `sites` list holds rows, one at least in the form `config._ROW`
+    reads, among rows in other forms (odd numbers or ids, keys in
+    another order, block style) and comments."""
+    sections = draw(st.lists(st.sampled_from(SECTIONS), unique=True, max_size=len(SECTIONS)))
+    if "wafer" not in sections:
+        sections.insert(draw(st.integers(0, len(sections))), "wafer")
+
+    def items(keys):
+        return [f"{key}: {draw(st.sampled_from(VALID_VALUES[key]))}"
+                for key in draw(st.lists(st.sampled_from(keys), unique=True))]
+
+    def rows(indent):
+        count = draw(st.integers(1, 5))
+        plain = draw(st.integers(0, count - 1))  # a row in the row form
+        lines = []
+        for i in range(count):
+            odd = i != plain and draw(st.integers(0, 3)) == 0
+            coords = VALID_ODD_COORDS if odd else ROW_COORDS
+            row = [f"{key}: {draw(st.sampled_from(coords))}" for key in ("x_mm", "y_mm")]
+            row += [f"{key}: {draw(st.sampled_from(ODD_IDS if odd else ROW_IDS))}"
+                    for key in ("chip_id", "site_id") if draw(st.booleans())]
+            form = 0 if i == plain else draw(st.integers(0, 5))
+            if form == 1:
+                lines.append(f"{indent}# a comment")
+            if form == 2:
+                row = draw(st.permutations(row))
+            if form == 3:
+                lines.append(f"{indent}- " + f"\n{indent}  ".join(row))
+            else:
+                lines.append(f"{indent}- {{{', '.join(row)}}}")
+        return "\n".join(lines)
+
+    lines = []
+    for section in sections:
+        if section == "epsilon_center_mm":
+            lines += items([section])
+            continue
+        pairs = items(list(config_module.DEFAULTS[section]))
+        if section == "wafer":
+            sites = f"sites:\n{rows(draw(st.sampled_from(['  ', '    '])))}"
+            pairs.insert(draw(st.integers(0, len(pairs))), sites)
+        if section != "wafer" and draw(st.booleans()):
+            lines.append(f"{section}: {{{', '.join(pairs)}}}")
+        else:
+            lines.append(f"{section}:" + "".join(f"\n  {pair}" for pair in pairs))
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(["", "# a comment"])))
+    return "\n".join(lines) + "\n"
+
+
 def canonical(data):
     """Data in a form that compares floats by repr, so nan equals nan
     and -0.0 differs from 0.0, and keeps mapping order."""
@@ -614,7 +691,7 @@ def valid_row_config(text):
     would drop the value that held it."""
     if not config_module._ROW_TEXT.fullmatch(text):
         return False
-    resolvers = config_module._RESOLVERS
+    resolvers = yaml.resolver.Resolver.yaml_implicit_resolvers
     lines = {
         text.count("\n", 0, m.start())
         for m in re.finditer(config_module._ROW, text, re.M)
@@ -725,14 +802,15 @@ class TestLoaders:
         for text in valid:
             assert_rows_bypass_yaml(text)
 
-    # About one draw in a hundred is a valid config with rows.
     @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(yaml_configs(mangle=False))
+    @given(valid_configs())
     def test_valid_rows_bypass_yaml(self, text):
         """Rows are spliced only into `wafer.sites`, and that loses no
-        valid config: YAML parses only the text without them."""
-        if valid_row_config(text):
-            assert_rows_bypass_yaml(text)
+        valid config: YAML parses only the text without them, and the
+        data is YAML's."""
+        assert valid_row_config(text)
+        assert_rows_bypass_yaml(text)
+        assert outcome(config_module._safe_load, text) == outcome(yaml.safe_load, text)
 
     def test_no_path_reaches_libyaml(self, tmp_path):
         """A grid config and configs of flow and block rows load with

@@ -10,7 +10,7 @@ import re
 import tempfile
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -332,7 +332,7 @@ def oracle_corrections(path):
 
 
 def read_corrections(path):
-    return [repr(astuple(r)) for r in import_corrections(path)]
+    return [repr(tuple(r)) for r in import_corrections(path)]
 
 
 # Tokens that break np.loadtxt's pass, or give a value the row check
@@ -716,7 +716,7 @@ class TestRoundTrips:
         """Angles read back as float(fmt(v)) of the degrees written, in
         radians."""
         angles = st.floats(-1e300, 1e300)
-        columns = dict(zip(SiteResult.__dataclass_fields__, pooled_columns(data, 10, n)))
+        columns = dict(zip(SiteResult._fields, pooled_columns(data, 10, n)))
         columns["theta_bottom_rad"], columns["theta_top_rad"] = pooled_columns(data, 2, n, angles)
         path = tmp_path / "sites.csv"
         with writer_cpus(forked):

@@ -18,7 +18,7 @@ import tracemalloc
 from functools import reduce
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from shadowevap import cli, csvio, stats
@@ -41,7 +41,7 @@ from shadowevap.stats import (
     fit_gap,
     implied_gap_uev,
 )
-from shadowevap.table import Table
+from shadowevap.table import Table, group_codes
 
 SETTINGS = settings(
     max_examples=150,
@@ -169,6 +169,18 @@ def oracle_fit_gap(rows):
         for (rn, area, jc), k in zip(rows, ks)
     ]
     return GapFitResult(delta_uev=delta, records=tuple(fitted))
+
+
+def oracle_group_codes(keys):
+    """Group numbers and first rows by two np.unique sorts per key
+    column: the rows numbered so far, then this column."""
+    codes = np.zeros(len(keys[0]), dtype=np.intp)
+    for key in keys:
+        values, inverse = np.unique(key, return_inverse=True)
+        _, first, codes = np.unique(
+            codes * len(values) + inverse, return_index=True, return_inverse=True
+        )
+    return codes, first
 
 
 def oracle_site_means(records):
@@ -410,6 +422,40 @@ class TestFitGap:
             assert reprs(new.records) == reprs(old.records)
             assert repr(new.max_abs_rel_residual) == repr(old.max_abs_rel_residual)
             assert reprs(fit_gap(np.array(rows)).records) == reprs(old.records)
+
+
+# Group key columns: floats (0.0 beside -0.0), labels as objects and as
+# a numpy str column.
+KEY_FLOATS = [0.0, -0.0, 5.0, -5.0, 0.04, 1e300, -1e300, 5e-324, math.inf, -math.inf]
+KEY_LABELS = ["W1", "W10", "W2", "", "é", "W|chip=c1", "r1", "R1"]
+
+
+@st.composite
+def key_columns(draw):
+    n = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["float", "object", "str"]))
+        pool = KEY_FLOATS if kind == "float" else KEY_LABELS
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        columns.append(np.array(values, dtype={"float": float, "object": object, "str": str}[kind]))
+    return columns
+
+
+class TestGroupCodes:
+    @SETTINGS
+    @given(key_columns())
+    @example([np.array([-0.0])])
+    @example([np.array([0.0, -0.0, 0.0]), np.array(["b", "a", "b"], dtype=object)])
+    @example([np.array(["W2", "W10", "W2"]), np.array([-0.0, 0.0, 0.0])])
+    def test_one_sort_matches_two_per_column(self, keys):
+        """One lexsort numbers the groups and picks their first rows as
+        np.unique did, twice per column."""
+        codes, first = group_codes(keys)
+        old_codes, old_first = oracle_group_codes(keys)
+        assert codes.dtype == old_codes.dtype and first.dtype == old_first.dtype
+        assert codes.tolist() == old_codes.tolist()
+        assert first.tolist() == old_first.tolist()
 
 
 class TestSiteMeans:

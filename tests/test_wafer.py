@@ -1,7 +1,7 @@
 """Wafer sweeps, bias profiles and the compensation inverse."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +45,7 @@ from shadowevap.wafer import (
 
 
 #: SiteResult's fields: x_mm first.
-SITE_FIELDS = [f.name for f in fields(SiteResult)]
+SITE_FIELDS = list(SiteResult._fields)
 
 
 def single_site_config(config):
@@ -660,7 +660,7 @@ def counted_angles(monkeypatch):
 class TestResimulate:
     def test_rejects_non_positive_drawn_widths(self, config):
         rows = list(compensate_wafer(single_site_config(config)).rows)
-        rows[0] = replace(rows[0], drawn_w_top_nm=0.0)
+        rows[0] = rows[0]._replace(drawn_w_top_nm=0.0)
         with pytest.raises(ValidationError, match="drawn"):
             resimulate_with_corrections(config, rows)
 
