@@ -17,8 +17,9 @@ call) and leaves by os._exit, flushing none of the parent's files.
 Otherwise the chunks are formatted here in order: the same bytes.
 
 Site maps, corrections and measurements are read by one reader: the
-file is read once, a well-formed text is parsed by np.loadtxt a column
-at a time, and the rows that fail a check (or the whole text, when
+file is read once (one leading byte-order mark stripped), a well-formed
+text is parsed by np.loadtxt a slice of lines at a time into columns
+allocated once, and the rows that fail a check (or the whole text, when
 np.loadtxt cannot take it) are replayed through one csv.reader loop
 and a per-row parser, so a ParseError names file:line and a skipped
 measurement row is reported as `line N:`. The json module lays out each
@@ -254,7 +255,7 @@ def read_numbers(path: PathLike, header: list[str]) -> tuple[np.ndarray, np.ndar
     numbers, _, lines = _read_table(
         path, header, parse_row, lambda v: np.isfinite(v).all(axis=1), "no data rows"
     )
-    return np.ascontiguousarray(numbers.T), lines
+    return numbers, lines
 
 
 def _not_utf8(path: PathLike, exc: UnicodeDecodeError) -> ParseError:
@@ -281,7 +282,7 @@ def _csv_rows(
 def read_header(path: PathLike) -> list[str]:
     """The header row of a CSV file ([] for an empty file)."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return next(_csv_rows(path, fh, [1]), (1, []))[1]
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
@@ -297,6 +298,31 @@ def read_header(path: PathLike) -> list[str]:
 MAX_LABEL_BYTES_PER_CHAR = 64
 
 
+def _line_slices(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(first line number, lines) of each slice of `text`, a CSV body
+    that starts at line 2: the shortest run of whole lines holding 32 *
+    ROWS_PER_CHUNK characters (128 KiB), or the rest, CRLF made LF.
+    ValueError if a slice holds a quote, a lone carriage return or a NUL."""
+    # The heap keeps what each slice frees: much larger slices raise the
+    # peak of what runs after the read.
+    size = 32 * ROWS_PER_CHUNK
+    first, start = 2, 0
+    while start < len(text):
+        end = text.find("\n", start + size - 1) + 1 or len(text)
+        part = text[start:end]
+        # A search for "\r" is quicker than replace() finding nothing to do.
+        if "\r" in part:
+            part = part.replace("\r\n", "\n")
+        # Without quotes or lone CRs each line is one csv record, and without
+        # NULs a numpy str array keeps every label whole.
+        if '"' in part or "\r" in part or "\0" in part:
+            raise ValueError("a line is not one csv record")
+        lines = part.split("\n")
+        yield first, lines
+        first += len(lines) - 1
+        start = end
+
+
 def _read_table(
     path: PathLike,
     header: list[str],
@@ -309,22 +335,26 @@ def _read_table(
     read_labels: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(numbers, labels, line numbers) of the valid rows of a CSV table:
-    an (n, k) float array of the columns not in `label_columns`, and an
-    array of those. ZeroValidRows says `no_rows` if there are none.
-    Without `read_labels`, np.loadtxt parses no label, and labels are
-    given only for replayed rows; the same rows are kept either way.
+    a (k, n) float array, one row per column not in `label_columns`, and
+    an (n, len(label_columns)) array of those. ZeroValidRows says
+    `no_rows` if there are none. Without `read_labels`, np.loadtxt
+    parses no label, and labels are given only for replayed rows; the
+    same rows are kept either way.
 
     If the text has no quote, lone carriage return or NUL, its non-blank
     lines have one column count the header allows and a str array of its
     labels fits in MAX_LABEL_BYTES_PER_CHAR bytes a character of it,
-    np.loadtxt reads it (taking no token that float() rejects, and giving
-    the same value) and the rows `valid` rejects are replayed; otherwise every csv
-    record is. `parse_row` gives a replayed row's (numbers, labels) or raises
-    ValueError, which becomes a `line N: ...` diagnostic or, without a
-    diagnostics list, a ParseError naming file:line.
+    np.loadtxt reads it a slice of lines at a time (see `_line_slices`),
+    taking no token that float() rejects and giving the same value. Each
+    slice's valid rows go into columns sized for every line of the text,
+    and the rows `valid` rejects are replayed once every slice is read.
+    Otherwise every csv record of the text is replayed. `parse_row`
+    gives a replayed row's (numbers, labels) or raises ValueError, which
+    becomes a `line N: ...` diagnostic or, without a diagnostics list, a
+    ParseError naming file:line.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             _, found = next(_csv_rows(path, fh, [1]), (1, None))
             if found is None:
                 raise ParseError(f"{path}: empty file")
@@ -333,47 +363,66 @@ def _read_table(
                     f"{path}: unexpected header {found}; expected {header}"
                     + (f" optionally followed by {list(allow_extra)}" if allow_extra else "")
                 )
-            body = fh.read()
+            text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
-    # A search for "\r" is quicker than replace() finding nothing to do.
-    text = body.replace("\r\n", "\n") if "\r" in body else body
-    # Without quotes or lone CRs each line is one csv record, and without
-    # NULs a numpy str array keeps every label whole.
-    lines = [] if '"' in text or "\r" in text or "\0" in text else text.split("\n")
-    nonblank = list(map(bool, lines))
-    rows = list(itertools.compress(lines, nonblank))
     options = dict(delimiter=",", comments=None, ndmin=2)
+    column_counts = {len(header), len(header) + len(allow_extra)}
+    numbers = linenos = None
+    labels, flagged = [], []
+    filled = seen = widest = 0
     try:
-        if not rows:
+        for first, lines in _line_slices(text):
+            nonblank = list(map(bool, lines))
+            rows = list(itertools.compress(lines, nonblank))
+            if not rows:
+                continue
+            numeric = None
+            if label_columns:
+                # Given usecols, np.loadtxt takes rows of differing lengths.
+                commas, *others = set(map(str.count, rows, itertools.repeat(",")))
+                if others:
+                    raise ValueError("rows differ in length")
+                numeric = [i for i in range(commas + 1) if i not in label_columns]
+            block = np.loadtxt(rows, dtype=float, usecols=numeric, **options)
+            if numbers is None:
+                if block.shape[1] + len(label_columns) not in column_counts:
+                    raise ValueError("unexpected column count")
+                numbers = np.empty((block.shape[1], text.count("\n") + 1))
+                linenos = np.empty(numbers.shape[1], dtype=np.intp)
+            elif block.shape[1] != len(numbers):
+                raise ValueError("slices differ in column count")
+            block_labels = np.empty((len(rows), 0))
+            if label_columns:
+                # Joined, the labels of every slice so far take at most
+                # this much: none is wider than the widest line.
+                seen += len(rows)
+                widest = max(widest, max(map(len, rows)))
+                if seen * widest * 4 * len(label_columns) > MAX_LABEL_BYTES_PER_CHAR * len(text):
+                    raise ValueError("labels too uneven in length for a str array")
+                if read_labels:
+                    block_labels = np.loadtxt(rows, dtype=str, usecols=label_columns, **options)
+            at = np.flatnonzero(nonblank) + first
+            ok = valid(block)
+            if not ok.all():
+                bad = np.flatnonzero(~ok).tolist()
+                flagged += zip(at[bad].tolist(), [rows[i] for i in bad])
+                block, at, block_labels = block[ok], at[ok], block_labels[ok]
+            numbers[:, filled : filled + len(at)] = block.T
+            linenos[filled : filled + len(at)] = at
+            filled += len(at)
+            labels.append(block_labels)
+        if numbers is None:
             raise ValueError("no rows")
-        numeric = None
-        if label_columns:
-            # Given usecols, np.loadtxt takes rows of differing lengths.
-            commas, *others = set(map(str.count, rows, itertools.repeat(",")))
-            if others:
-                raise ValueError("rows differ in length")
-            numeric = [i for i in range(commas + 1) if i not in label_columns]
-        numbers = np.loadtxt(rows, dtype=float, usecols=numeric, **options)
-        if numbers.shape[1] + len(label_columns) not in {len(header), len(header) + len(allow_extra)}:
-            raise ValueError("unexpected column count")
-        labels = numbers[:, :0]
-        if label_columns:
-            size = len(rows) * max(map(len, rows)) * 4 * len(label_columns)
-            if size > MAX_LABEL_BYTES_PER_CHAR * len(text):
-                raise ValueError("labels too uneven in length for a str array")
-            if read_labels:
-                labels = np.loadtxt(rows, dtype=str, usecols=label_columns, **options)
     except ValueError:
         numbers = None
-        replay = _csv_rows(path, io.StringIO(body, newline=""), itertools.count(2))
+        replay = _csv_rows(path, io.StringIO(text, newline=""), itertools.count(2))
     else:
-        linenos = np.flatnonzero(nonblank) + 2
-        ok = valid(numbers)
-        flagged = np.flatnonzero(~ok).tolist()
-        replay = _csv_rows(path, [rows[i] for i in flagged], linenos[flagged].tolist())
+        replay = _csv_rows(path, [row for _, row in flagged], [n for n, _ in flagged])
+    # Joining the labels holds them twice: the text goes first.
+    del text
     kept = []
     for lineno, row in replay:
         if not row:
@@ -386,10 +435,11 @@ def _read_table(
             diagnostics.append(f"line {lineno}: {exc}")
     if numbers is None:
         linenos, numbers, labels = zip(*kept) if kept else ((), (), ())
-        numbers, labels = np.array(numbers, dtype=float), np.array(labels, dtype=object)
+        numbers, labels = np.array(numbers, dtype=float).T, np.array(labels, dtype=object)
         linenos = np.array(linenos)
-    elif not ok.all():
-        numbers, labels, linenos = numbers[ok], labels[ok], linenos[ok]
+    else:
+        # Widened to the longest label, as one np.loadtxt would give them.
+        numbers, labels, linenos = numbers[:, :filled], np.concatenate(labels), linenos[:filled]
     if not len(linenos):
         raise ZeroValidRows(f"{path}: {no_rows}")
     return numbers, labels, linenos
@@ -417,20 +467,20 @@ def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[s
         allow_extra=[MEASUREMENT_JC_COLUMN],
         read_labels=ids,
     )
-    if not ids:
-        labels = np.full((len(numbers), 3), None, dtype=object)
-    x, y, area, rn, *jc = numbers.T
+    x, y, area, rn, *jc = numbers
+    # Unread ids share one column of None.
+    wafer, chip, run = labels.T if ids else [np.full(len(rn), None, dtype=object)] * 3
     # NaN marks a row without jc_ua_um2, since a given one is finite.
     jc = jc[0] if jc else np.full(len(rn), math.nan)
     missing = np.isnan(jc)
     table = Table(
         MeasurementRecord,
-        wafer_id=labels[:, 0],
-        chip_id=labels[:, 1],
+        wafer_id=wafer,
+        chip_id=chip,
         x_mm=x,
         y_mm=y,
         area_class_um2=area,
-        run_id=labels[:, 2],
+        run_id=run,
         rn_ohm=rn,
         jc_ua_um2=np.where(missing, None, jc) if missing.any() else jc,
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shadowevap import csvio
 from shadowevap.config import default_config
 from shadowevap.geometry import WaferSite
 from shadowevap.table import Table
@@ -37,3 +38,44 @@ def site_table(points, chip_ids=None):
     none = np.full(x.size, None, dtype=object)
     chips = none if chip_ids is None else np.fromiter(chip_ids, object, x.size)
     return Table(WaferSite, x_mm=x, y_mm=y, chip_id=chips, site_id=none)
+
+
+#: Lines a reader's slice holds under `small_slices` when every line is
+#: 32 characters long, line end included.
+SLICE_ROWS = 8
+
+
+@pytest.fixture
+def small_slices(monkeypatch):
+    """The readers parse SLICE_ROWS 32-character lines a slice."""
+    monkeypatch.setattr(csvio, "ROWS_PER_CHUNK", SLICE_ROWS)
+
+
+def padded(fields, end="\n", width=32):
+    """A CSV line of `fields` ending in `end`, `width` characters long:
+    its first field has leading zeros added."""
+    text = ",".join(fields)
+    return "0" * (width - len(text) - len(end)) + text + end
+
+
+#: What `boundary_text` can make of a line at a slice boundary.
+BOUNDARY_KINDS = ["flagged", "blank_end", "blank_start", "crlf", "long", "short"]
+
+
+def boundary_text(header, rows, kind, at):
+    """CSV text of `header` and 32-character lines of the field lists
+    `rows`, the lines at the positions in `at` made `kind`: "crlf" ends
+    one in CRLF, "long" and "short" give it one field too many or too
+    few, and "blank_end" or "blank_start" puts a blank line after or
+    before it (one character shorter), so that the blank line ends or
+    starts a slice where the row would. A "flagged" line is left as it
+    is: its row holds the value its reader flags."""
+    make = {
+        "crlf": lambda f: padded(f, "\r\n"),
+        "long": lambda f: padded(f + ["1"]),
+        "short": lambda f: padded(f[:-1]),
+        "blank_end": lambda f: padded(f, width=31) + "\n",
+        "blank_start": lambda f: "\n" + padded(f, width=31),
+    }.get(kind, padded)
+    lines = [make(fields) if i in at else padded(fields) for i, fields in enumerate(rows)]
+    return ",".join(header) + "\n" + "".join(lines)

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import BOUNDARY_KINDS, SLICE_ROWS, boundary_text, padded
+from shadowevap import cli
 from shadowevap.config import default_config
 from shadowevap.csvio import (
     CORRECTIONS_HEADER,
@@ -33,11 +35,20 @@ from shadowevap.csvio import (
     import_corrections,
     import_measurements,
     import_site_map,
+    read_header,
+    read_numbers,
     write_columns,
     write_json_report,
 )
 from shadowevap.table import Table, column
-from shadowevap.errors import EmptyInput, IoError, ParseError, ValidationError, ZeroValidRows
+from shadowevap.errors import (
+    EmptyInput,
+    IoError,
+    ParseError,
+    UnknownField,
+    ValidationError,
+    ZeroValidRows,
+)
 from shadowevap.stats import MeasurementRecord, coefficient_of_variation
 from shadowevap.wafer import (
     CorrectionRow,
@@ -279,9 +290,10 @@ class TestChunkedWriter:
 
 def oracle_numbers(path, header):
     """A numeric table read line by line: a csv.reader loop over the
-    records after a strict header check, each row parsed with float()."""
+    records after a strict header check, each row parsed with float().
+    One leading byte-order mark is not part of the header."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             found = next(reader, None)
             if found is None:
@@ -395,6 +407,146 @@ class TestOneReader:
             path = Path(tmp) / "corr.csv"
             path.write_bytes(text.encode())
             assert outcome(read_corrections, path) == outcome(oracle_corrections, path)
+
+
+K = SLICE_ROWS
+#: Rows of a file about the reader's slices: one slice short of full,
+#: one full, one row into a second, and four slices, the last short.
+SLICED_ROWS = [K - 1, K, K + 1, 3 * K + 5]
+#: Each numeric table's header, its i-th row (x first, so no site
+#: repeats), its reader and its oracle.
+NUMERIC_TABLES = {
+    "sites": (
+        SITE_MAP_HEADER,
+        lambda i: [str(i), "0", "4", "3", "1", "2", "1", "4", "4", "2"],
+        lambda p: [repr(r) for r in import_site_map(p)],
+        oracle_site_map,
+    ),
+    "corrections": (
+        CORRECTIONS_HEADER,
+        lambda i: [str(i), "0", "2", "2", "4", "0"],
+        read_corrections,
+        oracle_corrections,
+    ),
+}
+
+
+def boundary_cases():
+    """(rows, position) pairs: a line on each side of each slice boundary
+    the file has, and its last line."""
+    for n in SLICED_ROWS:
+        for at in sorted({K - 1, K, 2 * K - 1, 2 * K, n - 1} & set(range(n))):
+            yield n, at
+
+
+class TestSlicedReader:
+    """The reader parses a slice of lines at a time; made small, the
+    slices are checked against the csv.reader oracle about their
+    boundaries: values by repr, errors by type and text."""
+
+    def test_a_slice_holds_rows_per_chunk_lines(self, tmp_path, monkeypatch, small_slices):
+        """Of 32-character lines, a slice holds ROWS_PER_CHUNK."""
+        rows = []
+        loadtxt = np.loadtxt
+
+        def counted(lines, **kwargs):
+            rows.append(len(lines))
+            return loadtxt(lines, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        header, row, read, oracle = NUMERIC_TABLES["sites"]
+        path = tmp_path / "sites.csv"
+        path.write_text(",".join(header) + "\n" + "".join(map(padded, map(row, range(3 * K + 5)))))
+        assert read(path) == oracle(path)
+        assert rows == [K, K, K, 5]
+
+    @pytest.mark.parametrize("table", NUMERIC_TABLES)
+    @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
+    @pytest.mark.parametrize("n, at", boundary_cases())
+    def test_a_line_at_a_boundary(self, tmp_path, small_slices, table, kind, n, at):
+        header, row, read, oracle = NUMERIC_TABLES[table]
+        rows = [row(i) for i in range(n)]
+        if kind == "flagged":
+            rows[at][-1] = "nan"
+        path = tmp_path / "t.csv"
+        path.write_bytes(boundary_text(header, rows, kind, {at}).encode())
+        assert outcome(read, path) == outcome(oracle, path)
+
+    @pytest.mark.parametrize("table", NUMERIC_TABLES)
+    @pytest.mark.parametrize(
+        "fields",
+        [lambda r: r + ["1"], lambda r: r[:-1], lambda r: r[:1]],
+        ids=["more", "fewer", "one"],
+    )
+    def test_a_later_slice_of_another_column_count(self, tmp_path, small_slices, table, fields):
+        """The first slice's rows are whole; every row of the second has
+        one field more or fewer, or only one."""
+        header, row, read, oracle = NUMERIC_TABLES[table]
+        rows = [row(i) for i in range(3 * K)]
+        for i in range(K, 2 * K):
+            rows[i] = fields(rows[i])
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(header) + "\n" + "".join(map(padded, rows)))
+        got = outcome(read, path)
+        assert got == outcome(oracle, path)
+        assert got[0] is ParseError and f"t.csv:{K + 2}: expected" in got[1]
+
+    def test_read_numbers_memory_is_bounded(self, tmp_path):
+        """A site map of 16 slices or more: the reader holds its text,
+        the columns and one slice's lines and arrays (before slicing, it
+        peaked at 3.4 times the file's size)."""
+        rng = np.random.default_rng(7)
+        path = tmp_path / "sites.csv"
+        write_columns(path, SITE_MAP_HEADER, rng.uniform(-50, 250, (len(SITE_MAP_HEADER), 16_000)))
+        size = path.stat().st_size
+        assert size > 16 * 32 * ROWS_PER_CHUNK
+        tracemalloc.start()
+        try:
+            columns, lines = read_numbers(path, SITE_MAP_HEADER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert columns.shape == (len(SITE_MAP_HEADER), 16_000)
+        assert peak < 2.5 * size
+
+
+def read_measurements(path, ids=True):
+    table, diagnostics = import_measurements(path, ids)
+    return [repr(r) for r in table], diagnostics
+
+
+class TestByteOrderMark:
+    """Spreadsheet programs start a UTF-8 file with a byte-order mark:
+    each reader strips one and reads the same table. A second mark is
+    part of the first column's name, so the header is refused."""
+
+    SITES = ",".join(SITE_MAP_HEADER) + "\n" + ",".join(["1"] * 10) + "\n"
+
+    @pytest.mark.parametrize(
+        "read, text, twice",
+        [
+            (lambda p: [repr(r) for r in import_site_map(p)], SITES, ParseError),
+            (read_corrections, ",".join(CORRECTIONS_HEADER) + "\n1,2,200,200,0.04,0\n", ParseError),
+            (read_measurements, MEAS_TEXT + "w1,c3,1,1,0.025,r1,-5\n", ParseError),
+            (lambda p: read_measurements(p, ids=False), MEAS_TEXT, ParseError),
+            # Taken for a measurement file, a site map has no area_um2.
+            (lambda p: cli._heatmap_points(str(p), "area_um2").tolist(), SITES, UnknownField),
+            (lambda p: cli._heatmap_points(str(p), "rn_ohm").tolist(), MEAS_TEXT, ParseError),
+        ],
+        ids=["site map", "corrections", "measurements", "measurements without ids",
+             "heatmap of a site map", "heatmap of measurements"],
+    )
+    def test_one_leading_mark_is_stripped(self, tmp_path, read, text, twice):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert read_header(marked) == read_header(plain) == text.split("\n")[0].split(",")
+        assert read(marked) == read(plain)
+        marked.write_text("\ufeff" + text, encoding="utf-8-sig")
+        assert read_header(marked)[0] == "\ufeff" + read_header(plain)[0]
+        with pytest.raises(twice):
+            read(marked)
 
 
 class TestMeasurementCsv:

@@ -18,9 +18,11 @@ import tracemalloc
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import BOUNDARY_KINDS, SLICE_ROWS, boundary_text, padded
 from shadowevap import cli, csvio, stats
 from shadowevap.errors import (
     ComputationError,
@@ -61,7 +63,7 @@ def seq_sum(values):
 def oracle_import(path):
     header = csvio.MEASUREMENT_HEADER
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             found = next(reader, None)
             if found is None:
@@ -293,6 +295,8 @@ class TestImport:
         assert numeric_error == full_error
         if full is not None:
             assert numeric[1] == full[1]
+            ids = [numeric[0].columns[name] for name in ("wafer_id", "chip_id", "run_id")]
+            assert ids[0] is ids[1] is ids[2]
             for name, c in numeric[0].columns.items():
                 if name in ("wafer_id", "chip_id", "run_id"):
                     assert c.tolist() == [None] * len(full[0])
@@ -333,6 +337,106 @@ class TestImport:
         assert reprs(new[0]) == reprs(old[0])
         assert new[1] == old[1] == ["line 9: rn_ohm must be > 0"]
         assert peak < 50e6
+
+    def test_a_long_label_in_a_later_slice_keeps_memory_small(self, tmp_path, small_slices):
+        """A 5,000-character wafer_id line that is a slice of its own,
+        after 200 short rows and before 2,000 more: its slice's labels
+        fit the guard, but all of them at its width would take over
+        100 MB, so the text takes the csv.reader path."""
+        rows = [measurement_row(i) for i in range(2200)]
+        lines = [padded(fields) for fields in rows]
+        lines[200] = ",".join(["w" * 5000, *rows[200][1:]]) + "\n"
+        path = tmp_path / "meas.csv"
+        path.write_text(",".join(csvio.MEASUREMENT_HEADER) + "\n" + "".join(lines))
+        tracemalloc.start()
+        try:
+            new = csvio.import_measurements(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reprs(new[0]) == reprs(oracle_import(path)[0])
+        assert peak < 20e6
+
+    def test_memory_is_bounded(self, tmp_path):
+        """A measurement file of 16 slices or more, its rows shaped as the
+        benchmark writes them: the reader holds the text, the columns,
+        each slice's labels and one slice's lines and arrays, then the
+        labels joined (before slicing, it peaked at 7.1 times the size
+        of the benchmark's file)."""
+        rng = np.random.default_rng(11)
+        n = 50_000
+        rn, jc = rng.uniform(2000, 9000, n).tolist(), rng.uniform(0.5, 1.5, n).tolist()
+        lines = [
+            f"W{i % 5 + 1},c{i % 9}{i % 7},{i % 71 - 35},{i % 67 - 33},0.04,R{i % 3 + 1},"
+            f"{csvio.fmt(rn[i])},{csvio.fmt(jc[i])}\n"
+            for i in range(n)
+        ]
+        path = tmp_path / "meas.csv"
+        header = csvio.MEASUREMENT_HEADER + [csvio.MEASUREMENT_JC_COLUMN]
+        path.write_text(",".join(header) + "\n" + "".join(lines))
+        size = path.stat().st_size
+        assert size > 16 * 32 * csvio.ROWS_PER_CHUNK
+        tracemalloc.start()
+        try:
+            table, diagnostics = csvio.import_measurements(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == n and not diagnostics
+        assert peak < 4 * size
+
+
+def measurement_row(i):
+    return ["w1", f"c{i % 3}", str(i % 5), "0", "0.04", "r1", str(5000 + i)]
+
+
+def import_outcome(path, ids=True):
+    """import_measurements' records and diagnostics, or its error."""
+    table, error = outcome(csvio.import_measurements, path, ids)
+    return error or (reprs(table[0]), table[1])
+
+
+class TestSlicedImport:
+    """Measurement files about the reader's slice boundaries, against the
+    csv.reader oracle: records by repr, diagnostics by text and order."""
+
+    @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
+    @pytest.mark.parametrize("n", [SLICE_ROWS - 1, SLICE_ROWS, SLICE_ROWS + 1, 3 * SLICE_ROWS + 5])
+    def test_lines_at_the_boundaries(self, tmp_path, small_slices, kind, n):
+        """Every line on either side of a slice boundary is made `kind`,
+        and the last line too."""
+        k = SLICE_ROWS
+        at = {k - 1, k, 2 * k - 1, 2 * k, n - 1} & set(range(n))
+        rows = [measurement_row(i) for i in range(n)]
+        if kind == "flagged":
+            for i in at:
+                rows[i][6] = "-5"
+        path = tmp_path / "meas.csv"
+        path.write_bytes(boundary_text(csvio.MEASUREMENT_HEADER, rows, kind, at).encode())
+        old, old_error = outcome(oracle_import, path)
+        expected = old_error or (reprs(old[0]), old[1])
+        assert import_outcome(path) == expected
+        without_ids = import_outcome(path, ids=False)
+        assert without_ids[1:] == expected[1:]
+        if kind == "short":
+            assert len(expected[1]) == len(at)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [lambda r: r + ["5.6"], lambda r: r + ["5.6", "1"], lambda r: r[:1]],
+        ids=["jc", "more", "one"],
+    )
+    def test_a_later_slice_of_another_column_count(self, tmp_path, small_slices, fields):
+        """The first slice's rows have 7 fields; every row of the second
+        has a jc_ua_um2 as well, or one field more, or only one."""
+        rows = [measurement_row(i) for i in range(3 * SLICE_ROWS)]
+        for i in range(SLICE_ROWS, 2 * SLICE_ROWS):
+            rows[i] = fields(rows[i])
+        path = tmp_path / "meas.csv"
+        path.write_text(",".join(csvio.MEASUREMENT_HEADER) + "\n" + "".join(map(padded, rows)))
+        old = oracle_import(path)
+        assert import_outcome(path) == (reprs(old[0]), old[1])
+        assert len(old[0]) == 3 * SLICE_ROWS or old[1][0].startswith(f"line {SLICE_ROWS + 2}: ")
 
 
 class TestAggregate:
