@@ -263,12 +263,16 @@ def _not_utf8(path: PathLike, exc: UnicodeDecodeError) -> ParseError:
 
 
 def _csv_rows(
-    path: PathLike, lines: Iterable[str], linenos: Iterable[int]
+    path: PathLike, lines: Iterable[str], linenos: Optional[Iterable[int]] = None
 ) -> Iterator[tuple[int, list[str]]]:
     """(line number, csv row) of each record of `lines`, numbered by
-    `linenos`; a csv.Error (such as an over-long field) becomes a
-    ParseError naming file:line."""
+    `linenos`, else by the line it starts on, `lines` being a CSV body
+    that starts at line 2; a csv.Error (such as an over-long field)
+    becomes a ParseError naming file:line."""
     reader = csv.reader(lines)
+    if linenos is None:
+        # The reader has read line_num lines before each record.
+        linenos = iter(lambda: reader.line_num + 2, None)
     for lineno in linenos:
         try:
             row = next(reader)
@@ -418,7 +422,7 @@ def _read_table(
             raise ValueError("no rows")
     except ValueError:
         numbers = None
-        replay = _csv_rows(path, io.StringIO(text, newline=""), itertools.count(2))
+        replay = _csv_rows(path, io.StringIO(text, newline=""))
     else:
         replay = _csv_rows(path, [row for _, row in flagged], [n for n, _ in flagged])
     # Joining the labels holds them twice: the text goes first.

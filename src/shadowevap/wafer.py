@@ -16,12 +16,12 @@ own coordinate; the sidewall film links the top width to the bottom
 step's angle at the same site.
 
 Because of that convention a sweep needs trigonometry only once per
-distinct x and once per distinct y: `_Model.columns`, the one evaluation
-of the chain, runs it elementwise over those coordinates, with the
-scalar chain's libm functions (`geometry.incidence_angles`,
-`geometry.libm`), and the rest per site over numpy columns, the same
-operations in the same order, so every value equals the per-site scalar
-evaluation bit for bit. Its checks are masks. Results are `Table`s
+distinct x and once per distinct y: `_chain`, the one evaluation of the
+chain, runs it elementwise over those coordinates, with the scalar
+chain's libm functions (`geometry.incidence_angles`, `geometry.libm`),
+and the rest per site over numpy columns, the same operations in the
+same order, so every value equals the per-site scalar evaluation bit for
+bit. Its checks and each site's branches are masks. Results are `Table`s
 ordered by (row, column). Every sweep goes through `_forward`, which
 raises the first flagged site's error from that site's own array values
 (`_check`).
@@ -196,65 +196,56 @@ class SiteResult(NamedTuple):
     bias_top_nm: float
 
 
-class _Model:
-    """The model of one sweep.
+def _chain(
+    config: ProcessConfig, model: BiasModel, x: np.ndarray, y: np.ndarray,
+    band: Optional[float] = None,
+) -> tuple:
+    """The model's chain at sites with offsets x and y (mm) as arrays
+    (theta_bottom, theta_top, t_prime_nm, bottom terms, top terms), a
+    mask of the sites where one of its checks fails, and the bottom and
+    top center-branch masks.
 
     Angles are evaluated at the site's projection onto each electrode's
     width axis: (x, 0) for the bottom electrode, (0, y) for the top, so
-    the bottom angle, film and terms depend on x alone and the top
-    angle on y alone. Offsets within center_band_mm of an axis (default:
-    the config's epsilon_center_mm) take that electrode's center
-    branch. The CONSTANT model evaluates every site as the wafer center.
+    the bottom angle, film and terms run elementwise over the distinct x
+    and the top angle over the distinct y, with their checks as masks;
+    `geometry.top_terms` combines them per site. An offset within `band`
+    mm of its axis (default: the config's epsilon_center_mm) takes that
+    electrode's center branch. The CONSTANT model evaluates every site
+    as the wafer center. `_check` raises a flagged site's error from
+    these arrays.
     """
-
-    def __init__(
-        self,
-        config: ProcessConfig,
-        model: BiasModel = BiasModel.NON_POINT,
-        center_band_mm: Optional[float] = None,
-    ) -> None:
-        source = config.source
-        if model is BiasModel.POINT_SOURCE:
-            source = replace(source, kind=SourceKind.POINT)
-        self.source = source
-        self.bottom_step, self.top_step = config.bottom_step, config.top_step
-        self.throw = source.distance_mm * geometry.NM_PER_MM
-        self.radius = source.effective_radius_mm * geometry.NM_PER_MM
-        self.mask_top, self.mask_bottom = config.mask.top_nm, config.mask.bottom_nm
-        self.band = config.epsilon_center_mm if center_band_mm is None else center_band_mm
-        self.constant = model is BiasModel.CONSTANT
-
-    def columns(self, x: np.ndarray, y: np.ndarray) -> tuple:
-        """The chain at sites with offsets x and y as arrays
-        (theta_bottom, theta_top, t_prime_nm, bottom terms, top terms),
-        plus a mask of the sites where one of its checks fails.
-
-        The bottom electrode's angle, film and terms run elementwise over
-        the distinct x and the top angle over the distinct y, with their
-        checks as masks; `geometry.top_terms` combines them per site.
-        `_check` raises a flagged site's error from these arrays.
-        """
-        if self.constant:
-            x = y = np.zeros(x.size)
-        ux, ix = np.unique(x, return_inverse=True)
-        uy, iy = np.unique(y, return_inverse=True)
-        theta_b = geometry.incidence_angles(ux, 0.0, self.bottom_step, self.source)
-        theta_t = geometry.incidence_angles(0.0, uy, self.top_step, self.source)
-        cos_b = geometry.libm(math.cos, theta_b)
-        terms_b = geometry.bottom_terms(
-            ux * geometry.NM_PER_MM, self.radius, self.throw, self.mask_top,
-            self.mask_bottom, cos_b, np.abs(ux) <= self.band,
-        )
-        # `_check`'s checks: the grazing angle, the film's angle range, q.
-        bad_b = ~((theta_b >= 0.0) & (theta_b < math.pi / 2)) | (terms_b[5] <= 0.0)
-        t_prime = geometry.sidewall_film(cos_b, self.bottom_step.film_t0_nm)[ix]
-        terms_t = geometry.top_terms(
-            t_prime, self.radius, self.throw, self.mask_top, self.mask_bottom,
-            geometry.libm(math.sin, theta_t)[iy], geometry.libm(math.cos, theta_t)[iy],
-            (np.abs(uy) <= self.band)[iy],
-        )
-        failed = bad_b[ix] | (theta_t >= math.pi / 2)[iy] | (terms_t[5] <= 0.0)
-        return theta_b[ix], theta_t[iy], t_prime, tuple(t[ix] for t in terms_b), terms_t, failed
+    source = config.source
+    if model is BiasModel.POINT_SOURCE:
+        source = replace(source, kind=SourceKind.POINT)
+    throw = source.distance_mm * geometry.NM_PER_MM
+    radius = source.effective_radius_mm * geometry.NM_PER_MM
+    mask_top, mask_bottom = config.mask.top_nm, config.mask.bottom_nm
+    band = config.epsilon_center_mm if band is None else band
+    if model is BiasModel.CONSTANT:
+        x = y = np.zeros(x.size)
+    ux, ix = np.unique(x, return_inverse=True)
+    uy, iy = np.unique(y, return_inverse=True)
+    center_b, center_t = (np.abs(u) <= band for u in (ux, uy))
+    theta_b = geometry.incidence_angles(ux, 0.0, config.bottom_step, source)
+    theta_t = geometry.incidence_angles(0.0, uy, config.top_step, source)
+    cos_b = geometry.libm(math.cos, theta_b)
+    terms_b = geometry.bottom_terms(
+        ux * geometry.NM_PER_MM, radius, throw, mask_top, mask_bottom, cos_b, center_b
+    )
+    # `_check`'s checks: the grazing angle, the film's angle range, q.
+    bad_b = ~((theta_b >= 0.0) & (theta_b < math.pi / 2)) | (terms_b[5] <= 0.0)
+    t_prime = geometry.sidewall_film(cos_b, config.bottom_step.film_t0_nm)[ix]
+    center_t = center_t[iy]
+    terms_t = geometry.top_terms(
+        t_prime, radius, throw, mask_top, mask_bottom,
+        geometry.libm(math.sin, theta_t)[iy], geometry.libm(math.cos, theta_t)[iy], center_t,
+    )
+    failed = bad_b[ix] | (theta_t >= math.pi / 2)[iy] | (terms_t[5] <= 0.0)
+    return (
+        theta_b[ix], theta_t[iy], t_prime, tuple(t[ix] for t in terms_b), terms_t, failed,
+        center_b[ix], center_t,
+    )
 
 
 def _at_site(x_mm: float, y_mm: float, text: object) -> str:
@@ -262,41 +253,42 @@ def _at_site(x_mm: float, y_mm: float, text: object) -> str:
     return f"site ({x_mm}, {y_mm}) mm: {text}"
 
 
-def _check(
-    evaluate: _Model, chain: tuple, i: int, x_mm: float, y_mm: float, drawn: tuple
-) -> tuple[float, float]:
+def _check(chain: tuple, i: int, x_mm: float, y_mm: float, drawn: tuple) -> tuple[float, float]:
     """Printed (w_bottom, w_top) in nm of the (bottom, top) `drawn` widths
-    at site i, of offsets x_mm and y_mm, of `evaluate.columns`' `chain`:
-    `geometry`'s scalar checks on the site's own values, in deposition
-    order, raise its first error without its coordinates."""
-    theta_b, theta_t, _, terms_b, terms_t, _ = chain
-    band = evaluate.band
+    at site i, of offsets x_mm and y_mm, of `_chain`'s `chain`:
+    `geometry`'s scalar checks on the site's own values and branches, in
+    deposition order, raise its first error without its coordinates."""
+    theta_b, theta_t, _, terms_b, terms_t, _, center_b, center_t = chain
     geometry.check_film_angle(geometry.checked_angle(theta_b.item(i), x_mm, 0.0))
-    bottom = geometry.checked_terms(tuple(v.item(i) for v in terms_b), False, abs(x_mm) <= band)
+    bottom = geometry.checked_terms(tuple(v.item(i) for v in terms_b), False, center_b.item(i))
     geometry.checked_angle(theta_t.item(i), 0.0, y_mm)
-    top = geometry.checked_terms(tuple(v.item(i) for v in terms_t), True, abs(y_mm) <= band)
+    top = geometry.checked_terms(tuple(v.item(i) for v in terms_t), True, center_t.item(i))
     return geometry.printed_width(drawn[0], bottom), geometry.printed_width(drawn[1], top)
 
 
-def _site_widths(evaluate: _Model, x_mm: float, y_mm: float, junction: JunctionSpec) -> tuple:
+def _site_widths(
+    config: ProcessConfig, model: BiasModel, x_mm: float, y_mm: float,
+    band: Optional[float] = None,
+) -> tuple:
     """Printed (w_bottom, w_top) in nm of the junction's drawn widths at
     one site, raising its error without its coordinates."""
-    drawn = junction.drawn_bottom_nm, junction.drawn_top_nm
+    drawn = config.junction.drawn_bottom_nm, config.junction.drawn_top_nm
     with np.errstate(all="ignore"):  # the site may lie far off the wafer
-        chain = evaluate.columns(np.array([x_mm], dtype=float), np.array([y_mm], dtype=float))
-    return _check(evaluate, chain, 0, x_mm, y_mm, drawn)
+        x, y = np.array([x_mm], dtype=float), np.array([y_mm], dtype=float)
+        chain = _chain(config, model, x, y, band)
+    return _check(chain, 0, x_mm, y_mm, drawn)
 
 
 def _forward(
-    evaluate: _Model, x: np.ndarray, y: np.ndarray, drawn_b: np.ndarray, drawn_t: np.ndarray,
+    x: np.ndarray, y: np.ndarray, drawn_b: np.ndarray, drawn_t: np.ndarray,
     chain: tuple, keep: Union[bool, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Printed (w_bottom, w_top) in nm and junction area of drawn widths
-    at sites with offsets x and y, under the `chain` of `evaluate.columns`.
-    Of the `keep` sites (True: every site), the first whose chain failed
-    or whose widths or area are not physical raises its error, from
-    `_check` or as an overflow, with the site prepended."""
-    terms_b, terms_t, failed = chain[3:]
+    at sites with offsets x and y, under their `_chain`. Of the `keep`
+    sites (True: every site), the first whose chain failed or whose
+    widths or area are not physical raises its error, from `_check` or
+    as an overflow, with the site prepended."""
+    terms_b, terms_t, failed = chain[3:6]
     with np.errstate(all="ignore"):
         w_b = geometry.forward_width(drawn_b, terms_b)
         w_t = geometry.forward_width(drawn_t, terms_t)
@@ -305,7 +297,7 @@ def _forward(
     for i in np.flatnonzero(flagged).tolist():
         x_i, y_i = x.item(i), y.item(i)
         try:
-            widths = _check(evaluate, chain, i, x_i, y_i, (drawn_b.item(i), drawn_t.item(i)))
+            widths = _check(chain, i, x_i, y_i, (drawn_b.item(i), drawn_t.item(i)))
             if not math.isfinite(geometry.junction_area(*widths)):
                 raise NonPhysicalWidth(f"printed widths {widths} nm overflow")
         except ShadowEvapError as exc:
@@ -325,11 +317,10 @@ def _sweep(
     (bottom, top) widths in nm (one value for all sites or one per
     site), with biases relative to the model's wafer-center widths."""
     w_b0, w_t0 = center_reference_widths(config, model)
-    evaluate = _Model(config, model)
-    chain = evaluate.columns(x, y)
+    chain = _chain(config, model, x, y)
     theta_b, theta_t, t_prime = chain[:3]
     drawn_b, drawn_t = np.broadcast_to(drawn_b, x.shape), np.broadcast_to(drawn_t, x.shape)
-    w_b, w_t, area = _forward(evaluate, x, y, drawn_b, drawn_t, chain, True)
+    w_b, w_t, area = _forward(x, y, drawn_b, drawn_t, chain, True)
     return Table(
         SiteResult,
         x_mm=x,
@@ -350,7 +341,7 @@ def center_reference_widths(
 ) -> tuple[float, float]:
     """Printed (w_bottom, w_top) in nm at the wafer center, the zero
     point of every bias map for that model."""
-    return _site_widths(_Model(config, model), 0.0, 0.0, config.junction)
+    return _site_widths(config, model, 0.0, 0.0)
 
 
 def simulate_wafer(
@@ -403,6 +394,7 @@ def bias_profile(
     offsets = np.array(config.layout.grid_offsets(), dtype=float)
     zeros = np.zeros(offsets.size)
     x, y = (offsets, zeros) if bottom else (zeros, offsets)
+    _check_on_wafer(config.layout, x, y)
     junction = config.junction
     results = _sweep(config, model, x, y, junction.drawn_bottom_nm, junction.drawn_top_nm)
     biases = column(results, "bias_bottom_nm" if bottom else "bias_top_nm")
@@ -511,11 +503,10 @@ def compensate_wafer(
     if not target_area > 0.0:
         # Each residual is relative to the target area.
         raise NonPhysicalWidth(f"target widths ({tw_b}, {tw_t}) nm give an area of 0")
-    evaluate = _Model(config)
     sites = config.layout.generate_sites()
     x, y = column(sites, "x_mm"), column(sites, "y_mm")
-    chain = evaluate.columns(x, y)
-    terms_b, terms_t, failed = chain[3:]
+    chain = _chain(config, BiasModel.NON_POINT, x, y)
+    terms_b, terms_t, failed = chain[3:6]
     with np.errstate(all="ignore"):
         drawn_b = geometry.inverse_width(tw_b, terms_b)
         drawn_t = geometry.inverse_width(tw_t, terms_t)
@@ -525,7 +516,7 @@ def compensate_wafer(
         reason = np.where(top, _unreachable(drawn_t, terms_t), reason_b)
     # A site whose chain failed is kept: `_forward` raises its error.
     keep = failed | (reason == 0)
-    w_b, w_t, area = _forward(evaluate, x, y, drawn_b, drawn_t, chain, keep)
+    w_b, w_t, area = _forward(x, y, drawn_b, drawn_t, chain, keep)
     rejections = []
     for i in np.flatnonzero(~keep).tolist():
         name, drawn = ("top", drawn_t) if top[i] else ("bottom", drawn_b)
@@ -583,8 +574,8 @@ def branch_discontinuity_nm(config: ProcessConfig) -> tuple[float, float]:
     """Width jump (general minus center branch) for each electrode at
     the epsilon_center boundary, reported for transparency since the
     printed formulas are discontinuous there."""
-    eps, junction = config.epsilon_center_mm, config.junction
-    center_b, center_t = _site_widths(_Model(config), eps, eps, junction)
+    eps, model = config.epsilon_center_mm, BiasModel.NON_POINT
+    center_b, center_t = _site_widths(config, model, eps, eps)
     # A negative band puts every offset, eps included, in the general branch.
-    general_b, general_t = _site_widths(_Model(config, center_band_mm=-1.0), eps, eps, junction)
+    general_b, general_t = _site_widths(config, model, eps, eps, band=-1.0)
     return general_b - center_b, general_t - center_t

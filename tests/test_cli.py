@@ -503,6 +503,24 @@ class TestCompareModels:
         assert code == 2
 
 
+    @pytest.mark.parametrize("electrode, axis, site", [
+        ("bottom", "x", "(-100.0, 0.0)"), ("top", "y", "(0.0, -100.0)"),
+    ])
+    def test_profile_off_the_wafer_exits_2(self, tmp_path, capsys, electrode, axis, site):
+        """A profile point off the wafer is refused as `simulate` refuses
+        the same grid; before, it exited 0 with biases out to 100 mm."""
+        config = tmp_path / "wide.yaml"
+        config.write_text("wafer: {working_span_mm: 200}\n")
+        out = tmp_path / "models.csv"
+        argv = ["compare-models", "--config", str(config), "--electrode", electrode,
+                "--axis", axis, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: site {site} mm lies outside the wafer\n"
+        )
+        assert not out.exists()
+
+
 class TestCompensateAndVerify:
     def test_compensation_loop(self, tmp_path, config_path, capsys):
         corr = tmp_path / "corr.csv"

@@ -147,6 +147,22 @@ class TestCorrectionsCsv:
                 orig.drawn_w_bottom_nm, rel=1e-9
             )
 
+    def test_duplicate_after_a_multi_line_record_names_its_lines(self, tmp_path):
+        """The quoted x on lines 2-3 leaves the repeated site on lines 4
+        and 5; before, they were named lines 3 and 4."""
+        path = tmp_path / "c3.csv"
+        path.write_text(
+            ",".join(CORRECTIONS_HEADER) + "\n"
+            '"0\n",0,200,200,0.04,0\n'
+            "1,0,200,200,0.04,0\n"
+            "1,0,200,200,0.04,0\n"
+        )
+        with pytest.raises(ParseError) as info:
+            import_corrections(path)
+        assert str(info.value) == (
+            f"{path}:5: duplicate site (1.0, 0.0) mm, first given at line 4"
+        )
+
 
 # Spellings of finite numbers, and tokens np.loadtxt rejects but float()
 # reads, which the per-line path then takes.
@@ -567,6 +583,20 @@ class TestMeasurementCsv:
         assert len(diagnostics) == 2
         assert any("line 5" in d for d in diagnostics)
         assert any("line 6" in d for d in diagnostics)
+
+    def test_lines_after_a_multi_line_record_keep_their_numbers(self, tmp_path):
+        """Each record is named by the line it starts on: the id on lines
+        2-3 leaves the bad rn_ohm on line 5; before, it was named line 4."""
+        path = tmp_path / "meas.csv"
+        path.write_text(
+            "wafer_id,chip_id,x_mm,y_mm,area_class_um2,run_id,rn_ohm\n"
+            '"W\n1",c1,0,0,0.04,r1,100\n'
+            "w1,c1,1,0,0.04,r1,200\n"
+            "w1,c1,2,0,0.04,r1,-5\n"
+        )
+        records, diagnostics = import_measurements(path)
+        assert column(records, "wafer_id").tolist() == ["W\n1", "w1"]
+        assert diagnostics == ["line 5: rn_ohm must be > 0"]
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "meas.csv"

@@ -73,7 +73,12 @@ def oracle_import(path):
                     f"{path}: unexpected header {found}; expected {header}"
                     f" optionally followed by {[csvio.MEASUREMENT_JC_COLUMN]}"
                 )
-            raw = [(i, row) for i, row in enumerate(reader, start=2) if row]
+            # A record is numbered by the line it starts on.
+            raw, lineno = [], 2
+            for row in reader:
+                if row:
+                    raw.append((lineno, row))
+                lineno = reader.line_num + 1
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     records, diagnostics = [], []
@@ -214,14 +219,14 @@ def measurement_texts(draw):
     """Measurement CSV text: clean, with rows that fail a record check,
     or messy (9- and 1-column rows, blank lines and jc values, quoted
     numbers, unparseable tokens); a spoilt row has one field replaced.
-    Any row may quote its wafer id, which may hold a comma."""
+    Any row may quote its wafer id, which may hold a comma or a newline."""
     mode = draw(st.sampled_from(["clean", "flagged", "messy"]))
     spoilers = {"clean": [], "flagged": FLAGGED, "messy": FLAGGED + MESSY}[mode]
     n_cols = draw(st.sampled_from([7, 8]))
     rows = []
     for _ in range(draw(st.integers(0, 30))):
-        wafer = draw(st.sampled_from(WAFERS + ["W,1"]))
-        if "," in wafer or draw(st.integers(0, 9)) == 0:
+        wafer = draw(st.sampled_from(WAFERS + ["W,1", "W\n1"]))
+        if wafer in ("W,1", "W\n1") or draw(st.integers(0, 9)) == 0:
             wafer = f'"{wafer}"'
         row = [
             wafer,

@@ -17,7 +17,7 @@ from shadowevap.errors import (
     ShadowEvapError,
     ValidationError,
 )
-from shadowevap import geometry
+from shadowevap import geometry, wafer
 from shadowevap.config import default_config, load_config
 from shadowevap.geometry import (
     JunctionSpec,
@@ -419,6 +419,18 @@ class TestBiasProfile:
         with pytest.raises(AxisMismatch):
             bias_profile(config, Axis.X, Electrode.TOP)
 
+    @pytest.mark.parametrize("electrode, axis, site", [
+        (Electrode.BOTTOM, Axis.X, "(-100.0, 0.0)"),
+        (Electrode.TOP, Axis.Y, "(0.0, -100.0)"),
+    ])
+    def test_points_off_the_wafer_are_refused(self, config, electrode, axis, site):
+        """Refused as every other sweep refuses them; before, a 200 mm
+        span gave biases out to 100 mm on a 100 mm wafer."""
+        wide = replace(config, layout=replace(config.layout, working_span_mm=200.0))
+        with pytest.raises(ValidationError) as caught:
+            bias_profile(wide, axis, electrode)
+        assert str(caught.value) == f"site {site} mm lies outside the wafer"
+
 
 def one_site(config, x, y):
     """The config with its layout cut to the one explicit site (x, y)."""
@@ -683,6 +695,51 @@ class TestResimulate:
             "site (0.0, 0.0) mm: printed widths "
             "(1.0000010041604617e+200, 9.99999230768639e+199) nm overflow"
         )
+
+
+class TestChainBranches:
+    """`wafer._chain`'s center-branch masks, from which `_check` reads a
+    flagged site's branch: an offset within epsilon_center_mm of an
+    electrode's axis takes its center branch."""
+
+    EPS = 5.0
+    #: Offsets at, just inside and just outside the band, and far off it.
+    OFFSETS = [0.0, -0.0, 5.0, -5.0, math.nextafter(5.0, 6.0), math.nextafter(-5.0, 0.0),
+               2.5, -30.0, 35.0]
+
+    def masks(self, config, model, x, y, band=None):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        chain = wafer._chain(config, model, x, y, band)
+        return chain[6], chain[7]
+
+    def sites(self, config):
+        """(x, y) of the default grid and of explicit sites whose offsets
+        pair every value of OFFSETS with every other."""
+        points = [(a, b) for a in self.OFFSETS for b in self.OFFSETS]
+        explicit = replace(config.layout, sites=site_table(points))
+        return [
+            (column(sites, "x_mm"), column(sites, "y_mm"))
+            for sites in (config.layout.generate_sites(), explicit.generate_sites())
+        ]
+
+    @pytest.mark.parametrize("model", [BiasModel.POINT_SOURCE, BiasModel.NON_POINT])
+    def test_masks_are_the_band_about_each_axis(self, config, model):
+        config = replace(config, epsilon_center_mm=self.EPS)
+        for x, y in self.sites(config):
+            center_b, center_t = self.masks(config, model, x, y)
+            assert center_b.tolist() == [abs(v) <= self.EPS for v in x]
+            assert center_t.tolist() == [abs(v) <= self.EPS for v in y]
+            assert 0 < center_b.sum() < len(center_b) and 0 < center_t.sum() < len(center_t)
+
+    def test_constant_model_takes_the_center_branches(self, config):
+        for x, y in self.sites(config):
+            center_b, center_t = self.masks(config, BiasModel.CONSTANT, x, y)
+            assert center_b.all() and center_t.all()
+
+    def test_negative_band_takes_the_general_branches(self, config):
+        for x, y in self.sites(config):
+            center_b, center_t = self.masks(config, BiasModel.NON_POINT, x, y, band=-1.0)
+            assert not center_b.any() and not center_t.any()
 
 
 class TestBranchDiscontinuity:
