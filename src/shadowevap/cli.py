@@ -39,9 +39,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load(args.config, args.grid_pitch_mm)
     model = wafer.BiasModel(args.model)
     results = wafer.simulate_wafer(config, model)
-    csvio.export_site_map(results, args.out)
     summary = wafer.residual_report(results)
     jump_b, jump_t = wafer.branch_discontinuity_nm(config)
+    csvio.export_site_map(results, args.out)
     print(f"sites: {len(results)}")
     print(f"area_mean_um2: {csvio.fmt(summary.mean)}")
     print(f"area_cv_percent: {csvio.fmt(summary.cv_percent)}")
@@ -112,7 +112,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # The resimulation is in row-major site order; align predictions to it.
     order = wafer.row_major_order(corrections)
     predicted = column(corrections, "predicted_area_um2")[order]
-    max_dev = np.max(np.abs(column(results, "area_um2") - predicted) / predicted).item()
+    with np.errstate(over="ignore"):
+        dev = np.abs(column(results, "area_um2") - predicted) / predicted
+    overflow = ~np.isfinite(dev)
+    if overflow.any():
+        i, x, y = np.argmax(overflow), column(results, "x_mm"), column(results, "y_mm")
+        raise ComputationError(
+            f"site ({x.item(i)}, {y.item(i)}) mm: the deviation from its predicted area overflows"
+        )
+    max_dev = np.max(dev).item()
     report = {
         "n_sites": len(results),
         "area_mean_um2": summary.mean,

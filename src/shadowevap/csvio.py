@@ -40,6 +40,7 @@ import re
 import shutil
 import signal
 import tempfile
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
@@ -258,10 +259,6 @@ def read_numbers(path: PathLike, header: list[str]) -> tuple[np.ndarray, np.ndar
     return numbers, lines
 
 
-def _not_utf8(path: PathLike, exc: UnicodeDecodeError) -> ParseError:
-    return ParseError(f"{path}: not UTF-8 text ({exc.reason})")
-
-
 def _csv_rows(
     path: PathLike, lines: Iterable[str], linenos: Optional[Iterable[int]] = None
 ) -> Iterator[tuple[int, list[str]]]:
@@ -283,15 +280,24 @@ def _csv_rows(
         yield lineno, row
 
 
-def read_header(path: PathLike) -> list[str]:
-    """The header row of a CSV file ([] for an empty file)."""
+@contextmanager
+def _table_file(path: PathLike) -> Iterator[tuple[Optional[list[str]], IO[str]]]:
+    """The header row (None for an empty file) of a CSV file read as UTF-8
+    text, one leading byte-order mark stripped, and the file after it; an
+    OSError becomes IoError and a decode error ParseError."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            return next(_csv_rows(path, fh, [1]), (1, []))[1]
+            yield next(_csv_rows(path, fh, [1]), (1, None))[1], fh
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_header(path: PathLike) -> list[str]:
+    """The header row of a CSV file ([] for an empty file)."""
+    with _table_file(path) as (found, _):
+        return found or []
 
 
 #: Largest str array of labels, in bytes per character of the text, that
@@ -357,21 +363,15 @@ def _read_table(
     becomes a `line N: ...` diagnostic or, without a diagnostics list, a
     ParseError naming file:line.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            _, found = next(_csv_rows(path, fh, [1]), (1, None))
-            if found is None:
-                raise ParseError(f"{path}: empty file")
-            if found != header and found != header + list(allow_extra):
-                raise ParseError(
-                    f"{path}: unexpected header {found}; expected {header}"
-                    + (f" optionally followed by {list(allow_extra)}" if allow_extra else "")
-                )
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+    with _table_file(path) as (found, fh):
+        if found is None:
+            raise ParseError(f"{path}: empty file")
+        if found != header and found != header + list(allow_extra):
+            raise ParseError(
+                f"{path}: unexpected header {found}; expected {header}"
+                + (f" optionally followed by {list(allow_extra)}" if allow_extra else "")
+            )
+        text = fh.read()
     options = dict(delimiter=",", comments=None, ndmin=2)
     column_counts = {len(header), len(header) + len(allow_extra)}
     numbers = linenos = None

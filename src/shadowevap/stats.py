@@ -253,24 +253,24 @@ def propagate_cv_monte_carlo(
     )
 
 
-def critical_current_density(
-    rn_ohm: float, area_um2: float, gap_delta_uev: float
-) -> float:
-    """Critical-current density J_c (uA/um^2) from the tunnel resistance.
+def critical_current_density(rn_ohm, area_um2, gap_delta_uev):
+    """Critical-current density J_c (uA/um^2) from the tunnel resistance,
+    elementwise over numpy arrays.
 
     Ambegaokar-Baratoff at zero temperature: I_c = pi Delta / (2 e R_N),
     divided by the junction area. With Delta in ueV, R_N in ohm and the
     area in um^2 the units collapse to J_c = pi Delta / (2 R_N A).
     """
-    if not (rn_ohm > 0 and area_um2 > 0 and gap_delta_uev > 0):
+    if not np.all((rn_ohm > 0) & (area_um2 > 0) & (gap_delta_uev > 0)):
         raise ValidationError("rn_ohm, area_um2 and gap_delta_uev must be > 0")
     return math.pi * gap_delta_uev / (2.0 * rn_ohm * area_um2)
 
 
-def implied_gap_uev(rn_ohm: float, area_um2: float, jc_ua_um2: float) -> float:
-    """Gap (ueV) implied by one (R_N, area, J_c) triple: the inverse of
-    `critical_current_density`, Delta = 2 e R_N J_c A / pi."""
-    if not (rn_ohm > 0 and area_um2 > 0 and jc_ua_um2 > 0):
+def implied_gap_uev(rn_ohm, area_um2, jc_ua_um2):
+    """Gap (ueV) implied by (R_N, area, J_c), elementwise over numpy
+    arrays: the inverse of `critical_current_density`,
+    Delta = 2 e R_N J_c A / pi."""
+    if not np.all((rn_ohm > 0) & (area_um2 > 0) & (jc_ua_um2 > 0)):
         raise ValidationError("rn_ohm, area_um2 and jc_ua_um2 must be > 0")
     return 2.0 * rn_ohm * jc_ua_um2 * area_um2 / math.pi
 
@@ -317,21 +317,13 @@ def fit_gap(
     if len(rows) < 2:
         raise ValidationError("need >= 2 records to fit a gap")
     rn, area, jc = rows.T
-    bad = ~((rn > 0) & (area > 0) & (jc > 0))
-    if bad.any():
-        rec = rows[np.argmax(bad)].tolist()
-        raise ValidationError(f"non-positive record ({rec[0]}, {rec[1]}, {rec[2]})")
+    _refuse_first(rows, ~((rn > 0) & (area > 0) & (jc > 0)), "non-positive record")
     # Float arithmetic as Python does it, with no warnings; the sums are
     # sequential left-to-right sums (cumsum), as Python <= 3.11's `sum`
     # adds floats.
     with np.errstate(all="ignore"):
-        k = math.pi / (2.0 * rn * area)
-        bad = ~np.isfinite(k)
-        if bad.any():
-            rec = rows[np.argmax(bad)].tolist()
-            raise ValidationError(
-                f"non-finite k = pi/(2 R_N A) for record ({rec[0]}, {rec[1]}, {rec[2]})"
-            )
+        k = critical_current_density(rn, area, 1.0)
+        _refuse_first(rows, ~np.isfinite(k), "non-finite k = pi/(2 R_N A) for record")
         denom = np.cumsum(k * k)[-1].item()
         if denom <= 0.0:
             raise DegenerateFit("no sensitivity to the gap parameter")
@@ -339,17 +331,31 @@ def fit_gap(
         if not (math.isfinite(denom) and math.isfinite(delta)):
             raise ComputationError("the least-squares sums of the gap fit overflow")
         jc_fit = k * delta
-        records = Table(
-            GapFitRecord,
-            rn_ohm=rn,
-            area_um2=area,
-            jc_reported=jc,
-            implied_delta_uev=2.0 * rn * jc * area / math.pi,
-            jc_fitted=jc_fit,
-            residual=jc_fit - jc,
-            rel_residual=(jc_fit - jc) / jc,
-        )
+        implied, residual = implied_gap_uev(rn, area, jc), jc_fit - jc
+        rel_residual = residual / jc
+    finite = np.isfinite(implied) & np.isfinite(jc_fit) & np.isfinite(rel_residual)
+    _refuse_first(
+        rows, ~finite, "non-finite implied gap, fitted J_c or relative residual for record"
+    )
+    records = Table(
+        GapFitRecord,
+        rn_ohm=rn,
+        area_um2=area,
+        jc_reported=jc,
+        implied_delta_uev=implied,
+        jc_fitted=jc_fit,
+        residual=residual,
+        rel_residual=rel_residual,
+    )
     return GapFitResult(delta_uev=delta, records=records)
+
+
+def _refuse_first(rows: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise ValidationError, `what` and its values, for the first of the
+    (R_N, area, J_c) `rows` that `bad` flags."""
+    if bad.any():
+        rec = rows[np.argmax(bad)].tolist()
+        raise ValidationError(f"{what} ({rec[0]}, {rec[1]}, {rec[2]})")
 
 
 @dataclass(frozen=True)
@@ -432,8 +438,6 @@ def aggregate(
     columns = records.columns
     rn = columns["rn_ohm"]
 
-    # A group's key is formatted from its first record; distinct values
-    # that format alike (or join alike) share one key, as before.
     attributes = [columns[_GROUP_LABELS[g][0]] for g in group_by]
     group_key = "|".join(_GROUP_LABELS[g][1] for g in group_by) or "all"
     combo, first = group_codes(attributes or [np.zeros(len(rn))])

@@ -397,13 +397,14 @@ def bias_profile(
     _check_on_wafer(config.layout, x, y)
     junction = config.junction
     results = _sweep(config, model, x, y, junction.drawn_bottom_nm, junction.drawn_top_nm)
-    biases = column(results, "bias_bottom_nm" if bottom else "bias_top_nm")
-    w_b0, w_t0 = center_reference_widths(config, model)
+    biases = column(results, f"bias_{electrode.value}_nm")
+    # The middle offset is 0.0, so the middle row is the wafer center.
+    center = column(results, f"w_{electrode.value}_nm").item(offsets.size // 2)
     return BiasProfile(
         electrode=electrode,
         axis=axis,
         model=model,
-        center_width_nm=w_b0 if bottom else w_t0,
+        center_width_nm=center,
         points=tuple(zip(offsets.tolist(), biases.tolist())),
     )
 
@@ -499,7 +500,7 @@ def compensate_wafer(
     CorrectionRow ordered like `simulate_wafer` output.
     """
     tw_b, tw_t = resolve_target_widths(config, target)
-    target_area = tw_b * tw_t / 1.0e6
+    target_area = geometry.junction_area(tw_b, tw_t)
     if not target_area > 0.0:
         # Each residual is relative to the target area.
         raise NonPhysicalWidth(f"target widths ({tw_b}, {tw_t}) nm give an area of 0")

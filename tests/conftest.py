@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from shadowevap import csvio
 from shadowevap.config import default_config
+from shadowevap.errors import ParseError
 from shadowevap.geometry import WaferSite
 from shadowevap.table import Table
 
@@ -38,6 +41,34 @@ def site_table(points, chip_ids=None):
     none = np.full(x.size, None, dtype=object)
     chips = none if chip_ids is None else np.fromiter(chip_ids, object, x.size)
     return Table(WaferSite, x_mm=x, y_mm=y, chip_id=chips, site_id=none)
+
+
+def oracle_records(path, header, extra=()):
+    """(line number, row) of each non-blank csv record of a table file,
+    read by a csv.reader loop after a strict header check: `header`,
+    optionally followed by `extra`. A record is numbered by the physical
+    line it starts on, the header being line 1; one leading byte-order
+    mark is not part of the header."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            found = next(reader, None)
+            if found is None:
+                raise ParseError(f"{path}: empty file")
+            if found not in (header, header + list(extra)):
+                raise ParseError(
+                    f"{path}: unexpected header {found}; expected {header}"
+                    + (f" optionally followed by {list(extra)}" if extra else "")
+                )
+            records, lineno = [], 2
+            for row in reader:
+                if row:
+                    records.append((lineno, row))
+                # The reader has read line_num lines when the next record starts.
+                lineno = reader.line_num + 1
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return records
 
 
 #: Lines a reader's slice holds under `small_slices` when every line is

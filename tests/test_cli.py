@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shadowevap
+from shadowevap import wafer
 from shadowevap.cli import main
 from shadowevap.config import DEFAULTS
 from shadowevap.stats import MAX_MC_SAMPLES
@@ -47,6 +48,16 @@ TABLE_TEXT = (
     "w5,c1,0,0,0.025,r1,13000,1.12\n"
     "w5,c1,0,5,0.09,r1,3300,1.15\n"
 )
+
+
+def strict_json(text):
+    """JSON as RFC 8259 defines it: NaN, Infinity and -Infinity are
+    refused."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture
@@ -102,6 +113,21 @@ class TestSimulate:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 10  # header + 3x3
+
+    @pytest.mark.parametrize("text, flags", [
+        ("wafer: {sites: [{x_mm: 0, y_mm: 0}]}\n", []),
+        (DEFAULT_CONFIG, ["--grid-pitch-mm", "100"]),
+    ], ids=["one-site", "pitch-100"])
+    def test_one_site_exits_4_and_writes_no_site_map(self, tmp_path, capsys, text, flags):
+        """A map of one site has no area CV; before, its site map was
+        written before the command failed."""
+        config, out = tmp_path / "one.yaml", tmp_path / "sites.csv"
+        config.write_text(text)
+        assert main(["simulate", "--config", str(config), *flags, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.endswith(
+            "computation error: need >= 2 samples for a CV, got 1\n"
+        )
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -485,6 +511,21 @@ class TestCompareModels:
         edge = next(r for r in rows if float(r[0]) == 35.0)
         assert float(edge[3]) > 10.0
 
+    def test_each_model_center_is_evaluated_once(self, tmp_path, config_path, monkeypatch):
+        """Each profile reads its center width from its own sweep, so the
+        three models' centers take one one-site chain each (six before)."""
+        calls, site_widths = [], wafer._site_widths
+
+        def counted(config, model, *args, **kwargs):
+            calls.append(model)
+            return site_widths(config, model, *args, **kwargs)
+
+        monkeypatch.setattr(wafer, "_site_widths", counted)
+        argv = ["compare-models", "--config", config_path, "--electrode", "top", "--axis", "y",
+                "--out", str(tmp_path / "models.csv")]
+        assert main(argv) == 0
+        assert calls == list(wafer.BiasModel)
+
     def test_axis_mismatch_exits_2(self, tmp_path, config_path):
         out = tmp_path / "models.csv"
         code = main(
@@ -539,7 +580,7 @@ class TestCompensateAndVerify:
             ]
         )
         assert code == 0
-        data = json.loads(report.read_text())
+        data = strict_json(report.read_text())
         assert data["n_sites"] == 225
         assert data["area_cv_percent"] < 0.05
         assert data["max_abs_rel_dev_from_predicted"] < 1e-9
@@ -789,6 +830,21 @@ class TestMalformedTables:
         assert err.endswith(f"corr.csv:7: predicted_area_um2 must be > 0, got {float(value)}\n")
         assert not (tmp_path / "v.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_deviation_exits_4(self, corrections, config_path, tmp_path, capsys):
+        """A predicted area of 1e-320 passes the reader's > 0 check, and
+        the deviation from it overflows; before, `verify` warned, wrote
+        Infinity and exited 0."""
+        fields = corrections.read_text().splitlines()[1].split(",")
+        fields[4] = "1e-320"
+        self.replace_line(corrections, 2, ",".join(fields))
+        assert self.verify(corrections, config_path, tmp_path) == 4
+        site = f"({float(fields[0])}, {float(fields[1])})"
+        assert capsys.readouterr().err.endswith(
+            f"computation error: site {site} mm: the deviation from its predicted area overflows\n"
+        )
+        assert not (tmp_path / "v.json").exists()
+
     def test_duplicate_site_in_corrections(self, corrections, config_path, tmp_path, capsys):
         lines = corrections.read_text().splitlines()
         corrections.write_text("\n".join(lines + [lines[2]]) + "\n")
@@ -870,7 +926,7 @@ class TestAnalyze:
         )
         out = tmp_path / "stats.json"
         assert main(["analyze", "--measurements", str(meas), "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
+        data = strict_json(out.read_text())
         assert data["n_records"] == 4
         assert data["n_skipped_rows"] == 2
         err = capsys.readouterr().err
@@ -897,7 +953,7 @@ class TestAnalyze:
             ]
         )
         assert code == 0
-        data = json.loads(out.read_text())
+        data = strict_json(out.read_text())
         assert data["n_records"] == 4
         assert "wafer=w1|area=0.025" in data["groups"]
         assert data["repeatability"]["n_junctions_with_repeats"] == 1
@@ -910,12 +966,12 @@ class TestAnalyze:
         args = ["analyze", "--measurements", str(meas), "--out", str(out)]
         meas.write_text(MEAS_TEXT)
         assert main(args) == 0
-        assert set(json.loads(out.read_text())["repeatability"]) == {
+        assert set(strict_json(out.read_text())["repeatability"]) == {
             "n_junctions_with_repeats", "per_junction"
         }
         meas.write_text(MEAS_TEXT + "w1,c2,5,0,0.025,r2,8398.5\nw1,c2,5,5,0.025,r3,8350.0\n")
         assert main(args) == 0
-        repeats = json.loads(out.read_text())["repeatability"]
+        repeats = strict_json(out.read_text())["repeatability"]
         cvs = [j["cv_percent"] for j in repeats["per_junction"]]
         assert len(cvs) == 3 and cvs[2] == 0.0
         assert cvs[0] == pytest.approx(100.0 * math.sqrt(3.4**2 / 2) / 8121.8, rel=1e-9)
@@ -928,7 +984,7 @@ class TestAnalyze:
         write_seeded_measurements(meas)
         assert main(["analyze", "--measurements", str(meas), "--fit-gap", "--out", str(out)]) == 0
         text = out.read_text()
-        report = json.loads(text)
+        report = strict_json(text)
         assert report["gap_fit"]["records"] and report["repeatability"]["per_junction"]
         assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -949,7 +1005,7 @@ class TestAnalyze:
             ]
         )
         assert code == 0
-        data = json.loads(out.read_text())
+        data = strict_json(out.read_text())
         assert 215.0 <= data["gap_fit"]["delta_uev"] <= 245.0
         assert data["gap_fit"]["max_abs_rel_residual"] < 0.10
         assert data["gap_fit"]["outliers"] == []
@@ -963,6 +1019,14 @@ class TestAnalyze:
             # k is finite, but k^2 overflows the sum of squares.
             ("w6,c1,0,0,1e-80,r1,1e-75,5", 4,
              "computation error: the least-squares sums of the gap fit overflow"),
+            # The fit is finite, but (J_fit - J) / J overflows for J = 1e-320.
+            ("w6,c1,0,0,0.04,r1,8000,1e-320", 2,
+             "error: non-finite implied gap, fitted J_c or relative residual for record "
+             "(8000.0, 0.04, 1e-320)"),
+            # 2 R_N J_c A / pi overflows.
+            ("w6,c1,0,0,1e150,r1,1e150,1e150", 2,
+             "error: non-finite implied gap, fitted J_c or relative residual for record "
+             "(1e+150, 1e+150, 1e+150)"),
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BOUNDARY_KINDS, SLICE_ROWS, boundary_text, padded
+from conftest import BOUNDARY_KINDS, SLICE_ROWS, boundary_text, oracle_records, padded
 from shadowevap import cli
 from shadowevap.config import default_config
 from shadowevap.csvio import (
@@ -305,22 +305,10 @@ class TestChunkedWriter:
 
 
 def oracle_numbers(path, header):
-    """A numeric table read line by line: a csv.reader loop over the
-    records after a strict header check, each row parsed with float().
-    One leading byte-order mark is not part of the header."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            found = next(reader, None)
-            if found is None:
-                raise ParseError(f"{path}: empty file")
-            if found != header:
-                raise ParseError(f"{path}: unexpected header {found}; expected {header}")
-            records = [(lineno, row) for lineno, row in enumerate(reader, start=2) if row]
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    """A numeric table read record by record (`oracle_records`), each
+    row parsed with float()."""
     rows = []
-    for lineno, row in records:
+    for lineno, row in oracle_records(path, header):
         if len(row) != len(header):
             raise ParseError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
         try:
@@ -372,7 +360,8 @@ SPOILERS = ["nan", "inf", "-inf", "1e400", "1_0", "\uff17", "0x10", "x", "", " "
 def numeric_texts(draw, header):
     """Numeric CSV text: rows of finite numbers whose sites repeat, with
     signed zeros; in a spoilt file some rows have a token replaced, a
-    field missing or a trailing comma, or are blank or whitespace only.
+    token quoted with a newline in it (the record then spans two lines),
+    a field missing or a trailing comma, or are blank or whitespace only.
     The header may carry a BOM. Lines end in LF, CRLF, a lone CR or a
     mix of them."""
     spoilt = draw(st.booleans())
@@ -380,9 +369,14 @@ def numeric_texts(draw, header):
     for _ in range(draw(st.integers(0, 12))):
         row = [draw(st.sampled_from(["0", "-0", "0.0", "5", "-5", "1e1", "2.5"])) for _ in range(2)]
         row += [draw(TOKENS) for _ in range(len(header) - 2)]
-        kind = draw(st.sampled_from(["row"] * 3 + ["token", "blank", "space", "short", "comma"]))
+        kind = draw(st.sampled_from(
+            ["row"] * 3 + ["token", "quoted", "blank", "space", "short", "comma"]
+        ))
         if spoilt and kind == "token":
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(SPOILERS))
+        elif spoilt and kind == "quoted":
+            i = draw(st.integers(0, len(row) - 1))
+            row[i] = draw(st.sampled_from(['"%s\n"', '"\n%s"'])) % row[i]
         elif spoilt and kind != "row":
             row = {"blank": [], "space": [" \t"], "short": row[:-1], "comma": row + [""]}[kind]
         lines.append(",".join(row))

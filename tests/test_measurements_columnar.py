@@ -11,7 +11,6 @@ Results are compared by repr, diagnostics by their text and order, and
 errors by type and text.
 """
 
-import csv
 import math
 import operator
 import tracemalloc
@@ -22,12 +21,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BOUNDARY_KINDS, SLICE_ROWS, boundary_text, padded
+from conftest import BOUNDARY_KINDS, SLICE_ROWS, boundary_text, oracle_records, padded
 from shadowevap import cli, csvio, stats
 from shadowevap.errors import (
     ComputationError,
     DegenerateFit,
-    ParseError,
     ShadowEvapError,
     ValidationError,
     ZeroValidRows,
@@ -61,26 +59,7 @@ def seq_sum(values):
 
 
 def oracle_import(path):
-    header = csvio.MEASUREMENT_HEADER
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            found = next(reader, None)
-            if found is None:
-                raise ParseError(f"{path}: empty file")
-            if found not in (header, header + [csvio.MEASUREMENT_JC_COLUMN]):
-                raise ParseError(
-                    f"{path}: unexpected header {found}; expected {header}"
-                    f" optionally followed by {[csvio.MEASUREMENT_JC_COLUMN]}"
-                )
-            # A record is numbered by the line it starts on.
-            raw, lineno = [], 2
-            for row in reader:
-                if row:
-                    raw.append((lineno, row))
-                lineno = reader.line_num + 1
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    raw = oracle_records(path, csvio.MEASUREMENT_HEADER, [csvio.MEASUREMENT_JC_COLUMN])
     records, diagnostics = [], []
     for lineno, row in raw:
         if len(row) not in (7, 8):
@@ -175,6 +154,12 @@ def oracle_fit_gap(rows):
                      k * delta - jc, (k * delta - jc) / jc)
         for (rn, area, jc), k in zip(rows, ks)
     ]
+    for rec in fitted:
+        if not all(map(math.isfinite, (rec.implied_delta_uev, rec.jc_fitted, rec.rel_residual))):
+            raise ValidationError(
+                "non-finite implied gap, fitted J_c or relative residual for record "
+                f"({rec.rn_ohm}, {rec.area_um2}, {rec.jc_reported})"
+            )
     return GapFitResult(delta_uev=delta, records=tuple(fitted))
 
 

@@ -286,6 +286,19 @@ class TestCriticalCurrentDensity:
         assert jc * rn * area == pytest.approx(math.pi * delta / 2.0, rel=1e-12)
 
 
+    def test_arrays_are_taken_elementwise(self):
+        rn, area = np.array([2600.0, 5200.0, 700.0]), np.array([0.025, 0.025, 0.09])
+        jc = critical_current_density(rn, area, 232.0)
+        assert jc.tolist() == [critical_current_density(*a, 232.0) for a in zip(rn, area)]
+        gap = implied_gap_uev(rn, area, jc)
+        assert gap.tolist() == [implied_gap_uev(*a) for a in zip(rn, area, jc)]
+        area[1] = 0.0
+        for convert in (lambda a: critical_current_density(rn, a, 232.0),
+                        lambda a: implied_gap_uev(rn, a, jc)):
+            with pytest.raises(ValidationError, match="must be > 0"):
+                convert(area)
+
+
 class TestGapFit:
     def test_implied_gap_inverts_forward_formula(self):
         jc = critical_current_density(4000.0, 0.05, 200.0)
@@ -334,6 +347,32 @@ class TestGapFit:
         implied = implied_gap_uev(18000.0, 0.025, 0.46)
         assert implied == pytest.approx(2 * 18000 * 0.46 * 0.025 / math.pi, rel=1e-12)
         assert 130.0 <= implied <= 160.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(1e-50, 1e50)] * 3), min_size=2, max_size=20))
+    def test_figures_are_the_inline_formulas(self, rows):
+        """jc_fitted and implied_delta_uev, by repr, as k Delta and
+        2 R_N J_c A / pi written out over the columns."""
+        fit = fit_gap(rows)
+        rn, area, jc = np.array(rows).T
+        k = math.pi / (2.0 * rn * area)
+        assert repr(column(fit.records, "jc_fitted").tolist()) == repr(
+            (k * fit.delta_uev).tolist()
+        )
+        assert repr(column(fit.records, "implied_delta_uev").tolist()) == repr(
+            (2.0 * rn * jc * area / math.pi).tolist()
+        )
+
+    @pytest.mark.parametrize("record", [(8000.0, 0.04, 1e-320), (1e150, 1e150, 1e150)])
+    def test_non_finite_figures_are_refused(self, record):
+        """(J_fit - J) / J overflows for J = 1e-320, and the implied gap
+        for the second record; the fit's sums stay finite."""
+        with pytest.raises(ValidationError) as info:
+            fit_gap([(8000.0, 0.04, 1.0), record])
+        assert str(info.value) == (
+            "non-finite implied gap, fitted J_c or relative residual for record "
+            f"({record[0]}, {record[1]}, {record[2]})"
+        )
 
     def test_needs_two_records(self):
         with pytest.raises(ValidationError):

@@ -349,6 +349,14 @@ class TestPaperInvariants:
         on_valid_stacks(check)
 
 
+def assert_center_width_is_the_reference(config, model):
+    """Both electrodes' profiles under `model` give, by repr, the center
+    widths of `center_reference_widths`."""
+    w_b, w_t = center_reference_widths(config, model)
+    for electrode, axis, width in ((Electrode.BOTTOM, Axis.X, w_b), (Electrode.TOP, Axis.Y, w_t)):
+        assert repr(bias_profile(config, axis, electrode, model).center_width_nm) == repr(width)
+
+
 class TestBiasProfile:
     def test_constant_model_all_zero(self, config):
         prof = bias_profile(config, Axis.X, Electrode.BOTTOM, BiasModel.CONSTANT)
@@ -412,6 +420,34 @@ class TestBiasProfile:
             ]
             assert profiles[0] == profiles[1]
             assert {type(v) for point in profiles[0] for v in point} == {float}
+
+    @pytest.mark.parametrize("layout", ["default", "odd-pitch", "sites"])
+    def test_center_width_is_the_center_reference(self, config, layout):
+        """center_width_nm, read from the profile's own middle row, is by
+        repr the model's `center_reference_widths`."""
+        if layout == "odd-pitch":
+            config = replace(config, layout=replace(config.layout, grid_pitch_mm=3.7))
+        elif layout == "sites":
+            sites = site_table([(-20.5, 3.0), (7.25, -11.0), (0.0, 30.0)])
+            config = replace(config, layout=replace(config.layout, sites=sites))
+        for model in BiasModel:
+            assert_center_width_is_the_reference(config, model)
+
+    def test_center_width_is_the_center_reference_on_drawn_stacks(self):
+        counts = {"accepted": 0, "skipped": 0}
+
+        @settings(max_examples=60, deadline=None)
+        @given(stacks(), st.sampled_from(BiasModel))
+        def run(config, model):
+            try:
+                assert_center_width_is_the_reference(config, model)
+            except ShadowEvapError:
+                counts["skipped"] += 1
+                return
+            counts["accepted"] += 1
+
+        run()
+        assert counts["accepted"] >= 30, counts
 
     def test_axis_mismatch(self, config):
         with pytest.raises(AxisMismatch):
