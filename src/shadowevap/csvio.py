@@ -6,26 +6,30 @@ to 1e-9 relative. Output is bit-stable for identical input.
 
 The numeric-table and JSON writers (and the SVG heatmap) format and
 write ROWS_PER_CHUNK rows at a time, a numeric table a column at a
-time with each distinct value of a chunk formatted once. All three
-hand their chunks to `write_text` as a `RowChunks`. Given two or more
-chunks, two or more usable CPUs (os.sched_getaffinity) and os.fork,
-it forks a child that formats the back half of the chunks into an
-unlinked file in tempfile.gettempdir() while this process formats the
-front half, then reaps the child and copies its bytes in, or formats
-that half itself if the child failed. The child only formats (no BLAS
-call) and leaves by os._exit, flushing none of the parent's files.
-Otherwise the chunks are formatted here in order: the same bytes.
+time with each distinct value of a chunk formatted once, as is a JSON
+record column of floats whose chunk repeats values (fewer distinct
+values than half its rows). All three hand their chunks to
+`write_text` as a `RowChunks`. Given two or more chunks, two or more
+usable CPUs (os.sched_getaffinity) and os.fork, it forks a child that
+formats the back half of the chunks into an unlinked file in
+tempfile.gettempdir() while this process formats the front half, then
+reaps the child and copies its bytes in, or formats that half itself
+if the child failed. The child only formats (no BLAS call) and leaves
+by os._exit, flushing none of the parent's files. Otherwise the chunks
+are formatted here in order: the same bytes.
 
 Site maps, corrections and measurements are read by one reader: the
 file is read once (one leading byte-order mark stripped), a well-formed
 text is parsed by np.loadtxt a slice of lines at a time into columns
-allocated once, and the rows that fail a check (or the whole text, when
-np.loadtxt cannot take it) are replayed through one csv.reader loop
-and a per-row parser, so a ParseError names file:line and a skipped
-measurement row is reported as `line N:`. The json module lays out each
-JSON report, with a placeholder string for each `JsonRecords` (a list
-of flat records held as columns); csvio writes only the records, one
-`%` template per record, in the placeholders' places.
+allocated once, a slice's labels at the width of its widest line and
+then narrowed to that of its widest label, and the rows that fail a
+check (or the whole text, when np.loadtxt cannot take it) are replayed
+through one csv.reader loop and a per-row parser, so a ParseError names
+file:line and a skipped measurement row is reported as `line N:`. The
+json module lays out each JSON report, with a placeholder string for
+each `JsonRecords` (a list of flat records held as columns); csvio
+writes only the records, one `%` template per record, in the
+placeholders' places.
 """
 
 from __future__ import annotations
@@ -403,11 +407,20 @@ def _read_table(
                 # Joined, the labels of every slice so far take at most
                 # this much: none is wider than the widest line.
                 seen += len(rows)
-                widest = max(widest, max(map(len, rows)))
+                line_width = max(map(len, rows))
+                widest = max(widest, line_width)
                 if seen * widest * 4 * len(label_columns) > MAX_LABEL_BYTES_PER_CHAR * len(text):
                     raise ValueError("labels too uneven in length for a str array")
                 if read_labels:
-                    block_labels = np.loadtxt(rows, dtype=str, usecols=label_columns, **options)
+                    # Parsed at the line width, which no label exceeds, and
+                    # kept at the slice's widest label, as dtype=str gives
+                    # them (at least 1 character).
+                    block_labels = np.loadtxt(
+                        rows, dtype=f"U{line_width}", usecols=label_columns, **options
+                    )
+                    block_labels = block_labels.astype(
+                        f"U{np.char.str_len(block_labels).max()}"
+                    )
             at = np.flatnonzero(nonblank) + first
             ok = valid(block)
             if not ok.all():
@@ -580,7 +593,9 @@ def _record_chunks(records: JsonRecords, indent: str) -> list[Union[str, RowChun
     sort_keys=True) writes their list of dicts on a line indented by
     `indent`, a chunk of records at a time: one `%` template per
     record. In each chunk, columns of finite floats or of ints are
-    formatted by the template (`%r` is float.__repr__, as json uses); any
+    formatted by the template (`%r` is float.__repr__, as json uses),
+    except that a float column holding fewer distinct values than half
+    its rows is formatted by `_formatted`, each distinct value once; any
     other column is encoded value by value first, which gives the same
     text."""
     if not records.rows:
@@ -590,11 +605,16 @@ def _record_chunks(records: JsonRecords, indent: str) -> list[Union[str, RowChun
     def chunk(rows: slice) -> str:
         slots, values = [], []
         for key in sorted(records.columns):
-            col = records.columns[key][rows]
-            col = col.tolist() if isinstance(col, np.ndarray) else col
+            given = records.columns[key][rows]
+            col = given.tolist() if isinstance(given, np.ndarray) else given
             types = set(map(type, col))
-            if types == {float} and np.isfinite(col).all():
-                slot = "%r"
+            if types == {float} and np.isfinite(floats := np.asarray(given, dtype=float)).all():
+                # Told apart by bits, as `_formatted` tells them apart.
+                bits = np.sort(floats.view(np.int64))
+                if 2 * np.count_nonzero(bits[1:] != bits[:-1]) + 2 < len(bits):
+                    slot, col = "%s", _formatted(floats, "%r")
+                else:
+                    slot = "%r"
             elif types == {int}:
                 slot = "%d"
             elif types == {str}:

@@ -63,6 +63,13 @@ def coefficient_of_variation(samples: Sequence[float]) -> StatsSummary:
     with np.errstate(over="ignore"):
         mean = float(arr.mean())
         sd = float(arr.std(ddof=1))
+    return _summary(n, mean, sd)
+
+
+def _summary(n: int, mean: float, sd: float) -> StatsSummary:
+    """The StatsSummary of n finite samples of this mean and sample sd;
+    NonPositiveMean if the mean is not above 0, then ComputationError if
+    the mean or sd overflowed."""
     if mean <= 0.0:
         raise NonPositiveMean(f"mean {mean} <= 0")
     if not (math.isfinite(mean) and math.isfinite(sd)):
@@ -447,17 +454,33 @@ def aggregate(
     keys = sorted(set(combo_keys))
     index = {key: i for i, key in enumerate(keys)}
     group = np.array([index[key] for key in combo_keys])[combo]
-    order = np.argsort(group, kind="stable")
-    bounds = np.cumsum(np.bincount(group, minlength=len(keys)))[:-1]
+    ordered = rn[np.argsort(group, kind="stable")]
+    sizes = np.bincount(group, minlength=len(keys))
+    starts = np.cumsum(sizes) - sizes
+    nonfinite = np.bincount(group, weights=~np.isfinite(rn), minlength=len(keys)) > 0
+    # The finite groups of one size are the rows of one (k, size) block,
+    # each row reduced as `coefficient_of_variation` reduces its group:
+    # pairwise sums, which np.add.reduceat would not give.
+    means, sds = np.zeros(len(keys)), np.zeros(len(keys))
+    for size in np.unique(sizes[sizes >= 2]).tolist():
+        at = np.flatnonzero((sizes == size) & ~nonfinite)
+        block = ordered[starts[at, None] + np.arange(size)]
+        with np.errstate(over="ignore"):
+            means[at], sds[at] = block.mean(axis=1), block.std(axis=1, ddof=1)
 
+    # Checked in key order, as `coefficient_of_variation` checks a group.
     warnings: list[str] = []
     group_stats: dict[str, StatsSummary] = {}
-    for key, vals in zip(keys, np.split(rn[order], bounds)):
-        if len(vals) < 2:
-            warnings.append(f"group {key!r} skipped: {len(vals)} sample(s)")
+    for key, n, bad, mean, sd in zip(
+        keys, sizes.tolist(), nonfinite.tolist(), means.tolist(), sds.tolist()
+    ):
+        if n < 2:
+            warnings.append(f"group {key!r} skipped: {n} sample(s)")
             continue
+        if bad:
+            raise ValidationError("samples must be finite")
         try:
-            group_stats[key] = coefficient_of_variation(vals)
+            group_stats[key] = _summary(n, mean, sd)
         except ComputationError as exc:
             raise type(exc)(f"group {key!r}: {exc}") from None
 

@@ -761,6 +761,40 @@ class TestGoldenMeasurements:
         for name, digest in self.HASHES.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
+    LARGE_HASH = "6ba6a8f704ca9caa7f8a717d954e8b1f8e6481470576dc2dd84d811cb55204d4"
+
+    def test_a_file_of_several_slices_and_chunks_is_pinned(self, tmp_path, capsys):
+        # 10,092 rows in about 560 KB: the reader parses them in five
+        # 128 KiB slices, whose widest labels differ, and the 10,091 gap-fit
+        # records are three JSON chunks, so the forked writer runs where two
+        # CPUs are usable. The row with a NaN R_N lies in the second slice.
+        meas, report = tmp_path / "meas.csv", tmp_path / "analysis.json"
+        rng = np.random.default_rng(27)
+        lines = ["wafer_id,chip_id,x_mm,y_mm,area_class_um2,run_id,rn_ohm,jc_ua_um2"]
+        for w in ("W1", "wafer-two"):
+            for y in range(-14, 15):
+                for x in range(-14, 15):
+                    # Chips of 290, 261, 25, 20 and 16 positions.
+                    chip = ("c%d" % ((x + 14) // 10) if w == "W1"
+                            else "chip-%d-%d" % ((x + 14) // 5, (y + 14) // 5))
+                    for area in (0.04, 0.09):
+                        rn = 320.0 / area * (1.0 + rng.normal(0.0, 0.03))
+                        jc = math.pi * 180.0 / (2.0 * rn * area) * (1.0 + rng.normal(0.0, 0.01))
+                        for run in ("R1", "R2", "R3"):
+                            probe = rn * (1.0 + rng.normal(0.0, 0.005))
+                            if len(lines) == 5000:
+                                probe = math.nan
+                            lines.append("%s,%s,%d,%d,%g,%s,%.12g,%.12g"
+                                         % (w, chip, x, y, area, run, probe, jc))
+        meas.write_text("\n".join(lines) + "\n")
+        assert meas.stat().st_size > 4 * (1 << 17)
+        assert main(["analyze", "--measurements", str(meas), "--group-by",
+                     "wafer,chip,area,run", "--fit-gap", "--out", str(report)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "groups: 234\n"
+        assert err == "skipped row: line 5001: rn_ohm must be finite, got nan\n"
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == self.LARGE_HASH
+
 
 class TestMalformedTables:
     """A bad row in a site map or correction table exits 2 with an error

@@ -695,6 +695,11 @@ class TestMeasurementCsv:
             export_measurements([record], path)
 
 
+#: Floats a JSON record column repeats: both zeros, the least subnormal,
+#: a value that repr writes with an exponent and one it rounds.
+REPEATED = [-0.0, 0.0, 5e-324, 1e16, 0.1]
+
+
 class TestJsonReport:
     def test_columns_of_unequal_length_are_refused(self):
         """Records are not cut to the shortest column."""
@@ -726,9 +731,13 @@ class TestJsonReport:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_columns_equal_their_list_of_dicts(self, tmp_path, data):
+        """Column "p" draws from one or two values of a small pool, so
+        most of its rows repeat a value."""
         n = data.draw(st.integers(0, 6))
+        pool = data.draw(st.lists(st.sampled_from(REPEATED), min_size=1, max_size=2))
         columns = {
             "f": np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=float),
+            "p": np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))),
             "i": np.array(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)), dtype=int),
             "s": np.array(data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)), dtype=object),
             "m": data.draw(st.lists(json_values(), min_size=n, max_size=n)),
@@ -941,3 +950,31 @@ class TestRoundTrips:
         assert back["n"] == n and len(back["records"]) == n
         for name, values in columns.items():
             assert reprs([record[name] for record in back["records"]]) == reprs(values), name
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data(), CHUNKED_ROWS, st.booleans())
+    def test_json_repeating_columns(self, tmp_path, data, n, forked):
+        """Float columns as the report's coordinates and area classes
+        repeat: 71 grid values, a drawn pool, and chunks with just under,
+        at and just over half their rows distinct. The file is the
+        encoder's text of the list of dicts."""
+        x = np.arange(n) % 71 * 1.0 - 35.0
+        x[0] = -0.0
+        (pool,) = pooled_columns(data, 1, n, st.sampled_from(REPEATED))
+        # In pairs within each chunk: half of a full chunk's rows are
+        # distinct, one pair fewer or one row more as `shift` says.
+        at = np.arange(n) % ROWS_PER_CHUNK
+        half = np.arange(n) - at + at // 2 + 0.25
+        shift = data.draw(st.sampled_from([-1, 0, 1]))
+        if shift < 0:
+            half[(at == 2) | (at == 3)] -= 1.0
+        elif shift > 0:
+            half[at == 1] *= -1.0
+        columns = dict(x_mm=x, area=pool, half=half, n_runs=np.arange(n) % 4)
+        path = tmp_path / "r.json"
+        with writer_cpus(forked):
+            write_json_report({"records": JsonRecords(**columns)}, path)
+        rows = [dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values()))]
+        expected = json.dumps({"records": rows}, indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected

@@ -428,6 +428,47 @@ class TestSlicedImport:
         assert import_outcome(path) == (reprs(old[0]), old[1])
         assert len(old[0]) == 3 * SLICE_ROWS or old[1][0].startswith(f"line {SLICE_ROWS + 2}: ")
 
+    @pytest.mark.parametrize("wide", [1, 0], ids=["wide-second", "wide-first"])
+    def test_labels_that_differ_past_a_slices_width(self, tmp_path, small_slices, wide):
+        """Every label of one slice is 1 character wide; in slice `wide`
+        every other chip id is "a" followed by 39 zeros, which differs
+        from "a" only past that width. Labels are kept whole, so groups
+        by chip stay apart."""
+        rows = [measurement_row(i) for i in range(3 * SLICE_ROWS)]
+        for i, row in enumerate(rows):
+            row[0], row[1], row[5] = "w", "ab"[i % 2], "r"
+            if i // SLICE_ROWS == wide and i % 2 == 0:
+                row[1] = "a" + "0" * 39
+        path = tmp_path / "meas.csv"
+        path.write_text(",".join(csvio.MEASUREMENT_HEADER) + "\n" + "".join(map(padded, rows)))
+        old = oracle_import(path)
+        assert import_outcome(path) == (reprs(old[0]), old[1])
+        new = aggregate(csvio.import_measurements(path)[0], ("chip",)).group_stats
+        expected = oracle_aggregate(old[0], ("chip",))[0]
+        assert len(expected) == 3 and list(new) == list(expected)
+        assert reprs(new.values()) == reprs(expected.values())
+
+    def test_labels_at_their_own_width_keep_memory_small(self, tmp_path):
+        """Lines of about 260 characters whose labels are 2 wide: each
+        slice's labels are parsed at its line width and kept at theirs.
+        The file's labels held at the line width would take three times
+        the bound."""
+        rows = [measurement_row(i) for i in range(20_000)]
+        lines = [",".join([*row[:2], "0" * 240 + row[2], *row[3:]]) + "\n" for row in rows]
+        path = tmp_path / "meas.csv"
+        path.write_text(",".join(csvio.MEASUREMENT_HEADER) + "\n" + "".join(lines))
+        size = path.stat().st_size
+        assert len(lines) * 3 * 4 * max(map(len, lines)) > 3 * 4 * size
+        tracemalloc.start()
+        try:
+            table, diagnostics = csvio.import_measurements(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == len(rows) and not diagnostics
+        assert table.columns["chip_id"].dtype == np.dtype("U2")
+        assert peak < 4 * size
+
 
 class TestAggregate:
     @SETTINGS

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from conftest import CONSISTENT_WAFERS, WAFER_TABLE
 from shadowevap import stats
 from shadowevap.errors import (
+    ComputationError,
     EmptyOrSingleton,
     NonPositiveFrequency,
     NonPositiveMean,
+    ShadowEvapError,
     ValidationError,
 )
 from shadowevap.stats import (
@@ -481,3 +483,64 @@ class TestAggregate:
             record(rn=-5.0)
         with pytest.raises(ValidationError):
             record(area=0.0)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-300, 1e150]))
+    @settings(max_examples=20, deadline=None)
+    def test_size_classes_equal_one_group_at_a_time(self, seed, scale):
+        """Groups of sizes about numpy's pairwise-sum block edges (8 and
+        128), two of each size, their rows shuffled: each summary is
+        `coefficient_of_variation` of its group's values in row order."""
+        sizes = [1, 2, 7, 8, 9, 127, 128, 129, 1000]
+        rng = np.random.default_rng(seed)
+        wafer = np.array([f"w{s}-{k}" for s in sizes for k in (0, 1) for _ in range(s)],
+                         dtype=object)
+        rng.shuffle(wafer)
+        rn = scale * rng.lognormal(0.0, 0.5, wafer.size)
+        report = aggregate(measurement_table(wafer, rn), group_by=("wafer",))
+        keys = sorted(set(wafer.tolist()))
+        expected = {f"wafer={key}": coefficient_of_variation(rn[wafer == key]) for key in keys
+                    if np.count_nonzero(wafer == key) >= 2}
+        assert list(report.group_stats) == list(expected)
+        assert list(map(repr, report.group_stats.values())) == list(map(repr, expected.values()))
+        assert report.warnings == ["group 'wafer=w1-0' skipped: 1 sample(s)",
+                                   "group 'wafer=w1-1' skipped: 1 sample(s)"]
+
+    @pytest.mark.parametrize(
+        "faults, error, text",
+        [
+            ({"b": math.nan, "c": -1.0}, ValidationError, "samples must be finite"),
+            ({"b": -1.0, "c": math.inf}, NonPositiveMean, "group 'wafer=b': mean -1.0 <= 0"),
+            ({"b": 1e308, "c": math.nan}, ComputationError,
+             "group 'wafer=b': the mean or spread of the samples overflows"),
+        ],
+        ids=["non-finite", "non-positive-mean", "overflow"],
+    )
+    def test_the_first_failing_group_in_key_order_raises(self, faults, error, text):
+        """Groups a (size 1), b and c (size 3, sharing a size class) and
+        d: b's fault is raised, not c's, with the text a group at a time
+        gave. A non-finite sample's ValidationError names no group."""
+        wafer = np.array(["d", "c", "b", "a", "b", "c", "b", "c", "d"], dtype=object)
+        rn = np.array([5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0])
+        for key, value in faults.items():
+            rn[wafer == key] = value
+        with pytest.raises(ShadowEvapError) as info:
+            aggregate(measurement_table(wafer, rn), group_by=("wafer",))
+        assert type(info.value) is error and str(info.value) == text
+
+
+def measurement_table(wafer, rn):
+    """The Table of MeasurementRecord of these wafer ids and R_N values,
+    built column by column (a record would refuse a non-finite R_N),
+    one junction per row."""
+    n = len(rn)
+    return Table(
+        MeasurementRecord,
+        wafer_id=wafer,
+        chip_id=np.full(n, "c1", dtype=object),
+        x_mm=np.arange(n, dtype=float),
+        y_mm=np.zeros(n),
+        area_class_um2=np.full(n, 0.04),
+        run_id=np.full(n, "r1", dtype=object),
+        rn_ohm=rn,
+        jc_ua_um2=np.full(n, None, dtype=object),
+    )
