@@ -17,12 +17,7 @@ import numpy as np
 
 from . import csvio, heatmap, stats, wafer
 from .config import load_config
-from .errors import (
-    ComputationError,
-    IoError,
-    UnknownField,
-    ValidationError,
-)
+from .errors import ComputationError, IoError, UnknownField, ValidationError
 from .table import Table, column, group_codes, group_mean
 
 
@@ -65,9 +60,7 @@ def _cmd_compare_models(args: argparse.Namespace) -> int:
         args.out, ["offset_mm", "bias_I_nm", "bias_II_nm", "bias_III_nm"], [offsets, *biases]
     )
     for m in wafer.BiasModel:
-        print(
-            f"center_width_{m.value}_nm: {csvio.fmt(profiles[m].center_width_nm)}"
-        )
+        print(f"center_width_{m.value}_nm: {csvio.fmt(profiles[m].center_width_nm)}")
     return 0
 
 
@@ -183,9 +176,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         jc = np.asarray(column(records, "jc_ua_um2"), dtype=float)  # None is NaN
         given = ~np.isnan(jc)
         if np.count_nonzero(given) < 2:
-            raise ValidationError(
-                "--fit-gap needs >= 2 rows with the optional jc_ua_um2 column"
-            )
+            raise ValidationError("--fit-gap needs >= 2 rows with the optional jc_ua_um2 column")
         fit = stats.fit_gap(
             np.column_stack(
                 (column(records, "rn_ohm"), column(records, "area_class_um2"), jc)
@@ -221,11 +212,7 @@ def _cmd_frequency(args: argparse.Namespace) -> int:
 def _cmd_propagate(args: argparse.Namespace) -> int:
     params = stats.QubitParams(gap_delta_uev=args.delta_uev, ec_mhz=args.ec_mhz)
     result = stats.propagate_cv_monte_carlo(
-        mean_rn_ohm=args.mean_rn_ohm,
-        cv_rn=args.cv_rn,
-        params=params,
-        n_samples=args.n,
-        seed=args.seed,
+        args.mean_rn_ohm, args.cv_rn, params, n_samples=args.n, seed=args.seed
     )
     print(f"cv_f: {csvio.fmt(result.cv_f)}")
     print(f"cv_ratio: {csvio.fmt(result.cv_ratio)}")
@@ -248,16 +235,12 @@ def _heatmap_points(path: str, field: str) -> np.ndarray:
     site_fields = [c for c in header if c not in ("x_mm", "y_mm")]
     if csvio.read_header(path) == header:
         if field not in site_fields:
-            raise UnknownField(
-                f"unknown field {field!r}; site maps provide {site_fields}"
-            )
-        columns, _ = csvio.read_numbers(path, header)
+            raise UnknownField(f"unknown field {field!r}; site maps provide {site_fields}")
+        columns = csvio.read_numbers(path, header)
         return columns[[header.index(name) for name in ("x_mm", "y_mm", field)]].T
 
     if field != "rn_ohm":
-        raise UnknownField(
-            f"unknown field {field!r}; measurement files provide ['rn_ohm']"
-        )
+        raise UnknownField(f"unknown field {field!r}; measurement files provide ['rn_ohm']")
     records, _ = _import_measurements(path, ids=False)
     x, y = column(records, "x_mm"), column(records, "y_mm")
     site, first = group_codes([x, y])
@@ -300,9 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "compare-models", help="bias vs offset for models I/II/III along one axis"
-    )
+    p = sub.add_parser("compare-models", help="bias vs offset for models I/II/III along one axis")
     p.add_argument("--config", required=True)
     p.add_argument("--electrode", choices=["bottom", "top"], required=True)
     p.add_argument("--axis", choices=["x", "y"], required=True)
@@ -310,18 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compare_models)
 
-    p = sub.add_parser(
-        "compensate", help="emit per-site drawn-dimension corrections"
-    )
+    p = sub.add_parser("compensate", help="emit per-site drawn-dimension corrections")
     p.add_argument("--config", required=True)
     p.add_argument("--target", default="center")
     p.add_argument("--grid-pitch-mm", type=_finite_float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compensate)
 
-    p = sub.add_parser(
-        "verify", help="re-simulate a correction table and report residual CV"
-    )
+    p = sub.add_parser("verify", help="re-simulate a correction table and report residual CV")
     p.add_argument("--config", required=True)
     p.add_argument("--corrections", required=True)
     p.add_argument("--out", required=True)
@@ -340,9 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ec-mhz", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_frequency)
 
-    p = sub.add_parser(
-        "propagate", help="Monte-Carlo R_N spread to frequency spread"
-    )
+    p = sub.add_parser("propagate", help="Monte-Carlo R_N spread to frequency spread")
     p.add_argument("--mean-rn-ohm", type=_finite_float, required=True)
     p.add_argument("--cv-rn", type=_finite_float, required=True)
     p.add_argument("--delta-uev", type=_finite_float, required=True)

@@ -204,7 +204,7 @@ def export_site_map(results: Sequence[SiteResult], path: PathLike) -> None:
 def import_site_map(path: PathLike) -> Table:
     """Read back an exported site map as a Table of SiteResult, angles
     back in radians."""
-    columns, _ = read_numbers(path, SITE_MAP_HEADER)
+    columns = read_numbers(path, SITE_MAP_HEADER)
     return Table(
         SiteResult,
         **{name: np.radians(c) if name.endswith("_rad") else c
@@ -224,28 +224,37 @@ def import_corrections(path: PathLike) -> Table:
     """Read a correction table as a Table of CorrectionRow. Two rows for
     one site are rejected, since each site takes one correction, and
     then a predicted area not above 0, which `verify` divides by."""
-    columns, lines = read_numbers(path, CORRECTIONS_HEADER)
+    columns = read_numbers(path, CORRECTIONS_HEADER)
     x, y = columns[:2]
     code, first = group_codes([x, y])
     repeats = np.flatnonzero(first[code] != np.arange(len(code)))
-    if len(repeats):
-        i = repeats[0]
-        j = first[code[i]]
-        raise ParseError(
-            f"{path}:{lines[i]}: duplicate site ({x[j]}, {y[j]}) mm, "
-            f"first given at line {lines[j]}"
-        )
     area = columns[CORRECTIONS_HEADER.index("predicted_area_um2")]
     bad = np.flatnonzero(area <= 0)
-    if len(bad):
+    if len(repeats) or len(bad):
+        # Row k is the k-th non-empty record: the k-th non-blank line if
+        # the reader took the fast path, which may hold a field too long
+        # for csv, and the k-th non-empty csv record if it did not.
+        with _table_file(path) as (_, fh):
+            text = fh.read()
+        try:
+            lines = [n + i for n, run in _line_slices(text) for i, line in enumerate(run) if line]
+        except ValueError:
+            lines = [n for n, row in _csv_rows(path, io.StringIO(text, newline="")) if row]
+        if len(repeats):
+            i = repeats[0]
+            j = first[code[i]]
+            raise ParseError(
+                f"{path}:{lines[i]}: duplicate site ({x[j]}, {y[j]}) mm, "
+                f"first given at line {lines[j]}"
+            )
         i = bad[0]
         raise ParseError(f"{path}:{lines[i]}: predicted_area_um2 must be > 0, got {area[i]}")
     return Table(CorrectionRow, **dict(zip(CORRECTIONS_HEADER, columns)))
 
 
-def read_numbers(path: PathLike, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def read_numbers(path: PathLike, header: list[str]) -> np.ndarray:
     """The data rows of a numeric table as columns, a (len(header), n)
-    float array, and their line numbers. Every value must be finite, and
+    float array in the file's own units. Every value must be finite, and
     there must be at least one row; a ParseError names file:line."""
 
     def parse_row(row: list[str]) -> tuple[list[float], tuple]:
@@ -257,10 +266,9 @@ def read_numbers(path: PathLike, header: list[str]) -> tuple[np.ndarray, np.ndar
                 raise ValueError(f"{name} must be finite, got {v}")
         return values, ()
 
-    numbers, _, lines = _read_table(
+    return _read_table(
         path, header, parse_row, lambda v: np.isfinite(v).all(axis=1), "no data rows"
-    )
-    return numbers, lines
+    )[0]
 
 
 def _csv_rows(
@@ -347,25 +355,27 @@ def _read_table(
     label_columns: Sequence[int] = (),
     allow_extra: Sequence[str] = (),
     read_labels: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(numbers, labels, line numbers) of the valid rows of a CSV table:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(numbers, labels) of the valid rows of a CSV table, in file order:
     a (k, n) float array, one row per column not in `label_columns`, and
     an (n, len(label_columns)) array of those. ZeroValidRows says
     `no_rows` if there are none. Without `read_labels`, np.loadtxt
-    parses no label, and labels are given only for replayed rows; the
-    same rows are kept either way.
+    parses no label and no label is measured, and labels are given only
+    for replayed rows; the same rows are kept either way. No line number
+    is kept: row k is the k-th non-empty csv record of the body.
 
     If the text has no quote, lone carriage return or NUL, its non-blank
-    lines have one column count the header allows and a str array of its
-    labels fits in MAX_LABEL_BYTES_PER_CHAR bytes a character of it,
-    np.loadtxt reads it a slice of lines at a time (see `_line_slices`),
-    taking no token that float() rejects and giving the same value. Each
-    slice's valid rows go into columns sized for every line of the text,
-    and the rows `valid` rejects are replayed once every slice is read.
-    Otherwise every csv record of the text is replayed. `parse_row`
-    gives a replayed row's (numbers, labels) or raises ValueError, which
-    becomes a `line N: ...` diagnostic or, without a diagnostics list, a
-    ParseError naming file:line.
+    lines have one column count the header allows and (when labels are
+    read) a str array of its labels fits in MAX_LABEL_BYTES_PER_CHAR
+    bytes a character of it, np.loadtxt reads it a slice of lines at a
+    time (see `_line_slices`), taking no token that float() rejects and
+    giving the same value. Each slice's valid rows go into columns sized
+    for every line of the text, and the rows `valid` rejects are replayed,
+    numbered by their lines, once every slice is read. Otherwise every
+    csv record of the text is replayed. `parse_row` gives a replayed
+    row's (numbers, labels) or raises ValueError, which becomes a
+    `line N: ...` diagnostic or, without a diagnostics list, a ParseError
+    naming file:line.
     """
     with _table_file(path) as (found, fh):
         if found is None:
@@ -378,7 +388,7 @@ def _read_table(
         text = fh.read()
     options = dict(delimiter=",", comments=None, ndmin=2)
     column_counts = {len(header), len(header) + len(allow_extra)}
-    numbers = linenos = None
+    numbers = None
     labels, flagged = [], []
     filled = seen = widest = 0
     try:
@@ -399,11 +409,10 @@ def _read_table(
                 if block.shape[1] + len(label_columns) not in column_counts:
                     raise ValueError("unexpected column count")
                 numbers = np.empty((block.shape[1], text.count("\n") + 1))
-                linenos = np.empty(numbers.shape[1], dtype=np.intp)
             elif block.shape[1] != len(numbers):
                 raise ValueError("slices differ in column count")
             block_labels = np.empty((len(rows), 0))
-            if label_columns:
+            if label_columns and read_labels:
                 # Joined, the labels of every slice so far take at most
                 # this much: none is wider than the widest line.
                 seen += len(rows)
@@ -411,25 +420,22 @@ def _read_table(
                 widest = max(widest, line_width)
                 if seen * widest * 4 * len(label_columns) > MAX_LABEL_BYTES_PER_CHAR * len(text):
                     raise ValueError("labels too uneven in length for a str array")
-                if read_labels:
-                    # Parsed at the line width, which no label exceeds, and
-                    # kept at the slice's widest label, as dtype=str gives
-                    # them (at least 1 character).
-                    block_labels = np.loadtxt(
-                        rows, dtype=f"U{line_width}", usecols=label_columns, **options
-                    )
-                    block_labels = block_labels.astype(
-                        f"U{np.char.str_len(block_labels).max()}"
-                    )
-            at = np.flatnonzero(nonblank) + first
+                # Parsed at the line width, which no label exceeds, and kept
+                # at the slice's widest label, as dtype=str gives them (at
+                # least 1 character).
+                block_labels = np.loadtxt(
+                    rows, dtype=f"U{line_width}", usecols=label_columns, **options
+                )
+                block_labels = block_labels.astype(f"U{np.char.str_len(block_labels).max()}")
             ok = valid(block)
             if not ok.all():
-                bad = np.flatnonzero(~ok).tolist()
-                flagged += zip(at[bad].tolist(), [rows[i] for i in bad])
-                block, at, block_labels = block[ok], at[ok], block_labels[ok]
-            numbers[:, filled : filled + len(at)] = block.T
-            linenos[filled : filled + len(at)] = at
-            filled += len(at)
+                # Only a flagged row is numbered: by the line it is on.
+                bad = np.flatnonzero(~ok)
+                at = np.flatnonzero(nonblank)[bad] + first
+                flagged += zip(at.tolist(), [rows[i] for i in bad])
+                block, block_labels = block[ok], block_labels[ok]
+            numbers[:, filled : filled + len(block)] = block.T
+            filled += len(block)
             labels.append(block_labels)
         if numbers is None:
             raise ValueError("no rows")
@@ -445,21 +451,20 @@ def _read_table(
         if not row:
             continue
         try:
-            kept.append((lineno, *parse_row(row)))
+            kept.append(parse_row(row))
         except ValueError as exc:
             if diagnostics is None:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             diagnostics.append(f"line {lineno}: {exc}")
     if numbers is None:
-        linenos, numbers, labels = zip(*kept) if kept else ((), (), ())
+        numbers, labels = zip(*kept) if kept else ((), ())
         numbers, labels = np.array(numbers, dtype=float).T, np.array(labels, dtype=object)
-        linenos = np.array(linenos)
     else:
         # Widened to the longest label, as one np.loadtxt would give them.
-        numbers, labels, linenos = numbers[:, :filled], np.concatenate(labels), linenos[:filled]
-    if not len(linenos):
+        numbers, labels = numbers[:, :filled], np.concatenate(labels)
+    if not numbers.size:
         raise ZeroValidRows(f"{path}: {no_rows}")
-    return numbers, labels, linenos
+    return numbers, labels
 
 
 def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[str]]:
@@ -468,11 +473,12 @@ def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[s
 
     Invalid rows are skipped and reported with their line numbers, never
     silently dropped; a file with zero valid rows raises ZeroValidRows.
-    Without `ids` the wafer, chip and run ids are not parsed (no check
-    reads them) and their columns hold None.
+    Without `ids` the wafer, chip and run ids are neither parsed nor
+    measured (no check reads them), so one long id does not send the
+    file to the csv.reader path, and their columns hold None.
     """
     diagnostics: list[str] = []
-    numbers, labels, _ = _read_table(
+    numbers, labels = _read_table(
         path,
         MEASUREMENT_HEADER,
         _measurement_row,

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -268,18 +268,33 @@ def critical_current_density(rn_ohm, area_um2, gap_delta_uev):
     divided by the junction area. With Delta in ueV, R_N in ohm and the
     area in um^2 the units collapse to J_c = pi Delta / (2 R_N A).
     """
-    if not np.all((rn_ohm > 0) & (area_um2 > 0) & (gap_delta_uev > 0)):
-        raise ValidationError("rn_ohm, area_um2 and gap_delta_uev must be > 0")
-    return math.pi * gap_delta_uev / (2.0 * rn_ohm * area_um2)
+    values = dict(rn_ohm=rn_ohm, area_um2=area_um2, gap_delta_uev=gap_delta_uev)
+    return _positive("J_c", lambda: math.pi * gap_delta_uev / (2.0 * rn_ohm * area_um2), values)
 
 
 def implied_gap_uev(rn_ohm, area_um2, jc_ua_um2):
     """Gap (ueV) implied by (R_N, area, J_c), elementwise over numpy
     arrays: the inverse of `critical_current_density`,
     Delta = 2 e R_N J_c A / pi."""
-    if not np.all((rn_ohm > 0) & (area_um2 > 0) & (jc_ua_um2 > 0)):
-        raise ValidationError("rn_ohm, area_um2 and jc_ua_um2 must be > 0")
-    return 2.0 * rn_ohm * jc_ua_um2 * area_um2 / math.pi
+    values = dict(rn_ohm=rn_ohm, area_um2=area_um2, jc_ua_um2=jc_ua_um2)
+    return _positive("the gap", lambda: 2.0 * rn_ohm * jc_ua_um2 * area_um2 / math.pi, values)
+
+
+def _positive(what: str, formula: Callable[[], Any], values: dict[str, Any]):
+    """formula() of `values`, which must all be > 0, elementwise over
+    arrays; a scalar result that is not a finite float > 0 (a quotient
+    by 0, an overflow or an underflow) is a ValidationError naming them."""
+    *names, last = values
+    if not all(np.all(v > 0) for v in values.values()):
+        raise ValidationError(f"{', '.join(names)} and {last} must be > 0")
+    try:
+        result = formula()
+    except ZeroDivisionError:  # of Python floats
+        result = math.inf
+    if np.ndim(result) == 0 and not 0.0 < result < math.inf:
+        given = ", ".join(f"{name} {v}" for name, v in values.items())
+        raise ValidationError(f"{given}: {what} overflows or underflows in float arithmetic")
+    return result
 
 
 class GapFitRecord(NamedTuple):
@@ -478,7 +493,7 @@ def aggregate(
             warnings.append(f"group {key!r} skipped: {n} sample(s)")
             continue
         if bad:
-            raise ValidationError("samples must be finite")
+            raise ValidationError(f"group {key!r}: samples must be finite")
         try:
             group_stats[key] = _summary(n, mean, sd)
         except ComputationError as exc:

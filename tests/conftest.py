@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ SLICE_ROWS = 8
 def small_slices(monkeypatch):
     """The readers parse SLICE_ROWS 32-character lines a slice."""
     monkeypatch.setattr(csvio, "ROWS_PER_CHUNK", SLICE_ROWS)
+
+
+@pytest.fixture
+def whole_text_replays(monkeypatch):
+    """A list that gets one entry per call of `csvio._csv_rows` on the
+    whole text of a file (the reader's csv.reader path), none for its
+    header and flagged rows."""
+    calls = []
+    replay = csvio._csv_rows
+
+    def spy(path, lines, linenos=None):
+        if isinstance(lines, io.StringIO):
+            calls.append(path)
+        return replay(path, lines, linenos)
+
+    monkeypatch.setattr(csvio, "_csv_rows", spy)
+    return calls
 
 
 def padded(fields, end="\n", width=32):

@@ -951,6 +951,21 @@ class TestOverlongField:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_an_id_heatmap_does_not_read_is_not_measured(self, tmp_path, capsys):
+        """`heatmap` reads no id, so an unquoted chip id longer than the
+        field limit, among enough rows that read labels would fail the
+        label guard, leaves its file to np.loadtxt and the map is drawn
+        (before, it exited 2); `analyze` reads ids, and the csv.reader
+        path the guard sends it to refuses the field."""
+        csv_path, out = tmp_path / "big.csv", tmp_path / "out"
+        rows = "".join(f"w1,c{i},{i},9,0.025,r1,8000\n" for i in range(20))
+        csv_path.write_text(MEAS_TEXT + f"w1,{self.LONG},5,5,0.025,r1,8000\n" + rows)
+        argv = ["heatmap", "--in", str(csv_path), "--field", "rn_ohm", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("cells: 23\n", "")
+        assert main(["analyze", "--measurements", str(csv_path), "--out", str(out)]) == 2
+        assert f"error: {csv_path}:6: field larger than field limit" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_non_finite_rows_are_skipped(self, tmp_path, capsys):

@@ -163,6 +163,40 @@ class TestCorrectionsCsv:
             f"{path}:5: duplicate site (1.0, 0.0) mm, first given at line 4"
         )
 
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            ("5,0,201,201,0.05,0", "8: duplicate site (5.0, 0.0) mm, first given at line 4"),
+            ("7,7,200,200,0,0", "8: predicted_area_um2 must be > 0, got 0.0"),
+        ],
+        ids=["duplicate", "zero-area"],
+    )
+    def test_the_fast_path_names_lines_after_blank_lines(self, tmp_path, whole_text_replays,
+                                                         fault, error):
+        """A byte-order mark, CRLF line ends and blank lines before the
+        faulty row on line 8: np.loadtxt reads the file (no csv.reader
+        replay of it), and the error names the lines the oracle names."""
+        rows = ["0,0,200,200,0.04,0", "", "5,0,200,200,0.04,0", "", "", "0,5,200,200,0.04,0"]
+        path = tmp_path / "c.csv"
+        text = "\r\n".join([",".join(CORRECTIONS_HEADER), *rows, fault]) + "\r\n"
+        path.write_bytes(("\ufeff" + text).encode())
+        assert outcome(read_corrections, path) == outcome(oracle_corrections, path)
+        assert outcome(read_corrections, path) == (ParseError, f"{path}:{error}")
+        assert not whole_text_replays
+
+    def test_a_field_too_long_for_csv_still_names_its_lines(self, tmp_path):
+        """np.loadtxt reads an x of 140,001 characters, which csv.reader
+        refuses as longer than its field limit: a repeated site after it
+        is still named by its lines."""
+        path = tmp_path / "c.csv"
+        path.write_text(
+            ",".join(CORRECTIONS_HEADER) + "\n"
+            + "0" * 140_000 + "5,0,200,200,0.04,0\n\n5,0,200,200,0.04,0\n"
+        )
+        with pytest.raises(ParseError) as info:
+            import_corrections(path)
+        assert str(info.value) == f"{path}:4: duplicate site (5.0, 0.0) mm, first given at line 2"
+
 
 # Spellings of finite numbers, and tokens np.loadtxt rejects but float()
 # reads, which the per-line path then takes.
@@ -512,7 +546,7 @@ class TestSlicedReader:
         assert size > 16 * 32 * ROWS_PER_CHUNK
         tracemalloc.start()
         try:
-            columns, lines = read_numbers(path, SITE_MAP_HEADER)
+            columns = read_numbers(path, SITE_MAP_HEADER)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,6 +11,8 @@ Results are compared by repr, diagnostics by their text and order, and
 errors by type and text.
 """
 
+import dataclasses
+import hashlib
 import math
 import operator
 import tracemalloc
@@ -39,7 +41,6 @@ from shadowevap.stats import (
     aggregate,
     coefficient_of_variation,
     fit_gap,
-    implied_gap_uev,
 )
 from shadowevap.table import Table, group_codes
 
@@ -150,7 +151,9 @@ def oracle_fit_gap(rows):
     if not (math.isfinite(denom) and math.isfinite(delta)):
         raise ComputationError("the least-squares sums of the gap fit overflow")
     fitted = [
-        GapFitRecord(rn, area, jc, implied_gap_uev(rn, area, jc), k * delta,
+        # The implied gap as `implied_gap_uev` computes it, which refuses a
+        # scalar result that is not finite rather than returning it.
+        GapFitRecord(rn, area, jc, 2.0 * rn * jc * area / math.pi, k * delta,
                      k * delta - jc, (k * delta - jc) / jc)
         for (rn, area, jc), k in zip(rows, ks)
     ]
@@ -328,6 +331,38 @@ class TestImport:
         assert new[1] == old[1] == ["line 9: rn_ohm must be > 0"]
         assert peak < 50e6
 
+    def test_an_unread_long_label_keeps_the_fast_path(self, tmp_path, whole_text_replays):
+        """Without ids no label is measured, so one 20,000-character chip
+        id leaves the file to np.loadtxt, with the oracle's rows and
+        diagnostics; with ids the label guard sends it to csv.reader."""
+        path = tmp_path / "meas.csv"
+        write_long_chip_id(path)
+        records, diagnostics = oracle_import(path)
+        assert diagnostics == [
+            "line 9: rn_ohm must be > 0", "line 20002: rn_ohm must be finite, got nan"
+        ]
+        table, found = csvio.import_measurements(path, ids=False)
+        assert not whole_text_replays
+        assert found == diagnostics
+        unread = dict(wafer_id=None, chip_id=None, run_id=None)
+        assert reprs(table) == [repr(dataclasses.replace(r, **unread)) for r in records]
+        assert import_outcome(path) == (reprs(records), diagnostics)
+        assert whole_text_replays == [path]
+
+    def test_a_heatmap_of_an_unread_long_label_is_pinned(self, tmp_path, capsys):
+        """`heatmap` reads no id: the long chip id changes no byte of the
+        map (recorded before the label guard stopped applying to it)."""
+        meas, svg = tmp_path / "meas.csv", tmp_path / "rn_map.svg"
+        write_long_chip_id(meas)
+        argv = ["heatmap", "--in", str(meas), "--field", "rn_ohm", "--out", str(svg)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (
+            "cells: 4757\n",
+            "skipped row: line 9: rn_ohm must be > 0\n"
+            "skipped row: line 20002: rn_ohm must be finite, got nan\n",
+        )
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == LONG_CHIP_ID_MAP
+
     def test_a_long_label_in_a_later_slice_keeps_memory_small(self, tmp_path, small_slices):
         """A 5,000-character wafer_id line that is a slice of its own,
         after 200 short rows and before 2,000 more: its slice's labels
@@ -374,6 +409,23 @@ class TestImport:
             tracemalloc.stop()
         assert len(table) == n and not diagnostics
         assert peak < 4 * size
+
+
+def write_long_chip_id(path):
+    """30,000 measurement rows in several of the reader's slices, row
+    12,345's chip id 20,000 characters long, and two invalid rows."""
+    rows = [
+        f"w{i % 5},c{i % 9},{i % 71 - 35},{i % 67 - 33},0.04,r{i % 3},{5000 + i % 997}"
+        for i in range(30_000)
+    ]
+    rows[7] = rows[7].rsplit(",", 1)[0] + ",-5"
+    rows[20_000] = rows[20_000].rsplit(",", 1)[0] + ",nan"
+    rows[12_345] = rows[12_345].replace(",c", "," + "c" * 20_000, 1)
+    path.write_text("\n".join([",".join(csvio.MEASUREMENT_HEADER), *rows]) + "\n")
+
+
+#: SHA-256 of `heatmap`'s map of `write_long_chip_id`'s file.
+LONG_CHIP_ID_MAP = "c7544cc9226abe1c4f8ad4460e0523a2ab9252bf2d3ca0f82764160ff8e995fa"
 
 
 def measurement_row(i):

@@ -300,6 +300,39 @@ class TestCriticalCurrentDensity:
             with pytest.raises(ValidationError, match="must be > 0"):
                 convert(area)
 
+    @pytest.mark.parametrize(
+        "rn, area, delta, elementwise", [(1e-200, 1e-200, 1.0, math.inf), (1e200, 1e200, 1.0, 0.0)]
+    )
+    def test_a_scalar_jc_out_of_float_range_is_refused(self, rn, area, delta, elementwise):
+        """2 R_N A underflows to 0 (a ZeroDivisionError before) or
+        overflows to inf (a J_c of 0.0 before); arrays keep their
+        elementwise results."""
+        with pytest.raises(ValidationError) as info:
+            critical_current_density(rn, area, delta)
+        assert str(info.value) == (
+            f"rn_ohm {rn}, area_um2 {area}, gap_delta_uev {delta}: "
+            "J_c overflows or underflows in float arithmetic"
+        )
+        with np.errstate(all="ignore"):
+            jc = critical_current_density(np.array([rn, 2600.0]), np.array([area, 0.025]), delta)
+        assert jc.tolist() == [elementwise, math.pi * delta / (2.0 * 2600.0 * 0.025)]
+
+    @pytest.mark.parametrize("value, elementwise", [(1e200, math.inf), (1e-200, 0.0)])
+    def test_a_scalar_implied_gap_out_of_float_range_is_refused(self, value, elementwise):
+        """The gap of (1e200, 1e200, 1e200) overflows (inf before), and
+        that of (1e-200, 1e-200, 1e-200) underflows (0.0 before); arrays
+        keep their elementwise results."""
+        with pytest.raises(ValidationError) as info:
+            implied_gap_uev(value, value, value)
+        assert str(info.value) == (
+            f"rn_ohm {value}, area_um2 {value}, jc_ua_um2 {value}: "
+            "the gap overflows or underflows in float arithmetic"
+        )
+        with np.errstate(all="ignore"):
+            rn, area, jc = np.full(2, value), np.array([value, 0.05]), np.array([value, 2.0])
+            gap = implied_gap_uev(rn, area, jc)
+        assert gap.tolist() == [elementwise, 2.0 * value * 2.0 * 0.05 / math.pi]
+
 
 class TestGapFit:
     def test_implied_gap_inverts_forward_formula(self):
@@ -508,7 +541,8 @@ class TestAggregate:
     @pytest.mark.parametrize(
         "faults, error, text",
         [
-            ({"b": math.nan, "c": -1.0}, ValidationError, "samples must be finite"),
+            ({"b": math.nan, "c": -1.0}, ValidationError,
+             "group 'wafer=b': samples must be finite"),
             ({"b": -1.0, "c": math.inf}, NonPositiveMean, "group 'wafer=b': mean -1.0 <= 0"),
             ({"b": 1e308, "c": math.nan}, ComputationError,
              "group 'wafer=b': the mean or spread of the samples overflows"),
@@ -518,7 +552,7 @@ class TestAggregate:
     def test_the_first_failing_group_in_key_order_raises(self, faults, error, text):
         """Groups a (size 1), b and c (size 3, sharing a size class) and
         d: b's fault is raised, not c's, with the text a group at a time
-        gave. A non-finite sample's ValidationError names no group."""
+        gave, its group named."""
         wafer = np.array(["d", "c", "b", "a", "b", "c", "b", "c", "d"], dtype=object)
         rn = np.array([5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0])
         for key, value in faults.items():
