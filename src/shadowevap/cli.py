@@ -111,7 +111,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if overflow.any():
         i, x, y = np.argmax(overflow), column(results, "x_mm"), column(results, "y_mm")
         raise ComputationError(
-            f"site ({x.item(i)}, {y.item(i)}) mm: the deviation from its predicted area overflows"
+            wafer._at_site(x.item(i), y.item(i), "the deviation from its predicted area overflows")
         )
     max_dev = np.max(dev).item()
     report = {
@@ -249,7 +249,7 @@ def _heatmap_points(path: str, field: str) -> np.ndarray:
     if overflow.any():
         i = first[np.argmax(overflow)]
         raise ComputationError(
-            f"site ({x.item(i)}, {y.item(i)}) mm: the mean of its rn_ohm values overflows"
+            wafer._at_site(x.item(i), y.item(i), "the mean of its rn_ohm values overflows")
         )
     return np.column_stack((x[first], y[first], mean))
 

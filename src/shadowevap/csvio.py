@@ -19,17 +19,18 @@ by os._exit, flushing none of the parent's files. Otherwise the chunks
 are formatted here in order: the same bytes.
 
 Site maps, corrections and measurements are read by one reader: the
-file is read once (one leading byte-order mark stripped), a well-formed
-text is parsed by np.loadtxt a slice of lines at a time into columns
-allocated once, a slice's labels at the width of its widest line and
-then narrowed to that of its widest label, and the rows that fail a
-check (or the whole text, when np.loadtxt cannot take it) are replayed
-through one csv.reader loop and a per-row parser, so a ParseError names
-file:line and a skipped measurement row is reported as `line N:`. The
-json module lays out each JSON report, with a placeholder string for
-each `JsonRecords` (a list of flat records held as columns); csvio
-writes only the records, one `%` template per record, in the
-placeholders' places.
+file is read once (one leading byte-order mark stripped), a text whose
+every line is one csv record (no quote, lone CR, NUL or line longer
+than csv's field limit) is parsed by np.loadtxt a slice of lines at a
+time into columns allocated once, a slice's labels at the width of its
+widest line and then narrowed to that of its widest label, and the rows
+that fail a check, split at their commas (or the csv.reader records of
+any other text: the same records), go through a per-row parser, so a
+ParseError names file:line and a skipped measurement row is reported
+as `line N:`. The json module lays out each JSON report, with a
+placeholder string for each `JsonRecords` (a list of flat records held
+as columns); csvio writes only the records, one `%` template per
+record, in the placeholders' places.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def export_corrections(table: CorrectionTable, path: PathLike) -> None:
 def import_corrections(path: PathLike) -> Table:
     """Read a correction table as a Table of CorrectionRow. Two rows for
     one site are rejected, since each site takes one correction, and
-    then a predicted area not above 0, which `verify` divides by."""
+    then a predicted area not above 0, which `verify` divides by; row k
+    is named by the line of the file's k-th non-empty csv record."""
     columns = read_numbers(path, CORRECTIONS_HEADER)
     x, y = columns[:2]
     code, first = group_codes([x, y])
@@ -231,15 +233,8 @@ def import_corrections(path: PathLike) -> Table:
     area = columns[CORRECTIONS_HEADER.index("predicted_area_um2")]
     bad = np.flatnonzero(area <= 0)
     if len(repeats) or len(bad):
-        # Row k is the k-th non-empty record: the k-th non-blank line if
-        # the reader took the fast path, which may hold a field too long
-        # for csv, and the k-th non-empty csv record if it did not.
         with _table_file(path) as (_, fh):
-            text = fh.read()
-        try:
-            lines = [n + i for n, run in _line_slices(text) for i, line in enumerate(run) if line]
-        except ValueError:
-            lines = [n for n, row in _csv_rows(path, io.StringIO(text, newline="")) if row]
+            lines = [n for n, row in _csv_rows(path, fh) if row]
         if len(repeats):
             i = repeats[0]
             j = first[code[i]]
@@ -272,17 +267,16 @@ def read_numbers(path: PathLike, header: list[str]) -> np.ndarray:
 
 
 def _csv_rows(
-    path: PathLike, lines: Iterable[str], linenos: Optional[Iterable[int]] = None
+    path: PathLike, lines: Iterable[str], first: int = 2
 ) -> Iterator[tuple[int, list[str]]]:
-    """(line number, csv row) of each record of `lines`, numbered by
-    `linenos`, else by the line it starts on, `lines` being a CSV body
-    that starts at line 2; a csv.Error (such as an over-long field)
-    becomes a ParseError naming file:line."""
+    """(line number, csv row) of each record of `lines`, a CSV text that
+    starts at line `first`, numbered by the line the record starts on; a
+    csv.Error (such as an over-long field) becomes a ParseError naming
+    file:line."""
     reader = csv.reader(lines)
-    if linenos is None:
+    while True:
         # The reader has read line_num lines before each record.
-        linenos = iter(lambda: reader.line_num + 2, None)
-    for lineno in linenos:
+        lineno = reader.line_num + first
         try:
             row = next(reader)
         except StopIteration:
@@ -299,7 +293,7 @@ def _table_file(path: PathLike) -> Iterator[tuple[Optional[list[str]], IO[str]]]
     OSError becomes IoError and a decode error ParseError."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            yield next(_csv_rows(path, fh, [1]), (1, None))[1], fh
+            yield next(_csv_rows(path, fh, 1), (1, None))[1], fh
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -320,11 +314,13 @@ def read_header(path: PathLike) -> list[str]:
 MAX_LABEL_BYTES_PER_CHAR = 64
 
 
-def _line_slices(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(first line number, lines) of each slice of `text`, a CSV body
-    that starts at line 2: the shortest run of whole lines holding 32 *
-    ROWS_PER_CHUNK characters (128 KiB), or the rest, CRLF made LF.
-    ValueError if a slice holds a quote, a lone carriage return or a NUL."""
+def _line_slices(text: str) -> Iterator[tuple[int, list[str], int]]:
+    """(first line number, lines, widest line's length) of each slice of
+    `text`, a CSV body that starts at line 2: the shortest run of whole
+    lines holding 32 * ROWS_PER_CHUNK characters (128 KiB), or the rest,
+    CRLF made LF. ValueError if a slice holds a quote, a lone carriage
+    return, a NUL or a line longer than csv.field_size_limit(), so each
+    line yielded is one csv record: its fields split at its commas."""
     # The heap keeps what each slice frees: much larger slices raise the
     # peak of what runs after the read.
     size = 32 * ROWS_PER_CHUNK
@@ -335,12 +331,14 @@ def _line_slices(text: str) -> Iterator[tuple[int, list[str]]]:
         # A search for "\r" is quicker than replace() finding nothing to do.
         if "\r" in part:
             part = part.replace("\r\n", "\n")
-        # Without quotes or lone CRs each line is one csv record, and without
-        # NULs a numpy str array keeps every label whole.
-        if '"' in part or "\r" in part or "\0" in part:
-            raise ValueError("a line is not one csv record")
+        # Without quotes or lone CRs each line is one csv record, without
+        # NULs a numpy str array keeps every label whole, and a line no
+        # longer than csv's field limit holds no field that csv refuses.
         lines = part.split("\n")
-        yield first, lines
+        widest = max(map(len, lines))
+        if '"' in part or "\r" in part or "\0" in part or widest > csv.field_size_limit():
+            raise ValueError("a line is not one csv record")
+        yield first, lines, widest
         first += len(lines) - 1
         start = end
 
@@ -364,18 +362,19 @@ def _read_table(
     for replayed rows; the same rows are kept either way. No line number
     is kept: row k is the k-th non-empty csv record of the body.
 
-    If the text has no quote, lone carriage return or NUL, its non-blank
-    lines have one column count the header allows and (when labels are
-    read) a str array of its labels fits in MAX_LABEL_BYTES_PER_CHAR
-    bytes a character of it, np.loadtxt reads it a slice of lines at a
-    time (see `_line_slices`), taking no token that float() rejects and
-    giving the same value. Each slice's valid rows go into columns sized
-    for every line of the text, and the rows `valid` rejects are replayed,
-    numbered by their lines, once every slice is read. Otherwise every
-    csv record of the text is replayed. `parse_row` gives a replayed
-    row's (numbers, labels) or raises ValueError, which becomes a
-    `line N: ...` diagnostic or, without a diagnostics list, a ParseError
-    naming file:line.
+    If every line of the text is one csv record (see `_line_slices`),
+    its non-blank lines have one column count the header allows and
+    (when labels are read) a str array of its labels fits in
+    MAX_LABEL_BYTES_PER_CHAR bytes a character of it, np.loadtxt reads
+    it a slice of lines at a time, taking no token that float() rejects
+    and giving the same value. Each slice's valid rows go into columns
+    sized for every line of the text, and the rows `valid` rejects are
+    replayed, split at their commas and numbered by their lines, once
+    every slice is read. Otherwise every csv record of the text is
+    replayed: the records are csv.reader's either way. `parse_row` gives
+    a replayed row's (numbers, labels) or raises ValueError, which
+    becomes a `line N: ...` diagnostic or, without a diagnostics list, a
+    ParseError naming file:line.
     """
     with _table_file(path) as (found, fh):
         if found is None:
@@ -392,7 +391,7 @@ def _read_table(
     labels, flagged = [], []
     filled = seen = widest = 0
     try:
-        for first, lines in _line_slices(text):
+        for first, lines, line_width in _line_slices(text):
             nonblank = list(map(bool, lines))
             rows = list(itertools.compress(lines, nonblank))
             if not rows:
@@ -416,7 +415,6 @@ def _read_table(
                 # Joined, the labels of every slice so far take at most
                 # this much: none is wider than the widest line.
                 seen += len(rows)
-                line_width = max(map(len, rows))
                 widest = max(widest, line_width)
                 if seen * widest * 4 * len(label_columns) > MAX_LABEL_BYTES_PER_CHAR * len(text):
                     raise ValueError("labels too uneven in length for a str array")
@@ -443,7 +441,7 @@ def _read_table(
         numbers = None
         replay = _csv_rows(path, io.StringIO(text, newline=""))
     else:
-        replay = _csv_rows(path, [row for _, row in flagged], [n for n, _ in flagged])
+        replay = [(n, row.split(",")) for n, row in flagged]
     # Joining the labels holds them twice: the text goes first.
     del text
     kept = []

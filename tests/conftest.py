@@ -91,10 +91,10 @@ def whole_text_replays(monkeypatch):
     calls = []
     replay = csvio._csv_rows
 
-    def spy(path, lines, linenos=None):
+    def spy(path, lines, first=2):
         if isinstance(lines, io.StringIO):
             calls.append(path)
-        return replay(path, lines, linenos)
+        return replay(path, lines, first)
 
     monkeypatch.setattr(csvio, "_csv_rows", spy)
     return calls

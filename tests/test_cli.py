@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shadowevap
-from shadowevap import wafer
+from shadowevap import csvio, wafer
 from shadowevap.cli import main
 from shadowevap.config import DEFAULTS
 from shadowevap.stats import MAX_MC_SAMPLES
@@ -919,52 +919,74 @@ class TestNotUtf8:
 class TestOverlongField:
     """A CSV field longer than the csv module's field limit exits 2
     naming file:line, never a traceback: in the header, in a quoted row
-    (the whole text is replayed) and in an unquoted row that fails a
-    check (that row is replayed)."""
+    (the whole text is replayed), and in an unquoted row that fails a
+    check or passes every one (its line is longer than the limit, which
+    sends the text to csv.reader too)."""
 
     # A number np.loadtxt reads, far longer than csv's 131,072 characters.
     LONG = "0" * 140_000 + "1"
 
-    @pytest.mark.parametrize("place", ["header", "quoted", "unquoted"])
+    #: A row of each command's table that passes every check, at site
+    #: ({x}, 9) and, in a measurement file, with chip id {id}.
+    VALID = {
+        "heatmap": "w1,{id},{x},9,0.025,r1,8000",
+        "analyze": "w1,{id},{x},9,0.025,r1,8000",
+        "verify": "{x},9,200,200,0.04,0",
+        "site map": "{x},9,30,30,50,200,200,0.04,0,0",
+    }
+
+    @staticmethod
+    def argv(command, csv_path, config_path, out):
+        return {
+            "heatmap": ["heatmap", "--in", str(csv_path), "--field", "rn_ohm"],
+            "site map": ["heatmap", "--in", str(csv_path), "--field", "area_um2"],
+            "analyze": ["analyze", "--measurements", str(csv_path)],
+            "verify": ["verify", "--config", config_path, "--corrections", str(csv_path)],
+        }[command] + ["--out", str(out)]
+
+    @pytest.mark.parametrize("place", ["header", "quoted", "unquoted", "valid"])
     @pytest.mark.parametrize("command", ["heatmap", "analyze", "verify"])
     def test_exits_2(self, tmp_path, config_path, capsys, command, place):
         csv_path = tmp_path / "big.csv"
         if command == "verify":
-            head, row = CORRECTIONS_TEXT, "{},5,200,200,0.04,nan"
+            head, row = CORRECTIONS_TEXT, "{x},5,200,200,0.04,nan"
         else:
-            head, row = MEAS_TEXT, "w1,c1,{},0,0.025,r3,-5"
+            head, row = MEAS_TEXT, "w1,c1,{x},0,0.025,r3,-5"
         if place == "header":
             text, line = f'"{self.LONG}"\n', 1
         else:
             field = f'"{self.LONG}"' if place == "quoted" else self.LONG
-            text, line = head + row.format(field) + "\n", head.count("\n") + 1
+            row = self.VALID[command] if place == "valid" else row
+            text, line = head + row.format(x=field, id="c1") + "\n", head.count("\n") + 1
         csv_path.write_text(text)
         out = tmp_path / "out"
-        argv = {
-            "heatmap": ["heatmap", "--in", str(csv_path), "--field", "rn_ohm"],
-            "analyze": ["analyze", "--measurements", str(csv_path)],
-            "verify": ["verify", "--config", config_path, "--corrections", str(csv_path)],
-        }[command]
-        assert main(argv + ["--out", str(out)]) == 2
+        assert main(self.argv(command, csv_path, config_path, out)) == 2
         err = capsys.readouterr().err
         assert f"error: {csv_path}:{line}: field larger than field limit" in err
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_an_id_heatmap_does_not_read_is_not_measured(self, tmp_path, capsys):
-        """`heatmap` reads no id, so an unquoted chip id longer than the
-        field limit, among enough rows that read labels would fail the
-        label guard, leaves its file to np.loadtxt and the map is drawn
-        (before, it exited 2); `analyze` reads ids, and the csv.reader
-        path the guard sends it to refuses the field."""
+    @pytest.mark.parametrize("command", ["heatmap", "analyze", "verify", "site map"])
+    def test_a_valid_row_exits_2_at_any_size(self, tmp_path, config_path, capsys, command):
+        """A 140,000-character chip id (an x of as many, in a numeric
+        table) in a row that passes every check exits 2 naming its line,
+        in a file of 3 rows and in one of 25. Before, np.loadtxt read it
+        and the command went on, except in `analyze`'s 25-row file,
+        whose labels the label guard sent to csv.reader."""
+        template = self.VALID[command]
+        header = {"verify": csvio.CORRECTIONS_HEADER, "site map": csvio.SITE_MAP_HEADER}.get(
+            command, csvio.MEASUREMENT_HEADER
+        )
+        long = {"id": "c" * 140_000} if "{id}" in template else {"x": self.LONG}
         csv_path, out = tmp_path / "big.csv", tmp_path / "out"
-        rows = "".join(f"w1,c{i},{i},9,0.025,r1,8000\n" for i in range(20))
-        csv_path.write_text(MEAS_TEXT + f"w1,{self.LONG},5,5,0.025,r1,8000\n" + rows)
-        argv = ["heatmap", "--in", str(csv_path), "--field", "rn_ohm", "--out", str(out)]
-        assert main(argv) == 0
-        assert capsys.readouterr() == ("cells: 23\n", "")
-        assert main(["analyze", "--measurements", str(csv_path), "--out", str(out)]) == 2
-        assert f"error: {csv_path}:6: field larger than field limit" in capsys.readouterr().err
+        for n in (3, 25):
+            rows = [template.format(**{"id": f"c{i}", "x": i, **(long if i == 1 else {})})
+                    for i in range(n)]
+            csv_path.write_text("\n".join([",".join(header), *rows]) + "\n")
+            assert main(self.argv(command, csv_path, config_path, out)) == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: {csv_path}:3: field larger than field limit (131072)\n")
+            assert not out.exists()
 
 
 class TestAnalyze:

@@ -185,9 +185,9 @@ class TestCorrectionsCsv:
         assert not whole_text_replays
 
     def test_a_field_too_long_for_csv_still_names_its_lines(self, tmp_path):
-        """np.loadtxt reads an x of 140,001 characters, which csv.reader
-        refuses as longer than its field limit: a repeated site after it
-        is still named by its lines."""
+        """An x of 140,001 characters, longer than csv's field limit, is
+        refused naming its line, before the repeated site after it (before,
+        np.loadtxt read it and the repeated site was named)."""
         path = tmp_path / "c.csv"
         path.write_text(
             ",".join(CORRECTIONS_HEADER) + "\n"
@@ -195,7 +195,7 @@ class TestCorrectionsCsv:
         )
         with pytest.raises(ParseError) as info:
             import_corrections(path)
-        assert str(info.value) == f"{path}:4: duplicate site (5.0, 0.0) mm, first given at line 2"
+        assert str(info.value) == f"{path}:2: field larger than field limit (131072)"
 
 
 # Spellings of finite numbers, and tokens np.loadtxt rejects but float()

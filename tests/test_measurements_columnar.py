@@ -11,6 +11,7 @@ Results are compared by repr, diagnostics by their text and order, and
 errors by type and text.
 """
 
+import csv
 import dataclasses
 import hashlib
 import math
@@ -28,6 +29,7 @@ from shadowevap import cli, csvio, stats
 from shadowevap.errors import (
     ComputationError,
     DegenerateFit,
+    ParseError,
     ShadowEvapError,
     ValidationError,
     ZeroValidRows,
@@ -362,6 +364,29 @@ class TestImport:
             "skipped row: line 20002: rn_ohm must be finite, got nan\n",
         )
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == LONG_CHIP_ID_MAP
+
+    @pytest.mark.parametrize("ids", [True, False])
+    def test_a_chip_id_at_the_field_limit(self, tmp_path, ids):
+        """A chip id of csv.field_size_limit() characters is read with the
+        oracle's records in a file of 3 rows and in one of 25, and one
+        more character is refused in both, as csv.reader refuses it.
+        Before, np.loadtxt read the longer id in the 3-row file, and in
+        the 25-row one without ids."""
+        limit = csv.field_size_limit()
+        path = tmp_path / "meas.csv"
+        unread = {} if ids else dict(wafer_id=None, chip_id=None, run_id=None)
+        for n in (3, 25):
+            rows = [measurement_row(i) for i in range(n)]
+            rows[1][1] = "c" * limit
+            path.write_text("\n".join(map(",".join, [csvio.MEASUREMENT_HEADER, *rows])) + "\n")
+            records, diagnostics = oracle_import(path)
+            expected = [repr(dataclasses.replace(r, **unread)) for r in records]
+            assert import_outcome(path, ids) == (expected, diagnostics)
+            rows[1][1] += "c"
+            path.write_text("\n".join(map(",".join, [csvio.MEASUREMENT_HEADER, *rows])) + "\n")
+            assert import_outcome(path, ids) == (
+                ParseError, f"{path}:3: field larger than field limit ({limit})"
+            )
 
     def test_a_long_label_in_a_later_slice_keeps_memory_small(self, tmp_path, small_slices):
         """A 5,000-character wafer_id line that is a slice of its own,
