@@ -23,14 +23,15 @@ file is read once (one leading byte-order mark stripped), a text whose
 every line is one csv record (no quote, lone CR, NUL or line longer
 than csv's field limit) is parsed by np.loadtxt a slice of lines at a
 time into columns allocated once, a slice's labels at the width of its
-widest line and then narrowed to that of its widest label, and the rows
-that fail a check, split at their commas (or the csv.reader records of
-any other text: the same records), go through a per-row parser, so a
-ParseError names file:line and a skipped measurement row is reported
-as `line N:`. The json module lays out each JSON report, with a
-placeholder string for each `JsonRecords` (a list of flat records held
-as columns); csvio writes only the records, one `%` template per
-record, in the placeholders' places.
+widest line and then narrowed to that of its widest label, and checked
+as an array; the csv.reader records of any other text (the same
+records) are parsed one at a time and checked as one array. Each table
+lists its checks once, so a ParseError names file:line and a skipped
+measurement row is reported as `line N:`, in one text either way. The
+json module lays out each JSON report, with a placeholder string for
+each `JsonRecords` (a list of flat records held as columns); csvio
+writes only the records, one `%` template per record, in the
+placeholders' places.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Optional, Seque
 import numpy as np
 
 from .errors import EmptyInput, IoError, ParseError, ValidationError, ZeroValidRows
-from .stats import MeasurementRecord
+from .stats import MEASUREMENT_CHECKS, MeasurementRecord
 from .table import Table, column, group_codes
 from .wafer import CorrectionRow, CorrectionTable, SiteResult
 
@@ -249,20 +250,12 @@ def import_corrections(path: PathLike) -> Table:
 
 def read_numbers(path: PathLike, header: list[str]) -> np.ndarray:
     """The data rows of a numeric table as columns, a (len(header), n)
-    float array in the file's own units. Every value must be finite, and
-    there must be at least one row; a ParseError names file:line."""
-
-    def parse_row(row: list[str]) -> tuple[list[float], tuple]:
-        if len(row) != len(header):
-            raise ValueError(f"expected {len(header)} columns, got {len(row)}")
-        values = [float(v) for v in row]
-        for name, v in zip(header, values):
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        return values, ()
-
+    float array in the file's own units. Its checks are one finiteness
+    check per column, and it needs at least one row; a ParseError names
+    file:line."""
+    checks = [(name, np.isfinite, name + " must be finite, got {}") for name in header]
     return _read_table(
-        path, header, parse_row, lambda v: np.isfinite(v).all(axis=1), "no data rows"
+        path, header, lambda row: (list(map(float, row)), ()), checks, "no data rows"
     )[0]
 
 
@@ -347,7 +340,7 @@ def _read_table(
     path: PathLike,
     header: list[str],
     parse_row: Callable[[list[str]], tuple[Sequence, Sequence]],
-    valid: Callable[[np.ndarray], np.ndarray],
+    checks: Sequence[tuple[str, Callable, str]],
     no_rows: str,
     diagnostics: Optional[list[str]] = None,
     label_columns: Sequence[int] = (),
@@ -356,25 +349,26 @@ def _read_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(numbers, labels) of the valid rows of a CSV table, in file order:
     a (k, n) float array, one row per column not in `label_columns`, and
-    an (n, len(label_columns)) array of those. ZeroValidRows says
-    `no_rows` if there are none. Without `read_labels`, np.loadtxt
-    parses no label and no label is measured, and labels are given only
-    for replayed rows; the same rows are kept either way. No line number
-    is kept: row k is the k-th non-empty csv record of the body.
+    an (n, len(label_columns)) array of those. A row is valid if it passes
+    `checks` (see `_keep`); ZeroValidRows says `no_rows` if none is.
+    Without `read_labels`, np.loadtxt parses no label and no label is
+    measured, and labels are given only for replayed rows; the same rows
+    are kept either way. No line number is kept: row k is the k-th
+    non-empty csv record of the body.
 
     If every line of the text is one csv record (see `_line_slices`),
     its non-blank lines have one column count the header allows and
     (when labels are read) a str array of its labels fits in
     MAX_LABEL_BYTES_PER_CHAR bytes a character of it, np.loadtxt reads
     it a slice of lines at a time, taking no token that float() rejects
-    and giving the same value. Each slice's valid rows go into columns
-    sized for every line of the text, and the rows `valid` rejects are
-    replayed, split at their commas and numbered by their lines, once
-    every slice is read. Otherwise every csv record of the text is
-    replayed: the records are csv.reader's either way. `parse_row` gives
-    a replayed row's (numbers, labels) or raises ValueError, which
-    becomes a `line N: ...` diagnostic or, without a diagnostics list, a
-    ParseError naming file:line.
+    and giving the same value; each slice is checked as an array and its
+    valid rows go into columns sized for every line of the text.
+    Otherwise each csv record of the text of a column count the header
+    allows is parsed by `parse_row` into (numbers, labels), a number not
+    given None, or raises ValueError, and the parsed rows are checked as
+    one array. Refused rows become `line N: ...` diagnostics in line
+    order or, without a diagnostics list, the first a ParseError naming
+    file:line.
     """
     with _table_file(path) as (found, fh):
         if found is None:
@@ -387,8 +381,9 @@ def _read_table(
         text = fh.read()
     options = dict(delimiter=",", comments=None, ndmin=2)
     column_counts = {len(header), len(header) + len(allow_extra)}
-    numbers = None
-    labels, flagged = [], []
+    names = [name for i, name in enumerate(header + list(allow_extra)) if i not in label_columns]
+    numbers = error = None
+    labels, failures = [], []
     filled = seen = widest = 0
     try:
         for first, lines, line_width in _line_slices(text):
@@ -425,44 +420,78 @@ def _read_table(
                     rows, dtype=f"U{line_width}", usecols=label_columns, **options
                 )
                 block_labels = block_labels.astype(f"U{np.char.str_len(block_labels).max()}")
-            ok = valid(block)
-            if not ok.all():
-                # Only a flagged row is numbered: by the line it is on.
-                bad = np.flatnonzero(~ok)
-                at = np.flatnonzero(nonblank)[bad] + first
-                flagged += zip(at.tolist(), [rows[i] for i in bad])
-                block, block_labels = block[ok], block_labels[ok]
-            numbers[:, filled : filled + len(block)] = block.T
-            filled += len(block)
+            at = itertools.compress(itertools.count(first), nonblank)
+            block, block_labels = _keep(block.T, block_labels, at, names, checks, failures)
+            numbers[:, filled : filled + block.shape[1]] = block
+            filled += block.shape[1]
             labels.append(block_labels)
         if numbers is None:
             raise ValueError("no rows")
     except ValueError:
-        numbers = None
+        # The rows refused in the slices read so far are replayed too.
+        numbers, failures = None, []
         replay = _csv_rows(path, io.StringIO(text, newline=""))
-    else:
-        replay = [(n, row.split(",")) for n, row in flagged]
     # Joining the labels holds them twice: the text goes first.
     del text
-    kept = []
-    for lineno, row in replay:
-        if not row:
-            continue
-        try:
-            kept.append(parse_row(row))
-        except ValueError as exc:
-            if diagnostics is None:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            diagnostics.append(f"line {lineno}: {exc}")
     if numbers is None:
-        numbers, labels = zip(*kept) if kept else ((), ())
-        numbers, labels = np.array(numbers, dtype=float).T, np.array(labels, dtype=object)
+        kept = []
+        expected = " or ".join(map(str, sorted(column_counts)))
+        try:
+            for lineno, row in replay:
+                if not row:
+                    continue
+                try:
+                    if len(row) not in column_counts:
+                        raise ValueError(f"expected {expected} columns, got {len(row)}")
+                    kept.append((lineno, *parse_row(row)))
+                except ValueError as exc:
+                    failures.append((lineno, str(exc)))
+                    if diagnostics is None:
+                        break
+        except ParseError as exc:
+            # Raised once the rows before it are checked: a strict table
+            # names the first row it refuses.
+            error = exc
+        lines, values, labels = zip(*kept) if kept else ((), (), ())
+        values = np.array(values, dtype=object).reshape(-1, len(names)).T
+        labels = np.array(labels, dtype=object)
+        numbers, labels = _keep(
+            values.astype(float), labels, lines, names, checks, failures, np.not_equal(values, None)
+        )
     else:
         # Widened to the longest label, as one np.loadtxt would give them.
         numbers, labels = numbers[:, :filled], np.concatenate(labels)
+    for lineno, message in sorted(failures):
+        if diagnostics is None:
+            raise ParseError(f"{path}:{lineno}: {message}")
+        diagnostics.append(f"line {lineno}: {message}")
+    if error:
+        raise error
     if not numbers.size:
         raise ZeroValidRows(f"{path}: {no_rows}")
     return numbers, labels
+
+
+def _keep(
+    columns: np.ndarray, labels: np.ndarray, lines: Iterable[int], names: list[str],
+    checks: Sequence[tuple[str, Callable, str]], failures: list, given=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `columns` (one row per column: the first len(columns)
+    of `names`) and of `labels` that pass every one of `checks` on a
+    column they have, where `given` (shaped like `columns`; None if all
+    are) is true. Each other row adds its line (of `lines`) and the message
+    of the first check it fails, formatted with its value, to `failures`."""
+    tests = [(names.index(f), test, m) for f, test, m in checks if f in names[: len(columns)]]
+    passed = np.array([test(columns[j]) for j, test, _ in tests])
+    if given is not None:
+        passed |= ~given[[j for j, _, _ in tests]]
+    ok = passed.all(axis=0)
+    if ok.all():
+        return columns, labels
+    refused = zip(passed[:, ~ok].argmin(axis=0).tolist(), columns[:, ~ok].T.tolist())
+    messages = [tests[k][2].format(values[tests[k][0]]) for k, values in refused]
+    failures.extend(zip(itertools.compress(lines, ~ok), messages))
+    return columns[:, ok], labels[ok]
 
 
 def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[str]]:
@@ -480,8 +509,7 @@ def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[s
         path,
         MEASUREMENT_HEADER,
         _measurement_row,
-        # The checks of MeasurementRecord.__post_init__, as masks.
-        lambda v: np.isfinite(v).all(axis=1) & (v[:, 3] > 0) & (v[:, 2] > 0),
+        MEASUREMENT_CHECKS,
         "no valid measurement rows",
         diagnostics,
         label_columns=(0, 1, 5),
@@ -509,14 +537,10 @@ def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[s
 
 
 def _measurement_row(row: list[str]) -> tuple[tuple, tuple]:
-    """The (numbers, labels) of a measurement row, with jc_ua_um2 NaN if
-    it is not given; raises ValueError saying what is wrong with it."""
-    if len(row) not in (7, 8):
-        raise ValidationError(f"expected 7 or 8 columns, got {len(row)}")
-    jc = float(row[7]) if len(row) == 8 and row[7].strip() != "" else None
-    r = MeasurementRecord(row[0], row[1], *map(float, row[2:5]), row[5], float(row[6]), jc)
-    numbers = (r.x_mm, r.y_mm, r.area_class_um2, r.rn_ohm, math.nan if jc is None else jc)
-    return numbers, (r.wafer_id, r.chip_id, r.run_id)
+    """The (numbers, labels) of a measurement row of 7 or 8 columns,
+    jc_ua_um2 (parsed first) None if it is not given or blank."""
+    jc = float(row[7]) if len(row) == 8 and row[7].strip() else None
+    return (*map(float, row[2:5]), float(row[6]), jc), (row[0], row[1], row[5])
 
 
 def export_measurements(records: Sequence[MeasurementRecord], path: PathLike) -> None:

@@ -394,14 +394,20 @@ class MeasurementRecord:
     jc_ua_um2: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("x_mm", "y_mm", "area_class_um2", "rn_ohm", "jc_ua_um2"):
+        for name, test, message in MEASUREMENT_CHECKS:
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-        if not self.rn_ohm > 0:
-            raise ValidationError("rn_ohm must be > 0")
-        if not self.area_class_um2 > 0:
-            raise ValidationError("area_class_um2 must be > 0")
+            if (value is not None or name != "jc_ua_um2") and not test(value):
+                raise ValidationError(message.format(value))
+
+
+#: The checks of a MeasurementRecord or measurement row, in order: (field,
+#: test true for a passing value or array element, message formatted with
+#: the failing value). A jc_ua_um2 of None is not given and not tested.
+MEASUREMENT_CHECKS = [
+    *((name, lambda v: abs(v) < math.inf, name + " must be finite, got {}")
+      for name in ("x_mm", "y_mm", "area_class_um2", "rn_ohm", "jc_ua_um2")),
+    *((name, lambda v: v > 0, name + " must be > 0") for name in ("rn_ohm", "area_class_um2")),
+]
 
 
 #: The record attribute and the label format of each group field; a

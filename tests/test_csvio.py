@@ -197,6 +197,18 @@ class TestCorrectionsCsv:
             import_corrections(path)
         assert str(info.value) == f"{path}:2: field larger than field limit (131072)"
 
+    def test_a_row_refused_before_a_field_too_long_for_csv_is_named(self, tmp_path):
+        """A non-finite x on line 2 is named, not the over-long field that
+        ends the csv.reader replay on line 3."""
+        path = tmp_path / "c.csv"
+        path.write_text(
+            ",".join(CORRECTIONS_HEADER) + "\n"
+            + "nan,0,200,200,0.04,0\n" + "0" * 140_000 + "5,0,200,200,0.04,0\n"
+        )
+        with pytest.raises(ParseError) as info:
+            import_corrections(path)
+        assert str(info.value) == f"{path}:2: x_mm must be finite, got nan"
+
 
 # Spellings of finite numbers, and tokens np.loadtxt rejects but float()
 # reads, which the per-line path then takes.

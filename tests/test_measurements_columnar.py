@@ -547,6 +547,116 @@ class TestSlicedImport:
         assert peak < 4 * size
 
 
+#: A valid measurement row with every column, jc_ua_um2 included.
+VALID_ROW = dict(
+    wafer_id="W1", chip_id="c1", x_mm="1", y_mm="2", area_class_um2="0.04",
+    run_id="R1", rn_ohm="5000", jc_ua_um2="0.5",
+)
+
+#: Rows that fail one check each, in MEASUREMENT_CHECKS' order, then rows
+#: that fail several: the text is that of the first check they fail.
+REFUSED = [
+    ({"x_mm": "nan"}, "x_mm must be finite, got nan"),
+    ({"y_mm": "inf"}, "y_mm must be finite, got inf"),
+    ({"area_class_um2": "-inf"}, "area_class_um2 must be finite, got -inf"),
+    ({"rn_ohm": "NaN"}, "rn_ohm must be finite, got nan"),
+    ({"jc_ua_um2": "1e400"}, "jc_ua_um2 must be finite, got inf"),
+    ({"rn_ohm": "0"}, "rn_ohm must be > 0"),
+    ({"area_class_um2": "-0.04"}, "area_class_um2 must be > 0"),
+    ({"area_class_um2": "0", "rn_ohm": "-5", "jc_ua_um2": "nan"},
+     "jc_ua_um2 must be finite, got nan"),
+    ({"area_class_um2": "0", "rn_ohm": "-5"}, "rn_ohm must be > 0"),
+]
+
+
+def refused_row_file(path, fields, quoted):
+    """A measurement file whose line 3, between two valid rows, is the
+    valid row with `fields` (column to token) changed; `quoted` quotes
+    line 2's wafer id, which sends the whole text to csv.reader."""
+    header = list(VALID_ROW)
+    first = dict(VALID_ROW, wafer_id='"W1"' if quoted else "W1")
+    rows = [header, first.values(), {**VALID_ROW, **fields}.values(), VALID_ROW.values()]
+    path.write_text("\n".join(map(",".join, rows)) + "\n")
+
+
+class TestOneMessagePerCheck:
+    """Each check's text is the same from np.loadtxt's slices, from the
+    csv.reader replay and from MeasurementRecord."""
+
+    def test_the_checks_keep_their_order(self):
+        assert [field for field, _, _ in stats.MEASUREMENT_CHECKS] == [
+            "x_mm", "y_mm", "area_class_um2", "rn_ohm", "jc_ua_um2", "rn_ohm", "area_class_um2"
+        ]
+
+    @pytest.mark.parametrize("fields, message", REFUSED)
+    @pytest.mark.parametrize("quoted", [False, True], ids=["sliced", "replayed"])
+    def test_every_route_gives_the_first_failed_checks_text(
+        self, tmp_path, whole_text_replays, fields, message, quoted
+    ):
+        path = tmp_path / "meas.csv"
+        refused_row_file(path, fields, quoted)
+        table, diagnostics = csvio.import_measurements(path)
+        assert diagnostics == [f"line 3: {message}"]
+        assert len(table) == 2
+        assert whole_text_replays == ([path] if quoted else [])
+        ids = ("wafer_id", "chip_id", "run_id")
+        values = {k: v if k in ids else float(v) for k, v in {**VALID_ROW, **fields}.items()}
+        with pytest.raises(ValidationError) as info:
+            MeasurementRecord(**values)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("blank", ["", " "], ids=["empty", "space"])
+    def test_a_blank_jc_is_not_given_and_a_nan_is_refused(
+        self, tmp_path, whole_text_replays, blank
+    ):
+        """A literal nan jc_ua_um2 is refused on both paths; a blank one
+        (which only csv.reader reads) keeps its row, with None."""
+        path = tmp_path / "meas.csv"
+        refused_row_file(path, {"jc_ua_um2": "nan"}, quoted=False)
+        table, diagnostics = csvio.import_measurements(path)
+        assert diagnostics == ["line 3: jc_ua_um2 must be finite, got nan"]
+        assert table.columns["jc_ua_um2"].tolist() == [0.5, 0.5]
+        assert not whole_text_replays
+        lines = path.read_text().split("\n")
+        lines[1] = lines[1].replace(",0.5", "," + blank)
+        path.write_text("\n".join(lines))
+        table, found = csvio.import_measurements(path)
+        assert found == diagnostics
+        assert table.columns["jc_ua_um2"].tolist() == [None, 0.5]
+        assert whole_text_replays == [path]
+
+    def test_a_replayed_row_converts_jc_first(self, tmp_path):
+        """Of an unparseable x_mm and jc_ua_um2, the jc token is named."""
+        path = tmp_path / "meas.csv"
+        refused_row_file(path, {"x_mm": "x", "jc_ua_um2": "jj"}, quoted=False)
+        diagnostics = csvio.import_measurements(path)[1]
+        assert diagnostics == ["line 3: could not convert string to float: 'jj'"]
+
+    @pytest.mark.parametrize(
+        "read, header",
+        [(csvio.import_site_map, csvio.SITE_MAP_HEADER),
+         (csvio.import_corrections, csvio.CORRECTIONS_HEADER)],
+        ids=["site-map", "corrections"],
+    )
+    @pytest.mark.parametrize("column", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["sliced", "replayed"])
+    def test_numeric_tables_name_the_first_non_finite_value(
+        self, tmp_path, whole_text_replays, read, header, column, quoted
+    ):
+        """Line 3 holds a -inf and line 4 a nan: a strict table names line 3."""
+        rows = [[str(i + 1)] * len(header) for i in range(4)]
+        rows[1][column] = "-inf"
+        rows[2][0] = "nan"
+        if quoted:
+            rows[0][1] = '"1"'
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(map(",".join, [header, *rows])) + "\n")
+        with pytest.raises(ParseError) as info:
+            read(path)
+        assert str(info.value) == f"{path}:3: {header[column]} must be finite, got -inf"
+        assert whole_text_replays == ([path] if quoted else [])
+
+
 class TestAggregate:
     @SETTINGS
     @given(
