@@ -25,7 +25,7 @@ than csv's field limit) is parsed by np.loadtxt a slice of lines at a
 time into columns allocated once, a slice's labels at the width of its
 widest line and then narrowed to that of its widest label, and checked
 as an array; the csv.reader records of any other text (the same
-records) are parsed one at a time and checked as one array. Each table
+records) are parsed and checked ROWS_PER_CHUNK at a time. Each table
 lists its checks once, so a ParseError names file:line and a skipped
 measurement row is reported as `line N:`, in one text either way. The
 json module lays out each JSON report, with a placeholder string for
@@ -350,7 +350,7 @@ def _read_table(
     """(numbers, labels) of the valid rows of a CSV table, in file order:
     a (k, n) float array, one row per column not in `label_columns`, and
     an (n, len(label_columns)) array of those. A row is valid if it passes
-    `checks` (see `_keep`); ZeroValidRows says `no_rows` if none is.
+    `checks` (see `keep`); ZeroValidRows says `no_rows` if none is.
     Without `read_labels`, np.loadtxt parses no label and no label is
     measured, and labels are given only for replayed rows; the same rows
     are kept either way. No line number is kept: row k is the k-th
@@ -365,10 +365,11 @@ def _read_table(
     valid rows go into columns sized for every line of the text.
     Otherwise each csv record of the text of a column count the header
     allows is parsed by `parse_row` into (numbers, labels), a number not
-    given None, or raises ValueError, and the parsed rows are checked as
-    one array. Refused rows become `line N: ...` diagnostics in line
-    order or, without a diagnostics list, the first a ParseError naming
-    file:line.
+    given None, or raises ValueError, ROWS_PER_CHUNK records at a time,
+    and each chunk's rows are checked as an array. Refused rows become
+    `line N: ...` diagnostics in line order or, without a diagnostics
+    list (a strict table, read no further than its first refused row's
+    slice or chunk), the first a ParseError naming file:line.
     """
     with _table_file(path) as (found, fh):
         if found is None:
@@ -382,9 +383,34 @@ def _read_table(
     options = dict(delimiter=",", comments=None, ndmin=2)
     column_counts = {len(header), len(header) + len(allow_extra)}
     names = [name for i, name in enumerate(header + list(allow_extra)) if i not in label_columns]
-    numbers = error = None
+    numbers = error = replay = None
     labels, failures = [], []
     filled = seen = widest = 0
+
+    def keep(columns, block_labels, lines, given=None) -> bool:
+        """Put the rows of `columns` (one row per column: the first
+        len(columns) of `names`) and of `block_labels` that pass every one
+        of `checks` on a column they have, where `given` (shaped like
+        `columns`; None if all are) is true, into `numbers` and `labels`.
+        Each other row adds its line (of `lines`) and the message of the
+        first check it fails, formatted with its value, to `failures`.
+        True once a strict table has refused a row: it raises the first."""
+        nonlocal filled
+        tests = [(names.index(f), test, m) for f, test, m in checks if f in names[: len(columns)]]
+        passed = np.array([test(columns[j]) for j, test, _ in tests])
+        if given is not None:
+            passed |= ~given[[j for j, _, _ in tests]]
+        ok = passed.all(axis=0)
+        if not ok.all():
+            refused = zip(passed[:, ~ok].argmin(axis=0).tolist(), columns[:, ~ok].T.tolist())
+            messages = [tests[k][2].format(values[tests[k][0]]) for k, values in refused]
+            failures.extend(zip(itertools.compress(lines, ~ok), messages))
+            columns, block_labels = columns[:, ok], block_labels[ok]
+        numbers[:, filled : filled + columns.shape[1]] = columns
+        filled += columns.shape[1]
+        labels.append(block_labels)
+        return diagnostics is None and bool(failures)
+
     try:
         for first, lines, line_width in _line_slices(text):
             nonblank = list(map(bool, lines))
@@ -420,78 +446,56 @@ def _read_table(
                     rows, dtype=f"U{line_width}", usecols=label_columns, **options
                 )
                 block_labels = block_labels.astype(f"U{np.char.str_len(block_labels).max()}")
-            at = itertools.compress(itertools.count(first), nonblank)
-            block, block_labels = _keep(block.T, block_labels, at, names, checks, failures)
-            numbers[:, filled : filled + block.shape[1]] = block
-            filled += block.shape[1]
-            labels.append(block_labels)
+            if keep(block.T, block_labels, itertools.compress(itertools.count(first), nonblank)):
+                break
         if numbers is None:
             raise ValueError("no rows")
     except ValueError:
         # The rows refused in the slices read so far are replayed too.
-        numbers, failures = None, []
+        # csv.reader ends a record at a CR, an LF or a CRLF.
+        numbers, filled = np.empty((len(names), text.count("\n") + text.count("\r") + 1)), 0
+        labels.clear()
+        failures.clear()
         replay = _csv_rows(path, io.StringIO(text, newline=""))
     # Joining the labels holds them twice: the text goes first.
     del text
-    if numbers is None:
-        kept = []
+    if replay is not None:
         expected = " or ".join(map(str, sorted(column_counts)))
-        try:
-            for lineno, row in replay:
-                if not row:
-                    continue
-                try:
-                    if len(row) not in column_counts:
-                        raise ValueError(f"expected {expected} columns, got {len(row)}")
-                    kept.append((lineno, *parse_row(row)))
-                except ValueError as exc:
-                    failures.append((lineno, str(exc)))
-                    if diagnostics is None:
-                        break
-        except ParseError as exc:
-            # Raised once the rows before it are checked: a strict table
-            # names the first row it refuses.
-            error = exc
-        lines, values, labels = zip(*kept) if kept else ((), (), ())
-        values = np.array(values, dtype=object).reshape(-1, len(names)).T
-        labels = np.array(labels, dtype=object)
-        numbers, labels = _keep(
-            values.astype(float), labels, lines, names, checks, failures, np.not_equal(values, None)
-        )
-    else:
-        # Widened to the longest label, as one np.loadtxt would give them.
-        numbers, labels = numbers[:, :filled], np.concatenate(labels)
+        records = (record for record in replay if record[1])
+        while True:
+            kept, count = [], 0
+            try:
+                chunk = itertools.islice(records, ROWS_PER_CHUNK)
+                for count, (lineno, row) in enumerate(chunk, 1):
+                    try:
+                        if len(row) not in column_counts:
+                            raise ValueError(f"expected {expected} columns, got {len(row)}")
+                        kept.append((lineno, *parse_row(row)))
+                    except ValueError as exc:
+                        failures.append((lineno, str(exc)))
+                        if diagnostics is None:
+                            break
+            except ParseError as exc:
+                # Raised once the rows before it are checked: a strict table
+                # names the first row it refuses.
+                error = exc
+            lines, values, row_labels = zip(*kept) if kept else ((), (), ())
+            values = np.array(values, dtype=object).reshape(-1, len(names)).T
+            row_labels = np.array(row_labels, dtype=object).reshape(len(kept), len(label_columns))
+            stop = keep(values.astype(float), row_labels, lines, np.not_equal(values, None))
+            # A csv error ends its chunk early.
+            if stop or count < ROWS_PER_CHUNK:
+                break
     for lineno, message in sorted(failures):
         if diagnostics is None:
             raise ParseError(f"{path}:{lineno}: {message}")
         diagnostics.append(f"line {lineno}: {message}")
     if error:
         raise error
-    if not numbers.size:
+    if not filled:
         raise ZeroValidRows(f"{path}: {no_rows}")
-    return numbers, labels
-
-
-def _keep(
-    columns: np.ndarray, labels: np.ndarray, lines: Iterable[int], names: list[str],
-    checks: Sequence[tuple[str, Callable, str]], failures: list, given=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `columns` (one row per column: the first len(columns)
-    of `names`) and of `labels` that pass every one of `checks` on a
-    column they have, where `given` (shaped like `columns`; None if all
-    are) is true. Each other row adds its line (of `lines`) and the message
-    of the first check it fails, formatted with its value, to `failures`."""
-    tests = [(names.index(f), test, m) for f, test, m in checks if f in names[: len(columns)]]
-    passed = np.array([test(columns[j]) for j, test, _ in tests])
-    if given is not None:
-        passed |= ~given[[j for j, _, _ in tests]]
-    ok = passed.all(axis=0)
-    if ok.all():
-        return columns, labels
-    refused = zip(passed[:, ~ok].argmin(axis=0).tolist(), columns[:, ~ok].T.tolist())
-    messages = [tests[k][2].format(values[tests[k][0]]) for k, values in refused]
-    failures.extend(zip(itertools.compress(lines, ~ok), messages))
-    return columns[:, ok], labels[ok]
+    # Widened to the longest label, as one np.loadtxt would give them.
+    return numbers[:, :filled], np.concatenate(labels)
 
 
 def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[str]]:

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,21 @@ CONSISTENT_WAFERS = ("w3", "w4", "w5")
 @pytest.fixture
 def config():
     return default_config()
+
+
+def run_cli(argv, cwd=None, env=(), script=None, **streams):
+    """`python -m shadowevap.cli *argv` (or `python -c script *argv`) as a
+    user runs it: the package's source directory on PYTHONPATH and
+    PYTHONUNBUFFERED unset, so stdout is block-buffered and stderr
+    line-buffered unless `env` (added to the environment) sets it. Its
+    stdout and stderr are captured as text unless `streams` gives one."""
+    environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    environ.update(PYTHONPATH=str(Path(csvio.__file__).parents[1]), **dict(env))
+    command = ["-c", script] if script else ["-m", "shadowevap.cli"]
+    return subprocess.run(
+        [sys.executable, *command, *map(str, argv)], cwd=cwd, env=environ, text=True,
+        timeout=120, **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams},
+    )
 
 
 def site_table(points, chip_ids=None):
@@ -100,11 +119,34 @@ def whole_text_replays(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def replayed_lines(monkeypatch):
+    """A list that gets the line number of each record the reader takes
+    from its csv.reader replay of a file's whole text."""
+    lines = []
+    replay = csvio._csv_rows
+
+    def spy(path, text, first=2):
+        for lineno, row in replay(path, text, first):
+            if isinstance(text, io.StringIO):
+                lines.append(lineno)
+            yield lineno, row
+
+    monkeypatch.setattr(csvio, "_csv_rows", spy)
+    return lines
+
+
 def padded(fields, end="\n", width=32):
     """A CSV line of `fields` ending in `end`, `width` characters long:
     its first field has leading zeros added."""
     text = ",".join(fields)
     return "0" * (width - len(text) - len(end)) + text + end
+
+
+def quoted(fields):
+    """`padded(fields)` with its first field in double quotes, which
+    sends a file's whole text to the reader's csv.reader replay."""
+    return '"' + padded(fields, width=30).replace(",", '",', 1)
 
 
 #: What `boundary_text` can make of a line at a slice boundary.

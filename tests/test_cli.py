@@ -1,6 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -23,6 +24,8 @@ from shadowevap.cli import main
 from shadowevap.config import DEFAULTS
 from shadowevap.stats import MAX_MC_SAMPLES
 from shadowevap.wafer import MAX_GRID_SITES
+
+from conftest import run_cli
 
 DEFAULT_CONFIG = "source:\n  distance_mm: 650\n"
 
@@ -271,12 +274,7 @@ class TestDeepNesting:
         exits 2 with the nesting error, not a crash."""
         config = tmp_path / "deep.yaml"
         config.write_text(nested(100_000, one_line))
-        env = {**os.environ, "PYTHONPATH": str(Path(shadowevap.__file__).parents[1])}
-        run = subprocess.run(
-            [sys.executable, "-m", "shadowevap.cli", "simulate", "--config", str(config),
-             "--out", str(tmp_path / "s.csv")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        run = run_cli(["simulate", "--config", config, "--out", tmp_path / "s.csv"])
         assert run.returncode == 2
         assert run.stderr == f"error: cannot parse {config}: nested too deeply\n"
 
@@ -1482,3 +1480,112 @@ class TestStartUp:
     def test_simulate_loads_yaml_alone(self, tmp_path, config_path):
         loaded = self.modules(["simulate", "--config", config_path, "--out", tmp_path / "s.csv"])
         assert loaded & self.UNUSED == {"yaml"}
+
+
+#: Inputs of the exit-path cases, in the directory each runs in: the
+#: measurement file has one row `analyze` skips.
+EXIT_INPUTS = {"process.yaml": DEFAULT_CONFIG, "meas.csv": MEAS_TEXT + "w1,c3,5,5,0.025,r1,nan\n"}
+FREQUENCY = ["frequency", "--rn-ohm", "8000", "--delta-uev", "180", "--ec-mhz", "270"]
+BUFFERING = pytest.mark.parametrize(
+    "env", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"]
+)
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+class TestProcessExit:
+    """`python -m shadowevap.cli` flushes stdout and stderr and leaves by
+    os._exit with `main`'s code: the process gives what `main` gives in
+    process, and output it cannot write is an I/O error (exit 3)."""
+
+    @pytest.mark.parametrize("code, argv", [
+        (0, ["simulate", "--config", "process.yaml", "--out", "s.csv"]),
+        (0, ["analyze", "--measurements", "meas.csv", "--out", "a.json"]),
+        (2, ["compensate", "--config", "process.yaml", "--target", "area:inf", "--out", "c.csv"]),
+        (3, ["analyze", "--measurements", "missing.csv", "--out", "a.json"]),
+        (4, ["compensate", "--config", "process.yaml", "--target", "area:1e-320",
+             "--out", "c.csv"]),
+    ], ids=["simulate", "analyze-skipping-a-row", "validation", "io", "computation"])
+    def test_same_as_main(self, tmp_path, monkeypatch, capsys, code, argv):
+        for side in ("main", "process"):
+            (tmp_path / side).mkdir()
+            for name, text in EXIT_INPUTS.items():
+                (tmp_path / side / name).write_text(text)
+        monkeypatch.chdir(tmp_path / "main")
+        assert main(argv) == code
+        out = capsys.readouterr()
+        run = run_cli(argv, cwd=tmp_path / "process")
+        assert (run.returncode, run.stdout, run.stderr) == (code, out.out, out.err)
+        files = [{p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
+                 for side in ("main", "process")]
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (FREQUENCY + ["--bogus"], 2)])
+    def test_argparse_exits_keep_text_and_code(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        run = run_cli(argv)
+        assert (run.returncode, run.stdout, run.stderr) == (code, out.out, out.err)
+        assert exc.value.code == code
+
+    def test_exit_handlers_do_not_run(self):
+        """The process leaves without teardown, so no atexit handler runs:
+        exit-time work that a later change needs, such as flushing
+        `logging` handlers, must be done explicitly before the exit."""
+        script = (
+            "import atexit, sys\n"
+            "from shadowevap.cli import entrypoint\n"
+            "atexit.register(print, 'atexit handler ran')\n"
+            "sys.argv[0] = 'shadowevap'\n"
+            "entrypoint()\n"
+        )
+        run = run_cli(FREQUENCY, script=script)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.startswith("f_hz: ")
+        assert "atexit" not in run.stdout
+
+    @BUFFERING
+    @needs_dev_full
+    def test_full_stdout_exits_3(self, env):
+        """Before, a buffered run exited 120 with Python's
+        `Exception ignored` report."""
+        with open("/dev/full", "w") as full:
+            run = run_cli(FREQUENCY, env=env, stdout=full)
+        assert (run.returncode, run.stderr) == (3, "io error: [Errno 28] No space left on device\n")
+
+    @BUFFERING
+    def test_closed_stdout_pipe_exits_3(self, env):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = run_cli(FREQUENCY, env=env, stdout=write)
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (3, "io error: [Errno 32] Broken pipe\n")
+
+    @BUFFERING
+    @needs_dev_full
+    def test_full_stderr_exits_3(self, tmp_path, config_path, env):
+        """Before, a buffered run exited 120, and an unbuffered one 1, as
+        `main`'s own report of the error failed too."""
+        with open("/dev/full", "w") as full:
+            run = run_cli(["simulate", "--config", config_path, "--out", tmp_path / "s.csv"],
+                          env=env, stderr=full)
+        assert (run.returncode, run.stdout) == (3, "")
+
+    @pytest.mark.parametrize("code, argv", [
+        (2, ["frequency", "--rn-ohm", "0", "--delta-uev", "180", "--ec-mhz", "270"]),
+        (3, ["analyze", "--measurements", "missing.csv", "--out", "a.json"]),
+        (4, ["frequency", "--rn-ohm", "1e12", "--delta-uev", "180", "--ec-mhz", "270"]),
+    ], ids=["validation", "io", "computation"])
+    def test_main_keeps_its_code_when_stderr_fails(self, tmp_path, monkeypatch, code, argv):
+        """Before, the OSError of the report escaped `main`."""
+
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stderr", Full())
+        assert main(argv) == code

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BOUNDARY_KINDS, SLICE_ROWS, boundary_text, oracle_records, padded
+from conftest import (
+    BOUNDARY_KINDS, SLICE_ROWS, boundary_text, oracle_records, padded, quoted
+)
 from shadowevap import cli
 from shadowevap.config import default_config
 from shadowevap.csvio import (
@@ -546,6 +548,25 @@ class TestSlicedReader:
         got = outcome(read, path)
         assert got == outcome(oracle, path)
         assert got[0] is ParseError and f"t.csv:{K + 2}: expected" in got[1]
+
+    @pytest.mark.parametrize("table", NUMERIC_TABLES)
+    @pytest.mark.parametrize("at", [0, K - 1, K, 2 * K + 3, 3 * K + 4])
+    def test_a_strict_replay_stops_after_the_chunk_refusing_a_row(
+        self, tmp_path, small_slices, replayed_lines, table, at
+    ):
+        """A quoted field sends the text to the csv.reader replay, which
+        parses and checks ROWS_PER_CHUNK records at a time: a strict table
+        reads no record after the chunk holding its first refused row."""
+        header, row, read, oracle = NUMERIC_TABLES[table]
+        n = 3 * K + 5
+        rows = [row(i) for i in range(n)]
+        rows[at][-1] = "nan"
+        path = tmp_path / "t.csv"
+        path.write_text(",".join(header) + "\n" + quoted(rows[0]) + "".join(map(padded, rows[1:])))
+        got = outcome(read, path)
+        assert got == outcome(oracle, path)
+        assert got[0] is ParseError and f"t.csv:{at + 2}: {header[-1]} must be finite" in got[1]
+        assert replayed_lines == list(range(2, min(n, (at // K + 1) * K) + 2))
 
     def test_read_numbers_memory_is_bounded(self, tmp_path):
         """A site map of 16 slices or more: the reader holds its text,

@@ -24,7 +24,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BOUNDARY_KINDS, SLICE_ROWS, boundary_text, oracle_records, padded
+from conftest import (
+    BOUNDARY_KINDS, SLICE_ROWS, boundary_text, oracle_records, padded, quoted
+)
 from shadowevap import cli, csvio, stats
 from shadowevap.errors import (
     ComputationError,
@@ -487,6 +489,28 @@ class TestSlicedImport:
         assert without_ids[1:] == expected[1:]
         if kind == "short":
             assert len(expected[1]) == len(at)
+
+    @pytest.mark.parametrize("n", [SLICE_ROWS, 3 * SLICE_ROWS + 5])
+    def test_a_quoted_id_is_replayed_a_chunk_at_a_time(
+        self, tmp_path, small_slices, replayed_lines, n
+    ):
+        """The csv.reader replay checks ROWS_PER_CHUNK records at a time
+        and reads every chunk: each row refused about a chunk boundary is
+        reported, in line order."""
+        k = SLICE_ROWS
+        at = {k - 1, k, 2 * k - 1, 2 * k, n - 1}
+        rows = [measurement_row(i) for i in range(n)]
+        for i in at & set(range(n)):
+            rows[i][6] = "-5"
+        path = tmp_path / "meas.csv"
+        path.write_text(
+            ",".join(csvio.MEASUREMENT_HEADER) + "\n" + quoted(rows[0])
+            + "".join(map(padded, rows[1:]))
+        )
+        old = oracle_import(path)
+        assert import_outcome(path) == (reprs(old[0]), old[1])
+        assert len(old[1]) == len(at & set(range(n)))
+        assert replayed_lines == list(range(2, n + 2))
 
     @pytest.mark.parametrize(
         "fields",
