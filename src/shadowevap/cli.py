@@ -362,7 +362,11 @@ def entrypoint() -> None:
     writes is closed by a `with` block before main returns, each forked
     writer child is reaped by `_write_chunks`, and nothing registers
     atexit or weakref.finalize work: exit-time work must be done here."""
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        # argparse's own exits (--help, a usage error) leave the same way.
+        code = exc.code
     for stream in (sys.stdout, sys.stderr):
         try:
             if stream is not None:

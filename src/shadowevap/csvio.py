@@ -18,20 +18,18 @@ if the child failed. The child only formats (no BLAS call) and leaves
 by os._exit, flushing none of the parent's files. Otherwise the chunks
 are formatted here in order: the same bytes.
 
-Site maps, corrections and measurements are read by one reader: the
-file is read once (one leading byte-order mark stripped), a text whose
-every line is one csv record (no quote, lone CR, NUL or line longer
-than csv's field limit) is parsed by np.loadtxt a slice of lines at a
-time into columns allocated once, a slice's labels at the width of its
-widest line and then narrowed to that of its widest label, and checked
-as an array; the csv.reader records of any other text (the same
-records) are parsed and checked ROWS_PER_CHUNK at a time. Each table
-lists its checks once, so a ParseError names file:line and a skipped
-measurement row is reported as `line N:`, in one text either way. The
-json module lays out each JSON report, with a placeholder string for
-each `JsonRecords` (a list of flat records held as columns); csvio
-writes only the records, one `%` template per record, in the
-placeholders' places.
+Site maps, corrections and measurements are read by one reader, in one
+pass over the open file, a slice of lines at a time: by np.loadtxt
+while every line is one csv record (no quote, lone CR, NUL or line
+longer than csv's field limit), row by row where np.loadtxt refuses a
+slice, and by csv.reader from the first slice of any other kind on.
+Each slice, or chunk of ROWS_PER_CHUNK records, is checked as an array;
+the valid rows are joined once, at the end. Each table lists its checks
+once, so a ParseError names file:line and a skipped measurement row is
+reported as `line N:`, in one text either way. The json module lays
+out each JSON report, with a placeholder string for each `JsonRecords`
+(a list of flat records held as columns); csvio writes only the
+records, one `%` template per record, in the placeholders' places.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import csv
 import io
 import itertools
 import json
-import math
+import operator
 import os
 import re
 import shutil
@@ -254,9 +252,7 @@ def read_numbers(path: PathLike, header: list[str]) -> np.ndarray:
     check per column, and it needs at least one row; a ParseError names
     file:line."""
     checks = [(name, np.isfinite, name + " must be finite, got {}") for name in header]
-    return _read_table(
-        path, header, lambda row: (list(map(float, row)), ()), checks, "no data rows"
-    )[0]
+    return _read_table(path, header, checks, "no data rows")[0]
 
 
 def _csv_rows(
@@ -299,47 +295,23 @@ def read_header(path: PathLike) -> list[str]:
         return found or []
 
 
-#: Largest str array of labels, in bytes per character of the text, that
-#: np.loadtxt may build. Such an array holds every label at the longest
-#: one's width, 4 bytes a character, so one long label among many short
-#: ones would take far more memory than the text: that text goes to the
-#: csv.reader path.
+#: Largest str array of labels, in bytes per byte of the file, that the
+#: reader builds. Such an array holds every label at the longest one's
+#: width, 4 bytes a character, so one long label among many short ones
+#: would take far more memory than the file: past this bound the labels
+#: join as objects.
 MAX_LABEL_BYTES_PER_CHAR = 64
 
 
-def _line_slices(text: str) -> Iterator[tuple[int, list[str], int]]:
-    """(first line number, lines, widest line's length) of each slice of
-    `text`, a CSV body that starts at line 2: the shortest run of whole
-    lines holding 32 * ROWS_PER_CHUNK characters (128 KiB), or the rest,
-    CRLF made LF. ValueError if a slice holds a quote, a lone carriage
-    return, a NUL or a line longer than csv.field_size_limit(), so each
-    line yielded is one csv record: its fields split at its commas."""
-    # The heap keeps what each slice frees: much larger slices raise the
-    # peak of what runs after the read.
-    size = 32 * ROWS_PER_CHUNK
-    first, start = 2, 0
-    while start < len(text):
-        end = text.find("\n", start + size - 1) + 1 or len(text)
-        part = text[start:end]
-        # A search for "\r" is quicker than replace() finding nothing to do.
-        if "\r" in part:
-            part = part.replace("\r\n", "\n")
-        # Without quotes or lone CRs each line is one csv record, without
-        # NULs a numpy str array keeps every label whole, and a line no
-        # longer than csv's field limit holds no field that csv refuses.
-        lines = part.split("\n")
-        widest = max(map(len, lines))
-        if '"' in part or "\r" in part or "\0" in part or widest > csv.field_size_limit():
-            raise ValueError("a line is not one csv record")
-        yield first, lines, widest
-        first += len(lines) - 1
-        start = end
+def _split_rows(first: int, lines: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line of a slice from line
+    `first` whose every line is one csv record, split at its commas."""
+    return ((n, line.split(",")) for n, line in enumerate(lines, first) if line)
 
 
 def _read_table(
     path: PathLike,
     header: list[str],
-    parse_row: Callable[[list[str]], tuple[Sequence, Sequence]],
     checks: Sequence[tuple[str, Callable, str]],
     no_rows: str,
     diagnostics: Optional[list[str]] = None,
@@ -348,154 +320,185 @@ def _read_table(
     read_labels: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(numbers, labels) of the valid rows of a CSV table, in file order:
-    a (k, n) float array, one row per column not in `label_columns`, and
-    an (n, len(label_columns)) array of those. A row is valid if it passes
-    `checks` (see `keep`); ZeroValidRows says `no_rows` if none is.
-    Without `read_labels`, np.loadtxt parses no label and no label is
-    measured, and labels are given only for replayed rows; the same rows
-    are kept either way. No line number is kept: row k is the k-th
-    non-empty csv record of the body.
+    a (k, n) float array, one row per column of the header and of
+    `allow_extra` (at most one optional last column; NaN where it is not
+    given) not in `label_columns`, and an (n, len(label_columns)) array
+    of those, str where MAX_LABEL_BYTES_PER_CHAR admits them. A row is
+    valid if it passes `checks` (see `keep`); ZeroValidRows says
+    `no_rows` if none is. Without `read_labels` no label is parsed or
+    measured and the labels have no column; the same rows are kept.
 
-    If every line of the text is one csv record (see `_line_slices`),
-    its non-blank lines have one column count the header allows and
-    (when labels are read) a str array of its labels fits in
-    MAX_LABEL_BYTES_PER_CHAR bytes a character of it, np.loadtxt reads
-    it a slice of lines at a time, taking no token that float() rejects
-    and giving the same value; each slice is checked as an array and its
-    valid rows go into columns sized for every line of the text.
-    Otherwise each csv record of the text of a column count the header
-    allows is parsed by `parse_row` into (numbers, labels), a number not
-    given None, or raises ValueError, ROWS_PER_CHUNK records at a time,
-    and each chunk's rows are checked as an array. Refused rows become
-    `line N: ...` diagnostics in line order or, without a diagnostics
-    list (a strict table, read no further than its first refused row's
-    slice or chunk), the first a ParseError naming file:line.
+    The file is read once, a slice at a time: the shortest run of whole
+    lines holding 32 * ROWS_PER_CHUNK characters, or the rest. A slice
+    whose every line is one csv record (no quote, lone CR, NUL or line
+    longer than csv.field_size_limit()) goes to np.loadtxt, which takes
+    no token that float() rejects and gives the same value, if its
+    non-blank lines have one column count the header allows and its
+    labels are admitted; if not, it is split at its commas and parsed
+    row by row by `parse`. From the first slice of any other kind,
+    csv.reader reads the rest of the file, ROWS_PER_CHUNK records at a
+    time, through `parse`. Each slice or chunk is checked as an array.
+    Refused rows become `line N: ...` diagnostics in line order or,
+    without a diagnostics list (a strict table, parsed no further than
+    its first refused row's slice or chunk), the first a ParseError
+    naming file:line, raised once the rest of the file is decoded, so
+    that a file that is not UTF-8 is refused as such.
     """
-    with _table_file(path) as (found, fh):
-        if found is None:
-            raise ParseError(f"{path}: empty file")
-        if found != header and found != header + list(allow_extra):
-            raise ParseError(
-                f"{path}: unexpected header {found}; expected {header}"
-                + (f" optionally followed by {list(allow_extra)}" if allow_extra else "")
-            )
-        text = fh.read()
+    names = header + list(allow_extra)
+    numeric = [i for i in range(len(names)) if i not in label_columns]
+    counts = {len(header), len(names)}
+    tests = [(numeric.index(names.index(field)), test, message) for field, test, message in checks]
+    read = label_columns if read_labels else ()
+    labels_of = operator.itemgetter(*read) if read else lambda row: ()
+    # A tuple, since every table has two or more numeric columns.
+    numbers_of = operator.itemgetter(*numeric[: len(numeric) - len(allow_extra)])
     options = dict(delimiter=",", comments=None, ndmin=2)
-    column_counts = {len(header), len(header) + len(allow_extra)}
-    names = [name for i, name in enumerate(header + list(allow_extra)) if i not in label_columns]
-    numbers = error = replay = None
-    labels, failures = [], []
-    filled = seen = widest = 0
+    numbers, labels, failures, errors = [], [], [], []
+    seen = widest = chars = file_size = 0
 
-    def keep(columns, block_labels, lines, given=None) -> bool:
-        """Put the rows of `columns` (one row per column: the first
-        len(columns) of `names`) and of `block_labels` that pass every one
-        of `checks` on a column they have, where `given` (shaped like
-        `columns`; None if all are) is true, into `numbers` and `labels`.
-        Each other row adds its line (of `lines`) and the message of the
-        first check it fails, formatted with its value, to `failures`.
-        True once a strict table has refused a row: it raises the first."""
-        nonlocal filled
-        tests = [(names.index(f), test, m) for f, test, m in checks if f in names[: len(columns)]]
-        passed = np.array([test(columns[j]) for j, test, _ in tests])
+    def parse(row: list[str]) -> tuple:
+        """The numbers of a csv row of a column count the header allows, the
+        extra column parsed first (None if absent or blank); else ValueError."""
+        if len(row) not in counts:
+            expected = " or ".join(map(str, sorted(counts)))
+            raise ValueError(f"expected {expected} columns, got {len(row)}")
+        extra = row[-1] if len(row) > len(header) else ""
+        extra = (float(extra) if extra.strip() else None,)[: len(allow_extra)]
+        return (*map(float, numbers_of(row)), *extra)
+
+    def admit(rows: int, width: int) -> bool:
+        """Whether the labels so far and those of `rows` more rows, none
+        wider than `width`, fit MAX_LABEL_BYTES_PER_CHAR as a str array
+        (for a pipe, whose size is 0, a byte of the text read so far)."""
+        nonlocal seen, widest
+        seen, widest = seen + rows, max(widest, width)
+        return seen * widest * 4 * len(read) <= MAX_LABEL_BYTES_PER_CHAR * max(file_size, chars)
+
+    def keep(values, block_labels, lines, given=None) -> bool:
+        """Put the rows of `values` (one row per column of `numeric`) and
+        `block_labels` that pass each of `checks` onto `numbers` and
+        `labels`, the extra column's checks only where `given` (None if
+        all are) is true. Each other row adds its line (of `lines`) and the
+        message of the first check it fails to `failures`. True once a
+        strict table refused one."""
+        passed = np.array([test(values[j]) for j, test, _ in tests])
         if given is not None:
-            passed |= ~given[[j for j, _, _ in tests]]
+            passed[[j == len(numeric) - 1 for j, _, _ in tests]] |= ~given
         ok = passed.all(axis=0)
         if not ok.all():
-            refused = zip(passed[:, ~ok].argmin(axis=0).tolist(), columns[:, ~ok].T.tolist())
-            messages = [tests[k][2].format(values[tests[k][0]]) for k, values in refused]
+            refused = zip(passed[:, ~ok].argmin(axis=0).tolist(), values[:, ~ok].T.tolist())
+            messages = [tests[k][2].format(row[tests[k][0]]) for k, row in refused]
             failures.extend(zip(itertools.compress(lines, ~ok), messages))
-            columns, block_labels = columns[:, ok], block_labels[ok]
-        numbers[:, filled : filled + columns.shape[1]] = columns
-        filled += columns.shape[1]
+            values, block_labels = values[:, ok], block_labels[ok]
+        numbers.append(values)
         labels.append(block_labels)
         return diagnostics is None and bool(failures)
 
-    try:
-        for first, lines, line_width in _line_slices(text):
-            nonblank = list(map(bool, lines))
-            rows = list(itertools.compress(lines, nonblank))
-            if not rows:
-                continue
-            numeric = None
+    def replay(records: Iterable[tuple[int, list[str]]]) -> bool:
+        """Parse non-blank (line number, csv row) records and keep them."""
+        rows, kept, lines = [], [], []
+        for lineno, row in records:
+            try:
+                rows.append(parse(row))
+                kept.append(row)
+                lines.append(lineno)
+            except ValueError as exc:
+                failures.append((lineno, str(exc)))
+        values = np.array(rows, dtype=object).reshape(len(rows), len(numeric)).T
+        row_labels = np.array([*map(labels_of, kept)], dtype=object).reshape(len(kept), len(read))
+        flat = row_labels.ravel().tolist()
+        # A numpy str array drops a label's trailing NULs.
+        as_str = admit(len(rows), max(map(len, flat), default=0)) and "\0" not in "".join(flat)
+        given = np.not_equal(values[-1], None) if allow_extra else None
+        return keep(values.astype(float), row_labels.astype(str) if as_str else row_labels,
+                    lines, given)
+
+    def sliced(first: int, lines: list[str], width: int) -> bool:
+        """Parse the slice `lines`, starting at line `first`, one csv
+        record a line and none longer than `width`, and keep its rows."""
+        nonblank = list(map(bool, lines))
+        rows = list(itertools.compress(lines, nonblank))
+        if not rows:
+            return False
+        try:
+            usecols = None
             if label_columns:
                 # Given usecols, np.loadtxt takes rows of differing lengths.
                 commas, *others = set(map(str.count, rows, itertools.repeat(",")))
-                if others:
+                if others or commas + 1 not in counts:
                     raise ValueError("rows differ in length")
-                numeric = [i for i in range(commas + 1) if i not in label_columns]
-            block = np.loadtxt(rows, dtype=float, usecols=numeric, **options)
-            if numbers is None:
-                if block.shape[1] + len(label_columns) not in column_counts:
-                    raise ValueError("unexpected column count")
-                numbers = np.empty((block.shape[1], text.count("\n") + 1))
-            elif block.shape[1] != len(numbers):
-                raise ValueError("slices differ in column count")
-            block_labels = np.empty((len(rows), 0))
-            if label_columns and read_labels:
-                # Joined, the labels of every slice so far take at most
-                # this much: none is wider than the widest line.
-                seen += len(rows)
-                widest = max(widest, line_width)
-                if seen * widest * 4 * len(label_columns) > MAX_LABEL_BYTES_PER_CHAR * len(text):
+                usecols = numeric[: commas + 1 - len(label_columns)]
+            block = np.loadtxt(rows, dtype=float, usecols=usecols, **options).T
+            if len(block) + len(label_columns) not in counts:
+                raise ValueError("unexpected column count")
+            block_labels = np.empty((len(rows), 0), dtype=str)
+            if read:
+                if not admit(len(rows), width):
                     raise ValueError("labels too uneven in length for a str array")
                 # Parsed at the line width, which no label exceeds, and kept
                 # at the slice's widest label, as dtype=str gives them (at
                 # least 1 character).
-                block_labels = np.loadtxt(
-                    rows, dtype=f"U{line_width}", usecols=label_columns, **options
-                )
+                block_labels = np.loadtxt(rows, dtype=f"U{width}", usecols=read, **options)
                 block_labels = block_labels.astype(f"U{np.char.str_len(block_labels).max()}")
-            if keep(block.T, block_labels, itertools.compress(itertools.count(first), nonblank)):
+        except ValueError:
+            return replay(_split_rows(first, lines))
+        # An absent extra column is NaN and not given. Stacked, the block is
+        # a compact copy, so the heap reuses np.loadtxt's buffer.
+        given = np.zeros(len(rows), bool) if len(block) < len(numeric) else None
+        block = np.vstack([block, np.full((len(numeric) - len(block), len(rows)), np.nan)])
+        return keep(block, block_labels,
+                    itertools.compress(itertools.count(first), nonblank), given)
+
+    def streamed(lines: Iterable[str], first: int) -> Iterator[tuple[int, list[str]]]:
+        """The non-blank csv records of `lines`, from line `first`, up to a
+        csv error, kept in `errors` until the rows before it are checked."""
+        try:
+            yield from filter(operator.itemgetter(1), _csv_rows(path, lines, first))
+        except ParseError as exc:
+            errors.append(exc)
+
+    with _table_file(path) as (found, fh):
+        if found is None:
+            raise ParseError(f"{path}: empty file")
+        if found != header and found != names:
+            raise ParseError(
+                f"{path}: unexpected header {found}; expected {header}"
+                + (f" optionally followed by {list(allow_extra)}" if allow_extra else "")
+            )
+        file_size = os.fstat(fh.fileno()).st_size
+        # The heap keeps what each slice frees: much larger slices raise the
+        # peak of what runs after the read.
+        size, first, stop = 32 * ROWS_PER_CHUNK, 2, False
+        while not stop and (part := fh.read(size - 1) + fh.readline()):
+            chars += len(part)
+            # A search for "\r" is quicker than replace() finding nothing to do.
+            text = part.replace("\r\n", "\n") if "\r" in part else part
+            lines = text.split("\n")
+            width = max(map(len, lines))
+            # Without quotes or lone CRs each line is one csv record, without
+            # NULs a numpy str array keeps every label whole, and a line no
+            # longer than csv's field limit holds no field that csv refuses.
+            if '"' in text or "\r" in text or "\0" in text or width > csv.field_size_limit():
+                records = streamed(itertools.chain(io.StringIO(part, newline=""), fh), first)
+                while not stop and (chunk := list(itertools.islice(records, ROWS_PER_CHUNK))):
+                    stop = replay(chunk)
                 break
-        if numbers is None:
-            raise ValueError("no rows")
-    except ValueError:
-        # The rows refused in the slices read so far are replayed too.
-        # csv.reader ends a record at a CR, an LF or a CRLF.
-        numbers, filled = np.empty((len(names), text.count("\n") + text.count("\r") + 1)), 0
-        labels.clear()
-        failures.clear()
-        replay = _csv_rows(path, io.StringIO(text, newline=""))
-    # Joining the labels holds them twice: the text goes first.
-    del text
-    if replay is not None:
-        expected = " or ".join(map(str, sorted(column_counts)))
-        records = (record for record in replay if record[1])
-        while True:
-            kept, count = [], 0
-            try:
-                chunk = itertools.islice(records, ROWS_PER_CHUNK)
-                for count, (lineno, row) in enumerate(chunk, 1):
-                    try:
-                        if len(row) not in column_counts:
-                            raise ValueError(f"expected {expected} columns, got {len(row)}")
-                        kept.append((lineno, *parse_row(row)))
-                    except ValueError as exc:
-                        failures.append((lineno, str(exc)))
-                        if diagnostics is None:
-                            break
-            except ParseError as exc:
-                # Raised once the rows before it are checked: a strict table
-                # names the first row it refuses.
-                error = exc
-            lines, values, row_labels = zip(*kept) if kept else ((), (), ())
-            values = np.array(values, dtype=object).reshape(-1, len(names)).T
-            row_labels = np.array(row_labels, dtype=object).reshape(len(kept), len(label_columns))
-            stop = keep(values.astype(float), row_labels, lines, np.not_equal(values, None))
-            # A csv error ends its chunk early.
-            if stop or count < ROWS_PER_CHUNK:
-                break
+            stop = sliced(first, lines, width)
+            first += len(lines) - 1
+        while fh.read(size):
+            pass
     for lineno, message in sorted(failures):
         if diagnostics is None:
             raise ParseError(f"{path}:{lineno}: {message}")
         diagnostics.append(f"line {lineno}: {message}")
-    if error:
-        raise error
-    if not filled:
+    if errors:
+        raise errors[0]
+    if not sum(block.shape[1] for block in numbers):
         raise ZeroValidRows(f"{path}: {no_rows}")
-    # Widened to the longest label, as one np.loadtxt would give them.
-    return numbers[:, :filled], np.concatenate(labels)
+    # Joined one list at a time, the labels at the longest label's width,
+    # as one np.loadtxt would give them.
+    numbers = np.concatenate(numbers, axis=1)
+    return numbers, np.concatenate(labels)
 
 
 def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[str]]:
@@ -505,14 +508,13 @@ def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[s
     Invalid rows are skipped and reported with their line numbers, never
     silently dropped; a file with zero valid rows raises ZeroValidRows.
     Without `ids` the wafer, chip and run ids are neither parsed nor
-    measured (no check reads them), so one long id does not send the
-    file to the csv.reader path, and their columns hold None.
+    measured (no check reads them), so one long id leaves its slice to
+    np.loadtxt, and their columns hold None.
     """
     diagnostics: list[str] = []
     numbers, labels = _read_table(
         path,
         MEASUREMENT_HEADER,
-        _measurement_row,
         MEASUREMENT_CHECKS,
         "no valid measurement rows",
         diagnostics,
@@ -520,11 +522,10 @@ def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[s
         allow_extra=[MEASUREMENT_JC_COLUMN],
         read_labels=ids,
     )
-    x, y, area, rn, *jc = numbers
+    x, y, area, rn, jc = numbers
     # Unread ids share one column of None.
     wafer, chip, run = labels.T if ids else [np.full(len(rn), None, dtype=object)] * 3
     # NaN marks a row without jc_ua_um2, since a given one is finite.
-    jc = jc[0] if jc else np.full(len(rn), math.nan)
     missing = np.isnan(jc)
     table = Table(
         MeasurementRecord,
@@ -538,13 +539,6 @@ def import_measurements(path: PathLike, ids: bool = True) -> tuple[Table, list[s
         jc_ua_um2=np.where(missing, None, jc) if missing.any() else jc,
     )
     return table, diagnostics
-
-
-def _measurement_row(row: list[str]) -> tuple[tuple, tuple]:
-    """The (numbers, labels) of a measurement row of 7 or 8 columns,
-    jc_ua_um2 (parsed first) None if it is not given or blank."""
-    jc = float(row[7]) if len(row) == 8 and row[7].strip() else None
-    return (*map(float, row[2:5]), float(row[6]), jc), (row[0], row[1], row[5])
 
 
 def export_measurements(records: Sequence[MeasurementRecord], path: PathLike) -> None:

@@ -1,5 +1,5 @@
 import csv
-import io
+import itertools
 import os
 import subprocess
 import sys
@@ -103,32 +103,46 @@ def small_slices(monkeypatch):
 
 
 @pytest.fixture
-def whole_text_replays(monkeypatch):
-    """A list that gets one entry per call of `csvio._csv_rows` on the
-    whole text of a file (the reader's csv.reader path), none for its
-    header and flagged rows."""
+def streamed_tails(monkeypatch):
+    """A list that gets the path of each csv.reader stream the reader
+    makes of the rest of a file, none for its header or any other read."""
     calls = []
-    replay = csvio._csv_rows
+    stream = csvio._csv_rows
 
     def spy(path, lines, first=2):
-        if isinstance(lines, io.StringIO):
+        if isinstance(lines, itertools.chain):
             calls.append(path)
-        return replay(path, lines, first)
+        return stream(path, lines, first)
 
     monkeypatch.setattr(csvio, "_csv_rows", spy)
     return calls
 
 
 @pytest.fixture
+def replayed_slices(monkeypatch):
+    """A list that gets the first line number of each slice the reader
+    replays alone: split at its commas and parsed row by row."""
+    firsts = []
+    split = csvio._split_rows
+
+    def spy(first, lines):
+        firsts.append(first)
+        return split(first, lines)
+
+    monkeypatch.setattr(csvio, "_split_rows", spy)
+    return firsts
+
+
+@pytest.fixture
 def replayed_lines(monkeypatch):
     """A list that gets the line number of each record the reader takes
-    from its csv.reader replay of a file's whole text."""
+    from its csv.reader stream of the rest of a file."""
     lines = []
-    replay = csvio._csv_rows
+    stream = csvio._csv_rows
 
     def spy(path, text, first=2):
-        for lineno, row in replay(path, text, first):
-            if isinstance(text, io.StringIO):
+        for lineno, row in stream(path, text, first):
+            if isinstance(text, itertools.chain):
                 lines.append(lineno)
             yield lineno, row
 
@@ -144,8 +158,8 @@ def padded(fields, end="\n", width=32):
 
 
 def quoted(fields):
-    """`padded(fields)` with its first field in double quotes, which
-    sends a file's whole text to the reader's csv.reader replay."""
+    """`padded(fields)` with its first field in double quotes, from
+    whose slice on the reader streams the file through csv.reader."""
     return '"' + padded(fields, width=30).replace(",", '",', 1)
 
 

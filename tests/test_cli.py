@@ -917,9 +917,9 @@ class TestNotUtf8:
 class TestOverlongField:
     """A CSV field longer than the csv module's field limit exits 2
     naming file:line, never a traceback: in the header, in a quoted row
-    (the whole text is replayed), and in an unquoted row that fails a
-    check or passes every one (its line is longer than the limit, which
-    sends the text to csv.reader too)."""
+    (csv.reader reads the file from its slice on), and in an unquoted
+    row that fails a check or passes every one (its line is longer than
+    the limit, which hands the file to csv.reader too)."""
 
     # A number np.loadtxt reads, far longer than csv's 131,072 characters.
     LONG = "0" * 140_000 + "1"
@@ -1552,6 +1552,17 @@ class TestProcessExit:
         `Exception ignored` report."""
         with open("/dev/full", "w") as full:
             run = run_cli(FREQUENCY, env=env, stdout=full)
+        assert (run.returncode, run.stderr) == (3, "io error: [Errno 28] No space left on device\n")
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [["--help"], ["frequency", "--help"]],
+                             ids=["help", "command-help"])
+    def test_full_stdout_after_help_exits_3(self, argv):
+        """argparse's exit leaves by the same flush as any other: before,
+        it exited 120 with Python's `Exception ignored` report. (Unbuffered,
+        argparse's own write fails and argparse ignores the error.)"""
+        with open("/dev/full", "w") as full:
+            run = run_cli(argv, stdout=full)
         assert (run.returncode, run.stderr) == (3, "io error: [Errno 28] No space left on device\n")
 
     @BUFFERING

@@ -173,18 +173,20 @@ class TestCorrectionsCsv:
         ],
         ids=["duplicate", "zero-area"],
     )
-    def test_the_fast_path_names_lines_after_blank_lines(self, tmp_path, whole_text_replays,
-                                                         fault, error):
+    def test_the_fast_path_names_lines_after_blank_lines(
+        self, tmp_path, streamed_tails, replayed_slices, fault, error
+    ):
         """A byte-order mark, CRLF line ends and blank lines before the
-        faulty row on line 8: np.loadtxt reads the file (no csv.reader
-        replay of it), and the error names the lines the oracle names."""
+        faulty row on line 8: np.loadtxt reads the file (no slice is
+        replayed, no csv.reader stream), and the error names the lines
+        the oracle names."""
         rows = ["0,0,200,200,0.04,0", "", "5,0,200,200,0.04,0", "", "", "0,5,200,200,0.04,0"]
         path = tmp_path / "c.csv"
         text = "\r\n".join([",".join(CORRECTIONS_HEADER), *rows, fault]) + "\r\n"
         path.write_bytes(("\ufeff" + text).encode())
         assert outcome(read_corrections, path) == outcome(oracle_corrections, path)
         assert outcome(read_corrections, path) == (ParseError, f"{path}:{error}")
-        assert not whole_text_replays
+        assert not streamed_tails and not replayed_slices
 
     def test_a_field_too_long_for_csv_still_names_its_lines(self, tmp_path):
         """An x of 140,001 characters, longer than csv's field limit, is
@@ -201,7 +203,7 @@ class TestCorrectionsCsv:
 
     def test_a_row_refused_before_a_field_too_long_for_csv_is_named(self, tmp_path):
         """A non-finite x on line 2 is named, not the over-long field that
-        ends the csv.reader replay on line 3."""
+        ends the csv.reader stream on line 3."""
         path = tmp_path / "c.csv"
         path.write_text(
             ",".join(CORRECTIONS_HEADER) + "\n"
@@ -554,9 +556,9 @@ class TestSlicedReader:
     def test_a_strict_replay_stops_after_the_chunk_refusing_a_row(
         self, tmp_path, small_slices, replayed_lines, table, at
     ):
-        """A quoted field sends the text to the csv.reader replay, which
-        parses and checks ROWS_PER_CHUNK records at a time: a strict table
-        reads no record after the chunk holding its first refused row."""
+        """A quoted field on line 2 hands the file to csv.reader, whose
+        records are parsed and checked ROWS_PER_CHUNK at a time: a strict
+        table reads no record after the chunk holding its first refused row."""
         header, row, read, oracle = NUMERIC_TABLES[table]
         n = 3 * K + 5
         rows = [row(i) for i in range(n)]
@@ -567,6 +569,28 @@ class TestSlicedReader:
         assert got == outcome(oracle, path)
         assert got[0] is ParseError and f"t.csv:{at + 2}: {header[-1]} must be finite" in got[1]
         assert replayed_lines == list(range(2, min(n, (at // K + 1) * K) + 2))
+
+    @pytest.mark.parametrize("table", NUMERIC_TABLES)
+    @pytest.mark.parametrize("fault", ["nan", "quoted", "overlong"])
+    def test_a_strict_table_decodes_to_its_end_before_it_raises(
+        self, tmp_path, small_slices, table, fault
+    ):
+        """Line 3 is refused (a nan, also behind a quoted line 2) or holds
+        a field longer than csv's limit, and a byte near the end of the
+        file is not UTF-8: the file is refused as not UTF-8 text, as the
+        oracle, which decodes every record first, refuses it."""
+        header, row, read, oracle = NUMERIC_TABLES[table]
+        # More than io's 8 KiB decoding chunk of lines after line 3.
+        rows = [row(i) for i in range(40 * K)]
+        rows[1][-1] = "0" * 140_000 + "1" if fault == "overlong" else "nan"
+        first = quoted(rows[0]) if fault == "quoted" else padded(rows[0])
+        text = ",".join(header) + "\n" + first + "".join(map(padded, rows[1:-1]))
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode() + b"\xff" + padded(rows[-1]).encode())
+        message = f"{path}: not UTF-8 text (invalid start byte)"
+        assert outcome(read, path) == (ParseError, message)
+        if fault != "overlong":
+            assert outcome(oracle, path) == (ParseError, message)
 
     def test_read_numbers_memory_is_bounded(self, tmp_path):
         """A site map of 16 slices or more: the reader holds its text,

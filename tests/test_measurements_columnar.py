@@ -16,6 +16,8 @@ import dataclasses
 import hashlib
 import math
 import operator
+import os
+import threading
 import tracemalloc
 from functools import reduce
 
@@ -335,10 +337,13 @@ class TestImport:
         assert new[1] == old[1] == ["line 9: rn_ohm must be > 0"]
         assert peak < 50e6
 
-    def test_an_unread_long_label_keeps_the_fast_path(self, tmp_path, whole_text_replays):
+    def test_an_unread_long_label_keeps_the_fast_path(
+        self, tmp_path, streamed_tails, replayed_slices
+    ):
         """Without ids no label is measured, so one 20,000-character chip
         id leaves the file to np.loadtxt, with the oracle's rows and
-        diagnostics; with ids the label guard sends it to csv.reader."""
+        diagnostics; with ids the label guard replays its slice and every
+        later one row by row, with the same outcome."""
         path = tmp_path / "meas.csv"
         write_long_chip_id(path)
         records, diagnostics = oracle_import(path)
@@ -346,12 +351,18 @@ class TestImport:
             "line 9: rn_ohm must be > 0", "line 20002: rn_ohm must be finite, got nan"
         ]
         table, found = csvio.import_measurements(path, ids=False)
-        assert not whole_text_replays
+        assert not streamed_tails and not replayed_slices
         assert found == diagnostics
         unread = dict(wafer_id=None, chip_id=None, run_id=None)
         assert reprs(table) == [repr(dataclasses.replace(r, **unread)) for r in records]
         assert import_outcome(path) == (reprs(records), diagnostics)
-        assert whole_text_replays == [path]
+        assert not streamed_tails
+        lines = path.read_text().split("\n")
+        starts = replayed_slices + [len(lines)]
+        assert starts[0] <= 12_347 < starts[1]
+        # Each slice ends at the first line end 128 KiB or more past its start.
+        sizes = [sum(len(line) + 1 for line in lines[a - 1 : b - 1]) for a, b in zip(starts, starts[1:])]
+        assert all(size >= 32 * csvio.ROWS_PER_CHUNK for size in sizes[:-1])
 
     def test_a_heatmap_of_an_unread_long_label_is_pinned(self, tmp_path, capsys):
         """`heatmap` reads no id: the long chip id changes no byte of the
@@ -494,9 +505,9 @@ class TestSlicedImport:
     def test_a_quoted_id_is_replayed_a_chunk_at_a_time(
         self, tmp_path, small_slices, replayed_lines, n
     ):
-        """The csv.reader replay checks ROWS_PER_CHUNK records at a time
-        and reads every chunk: each row refused about a chunk boundary is
-        reported, in line order."""
+        """The csv.reader stream is checked ROWS_PER_CHUNK records at a
+        time and read to its end: each row refused about a chunk
+        boundary is reported, in line order."""
         k = SLICE_ROWS
         at = {k - 1, k, 2 * k - 1, 2 * k, n - 1}
         rows = [measurement_row(i) for i in range(n)]
@@ -528,6 +539,129 @@ class TestSlicedImport:
         old = oracle_import(path)
         assert import_outcome(path) == (reprs(old[0]), old[1])
         assert len(old[0]) == 3 * SLICE_ROWS or old[1][0].startswith(f"line {SLICE_ROWS + 2}: ")
+
+    @pytest.mark.parametrize("fault", [(6, "n/a"), (7, "")], ids=["bad-token", "blank-jc"])
+    @pytest.mark.parametrize("at", [SLICE_ROWS - 1, SLICE_ROWS], ids=["last", "first"])
+    def test_a_refused_slice_is_replayed_alone(
+        self, tmp_path, small_slices, streamed_tails, replayed_slices, fault, at
+    ):
+        """A token np.loadtxt refuses, last in the first slice or first in
+        the second, replays that slice alone, row by row; no slice is
+        streamed through csv.reader."""
+        rows = [measurement_row(i) + ["0.5"] for i in range(3 * SLICE_ROWS)]
+        column, token = fault
+        rows[at][column] = token
+        path = tmp_path / "meas.csv"
+        header = [*csvio.MEASUREMENT_HEADER, csvio.MEASUREMENT_JC_COLUMN]
+        path.write_text(",".join(header) + "\n" + "".join(map(padded, rows)))
+        old = oracle_import(path)
+        assert import_outcome(path) == (reprs(old[0]), old[1])
+        assert replayed_slices == [2 + at // SLICE_ROWS * SLICE_ROWS]
+        assert not streamed_tails
+
+    @pytest.mark.parametrize("variant", ["clean", "n/a", "blank-jc", "quoted"])
+    def test_ids_are_str_on_every_path(self, tmp_path, small_slices, variant):
+        """Ids read by np.loadtxt, from a replayed slice or from csv.reader
+        chunks join as one numpy str array, equal to the oracle's ids."""
+        rows = [measurement_row(i) + ["0.5"] for i in range(3 * SLICE_ROWS + 5)]
+        for row in rows:
+            row[1] = row[1] * (1 + int(row[6]) % 4)
+        if variant == "n/a":
+            rows[SLICE_ROWS + 2][6] = "n/a"
+        elif variant == "blank-jc":
+            rows[SLICE_ROWS + 2][7] = ""
+        write = quoted if variant == "quoted" else padded
+        path = tmp_path / "meas.csv"
+        header = [*csvio.MEASUREMENT_HEADER, csvio.MEASUREMENT_JC_COLUMN]
+        path.write_text(",".join(header) + "\n" + "".join(map(write, rows)))
+        old = oracle_import(path)
+        table, diagnostics = csvio.import_measurements(path)
+        assert (reprs(table), diagnostics) == (reprs(old[0]), old[1])
+        for name in ("wafer_id", "chip_id", "run_id"):
+            assert table.columns[name].dtype.kind == "U"
+            assert table.columns[name].tolist() == [getattr(r, name) for r in old[0]]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_is_read_as_its_file(self, tmp_path, small_slices, replayed_slices):
+        """A pipe has no size: its labels are bounded by the text read so
+        far, so its slices go to np.loadtxt and its ids are str."""
+        rows = [measurement_row(i) for i in range(3 * SLICE_ROWS + 5)]
+        text = ",".join(csvio.MEASUREMENT_HEADER) + "\n" + "".join(map(padded, rows))
+        path, pipe = tmp_path / "meas.csv", tmp_path / "pipe"
+        path.write_text(text)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,))
+        writer.start()
+        try:
+            table, diagnostics = csvio.import_measurements(pipe)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert (reprs(table), diagnostics) == import_outcome(path)
+        assert table.columns["chip_id"].dtype.kind == "U"
+        assert not replayed_slices
+
+    def test_quoted_ids_stream_the_rest_from_the_first_quoted_slice(
+        self, tmp_path, small_slices, streamed_tails, replayed_slices, replayed_lines
+    ):
+        """Rows quote their wafer id from the fourth line of the second
+        slice on: csv.reader reads the file from that slice's first line,
+        once, and the first slice goes to np.loadtxt."""
+        k = SLICE_ROWS
+        rows = [measurement_row(i) for i in range(3 * k + 5)]
+        rows[2][6] = rows[2 * k][6] = "-5"
+        path = tmp_path / "meas.csv"
+        path.write_text(
+            ",".join(csvio.MEASUREMENT_HEADER) + "\n" + "".join(map(padded, rows[: k + 3]))
+            + "".join(map(quoted, rows[k + 3 :]))
+        )
+        old = oracle_import(path)
+        assert import_outcome(path) == (reprs(old[0]), old[1])
+        assert old[1] == ["line 4: rn_ohm must be > 0", f"line {2 * k + 2}: rn_ohm must be > 0"]
+        assert streamed_tails == [path]
+        assert replayed_lines == list(range(k + 2, len(rows) + 2))
+        assert not replayed_slices
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("shift", [-2, -1, 0, 1])
+    def test_a_line_end_about_a_slice_boundary(self, tmp_path, small_slices, end, shift):
+        """The last line of the first and second slices ends in `end`,
+        `shift` characters from where a 32-character line would end:
+        a CRLF the slice's read splits, or a lone CR that ends a slice or
+        comes just before or after its end. Flagged rows after each
+        give the line numbers."""
+        k = SLICE_ROWS
+        rows = [measurement_row(i) for i in range(3 * k + 5)]
+        for i in (k + 1, 2 * k + 1, 3 * k + 1):
+            rows[i][6] = "-5"
+        lines = [
+            padded(row, end, 32 + shift) if i in (k - 1, 2 * k - 1) else padded(row)
+            for i, row in enumerate(rows)
+        ]
+        path = tmp_path / "meas.csv"
+        path.write_text(",".join(csvio.MEASUREMENT_HEADER) + "\n" + "".join(lines), newline="")
+        old = oracle_import(path)
+        assert import_outcome(path) == (reprs(old[0]), old[1])
+        assert len(old[0]) == len(rows) - 3 and len(old[1]) == 3
+
+    @pytest.mark.parametrize("first", [7, 8])
+    def test_rows_without_jc_and_then_with_it(self, tmp_path, small_slices, first):
+        """Under a header with jc_ua_um2, the rows of the first slice have
+        `first` columns and the rest the other count: each slice is read
+        by np.loadtxt, an absent jc_ua_um2 not given."""
+        rows = [measurement_row(i) for i in range(3 * SLICE_ROWS + 5)]
+        for i, row in enumerate(rows):
+            if (i < SLICE_ROWS) == (first == 8):
+                row.append(str(0.5 + i))
+        rows[SLICE_ROWS + 1][6] = "-5"
+        path = tmp_path / "meas.csv"
+        header = [*csvio.MEASUREMENT_HEADER, csvio.MEASUREMENT_JC_COLUMN]
+        path.write_text(",".join(header) + "\n" + "".join(map(padded, rows)))
+        old = oracle_import(path)
+        assert import_outcome(path) == (reprs(old[0]), old[1])
+        jc = csvio.import_measurements(path)[0].columns["jc_ua_um2"]
+        assert jc.tolist() == [r.jc_ua_um2 for r in old[0]]
+        assert old[1] == [f"line {SLICE_ROWS + 3}: rn_ohm must be > 0"]
 
     @pytest.mark.parametrize("wide", [1, 0], ids=["wide-second", "wide-first"])
     def test_labels_that_differ_past_a_slices_width(self, tmp_path, small_slices, wide):
@@ -596,7 +730,7 @@ REFUSED = [
 def refused_row_file(path, fields, quoted):
     """A measurement file whose line 3, between two valid rows, is the
     valid row with `fields` (column to token) changed; `quoted` quotes
-    line 2's wafer id, which sends the whole text to csv.reader."""
+    line 2's wafer id, so csv.reader reads the file from line 2."""
     header = list(VALID_ROW)
     first = dict(VALID_ROW, wafer_id='"W1"' if quoted else "W1")
     rows = [header, first.values(), {**VALID_ROW, **fields}.values(), VALID_ROW.values()]
@@ -605,7 +739,7 @@ def refused_row_file(path, fields, quoted):
 
 class TestOneMessagePerCheck:
     """Each check's text is the same from np.loadtxt's slices, from the
-    csv.reader replay and from MeasurementRecord."""
+    rows parsed one at a time and from MeasurementRecord."""
 
     def test_the_checks_keep_their_order(self):
         assert [field for field, _, _ in stats.MEASUREMENT_CHECKS] == [
@@ -615,14 +749,15 @@ class TestOneMessagePerCheck:
     @pytest.mark.parametrize("fields, message", REFUSED)
     @pytest.mark.parametrize("quoted", [False, True], ids=["sliced", "replayed"])
     def test_every_route_gives_the_first_failed_checks_text(
-        self, tmp_path, whole_text_replays, fields, message, quoted
+        self, tmp_path, streamed_tails, replayed_slices, fields, message, quoted
     ):
         path = tmp_path / "meas.csv"
         refused_row_file(path, fields, quoted)
         table, diagnostics = csvio.import_measurements(path)
         assert diagnostics == [f"line 3: {message}"]
         assert len(table) == 2
-        assert whole_text_replays == ([path] if quoted else [])
+        assert streamed_tails == ([path] if quoted else [])
+        assert not replayed_slices
         ids = ("wafer_id", "chip_id", "run_id")
         values = {k: v if k in ids else float(v) for k, v in {**VALID_ROW, **fields}.items()}
         with pytest.raises(ValidationError) as info:
@@ -631,23 +766,25 @@ class TestOneMessagePerCheck:
 
     @pytest.mark.parametrize("blank", ["", " "], ids=["empty", "space"])
     def test_a_blank_jc_is_not_given_and_a_nan_is_refused(
-        self, tmp_path, whole_text_replays, blank
+        self, tmp_path, streamed_tails, replayed_slices, blank
     ):
         """A literal nan jc_ua_um2 is refused on both paths; a blank one
-        (which only csv.reader reads) keeps its row, with None."""
+        (which np.loadtxt refuses, so its slice is replayed) keeps its
+        row, with None."""
         path = tmp_path / "meas.csv"
         refused_row_file(path, {"jc_ua_um2": "nan"}, quoted=False)
         table, diagnostics = csvio.import_measurements(path)
         assert diagnostics == ["line 3: jc_ua_um2 must be finite, got nan"]
         assert table.columns["jc_ua_um2"].tolist() == [0.5, 0.5]
-        assert not whole_text_replays
+        assert not replayed_slices
         lines = path.read_text().split("\n")
         lines[1] = lines[1].replace(",0.5", "," + blank)
         path.write_text("\n".join(lines))
         table, found = csvio.import_measurements(path)
         assert found == diagnostics
         assert table.columns["jc_ua_um2"].tolist() == [None, 0.5]
-        assert whole_text_replays == [path]
+        assert replayed_slices == [2]
+        assert not streamed_tails
 
     def test_a_replayed_row_converts_jc_first(self, tmp_path):
         """Of an unparseable x_mm and jc_ua_um2, the jc token is named."""
@@ -665,7 +802,7 @@ class TestOneMessagePerCheck:
     @pytest.mark.parametrize("column", [0, -1], ids=["first", "last"])
     @pytest.mark.parametrize("quoted", [False, True], ids=["sliced", "replayed"])
     def test_numeric_tables_name_the_first_non_finite_value(
-        self, tmp_path, whole_text_replays, read, header, column, quoted
+        self, tmp_path, streamed_tails, replayed_slices, read, header, column, quoted
     ):
         """Line 3 holds a -inf and line 4 a nan: a strict table names line 3."""
         rows = [[str(i + 1)] * len(header) for i in range(4)]
@@ -678,7 +815,8 @@ class TestOneMessagePerCheck:
         with pytest.raises(ParseError) as info:
             read(path)
         assert str(info.value) == f"{path}:3: {header[column]} must be finite, got -inf"
-        assert whole_text_replays == ([path] if quoted else [])
+        assert streamed_tails == ([path] if quoted else [])
+        assert not replayed_slices
 
 
 class TestAggregate:
