@@ -13,7 +13,7 @@ import os
 import sys
 from contextlib import suppress
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -268,8 +268,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its help raises a failed write's OSError, which argparse ignores."""
+
+    def print_help(self, file: Optional[IO[str]] = None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shadowevap",
         description=(
             "Shadow-evaporation junction geometry simulation, wafer bias "
@@ -338,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         code, message = 2, f"error: {exc}"

@@ -20,16 +20,15 @@ are formatted here in order: the same bytes.
 
 Site maps, corrections and measurements are read by one reader, in one
 pass over the open file, a slice of lines at a time: by np.loadtxt
-while every line is one csv record (no quote, lone CR, NUL or line
-longer than csv's field limit), row by row where np.loadtxt refuses a
-slice, and by csv.reader from the first slice of any other kind on.
-Each slice, or chunk of ROWS_PER_CHUNK records, is checked as an array;
+where every line is one csv record (no quote, lone CR, NUL or line
+longer than csv's field limit) and np.loadtxt takes the slice, and by
+csv.reader, alone, any other slice. Each slice is checked as an array;
 the valid rows are joined once, at the end. Each table lists its checks
 once, so a ParseError names file:line and a skipped measurement row is
-reported as `line N:`, in one text either way. The json module lays
-out each JSON report, with a placeholder string for each `JsonRecords`
-(a list of flat records held as columns); csvio writes only the
-records, one `%` template per record, in the placeholders' places.
+reported as `line N:`, in one text either way. The json module lays out
+each JSON report, with a placeholder string for each `JsonRecords` (a
+list of flat records held as columns); csvio writes only the records,
+one `%` template per record, in the placeholders' places.
 """
 
 from __future__ import annotations
@@ -303,12 +302,6 @@ def read_header(path: PathLike) -> list[str]:
 MAX_LABEL_BYTES_PER_CHAR = 64
 
 
-def _split_rows(first: int, lines: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each non-blank line of a slice from line
-    `first` whose every line is one csv record, split at its commas."""
-    return ((n, line.split(",")) for n, line in enumerate(lines, first) if line)
-
-
 def _read_table(
     path: PathLike,
     header: list[str],
@@ -334,15 +327,13 @@ def _read_table(
     longer than csv.field_size_limit()) goes to np.loadtxt, which takes
     no token that float() rejects and gives the same value, if its
     non-blank lines have one column count the header allows and its
-    labels are admitted; if not, it is split at its commas and parsed
-    row by row by `parse`. From the first slice of any other kind,
-    csv.reader reads the rest of the file, ROWS_PER_CHUNK records at a
-    time, through `parse`. Each slice or chunk is checked as an array.
-    Refused rows become `line N: ...` diagnostics in line order or,
-    without a diagnostics list (a strict table, parsed no further than
-    its first refused row's slice or chunk), the first a ParseError
-    naming file:line, raised once the rest of the file is decoded, so
-    that a file that is not UTF-8 is refused as such.
+    labels are admitted. csv.reader parses any other slice alone,
+    reading on from the file only to finish a record open at its end.
+    Each slice is checked as an array. Refused rows become `line N: ...`
+    diagnostics in line order or, without a diagnostics list (a strict
+    table, parsed no further than its first refused row's slice), the
+    first a ParseError naming file:line, raised once the rest of the
+    file is decoded, so that a file that is not UTF-8 is refused as such.
     """
     names = header + list(allow_extra)
     numeric = [i for i in range(len(names)) if i not in label_columns]
@@ -394,33 +385,23 @@ def _read_table(
         labels.append(block_labels)
         return diagnostics is None and bool(failures)
 
-    def replay(records: Iterable[tuple[int, list[str]]]) -> bool:
-        """Parse non-blank (line number, csv row) records and keep them."""
-        rows, kept, lines = [], [], []
-        for lineno, row in records:
-            try:
-                rows.append(parse(row))
-                kept.append(row)
-                lines.append(lineno)
-            except ValueError as exc:
-                failures.append((lineno, str(exc)))
-        values = np.array(rows, dtype=object).reshape(len(rows), len(numeric)).T
-        row_labels = np.array([*map(labels_of, kept)], dtype=object).reshape(len(kept), len(read))
-        flat = row_labels.ravel().tolist()
-        # A numpy str array drops a label's trailing NULs.
-        as_str = admit(len(rows), max(map(len, flat), default=0)) and "\0" not in "".join(flat)
-        given = np.not_equal(values[-1], None) if allow_extra else None
-        return keep(values.astype(float), row_labels.astype(str) if as_str else row_labels,
-                    lines, given)
-
-    def sliced(first: int, lines: list[str], width: int) -> bool:
-        """Parse the slice `lines`, starting at line `first`, one csv
-        record a line and none longer than `width`, and keep its rows."""
-        nonblank = list(map(bool, lines))
-        rows = list(itertools.compress(lines, nonblank))
-        if not rows:
-            return False
+    def sliced(part: str) -> bool:
+        """Parse and keep the rows of the slice `part` from line `first`, by
+        np.loadtxt where it takes them, else by csv.reader, and move `first`
+        past it. True once a strict table refused a row, or csv.reader the file."""
+        nonlocal first
+        # A search for "\r" is quicker than replace() finding nothing to do.
+        text = part.replace("\r\n", "\n") if "\r" in part else part
+        lines = text.split("\n")
+        width = max(map(len, lines))
+        rows = list(filter(None, lines))
         try:
+            # Without quotes or lone CRs each line is one csv record, without
+            # NULs a numpy str array keeps every label whole, a line no longer
+            # than csv's field limit holds no field that csv refuses, and
+            # np.loadtxt needs a non-blank line.
+            if not 0 < width <= csv.field_size_limit() or any(c in text for c in '"\r\0'):
+                raise ValueError("not one csv record a line")
             usecols = None
             if label_columns:
                 # Given usecols, np.loadtxt takes rows of differing lengths.
@@ -440,22 +421,46 @@ def _read_table(
                 # least 1 character).
                 block_labels = np.loadtxt(rows, dtype=f"U{width}", usecols=read, **options)
                 block_labels = block_labels.astype(f"U{np.char.str_len(block_labels).max()}")
+            # An absent extra column is NaN and not given. Stacked, the block
+            # is a compact copy, so the heap reuses np.loadtxt's buffer.
+            given = np.zeros(len(rows), bool) if len(block) < len(numeric) else None
+            block = np.vstack([block, np.full((len(numeric) - len(block), len(rows)), np.nan)])
+            numbered = itertools.compress(itertools.count(first), map(bool, lines))
         except ValueError:
-            return replay(_split_rows(first, lines))
-        # An absent extra column is NaN and not given. Stacked, the block is
-        # a compact copy, so the heap reuses np.loadtxt's buffer.
-        given = np.zeros(len(rows), bool) if len(block) < len(numeric) else None
-        block = np.vstack([block, np.full((len(numeric) - len(block), len(rows)), np.nan)])
-        return keep(block, block_labels,
-                    itertools.compress(itertools.count(first), nonblank), given)
+            buffer = io.StringIO(part, newline="")
+            values, kept, numbered = [], [], []
+            try:
+                for lineno, row in _csv_rows(path, itertools.chain(buffer, read_on()), first):
+                    if row:
+                        try:
+                            values.append(parse(row))
+                            kept.append(labels_of(row))
+                            numbered.append(lineno)
+                        except ValueError as exc:
+                            failures.append((lineno, str(exc)))
+                    # Every line of the slice is read and its last record ended.
+                    if buffer.tell() == len(part):
+                        break
+            except ParseError as exc:
+                errors.append(exc)
+            block = np.array(values, dtype=object).reshape(len(kept), len(numeric)).T
+            block_labels = np.array(kept, dtype=object).reshape(len(kept), len(read))
+            flat = block_labels.ravel().tolist()
+            # A numpy str array drops a label's trailing NULs.
+            if admit(len(kept), max(map(len, flat), default=0)) and "\0" not in "".join(flat):
+                block_labels = block_labels.astype(str)
+            given = np.not_equal(block[-1], None) if allow_extra else None
+            block = block.astype(float)
+        # A line ends at a LF or, for csv, a lone CR.
+        first += text.count("\n") + text.count("\r")
+        return keep(block, block_labels, numbered, given) or bool(errors)
 
-    def streamed(lines: Iterable[str], first: int) -> Iterator[tuple[int, list[str]]]:
-        """The non-blank csv records of `lines`, from line `first`, up to a
-        csv error, kept in `errors` until the rows before it are checked."""
-        try:
-            yield from filter(operator.itemgetter(1), _csv_rows(path, lines, first))
-        except ParseError as exc:
-            errors.append(exc)
+    def read_on() -> Iterator[str]:
+        """The file's lines past a slice, counted in `chars` and `first`."""
+        nonlocal chars, first
+        for line in fh:
+            chars, first = chars + len(line), first + 1
+            yield line
 
     with _table_file(path) as (found, fh):
         if found is None:
@@ -471,20 +476,7 @@ def _read_table(
         size, first, stop = 32 * ROWS_PER_CHUNK, 2, False
         while not stop and (part := fh.read(size - 1) + fh.readline()):
             chars += len(part)
-            # A search for "\r" is quicker than replace() finding nothing to do.
-            text = part.replace("\r\n", "\n") if "\r" in part else part
-            lines = text.split("\n")
-            width = max(map(len, lines))
-            # Without quotes or lone CRs each line is one csv record, without
-            # NULs a numpy str array keeps every label whole, and a line no
-            # longer than csv's field limit holds no field that csv refuses.
-            if '"' in text or "\r" in text or "\0" in text or width > csv.field_size_limit():
-                records = streamed(itertools.chain(io.StringIO(part, newline=""), fh), first)
-                while not stop and (chunk := list(itertools.islice(records, ROWS_PER_CHUNK))):
-                    stop = replay(chunk)
-                break
-            stop = sliced(first, lines, width)
-            first += len(lines) - 1
+            stop = sliced(part)
         while fh.read(size):
             pass
     for lineno, message in sorted(failures):

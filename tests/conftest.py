@@ -103,51 +103,43 @@ def small_slices(monkeypatch):
 
 
 @pytest.fixture
-def streamed_tails(monkeypatch):
-    """A list that gets the path of each csv.reader stream the reader
-    makes of the rest of a file, none for its header or any other read."""
-    calls = []
+def csv_slices(monkeypatch):
+    """A list that gets, for each slice of a table that csv.reader parses,
+    its first line and the lines of its non-blank records, those read on
+    past the slice included; none for a header or any other csv read."""
+    slices = []
     stream = csvio._csv_rows
 
-    def spy(path, lines, first=2):
-        if isinstance(lines, itertools.chain):
-            calls.append(path)
-        return stream(path, lines, first)
-
-    monkeypatch.setattr(csvio, "_csv_rows", spy)
-    return calls
-
-
-@pytest.fixture
-def replayed_slices(monkeypatch):
-    """A list that gets the first line number of each slice the reader
-    replays alone: split at its commas and parsed row by row."""
-    firsts = []
-    split = csvio._split_rows
-
-    def spy(first, lines):
-        firsts.append(first)
-        return split(first, lines)
-
-    monkeypatch.setattr(csvio, "_split_rows", spy)
-    return firsts
-
-
-@pytest.fixture
-def replayed_lines(monkeypatch):
-    """A list that gets the line number of each record the reader takes
-    from its csv.reader stream of the rest of a file."""
-    lines = []
-    stream = csvio._csv_rows
-
-    def spy(path, text, first=2):
-        for lineno, row in stream(path, text, first):
-            if isinstance(text, itertools.chain):
+    def recorded(records, lines):
+        for lineno, row in records:
+            if row:
                 lines.append(lineno)
             yield lineno, row
 
+    def spy(path, lines, first=2):
+        if not isinstance(lines, itertools.chain):
+            return stream(path, lines, first)
+        slices.append((first, []))
+        return recorded(stream(path, lines, first), slices[-1][1])
+
     monkeypatch.setattr(csvio, "_csv_rows", spy)
-    return lines
+    return slices
+
+
+@pytest.fixture
+def loadtxt_rows(monkeypatch):
+    """A list that gets the row count of each slice whose numbers
+    np.loadtxt parses."""
+    rows = []
+    loadtxt = np.loadtxt
+
+    def spy(lines, **kwargs):
+        if kwargs["dtype"] is float:
+            rows.append(len(lines))
+        return loadtxt(lines, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return rows
 
 
 def padded(fields, end="\n", width=32):
@@ -158,8 +150,8 @@ def padded(fields, end="\n", width=32):
 
 
 def quoted(fields):
-    """`padded(fields)` with its first field in double quotes, from
-    whose slice on the reader streams the file through csv.reader."""
+    """`padded(fields)` with its first field in double quotes, which
+    sends its slice to csv.reader."""
     return '"' + padded(fields, width=30).replace(",", '",', 1)
 
 
@@ -183,4 +175,17 @@ def boundary_text(header, rows, kind, at):
         "blank_start": lambda f: "\n" + padded(f, width=31),
     }.get(kind, padded)
     lines = [make(fields) if i in at else padded(fields) for i, fields in enumerate(rows)]
+    return ",".join(header) + "\n" + "".join(lines)
+
+
+def straddling(header, rows, at, newlines):
+    """CSV text of `header` and 32-character lines of the field lists
+    `rows`, but line `at` is 32 characters up to an opening quote before
+    its last field: the field holds `newlines` line ends and closes on
+    a line of its own or, if `newlines` is 0, runs to the end of the
+    text."""
+    lines = [padded(fields) for fields in rows]
+    lines[at] = padded(rows[at][:-1] + ['"' + rows[at][-1]])
+    if newlines:
+        lines[at] += "\n" * (newlines - 1) + '"\n'
     return ",".join(header) + "\n" + "".join(lines)

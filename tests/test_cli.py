@@ -1554,16 +1554,27 @@ class TestProcessExit:
             run = run_cli(FREQUENCY, env=env, stdout=full)
         assert (run.returncode, run.stderr) == (3, "io error: [Errno 28] No space left on device\n")
 
+    @BUFFERING
     @needs_dev_full
     @pytest.mark.parametrize("argv", [["--help"], ["frequency", "--help"]],
                              ids=["help", "command-help"])
-    def test_full_stdout_after_help_exits_3(self, argv):
-        """argparse's exit leaves by the same flush as any other: before,
-        it exited 120 with Python's `Exception ignored` report. (Unbuffered,
-        argparse's own write fails and argparse ignores the error.)"""
+    def test_full_stdout_after_help_exits_3(self, argv, env):
+        """Buffered, argparse's exit leaves by the same flush as any other:
+        before, it exited 120 with Python's `Exception ignored` report.
+        Unbuffered, the help's own write fails: before, argparse ignored
+        the error and the run exited 0."""
         with open("/dev/full", "w") as full:
-            run = run_cli(argv, stdout=full)
+            run = run_cli(argv, env=env, stdout=full)
         assert (run.returncode, run.stderr) == (3, "io error: [Errno 28] No space left on device\n")
+
+    @BUFFERING
+    @needs_dev_full
+    def test_usage_error_with_full_stderr_keeps_exit_2(self, env):
+        """argparse's report of a usage error, which stderr cannot take,
+        leaves the usage error's code."""
+        with open("/dev/full", "w") as full:
+            run = run_cli(FREQUENCY + ["--bogus"], env=env, stderr=full)
+        assert (run.returncode, run.stdout) == (2, "")
 
     @BUFFERING
     def test_closed_stdout_pipe_exits_3(self, env):

@@ -19,9 +19,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    BOUNDARY_KINDS, SLICE_ROWS, boundary_text, oracle_records, padded, quoted
+    BOUNDARY_KINDS, SLICE_ROWS, boundary_text, oracle_records, padded, quoted, straddling
 )
-from shadowevap import cli
+from shadowevap import cli, csvio
 from shadowevap.config import default_config
 from shadowevap.csvio import (
     CORRECTIONS_HEADER,
@@ -174,19 +174,18 @@ class TestCorrectionsCsv:
         ids=["duplicate", "zero-area"],
     )
     def test_the_fast_path_names_lines_after_blank_lines(
-        self, tmp_path, streamed_tails, replayed_slices, fault, error
+        self, tmp_path, csv_slices, fault, error
     ):
         """A byte-order mark, CRLF line ends and blank lines before the
-        faulty row on line 8: np.loadtxt reads the file (no slice is
-        replayed, no csv.reader stream), and the error names the lines
-        the oracle names."""
+        faulty row on line 8: np.loadtxt reads the file (no slice goes to
+        csv.reader), and the error names the lines the oracle names."""
         rows = ["0,0,200,200,0.04,0", "", "5,0,200,200,0.04,0", "", "", "0,5,200,200,0.04,0"]
         path = tmp_path / "c.csv"
         text = "\r\n".join([",".join(CORRECTIONS_HEADER), *rows, fault]) + "\r\n"
         path.write_bytes(("\ufeff" + text).encode())
         assert outcome(read_corrections, path) == outcome(oracle_corrections, path)
         assert outcome(read_corrections, path) == (ParseError, f"{path}:{error}")
-        assert not streamed_tails and not replayed_slices
+        assert not csv_slices
 
     def test_a_field_too_long_for_csv_still_names_its_lines(self, tmp_path):
         """An x of 140,001 characters, longer than csv's field limit, is
@@ -202,8 +201,8 @@ class TestCorrectionsCsv:
         assert str(info.value) == f"{path}:2: field larger than field limit (131072)"
 
     def test_a_row_refused_before_a_field_too_long_for_csv_is_named(self, tmp_path):
-        """A non-finite x on line 2 is named, not the over-long field that
-        ends the csv.reader stream on line 3."""
+        """A non-finite x on line 2 is named, not the over-long field on
+        line 3, where csv.reader stops."""
         path = tmp_path / "c.csv"
         path.write_text(
             ",".join(CORRECTIONS_HEADER) + "\n"
@@ -215,7 +214,7 @@ class TestCorrectionsCsv:
 
 
 # Spellings of finite numbers, and tokens np.loadtxt rejects but float()
-# reads, which the per-line path then takes.
+# reads, which csv.reader's path then takes.
 TOKENS = st.one_of(
     st.tuples(
         st.floats(allow_nan=False, allow_infinity=False),
@@ -504,21 +503,28 @@ class TestSlicedReader:
     slices are checked against the csv.reader oracle about their
     boundaries: values by repr, errors by type and text."""
 
-    def test_a_slice_holds_rows_per_chunk_lines(self, tmp_path, monkeypatch, small_slices):
+    def test_a_slice_holds_rows_per_chunk_lines(self, tmp_path, small_slices, loadtxt_rows):
         """Of 32-character lines, a slice holds ROWS_PER_CHUNK."""
-        rows = []
-        loadtxt = np.loadtxt
-
-        def counted(lines, **kwargs):
-            rows.append(len(lines))
-            return loadtxt(lines, **kwargs)
-
-        monkeypatch.setattr(np, "loadtxt", counted)
         header, row, read, oracle = NUMERIC_TABLES["sites"]
         path = tmp_path / "sites.csv"
         path.write_text(",".join(header) + "\n" + "".join(map(padded, map(row, range(3 * K + 5)))))
         assert read(path) == oracle(path)
-        assert rows == [K, K, K, 5]
+        assert loadtxt_rows == [K, K, K, 5]
+
+    @pytest.mark.parametrize("table", NUMERIC_TABLES)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_the_oracles_in_small_slices(self, table, data):
+        """TestOneReader's texts, read 32 * SLICE_ROWS characters a slice,
+        so that records straddle slices. ROWS_PER_CHUNK is patched here,
+        since hypothesis refuses function-scoped fixtures."""
+        header, _, read, oracle = NUMERIC_TABLES[table]
+        text = data.draw(numeric_texts(header))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csvio, "ROWS_PER_CHUNK", SLICE_ROWS)
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode())
+            assert outcome(read, path) == outcome(oracle, path)
 
     @pytest.mark.parametrize("table", NUMERIC_TABLES)
     @pytest.mark.parametrize("kind", BOUNDARY_KINDS)
@@ -553,12 +559,13 @@ class TestSlicedReader:
 
     @pytest.mark.parametrize("table", NUMERIC_TABLES)
     @pytest.mark.parametrize("at", [0, K - 1, K, 2 * K + 3, 3 * K + 4])
-    def test_a_strict_replay_stops_after_the_chunk_refusing_a_row(
-        self, tmp_path, small_slices, replayed_lines, table, at
+    def test_a_strict_table_parses_no_slice_past_its_first_refused_row(
+        self, tmp_path, small_slices, csv_slices, loadtxt_rows, table, at
     ):
-        """A quoted field on line 2 hands the file to csv.reader, whose
-        records are parsed and checked ROWS_PER_CHUNK at a time: a strict
-        table reads no record after the chunk holding its first refused row."""
+        """A quoted field on line 2 sends the first slice, and only that
+        one, to csv.reader; np.loadtxt parses the later slices up to the
+        one holding the first refused row (before, csv.reader read the
+        rest of the file up to that row's chunk of records)."""
         header, row, read, oracle = NUMERIC_TABLES[table]
         n = 3 * K + 5
         rows = [row(i) for i in range(n)]
@@ -568,7 +575,30 @@ class TestSlicedReader:
         got = outcome(read, path)
         assert got == outcome(oracle, path)
         assert got[0] is ParseError and f"t.csv:{at + 2}: {header[-1]} must be finite" in got[1]
-        assert replayed_lines == list(range(2, min(n, (at // K + 1) * K) + 2))
+        assert csv_slices == [(2, list(range(2, K + 2)))]
+        assert loadtxt_rows == [K, K, 5][: at // K]
+
+    @pytest.mark.parametrize("table", NUMERIC_TABLES)
+    @pytest.mark.parametrize("newlines", [1, 2, 3, 0], ids=["1", "2", "3", "unterminated"])
+    def test_a_quoted_field_open_at_a_slice_end(
+        self, tmp_path, small_slices, csv_slices, loadtxt_rows, table, newlines
+    ):
+        """Line K + 1, the first slice's last, opens a quoted field that
+        holds `newlines` line ends and closes in the next slice, or runs
+        to the end of the file. csv.reader reads on from the file to
+        finish that record, and the next slice goes to np.loadtxt: the
+        nan 3 rows on is named at its line, as the oracle names it."""
+        header, row, read, oracle = NUMERIC_TABLES[table]
+        rows = [row(i) for i in range(3 * K + 5)]
+        rows[K + 2][-1] = "nan"
+        path = tmp_path / "t.csv"
+        path.write_text(straddling(header, rows, K - 1, newlines))
+        got = outcome(read, path)
+        assert got == outcome(oracle, path)
+        line = K + 4 + newlines if newlines else K + 1
+        assert got[0] is ParseError and got[1].startswith(f"{path}:{line}: ")
+        assert csv_slices == [(2, list(range(2, K + 2)))]
+        assert loadtxt_rows == ([K] if newlines else [])
 
     @pytest.mark.parametrize("table", NUMERIC_TABLES)
     @pytest.mark.parametrize("fault", ["nan", "quoted", "overlong"])

@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    BOUNDARY_KINDS, SLICE_ROWS, boundary_text, oracle_records, padded, quoted
+    BOUNDARY_KINDS, SLICE_ROWS, boundary_text, oracle_records, padded, quoted, straddling
 )
 from shadowevap import cli, csvio, stats
 from shadowevap.errors import (
@@ -272,6 +272,23 @@ class TestImport:
             assert reprs(new[0]) == reprs(old[0])
             assert new[1] == old[1]
 
+    @SETTINGS
+    @given(measurement_texts())
+    def test_matches_oracle_in_small_slices(self, tmp_path, text):
+        """Read 32 * SLICE_ROWS characters a slice, so that records
+        straddle slices. ROWS_PER_CHUNK is patched here, since hypothesis
+        refuses function-scoped fixtures."""
+        path = tmp_path / "meas.csv"
+        path.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csvio, "ROWS_PER_CHUNK", SLICE_ROWS)
+            new, new_error = outcome(csvio.import_measurements, path)
+        old, old_error = outcome(oracle_import, path)
+        assert new_error == old_error
+        if old is not None:
+            assert reprs(new[0]) == reprs(old[0])
+            assert new[1] == old[1]
+
     @settings(SETTINGS, max_examples=50)
     @given(measurement_texts())
     def test_without_ids_keeps_the_same_rows(self, tmp_path, monkeypatch, text):
@@ -337,13 +354,11 @@ class TestImport:
         assert new[1] == old[1] == ["line 9: rn_ohm must be > 0"]
         assert peak < 50e6
 
-    def test_an_unread_long_label_keeps_the_fast_path(
-        self, tmp_path, streamed_tails, replayed_slices
-    ):
+    def test_an_unread_long_label_keeps_the_fast_path(self, tmp_path, csv_slices):
         """Without ids no label is measured, so one 20,000-character chip
         id leaves the file to np.loadtxt, with the oracle's rows and
-        diagnostics; with ids the label guard replays its slice and every
-        later one row by row, with the same outcome."""
+        diagnostics; with ids the label guard sends its slice and every
+        later one to csv.reader, with the same outcome."""
         path = tmp_path / "meas.csv"
         write_long_chip_id(path)
         records, diagnostics = oracle_import(path)
@@ -351,14 +366,13 @@ class TestImport:
             "line 9: rn_ohm must be > 0", "line 20002: rn_ohm must be finite, got nan"
         ]
         table, found = csvio.import_measurements(path, ids=False)
-        assert not streamed_tails and not replayed_slices
+        assert not csv_slices
         assert found == diagnostics
         unread = dict(wafer_id=None, chip_id=None, run_id=None)
         assert reprs(table) == [repr(dataclasses.replace(r, **unread)) for r in records]
         assert import_outcome(path) == (reprs(records), diagnostics)
-        assert not streamed_tails
         lines = path.read_text().split("\n")
-        starts = replayed_slices + [len(lines)]
+        starts = [first for first, _ in csv_slices] + [len(lines)]
         assert starts[0] <= 12_347 < starts[1]
         # Each slice ends at the first line end 128 KiB or more past its start.
         sizes = [sum(len(line) + 1 for line in lines[a - 1 : b - 1]) for a, b in zip(starts, starts[1:])]
@@ -502,11 +516,12 @@ class TestSlicedImport:
             assert len(expected[1]) == len(at)
 
     @pytest.mark.parametrize("n", [SLICE_ROWS, 3 * SLICE_ROWS + 5])
-    def test_a_quoted_id_is_replayed_a_chunk_at_a_time(
-        self, tmp_path, small_slices, replayed_lines, n
+    def test_a_quoted_id_sends_only_its_slice_to_csv_reader(
+        self, tmp_path, small_slices, csv_slices, loadtxt_rows, n
     ):
-        """The csv.reader stream is checked ROWS_PER_CHUNK records at a
-        time and read to its end: each row refused about a chunk
+        """A quoted id on line 2 sends the first slice, and only that one,
+        to csv.reader, and every later one to np.loadtxt (before,
+        csv.reader read the whole file): each row refused about a slice
         boundary is reported, in line order."""
         k = SLICE_ROWS
         at = {k - 1, k, 2 * k - 1, 2 * k, n - 1}
@@ -521,7 +536,29 @@ class TestSlicedImport:
         old = oracle_import(path)
         assert import_outcome(path) == (reprs(old[0]), old[1])
         assert len(old[1]) == len(at & set(range(n)))
-        assert replayed_lines == list(range(2, n + 2))
+        assert csv_slices == [(2, list(range(2, k + 2)))]
+        assert loadtxt_rows == [k, k, 5][: (n - 1) // k]
+
+    @pytest.mark.parametrize("newlines", [1, 2, 3, 0], ids=["1", "2", "3", "unterminated"])
+    def test_a_quoted_field_open_at_a_slice_end(
+        self, tmp_path, small_slices, csv_slices, loadtxt_rows, newlines
+    ):
+        """The first slice's last line opens a quoted rn_ohm that holds
+        `newlines` line ends and closes in the next slice, or runs to the
+        end of the file. csv.reader reads on from the file to finish that
+        record, the next slice goes to np.loadtxt, and rows refused after
+        it are reported at the oracle's lines."""
+        k = SLICE_ROWS
+        rows = [measurement_row(i) for i in range(3 * k + 5)]
+        for i in (k - 2, k, 2 * k + 1):
+            rows[i][6] = "-5"
+        path = tmp_path / "meas.csv"
+        path.write_text(straddling(csvio.MEASUREMENT_HEADER, rows, k - 1, newlines))
+        old = oracle_import(path)
+        assert import_outcome(path) == (reprs(old[0]), old[1])
+        assert len(old[1]) == (3 if newlines else 2)
+        assert csv_slices == [(2, list(range(2, k + 2)))]
+        assert loadtxt_rows == ([k, k, 5] if newlines else [])
 
     @pytest.mark.parametrize(
         "fields",
@@ -543,11 +580,10 @@ class TestSlicedImport:
     @pytest.mark.parametrize("fault", [(6, "n/a"), (7, "")], ids=["bad-token", "blank-jc"])
     @pytest.mark.parametrize("at", [SLICE_ROWS - 1, SLICE_ROWS], ids=["last", "first"])
     def test_a_refused_slice_is_replayed_alone(
-        self, tmp_path, small_slices, streamed_tails, replayed_slices, fault, at
+        self, tmp_path, small_slices, csv_slices, fault, at
     ):
         """A token np.loadtxt refuses, last in the first slice or first in
-        the second, replays that slice alone, row by row; no slice is
-        streamed through csv.reader."""
+        the second, sends that slice alone to csv.reader."""
         rows = [measurement_row(i) + ["0.5"] for i in range(3 * SLICE_ROWS)]
         column, token = fault
         rows[at][column] = token
@@ -556,13 +592,14 @@ class TestSlicedImport:
         path.write_text(",".join(header) + "\n" + "".join(map(padded, rows)))
         old = oracle_import(path)
         assert import_outcome(path) == (reprs(old[0]), old[1])
-        assert replayed_slices == [2 + at // SLICE_ROWS * SLICE_ROWS]
-        assert not streamed_tails
+        first = 2 + at // SLICE_ROWS * SLICE_ROWS
+        assert csv_slices == [(first, list(range(first, first + SLICE_ROWS)))]
 
     @pytest.mark.parametrize("variant", ["clean", "n/a", "blank-jc", "quoted"])
     def test_ids_are_str_on_every_path(self, tmp_path, small_slices, variant):
-        """Ids read by np.loadtxt, from a replayed slice or from csv.reader
-        chunks join as one numpy str array, equal to the oracle's ids."""
+        """Ids read by np.loadtxt or by csv.reader, from a slice np.loadtxt
+        refuses or from quoted ones, join as one numpy str array, equal to
+        the oracle's ids."""
         rows = [measurement_row(i) + ["0.5"] for i in range(3 * SLICE_ROWS + 5)]
         for row in rows:
             row[1] = row[1] * (1 + int(row[6]) % 4)
@@ -582,7 +619,7 @@ class TestSlicedImport:
             assert table.columns[name].tolist() == [getattr(r, name) for r in old[0]]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_a_pipe_is_read_as_its_file(self, tmp_path, small_slices, replayed_slices):
+    def test_a_pipe_is_read_as_its_file(self, tmp_path, small_slices, csv_slices):
         """A pipe has no size: its labels are bounded by the text read so
         far, so its slices go to np.loadtxt and its ids are str."""
         rows = [measurement_row(i) for i in range(3 * SLICE_ROWS + 5)]
@@ -599,14 +636,14 @@ class TestSlicedImport:
         assert not writer.is_alive()
         assert (reprs(table), diagnostics) == import_outcome(path)
         assert table.columns["chip_id"].dtype.kind == "U"
-        assert not replayed_slices
+        assert not csv_slices
 
-    def test_quoted_ids_stream_the_rest_from_the_first_quoted_slice(
-        self, tmp_path, small_slices, streamed_tails, replayed_slices, replayed_lines
+    def test_quoted_ids_send_each_quoted_slice_to_csv_reader(
+        self, tmp_path, small_slices, csv_slices
     ):
         """Rows quote their wafer id from the fourth line of the second
-        slice on: csv.reader reads the file from that slice's first line,
-        once, and the first slice goes to np.loadtxt."""
+        slice on: csv.reader parses each slice from the second on, alone,
+        and the first slice goes to np.loadtxt."""
         k = SLICE_ROWS
         rows = [measurement_row(i) for i in range(3 * k + 5)]
         rows[2][6] = rows[2 * k][6] = "-5"
@@ -618,9 +655,8 @@ class TestSlicedImport:
         old = oracle_import(path)
         assert import_outcome(path) == (reprs(old[0]), old[1])
         assert old[1] == ["line 4: rn_ohm must be > 0", f"line {2 * k + 2}: rn_ohm must be > 0"]
-        assert streamed_tails == [path]
-        assert replayed_lines == list(range(k + 2, len(rows) + 2))
-        assert not replayed_slices
+        ends = list(range(k + 2, len(rows) + 2, k)) + [len(rows) + 2]
+        assert csv_slices == [(a, list(range(a, b))) for a, b in zip(ends, ends[1:])]
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
     @pytest.mark.parametrize("shift", [-2, -1, 0, 1])
@@ -730,7 +766,7 @@ REFUSED = [
 def refused_row_file(path, fields, quoted):
     """A measurement file whose line 3, between two valid rows, is the
     valid row with `fields` (column to token) changed; `quoted` quotes
-    line 2's wafer id, so csv.reader reads the file from line 2."""
+    line 2's wafer id, so csv.reader parses the file's one slice."""
     header = list(VALID_ROW)
     first = dict(VALID_ROW, wafer_id='"W1"' if quoted else "W1")
     rows = [header, first.values(), {**VALID_ROW, **fields}.values(), VALID_ROW.values()]
@@ -749,15 +785,14 @@ class TestOneMessagePerCheck:
     @pytest.mark.parametrize("fields, message", REFUSED)
     @pytest.mark.parametrize("quoted", [False, True], ids=["sliced", "replayed"])
     def test_every_route_gives_the_first_failed_checks_text(
-        self, tmp_path, streamed_tails, replayed_slices, fields, message, quoted
+        self, tmp_path, csv_slices, fields, message, quoted
     ):
         path = tmp_path / "meas.csv"
         refused_row_file(path, fields, quoted)
         table, diagnostics = csvio.import_measurements(path)
         assert diagnostics == [f"line 3: {message}"]
         assert len(table) == 2
-        assert streamed_tails == ([path] if quoted else [])
-        assert not replayed_slices
+        assert csv_slices == ([(2, [2, 3, 4])] if quoted else [])
         ids = ("wafer_id", "chip_id", "run_id")
         values = {k: v if k in ids else float(v) for k, v in {**VALID_ROW, **fields}.items()}
         with pytest.raises(ValidationError) as info:
@@ -765,26 +800,23 @@ class TestOneMessagePerCheck:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("blank", ["", " "], ids=["empty", "space"])
-    def test_a_blank_jc_is_not_given_and_a_nan_is_refused(
-        self, tmp_path, streamed_tails, replayed_slices, blank
-    ):
+    def test_a_blank_jc_is_not_given_and_a_nan_is_refused(self, tmp_path, csv_slices, blank):
         """A literal nan jc_ua_um2 is refused on both paths; a blank one
-        (which np.loadtxt refuses, so its slice is replayed) keeps its
-        row, with None."""
+        (which np.loadtxt refuses, so csv.reader parses its slice) keeps
+        its row, with None."""
         path = tmp_path / "meas.csv"
         refused_row_file(path, {"jc_ua_um2": "nan"}, quoted=False)
         table, diagnostics = csvio.import_measurements(path)
         assert diagnostics == ["line 3: jc_ua_um2 must be finite, got nan"]
         assert table.columns["jc_ua_um2"].tolist() == [0.5, 0.5]
-        assert not replayed_slices
+        assert not csv_slices
         lines = path.read_text().split("\n")
         lines[1] = lines[1].replace(",0.5", "," + blank)
         path.write_text("\n".join(lines))
         table, found = csvio.import_measurements(path)
         assert found == diagnostics
         assert table.columns["jc_ua_um2"].tolist() == [None, 0.5]
-        assert replayed_slices == [2]
-        assert not streamed_tails
+        assert csv_slices == [(2, [2, 3, 4])]
 
     def test_a_replayed_row_converts_jc_first(self, tmp_path):
         """Of an unparseable x_mm and jc_ua_um2, the jc token is named."""
@@ -802,7 +834,7 @@ class TestOneMessagePerCheck:
     @pytest.mark.parametrize("column", [0, -1], ids=["first", "last"])
     @pytest.mark.parametrize("quoted", [False, True], ids=["sliced", "replayed"])
     def test_numeric_tables_name_the_first_non_finite_value(
-        self, tmp_path, streamed_tails, replayed_slices, read, header, column, quoted
+        self, tmp_path, csv_slices, read, header, column, quoted
     ):
         """Line 3 holds a -inf and line 4 a nan: a strict table names line 3."""
         rows = [[str(i + 1)] * len(header) for i in range(4)]
@@ -815,8 +847,7 @@ class TestOneMessagePerCheck:
         with pytest.raises(ParseError) as info:
             read(path)
         assert str(info.value) == f"{path}:3: {header[column]} must be finite, got -inf"
-        assert streamed_tails == ([path] if quoted else [])
-        assert not replayed_slices
+        assert csv_slices == ([(2, [2, 3, 4, 5])] if quoted else [])
 
 
 class TestAggregate:
